@@ -6,7 +6,6 @@ and searches rule spaces, applies rules to voxel volumes, and evaluates the
 resulting segmentations at voxel and lesion level.
 """
 
-from .backends import BACKEND, NO_NUMBA_ENV
 from .combine import (
     binarize,
     combine_linear,

@@ -1,169 +1,51 @@
-"""Hot numeric kernels with a numba fast path and a numpy/scipy fallback.
-
-The fallback is selected by setting the environment variable
-``RULEFUSE_NO_NUMBA=1`` before import (or automatically when numba is not
-installed). Both implementations are importable side by side so
-``benchmarks/bench_backends.py`` can compare them directly.
-"""
+"""Hot numeric kernels: the batched logistic descent and component labeling."""
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 from scipy import ndimage
 
-NO_NUMBA_ENV = "RULEFUSE_NO_NUMBA"
+_STRUCTURES = {c: ndimage.generate_binary_structure(3, r) for c, r in ((6, 1), (18, 2), (26, 3))}
 
 
-def _numba_disabled() -> bool:
-    return os.environ.get(NO_NUMBA_ENV, "").strip().lower() in {"1", "true", "yes", "on"}
+def fit_logistic(X, D, lr, max_iters):
+    """Full-batch gradient descent on the summed binary cross-entropy, for
+    every row of the decision matrix D at once.
 
-
-def _neighbor_offsets(connectivity: int) -> np.ndarray:
-    if connectivity not in (6, 18, 26):
-        raise ValueError(f"connectivity must be 6, 18 or 26, got {connectivity}")
-    max_l1 = {6: 1, 18: 2, 26: 3}[connectivity]
-    offs = [
-        (dx, dy, dz)
-        for dx in (-1, 0, 1)
-        for dy in (-1, 0, 1)
-        for dz in (-1, 0, 1)
-        if (dx, dy, dz) != (0, 0, 0) and abs(dx) + abs(dy) + abs(dz) <= max_l1
-    ]
-    return np.array(offs, dtype=np.int64)
-
-_OFFSETS = {c: _neighbor_offsets(c) for c in (6, 18, 26)}
-
-
-# ---------------------------------------------------------------------------
-# numpy/scipy implementations
-
-def fit_logistic_numpy(X, d, lr, max_iters):
-    """Full-batch gradient descent on the summed binary cross-entropy.
-
-    Returns (beta, iterations_used, finite). ``finite`` is False when the
-    loss became non-finite and the descent was aborted.
+    Returns (B, iterations_used, finite): B holds one coefficient row per
+    decision row. A row whose loss turns non-finite freezes at the step
+    before it, with finite False and its own iteration count; the loss is
+    finite exactly when every chosen probability (p where d = 1, 1 - p where
+    d = 0) is positive, so only that is tested.
     """
     X = np.asarray(X, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    beta = np.zeros(X.shape[1])
-    used = 0
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for _ in range(max_iters):
-            p = 1.0 / (1.0 + np.exp(-(X @ beta)))
-            loss = -np.where(d > 0.5, np.log(p), np.log1p(-p)).sum()
-            if not np.isfinite(loss):
-                return beta, used, False
-            beta -= lr * (X.T @ (p - d))
-            used += 1
-    return beta, used, True
+    D = np.atleast_2d(np.asarray(D, dtype=np.float64))
+    B = np.zeros((D.shape[0], X.shape[1]))
+    used = np.full(D.shape[0], max_iters)
+    finite = np.ones(D.shape[0], dtype=bool)
+    rows = np.arange(D.shape[0])  # rows still descending; diverged ones are retired
+    beta, d = B.copy(), D
+    positive = d > 0.5
+    neg_xt = -X.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(max_iters):
+            p = 1.0 / (1.0 + np.exp(beta @ neg_xt))
+            chosen_positive = np.where(positive, p, 1.0 - p) > 0
+            if not chosen_positive.all():
+                ok = chosen_positive.all(axis=1)
+                gone = rows[~ok]
+                B[gone], used[gone], finite[gone] = beta[~ok], step, False
+                rows, beta, d, positive, p = rows[ok], beta[ok], d[ok], positive[ok], p[ok]
+                if not rows.size:
+                    break
+            beta -= lr * ((p - d) @ X)
+    B[rows] = beta
+    return B, used, finite
 
 
-def label_components_numpy(mask, connectivity=26):
+def label_components(mask, connectivity):
     """Label connected regions of a 3D boolean mask. Returns (labels, count)."""
-    rank = {6: 1, 18: 2, 26: 3}[connectivity]
-    structure = ndimage.generate_binary_structure(3, rank)
-    labels, count = ndimage.label(mask, structure=structure)
-    return labels.astype(np.int32, copy=False), count
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-_HAVE_NUMBA = False
-fit_logistic_numba = None
-label_components_numba = None
-
-if not _numba_disabled():
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _fit_logistic_jit(X, d, lr, max_iters):
-        n, m = X.shape
-        beta = np.zeros(m)
-        p = np.empty(n)
-        used = 0
-        for _ in range(max_iters):
-            loss = 0.0
-            for k in range(n):
-                z = 0.0
-                for j in range(m):
-                    z += X[k, j] * beta[j]
-                pk = 1.0 / (1.0 + np.exp(-z))
-                p[k] = pk
-                if d[k] > 0.5:
-                    loss -= np.log(pk)
-                else:
-                    loss -= np.log(1.0 - pk)
-            if not np.isfinite(loss):
-                return beta, used, False
-            for j in range(m):
-                g = 0.0
-                for k in range(n):
-                    g += X[k, j] * (p[k] - d[k])
-                beta[j] -= lr * g
-            used += 1
-        return beta, used, True
-
-    def fit_logistic_numba(X, d, lr, max_iters):  # noqa: F811
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        d = np.ascontiguousarray(d, dtype=np.float64)
-        return _fit_logistic_jit(X, d, float(lr), int(max_iters))
-
-    @njit(cache=True, nogil=True)
-    def _label_bfs_jit(mask, offs):
-        nx, ny, nz = mask.shape
-        labels = np.zeros(mask.shape, np.int32)
-        stack = np.empty(mask.size, np.int64)
-        count = 0
-        for x0 in range(nx):
-            for y0 in range(ny):
-                for z0 in range(nz):
-                    if not mask[x0, y0, z0] or labels[x0, y0, z0] != 0:
-                        continue
-                    count += 1
-                    labels[x0, y0, z0] = count
-                    stack[0] = (x0 * ny + y0) * nz + z0
-                    top = 1
-                    while top > 0:
-                        top -= 1
-                        idx = stack[top]
-                        z = idx % nz
-                        rest = idx // nz
-                        y = rest % ny
-                        x = rest // ny
-                        for k in range(offs.shape[0]):
-                            xx = x + offs[k, 0]
-                            yy = y + offs[k, 1]
-                            zz = z + offs[k, 2]
-                            if 0 <= xx < nx and 0 <= yy < ny and 0 <= zz < nz:
-                                if mask[xx, yy, zz] and labels[xx, yy, zz] == 0:
-                                    labels[xx, yy, zz] = count
-                                    stack[top] = (xx * ny + yy) * nz + zz
-                                    top += 1
-        return labels, count
-
-    def label_components_numba(mask, connectivity=26):  # noqa: F811
-        mask = np.ascontiguousarray(mask, dtype=np.bool_)
-        return _label_bfs_jit(mask, _OFFSETS[connectivity])
-
-
-# ---------------------------------------------------------------------------
-# active backend
-
-if _HAVE_NUMBA:
-    BACKEND = "numba"
-    fit_logistic = fit_logistic_numba
-    label_components = label_components_numba
-else:
-    BACKEND = "numpy"
-    fit_logistic = fit_logistic_numpy
-    label_components = label_components_numpy
+    structure = _STRUCTURES.get(connectivity)
+    if structure is None:
+        raise ValueError(f"connectivity must be 6, 18 or 26, got {connectivity!r}")
+    return ndimage.label(mask, structure=structure)

@@ -1,7 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 usage error (bad flags, malformed inline JSON),
-2 data error (missing/invalid files, misaligned volumes, failed generation).
+Exit codes: 0 success, 1 usage error (bad flags, out-of-range option values,
+malformed inline JSON, a diverging fit), 2 data error (missing/invalid files,
+misaligned volumes, failed generation).
 All output is deterministic for fixed seeds: reports round floats to 6
 significant digits and contain no timestamps.
 """
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import discovery, phantoms, sampling, volio
 from .combine import binarize, combine_linear, combine_stacking, combine_vote
-from .errors import DataError, PackingError, RuleFuseError
+from .errors import DataError, DivergenceError, PackingError, RuleFuseError
 from .fitting import (
     DEFAULT_LEARNING_RATE,
     DEFAULT_MAX_ITERS,
@@ -135,13 +136,13 @@ def cmd_sample(args, config) -> int:
         iters = int(_opt(args, config, "iters", DEFAULT_MAX_ITERS))
         n_rules = int(_opt(args, config, "n_rules", 256))
         ruleset = sampling.rejection_sample_stacking(
-            n_rules=n_rules, eta=eta, learning_rate=lr, max_iters=iters, threads=args.threads
+            n_rules=n_rules, eta=eta, learning_rate=lr, max_iters=iters
         )
         text = volio.write_report(ruleset, fmt, args.out)
         if not args.out:
             sys.stdout.write(text)
         else:
-            print(f"accepted {ruleset.accepted_count} of 256 rules (eta={eta:.6g}) -> {args.out}")
+            print(f"accepted {ruleset.accepted_count} of {n_rules} rules (eta={eta:.6g}) -> {args.out}")
         return 0
     if model == "linear":
         step = _opt(args, config, "grid_step", None)
@@ -504,13 +505,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads < 1:
+            raise UsageError(f"--threads must be >= 1, got {args.threads}")
         config = {}
         if args.config:
             config = _load_json_arg(args.config, "config")
             if not isinstance(config, dict):
                 raise UsageError("--config must contain a JSON object")
         return args.func(args, config)
-    except UsageError as exc:
+    except (UsageError, ValueError, DivergenceError) as exc:
+        # out-of-range option values surface from the library as ValueError
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except DataError as exc:

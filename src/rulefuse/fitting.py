@@ -201,30 +201,49 @@ def fit_stacking(
     between d and the fitted probabilities. Raises DivergenceError if the
     loss turns non-finite.
     """
+    return fit_stacking_batch(R, [d], learning_rate, max_iters)[0]
+
+
+def fit_stacking_batch(
+    R: ConditionMatrix,
+    decisions,
+    learning_rate: float = DEFAULT_LEARNING_RATE,
+    max_iters: int = DEFAULT_MAX_ITERS,
+) -> list[FitReport]:
+    """`fit_stacking` for every decision vector in one batched descent.
+
+    Each row descends independently, so its report matches a separate
+    fit_stacking call. Raises DivergenceError for the first decision, in
+    the given order, whose loss turned non-finite.
+    """
     if learning_rate <= 0:
         raise ValueError(f"learning_rate must be positive, got {learning_rate}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     X = R.design_matrix()
-    df = d.as_float()
-    beta, used, finite = backends.fit_logistic(X, df, learning_rate, max_iters)
-    if not finite:
-        raise DivergenceError(
-            f"stacking fit diverged after {used} iterations "
-            f"(learning_rate={learning_rate})"
+    D = np.array([d.as_float() for d in decisions])
+    B, used, finite = backends.fit_logistic(X, D, learning_rate, max_iters)
+    reports = []
+    for d, df, beta, n, ok in zip(decisions, D, B, used, finite):
+        if not ok:
+            raise DivergenceError(
+                f"stacking fit diverged after {n} iterations "
+                f"(learning_rate={learning_rate})"
+            )
+        probs = _sigmoid(X @ beta)
+        reports.append(
+            FitReport(
+                model="stacking",
+                decision=d,
+                coefficients=beta,
+                residual=float(np.sum((df - probs) ** 2) / N_CONDITIONS),
+                odds_ratios=odds_ratios(StackingRule(beta)),
+                iterations_used=int(n),
+                degenerate=d.is_constant(),
+                options={"learning_rate": learning_rate, "max_iters": max_iters},
+            )
         )
-    probs = _sigmoid(X @ beta)
-    residual = float(np.sum((df - probs) ** 2) / N_CONDITIONS)
-    return FitReport(
-        model="stacking",
-        decision=d,
-        coefficients=beta,
-        residual=residual,
-        odds_ratios=odds_ratios(StackingRule(beta)),
-        iterations_used=used,
-        degenerate=d.is_constant(),
-        options={"learning_rate": learning_rate, "max_iters": max_iters},
-    )
+    return reports
 
 
 def odds_ratios(rule: StackingRule) -> np.ndarray:

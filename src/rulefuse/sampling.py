@@ -5,7 +5,6 @@ acceptance-rejection sweep that collects every fittable stacking rule.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,44 +126,34 @@ def rejection_sample_stacking(
     eta: float = DEFAULT_ETA,
     learning_rate: float = fitting.DEFAULT_LEARNING_RATE,
     max_iters: int = fitting.DEFAULT_MAX_ITERS,
-    threads: int = 1,
 ) -> SampledRuleSet:
     """Fit every decision rule 0..n_rules-1 and keep the fittable ones.
 
     A rule is accepted when the squared L2 gap between its decisions and the
     fitted probabilities over the eight conditions is at most eta^2 / 8;
     exactly the linearly separable decisions pass, up to optimizer budget.
-    The per-rule fits are deterministic, so the output does not depend on
-    the thread count.
+    All rules are fitted in one batched descent.
     """
     if not 1 <= n_rules <= 256:
         raise ValueError(f"n_rules must be in [1, 256], got {n_rules}")
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    R = canonical_condition_matrix()
     threshold = eta**2 / 8.0
-
-    def _fit_one(number: int):
-        d = decision_from_number(number)
-        report = fitting.fit_stacking(R, d, learning_rate=learning_rate, max_iters=max_iters)
-        sq_norm = report.residual * 8.0
-        return number, d, report, sq_norm
-
-    numbers = range(n_rules)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_fit_one, numbers))
-    else:
-        results = [_fit_one(n) for n in numbers]
+    reports = fitting.fit_stacking_batch(
+        canonical_condition_matrix(),
+        [decision_from_number(n) for n in range(n_rules)],
+        learning_rate=learning_rate,
+        max_iters=max_iters,
+    )
 
     accepted: list[SampledRule] = []
     rejected: list[tuple[int, float]] = []
-    for number, d, report, sq_norm in sorted(results, key=lambda r: r[0]):
-        if sq_norm <= threshold:
+    for number, report in enumerate(reports):
+        if report.residual * 8.0 <= threshold:
             accepted.append(
                 SampledRule(
                     rule_number=number,
-                    decision=d,
+                    decision=report.decision,
                     rule=report.stacking_rule(),
                     residual=report.residual,
                 )

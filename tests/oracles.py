@@ -43,6 +43,30 @@ def separable_rule_numbers() -> set[int]:
     return found
 
 
+# --- logistic descent ------------------------------------------------------------
+
+
+def logistic_descent_ref(X, d, lr, max_iters):
+    """One decision vector's full-batch descent on the summed cross-entropy.
+
+    Computes the loss itself each step and stops before the first step whose
+    loss is non-finite. Returns (beta, iterations_used, finite).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
+    beta = np.zeros(X.shape[1])
+    used = 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for _ in range(max_iters):
+            p = 1.0 / (1.0 + np.exp(-(X @ beta)))
+            loss = -np.where(d > 0.5, np.log(p), np.log1p(-p)).sum()
+            if not np.isfinite(loss):
+                return beta, used, False
+            beta -= lr * (X.T @ (p - d))
+            used += 1
+    return beta, used, True
+
+
 # --- connected components ------------------------------------------------------
 
 

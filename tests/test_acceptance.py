@@ -149,7 +149,7 @@ def test_criterion_4_separability_sweep():
         assert len(oracle) == 104, len(oracle)
 
         fit_stacking(R, decision_from_number(0), max_iters=2)
-        result = rejection_sample_stacking(n_rules=256, threads=4)
+        result = rejection_sample_stacking(n_rules=256)
         elapsed = time.perf_counter() - t0
 
         accepted = set(result.rule_numbers())

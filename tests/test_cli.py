@@ -51,6 +51,39 @@ def test_misaligned_volumes_exit_2(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def assert_one_line_usage_error(capsys, argv, needle):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    assert needle in err
+    assert "Traceback" not in err
+
+
+def test_fit_divergence_is_usage_error(capsys):
+    argv = ["fit", "--zone", "WG", "--lr", "1e6"]
+    assert_one_line_usage_error(capsys, argv, "diverged after 1 iterations")
+
+
+def test_sample_negative_eta_is_usage_error(capsys):
+    assert_one_line_usage_error(capsys, ["sample", "--eta", "-1"], "eta must be positive")
+
+
+def test_sample_uneven_grid_step_is_usage_error(capsys):
+    argv = ["sample", "--model", "linear", "--grid-step", "0.3"]
+    assert_one_line_usage_error(capsys, argv, "step must divide 1 evenly")
+
+
+def test_phantom_zero_cases_is_usage_error(tmp_path, capsys):
+    argv = ["phantom", "--n-cases", "0", "--out-dir", str(tmp_path / "ds")]
+    assert_one_line_usage_error(capsys, argv, "n_cases")
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_usage_error(threads, capsys):
+    argv = ["--threads", threads, "sample", "--n-rules", "2"]
+    assert_one_line_usage_error(capsys, argv, f"--threads must be >= 1, got {threads}")
+
+
 # --- fit ---------------------------------------------------------------------------
 
 
@@ -92,6 +125,12 @@ def test_sample_stacking_subset(tmp_path, capsys):
     numbers = [e["rule_number"] for e in doc["entries"]]
     assert numbers == sorted(numbers)
     assert "accepted" in capsys.readouterr().out
+
+
+def test_sample_reports_the_number_of_rules_fitted(tmp_path, capsys):
+    out = tmp_path / "rules.json"
+    assert main(["sample", "--model", "stacking", "--n-rules", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("accepted 3 of 3 rules")
 
 
 def test_sample_linear_dirichlet_and_grid(capsys):

@@ -2,18 +2,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from rulefuse import backends
 from rulefuse.errors import DivergenceError
 from rulefuse.fitting import (
     LinearRule,
     StackingRule,
     fit_linear,
     fit_stacking,
+    fit_stacking_batch,
     predict_decisions,
     t_statistics,
 )
 from rulefuse.rules import Zone, canonical_condition_matrix, decision_from_number, pirads_decisions
 
 R = canonical_condition_matrix()
+X = R.design_matrix()
+ALL_D = np.array([decision_from_number(n).as_float() for n in range(256)])
 
 
 # Published zone fits: alpha, residual, T-statistics (PZ row from the
@@ -118,6 +123,47 @@ def test_stacking_divergence_raises():
     # an enormous step saturates the sigmoid and the summed BCE leaves float range
     with pytest.raises(DivergenceError):
         fit_stacking(R, decision_from_number(63), learning_rate=1e6, max_iters=2000)
+
+
+def test_stacking_batch_raises_for_first_diverged_decision():
+    # at this step size rule 1 diverges after 1 iteration and rule 7 after 2;
+    # the error names the first decision in the given order, not the earliest
+    decisions = [decision_from_number(n) for n in (0, 7, 1)]
+    with pytest.raises(DivergenceError, match=r"diverged after 2 iterations \(learning_rate=1000000.0\)"):
+        fit_stacking_batch(R, decisions, learning_rate=1e6, max_iters=50)
+
+
+@pytest.fixture(scope="module")
+def reference_fits():
+    """The scalar reference descent for every rule, 2 000 steps at lr 1."""
+    return [oracles.logistic_descent_ref(X, d, 1.0, 2000) for d in ALL_D]
+
+
+def test_batched_descent_matches_reference_for_every_rule(reference_fits):
+    B, used, finite = backends.fit_logistic(X, ALL_D, 1.0, 2000)
+    for n, (beta, ref_used, ref_finite) in enumerate(reference_fits):
+        assert (used[n], finite[n]) == (ref_used, ref_finite), n
+        np.testing.assert_allclose(B[n], beta, rtol=0, atol=1e-12, err_msg=f"rule {n}")
+
+
+def test_batch_of_one_is_bit_identical_to_reference(reference_fits):
+    for n, (beta, ref_used, ref_finite) in enumerate(reference_fits):
+        B, used, finite = backends.fit_logistic(X, ALL_D[n], 1.0, 2000)
+        assert B.shape == (1, 4)
+        assert (used[0], finite[0]) == (ref_used, ref_finite), n
+        np.testing.assert_array_equal(B[0], beta, err_msg=f"rule {n}")
+
+
+def test_mixed_batch_rows_diverge_independently():
+    # at lr 3 rule 126 diverges after 29 steps; the others run the full budget
+    numbers = [31, 63, 126, 150, 254]
+    B, used, finite = backends.fit_logistic(X, ALL_D[numbers], 3.0, 40)
+    assert finite.tolist() == [True, True, False, True, True]
+    assert used.tolist() == [40, 40, 29, 40, 40]
+    for row, n in enumerate(numbers):
+        beta, ref_used, ref_finite = oracles.logistic_descent_ref(X, ALL_D[n], 3.0, 40)
+        assert (used[row], finite[row]) == (ref_used, ref_finite), n
+        np.testing.assert_allclose(B[row], beta, rtol=0, atol=1e-12, err_msg=f"rule {n}")
 
 
 def test_stacking_rejects_bad_options():

@@ -103,6 +103,18 @@ def test_components_empty_mask():
     assert len(connected_components(empty())) == 0
 
 
+def test_components_full_mask_is_one_component():
+    lesions = connected_components(mask(np.ones((4, 4, 4))))
+    assert len(lesions) == 1
+    assert lesions.components[0].voxel_count == 64
+
+
+@pytest.mark.parametrize("connectivity", [0, 7, 27])
+def test_components_reject_unknown_connectivity(connectivity):
+    with pytest.raises(ValueError, match=f"got {connectivity}"):
+        connected_components(mask(np.ones((4, 4, 4))), connectivity=connectivity)
+
+
 def test_components_corner_touch_connectivity():
     values = np.zeros((8, 8, 8), dtype=bool)
     values[0:2, 0:2, 0:2] = True

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rulefuse.fitting import predict_decisions
+from rulefuse.fitting import fit_stacking, predict_decisions
 from rulefuse.rules import canonical_condition_matrix, decision_from_number
 from rulefuse.sampling import (
     SampledRuleSet,
@@ -82,13 +82,21 @@ def test_rejection_sampling_small_prefix():
         assert residual * 8.0 > 0.5**2 / 8.0
 
 
-def test_rejection_sampling_thread_invariance():
-    serial = rejection_sample_stacking(n_rules=24, threads=1)
-    parallel = rejection_sample_stacking(n_rules=24, threads=4)
-    assert serial.rule_numbers() == parallel.rule_numbers()
-    for a, b in zip(serial.entries, parallel.entries):
-        np.testing.assert_array_equal(a.rule.beta, b.rule.beta)
-        assert a.residual == b.residual
+def test_rejection_sampling_matches_per_rule_fits():
+    # the batched sweep accepts, rejects and fits each rule as fit_stacking does
+    result = rejection_sample_stacking(n_rules=24)
+    swept = {e.rule_number: (e.rule.beta, e.residual) for e in result.entries}
+    rejected = dict(result.rejected)
+    R = canonical_condition_matrix()
+    for n in range(24):
+        report = fit_stacking(R, decision_from_number(n))
+        if report.residual * 8.0 <= 0.5**2 / 8.0:
+            beta, residual = swept.pop(n)
+            np.testing.assert_allclose(beta, report.coefficients, rtol=0, atol=1e-12)
+        else:
+            residual = rejected.pop(n)
+        assert residual == pytest.approx(report.residual, rel=0, abs=1e-12)
+    assert not swept and not rejected
 
 
 def test_rule_set_round_trips_through_json(tmp_path):
