@@ -233,12 +233,19 @@ def _as_mask(volume, threshold: float, min_region: int, what: str) -> LabelVolum
     raise DataError(f"{what} is neither a mask nor a probability volume")
 
 
+def _write_reports(result, args, config) -> int:
+    """Print the report in --format, also to --out, and write its CSV form to --csv-out."""
+    sys.stdout.write(volio.write_report(result, _opt(args, config, "format", "json"), args.out))
+    if args.csv_out:
+        volio.write_report(result, "csv", args.csv_out)
+    return 0
+
+
 def cmd_evaluate(args, config) -> int:
     pred = volio.load_any_volume(args.pred)
     truth = volio.load_any_volume(args.truth)
-    threshold = float(_opt(args, config, "threshold", 0.5))
-    min_region = int(_opt(args, config, "min_region", 27))
-    pred = _as_mask(pred, threshold, min_region, "pred")
+    eval_cfg = _eval_config(args, config)
+    pred = _as_mask(pred, eval_cfg.threshold, eval_cfg.min_region_voxels, "pred")
     if not isinstance(truth, LabelVolume):
         raise DataError("truth must be a label volume")
     zone = None
@@ -246,18 +253,8 @@ def cmd_evaluate(args, config) -> int:
         zone = volio.load_any_volume(args.zone_mask)
         if not isinstance(zone, LabelVolume):
             raise DataError("zone mask must be a label volume")
-    mconfig = MetricsConfig(
-        s_gt=float(_opt(args, config, "s_gt", 0.1)),
-        s_pred=float(_opt(args, config, "s_pred", 0.1)),
-        connectivity=int(_opt(args, config, "connectivity", 26)),
-    )
-    report = evaluate_masks(pred, truth, mconfig, zone=zone)
-    fmt = _opt(args, config, "format", "json")
-    text = volio.write_report(report, fmt, args.out)
-    sys.stdout.write(text)
-    if args.csv_out:
-        volio.write_report(report, "csv", args.csv_out)
-    return 0
+    report = evaluate_masks(pred, truth, eval_cfg.metrics, zone=zone)
+    return _write_reports(report, args, config)
 
 
 def _eval_config(args, config) -> discovery.EvalConfig:
@@ -326,11 +323,7 @@ def cmd_availability(args, config) -> int:
     table = discovery.availability_analysis(
         cases, base_rule=base, config=_eval_config(args, config), threads=args.threads
     )
-    text = volio.write_report(table, _opt(args, config, "format", "json"), args.out)
-    sys.stdout.write(text)
-    if args.csv_out:
-        volio.write_report(table, "csv", args.csv_out)
-    return 0
+    return _write_reports(table, args, config)
 
 
 def cmd_mc_uncertainty(args, config) -> int:
@@ -357,11 +350,7 @@ def cmd_mc_uncertainty(args, config) -> int:
                 ProbabilityVolume(var, spacing=case.spacing),
                 out_dir / f"{case.case_id}_variance.f32le",
             )
-    text = volio.write_report(result, _opt(args, config, "format", "json"), args.out)
-    sys.stdout.write(text)
-    if args.csv_out:
-        volio.write_report(result, "csv", args.csv_out)
-    return 0
+    return _write_reports(result, args, config)
 
 
 def cmd_phantom(args, config) -> int:
@@ -429,21 +418,30 @@ def build_parser() -> Parser:
     p.add_argument("--min-region", type=int, default=None)
     p.set_defaults(func=cmd_combine)
 
-    p = sub.add_parser("evaluate", help="score a prediction against a truth mask")
+    # flags shared by several subcommands, each declared once
+    mask_flags = Parser(add_help=False)
+    mask_flags.add_argument("--threshold", type=float, default=None)
+    mask_flags.add_argument("--min-region", type=int, default=None)
+    mask_flags.add_argument("--connectivity", type=int, default=None)
+    lesion_flags = Parser(add_help=False)
+    lesion_flags.add_argument("--s-gt", type=float, default=None)
+    lesion_flags.add_argument("--s-pred", type=float, default=None)
+    zone_flag = Parser(add_help=False)
+    zone_flag.add_argument("--zone", default=None)
+    report_flags = Parser(add_help=False)
+    report_flags.add_argument("--format", choices=["json", "csv"], default=None)
+    report_flags.add_argument("--out", default=None)
+    report_flags.add_argument("--csv-out", default=None)
+
+    p = sub.add_parser("evaluate", help="score a prediction against a truth mask",
+                       parents=[mask_flags, lesion_flags, report_flags])
     p.add_argument("pred")
     p.add_argument("truth")
     p.add_argument("--zone-mask", default=None)
-    p.add_argument("--s-gt", type=float, default=None)
-    p.add_argument("--s-pred", type=float, default=None)
-    p.add_argument("--connectivity", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--min-region", type=int, default=None)
-    p.add_argument("--format", choices=["json", "csv"], default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--csv-out", default=None)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("search", help="grid-search rules on one split, re-evaluate on another")
+    p = sub.add_parser("search", help="grid-search rules on one split, re-evaluate on another",
+                       parents=[mask_flags, lesion_flags, zone_flag])
     p.add_argument("manifest")
     p.add_argument("--model", choices=["linear", "stacking"], default=None)
     p.add_argument("--step", type=float, default=None)
@@ -451,45 +449,26 @@ def build_parser() -> Parser:
     p.add_argument("--rank-by", choices=list(discovery.RANK_METRICS), default=None)
     p.add_argument("--split", default=None, help="ranking split (default validation)")
     p.add_argument("--eval-split", default=None, help="held-out split (default test)")
-    p.add_argument("--zone", default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--min-region", type=int, default=None)
-    p.add_argument("--s-gt", type=float, default=None)
-    p.add_argument("--s-pred", type=float, default=None)
-    p.add_argument("--connectivity", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--csv-out", default=None)
     p.add_argument("--heatmap-out", default=None)
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("availability", help="modality-subset analysis vs a base rule")
+    p = sub.add_parser("availability", help="modality-subset analysis vs a base rule",
+                       parents=[mask_flags, lesion_flags, zone_flag, report_flags])
     p.add_argument("manifest")
     p.add_argument("--split", default=None)
     p.add_argument("--base-rule", default=None, help="linear rule spec (default equal thirds)")
-    p.add_argument("--zone", default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--min-region", type=int, default=None)
-    p.add_argument("--s-gt", type=float, default=None)
-    p.add_argument("--s-pred", type=float, default=None)
-    p.add_argument("--connectivity", type=int, default=None)
-    p.add_argument("--format", choices=["json", "csv"], default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--csv-out", default=None)
     p.set_defaults(func=cmd_availability)
 
-    p = sub.add_parser("mc-uncertainty", help="Monte-Carlo variance over a rule distribution")
+    p = sub.add_parser("mc-uncertainty", help="Monte-Carlo variance over a rule distribution",
+                       parents=[mask_flags, zone_flag, report_flags])
     p.add_argument("manifest")
     p.add_argument("--sampler", default=None, help="sampler config, inline JSON or path")
     p.add_argument("--draws", type=int, default=None)
     p.add_argument("--rules", default=None, help="SampledRuleSet JSON for stacking_set samplers")
     p.add_argument("--split", default=None)
-    p.add_argument("--zone", default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--min-region", type=int, default=None)
     p.add_argument("--volumes-out", default=None, help="directory for per-case variance volumes")
-    p.add_argument("--format", choices=["json", "csv"], default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--csv-out", default=None)
     p.set_defaults(func=cmd_mc_uncertainty)
 
     p = sub.add_parser("phantom", help="generate a synthetic dataset with a manifest")

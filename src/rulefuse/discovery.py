@@ -1,8 +1,10 @@
 """Dataset-level rule comparison: grid search, availability deltas, MC variance.
 
-A dataset is a list of CaseRecords held in memory. Evaluation may be
-thread-parallel over cases, but every aggregate is reduced in sorted case_id
-order so results are independent of worker count and dataset ordering.
+A dataset is a list of CaseRecords held in memory. Grid search, availability
+and `evaluate_rule` are one sweep: every (rule, case) pair is scored on a
+single pool of `threads` workers, after each case's truth context is built
+once, and each rule's reports are reduced in sorted case_id order, so results
+are independent of worker count and dataset ordering.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import numpy as np
 from .combine import binarize, combine_linear, combine_stacking
 from .errors import DataError
 from .fitting import LinearRule, StackingRule
-from .metrics import MetricsConfig, MetricsReport, TruthContext, dice, evaluate, truth_context
+from .metrics import (
+    MetricsConfig, MetricsReport, TruthContext, dice, evaluate, in_zone, truth_context,
+)
 from .sampling import SampledRuleSet
 from .volumes import LabelVolume, ProbabilityVolume, validate_aligned
 
@@ -158,20 +162,27 @@ class RuleEvaluation:
         return out
 
 
-def _combine_for(case: CaseRecord, model: str, rule) -> ProbabilityVolume:
-    if model == "linear":
-        return combine_linear(case.modalities, rule)
-    if model == "stacking":
-        return combine_stacking(case.modalities, rule)
-    raise ValueError(f"unknown model {model!r}")
-
-
 def _zone_for(case: CaseRecord, config: EvalConfig) -> LabelVolume | None:
     if config.zone is None:
         return None
     if not case.zones or config.zone not in case.zones:
         raise DataError(f"case {case.case_id}: zone mask {config.zone!r} not present")
     return case.zones[config.zone]
+
+
+def _predict(case: CaseRecord, model: str, rule, config: EvalConfig):
+    """(zone mask or None, combined map, binarized prediction) of one rule on one case."""
+    if model not in ("linear", "stacking"):
+        raise ValueError(f"unknown model {model!r}")
+    zone = _zone_for(case, config)
+    combined = (combine_linear if model == "linear" else combine_stacking)(case.modalities, rule)
+    pred = binarize(
+        combined,
+        threshold=config.threshold,
+        min_region_voxels=config.min_region_voxels,
+        connectivity=config.metrics.connectivity,
+    )
+    return zone, combined, pred
 
 
 def _evaluate_case(
@@ -181,79 +192,18 @@ def _evaluate_case(
     config: EvalConfig,
     truth_ctx: TruthContext | None = None,
 ) -> MetricsReport:
-    zone = _zone_for(case, config)
-    combined = _combine_for(case, model, rule)
-    pred = binarize(
-        combined,
-        threshold=config.threshold,
-        min_region_voxels=config.min_region_voxels,
-        connectivity=config.metrics.connectivity,
-    )
+    zone, _, pred = _predict(case, model, rule, config)
     return evaluate(pred, case.truth, config.metrics, zone=zone, truth_ctx=truth_ctx)
 
 
-def _truth_contexts(dataset, config: EvalConfig) -> dict[str, TruthContext]:
-    """Per-case truth precomputation, shared across all rules of a search.
-
-    Contexts describe the zone-restricted truth when a zone is configured,
-    matching what `evaluate` sees after its own restriction step.
-    """
-    contexts = {}
-    for case in dataset:
-        zone = _zone_for(case, config)
-        truth = case.truth
-        if zone is not None:
-            truth = LabelVolume(truth.values & zone.values, spacing=truth.spacing)
-        contexts[case.case_id] = truth_context(truth, config.metrics.connectivity)
-    return contexts
-
-
-def evaluate_rule(
-    dataset,
-    rule,
-    config: EvalConfig | None = None,
-    model: str | None = None,
-    rule_number: int | None = None,
-    threads: int = 1,
-    truth_contexts: dict[str, TruthContext] | None = None,
-) -> RuleEvaluation:
-    """Combine, binarize and score every case; aggregate mean/sd per metric.
-
-    Any per-case failure aborts the whole evaluation, tagged with the case id.
-    """
-    dataset = list(dataset)
-    if not dataset:
-        raise ValueError("evaluate_rule requires a non-empty dataset")
-    config = config or EvalConfig()
-    if model is None:
-        model = "stacking" if isinstance(rule, StackingRule) else "linear"
-    truth_contexts = truth_contexts or {}
-
-    def run(case: CaseRecord) -> tuple[str, MetricsReport]:
-        try:
-            ctx = truth_contexts.get(case.case_id)
-            return case.case_id, _evaluate_case(case, model, rule, config, truth_ctx=ctx)
-        except DataError:
-            raise
-        except Exception as exc:
-            raise DataError(f"case {case.case_id}: {exc}") from exc
-
-    if threads > 1 and len(dataset) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, dataset))
-    else:
-        rows = [run(case) for case in dataset]
-    rows.sort(key=lambda item: item[0])  # fixed reduction order
-
+def _aggregate(model: str, rule, rule_number: int | None, rows) -> RuleEvaluation:
     dscs = np.array([rep.dsc for _, rep in rows])
     mean_hd95, n_hd = _mean_defined([rep.hd95_mm for _, rep in rows])
     mean_rec, n_rec = _mean_defined([rep.recall_gt for _, rep in rows])
     mean_pre, n_pre = _mean_defined([rep.precision_pred for _, rep in rows])
     return RuleEvaluation(
         model=model,
-        rule=rule if isinstance(rule, (LinearRule, StackingRule)) else (
-            StackingRule(rule) if model == "stacking" else LinearRule(rule)
-        ),
+        rule=rule,
         rule_number=rule_number,
         n_cases=len(rows),
         mean_dsc=float(dscs.mean()),
@@ -266,6 +216,69 @@ def evaluate_rule(
         n_precision_defined=n_pre,
         per_case=tuple(rows),
     )
+
+
+def _sweep(
+    dataset, rules, model: str, config: EvalConfig, threads: int, rule_numbers=None
+) -> list[RuleEvaluation]:
+    """Score every (rule, case) pair and aggregate one RuleEvaluation per rule.
+
+    Each case's zone-restricted truth context is built once and shared by all
+    rules. The pairs run rule-major on one pool of `threads` workers (inline
+    for one thread); the first failure cancels the pairs not yet started.
+    """
+    cases = sorted(dataset, key=lambda c: c.case_id)  # fixed reduction order
+    if not cases:
+        raise ValueError("rule evaluation requires a non-empty dataset")
+    contexts = [  # restricted to the zone as `evaluate` restricts the truth
+        truth_context(in_zone(case.truth, _zone_for(case, config)), config.metrics.connectivity)
+        for case in cases
+    ]
+    pairs = [(rule, case, ctx) for rule in rules for case, ctx in zip(cases, contexts)]
+
+    def run(pair) -> MetricsReport:
+        rule, case, ctx = pair
+        try:
+            return _evaluate_case(case, model, rule, config, truth_ctx=ctx)
+        except DataError:
+            raise
+        except Exception as exc:
+            raise DataError(f"case {case.case_id}: {exc}") from exc
+
+    if threads > 1 and len(pairs) > 1:
+        pool = ThreadPoolExecutor(max_workers=threads)
+        try:
+            reports = list(pool.map(run, pairs))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    else:
+        reports = [run(pair) for pair in pairs]
+    n = len(cases)
+    return [
+        _aggregate(model, rule, number, [
+            (case.case_id, rep) for case, rep in zip(cases, reports[i * n : (i + 1) * n])
+        ])
+        for i, (rule, number) in enumerate(zip(rules, rule_numbers or [None] * len(rules)))
+    ]
+
+
+def evaluate_rule(
+    dataset,
+    rule,
+    config: EvalConfig | None = None,
+    model: str | None = None,
+    rule_number: int | None = None,
+    threads: int = 1,
+) -> RuleEvaluation:
+    """Combine, binarize and score every case; aggregate mean/sd per metric.
+
+    Any per-case failure aborts the whole evaluation, tagged with the case id.
+    """
+    if model is None:
+        model = "stacking" if isinstance(rule, StackingRule) else "linear"
+    if not isinstance(rule, (LinearRule, StackingRule)):
+        rule = StackingRule(rule) if model == "stacking" else LinearRule(rule)
+    return _sweep(dataset, [rule], model, config or EvalConfig(), threads, [rule_number])[0]
 
 
 RANK_METRICS = ("dsc", "recall", "precision", "hd95")
@@ -348,17 +361,8 @@ def grid_search_linear(
     """Evaluate every simplex-grid rule on the dataset and rank them."""
     from .sampling import simplex_grid
 
-    dataset = list(dataset)
-    config = config or EvalConfig()
-    contexts = _truth_contexts(dataset, config)
     rules = simplex_grid(step)
-    rows = [
-        evaluate_rule(
-            dataset, rule, config=config, model="linear", threads=threads,
-            truth_contexts=contexts,
-        )
-        for rule in rules
-    ]
+    rows = _sweep(dataset, rules, "linear", config or EvalConfig(), threads)
     return _search(rows, rank_by, split, {"step": step, "n_rules": len(rules)})
 
 
@@ -373,21 +377,9 @@ def grid_search_stacking(
     """Evaluate every accepted sampled stacking rule on the dataset and rank them."""
     if not rules.entries:
         raise ValueError("grid_search_stacking requires a non-empty rule set")
-    dataset = list(dataset)
-    config = config or EvalConfig()
-    contexts = _truth_contexts(dataset, config)
-    rows = [
-        evaluate_rule(
-            dataset,
-            entry.rule,
-            config=config,
-            model="stacking",
-            rule_number=entry.rule_number,
-            threads=threads,
-            truth_contexts=contexts,
-        )
-        for entry in rules.entries
-    ]
+    entries = rules.entries
+    rows = _sweep(dataset, [e.rule for e in entries], "stacking", config or EvalConfig(), threads,
+                  [e.rule_number for e in entries])
     return _search(rows, rank_by, split, {"n_rules": len(rules.entries), "eta": rules.eta})
 
 
@@ -446,19 +438,10 @@ def availability_analysis(
     """
     if base_rule is None:
         base_rule = LinearRule(np.full(3, 1.0 / 3.0))
-    dataset = list(dataset)
-    config = config or EvalConfig()
-    contexts = _truth_contexts(dataset, config)
-    base = evaluate_rule(
-        dataset, base_rule, config=config, model="linear", threads=threads,
-        truth_contexts=contexts,
-    )
+    subsets = [LinearRule(np.array(alpha)) for _, alpha in AVAILABILITY_SUBSETS]
+    base, *evaluations = _sweep(dataset, [base_rule, *subsets], "linear", config or EvalConfig(), threads)
     rows = []
-    for subset, alpha in AVAILABILITY_SUBSETS:
-        ev = evaluate_rule(
-            dataset, LinearRule(np.array(alpha)), config=config, model="linear",
-            threads=threads, truth_contexts=contexts,
-        )
+    for (subset, _), ev in zip(AVAILABILITY_SUBSETS, evaluations):
         delta_hd = None
         if ev.mean_hd95 is not None and base.mean_hd95 is not None:
             delta_hd = ev.mean_hd95 - base.mean_hd95
@@ -595,7 +578,9 @@ def monte_carlo_uncertainty(
     """Voxel-wise variance of the combined map over a rule distribution.
 
     The same drawn rule sequence is applied to every case; per-case DSC
-    spread across draws is summarised alongside the variance volume.
+    spread across draws is summarised alongside the variance volume. A
+    configured zone restricts the DSC, as in `evaluate`; the variance volume
+    covers the whole grid.
     """
     if n_draws < 2:
         raise ValueError(f"n_draws must be >= 2, got {n_draws}")
@@ -614,14 +599,8 @@ def monte_carlo_uncertainty(
 
         def draws():
             for rule in rules:
-                combined = _combine_for(case, sampler.model, rule)
-                pred = binarize(
-                    combined,
-                    threshold=config.threshold,
-                    min_region_voxels=config.min_region_voxels,
-                    connectivity=config.metrics.connectivity,
-                )
-                dscs.append(dice(pred, case.truth))
+                zone, combined, pred = _predict(case, sampler.model, rule, config)
+                dscs.append(dice(in_zone(pred, zone), in_zone(case.truth, zone)))
                 yield combined.values
 
         mean, variance = _shifted_moments(draws(), n_draws)

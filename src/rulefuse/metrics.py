@@ -220,6 +220,13 @@ def truth_context(truth: LabelVolume, connectivity: int = DEFAULT_CONNECTIVITY) 
     return TruthContext(labels=labels, counts=counts, surface=boundary_surface(truth))
 
 
+def in_zone(mask: LabelVolume, zone: LabelVolume | None) -> LabelVolume:
+    """`mask` restricted to `zone`; the mask itself when there is no zone."""
+    if zone is None:
+        return mask
+    return LabelVolume(mask.values & zone.values, spacing=mask.spacing)
+
+
 def evaluate(
     pred: LabelVolume,
     truth: LabelVolume,
@@ -236,9 +243,7 @@ def evaluate(
     volumes = [pred, truth] + ([zone] if zone is not None else [])
     names = ["pred", "truth"] + (["zone"] if zone is not None else [])
     validate_aligned(volumes, names=names)
-    if zone is not None:
-        pred = LabelVolume(pred.values & zone.values, spacing=pred.spacing)
-        truth = LabelVolume(truth.values & zone.values, spacing=truth.spacing)
+    pred, truth = in_zone(pred, zone), in_zone(truth, zone)
     if truth_ctx is None:
         truth_ctx = truth_context(truth, config.connectivity)
 

@@ -33,7 +33,7 @@ from .errors import DataError, VolumeFormatError
 from .metrics import MetricsReport
 from .rules import decision_from_number
 from .sampling import SampledRuleSet
-from .volumes import LabelVolume, Modality, ProbabilityVolume
+from .volumes import LabelVolume, Modality, ProbabilityVolume, probability_range_error
 
 SIDECAR_SUFFIX = ".json"
 _DTYPES = {"f32le": np.dtype("<f4"), "u8": np.dtype("u1")}
@@ -115,11 +115,9 @@ def load_volume(path):
             raise VolumeFormatError(f"payload {payload}: u8 label values must be 0 or 1")
         return LabelVolume(values.astype(bool), spacing=tuple(spacing))
     values = values.astype(np.float64)
-    if values.size and (values.min() < 0.0 or values.max() > 1.0):
-        raise VolumeFormatError(
-            f"payload {payload}: probability values must lie in [0, 1], "
-            f"found [{values.min()}, {values.max()}]"
-        )
+    problem = probability_range_error(values)
+    if problem:
+        raise VolumeFormatError(f"payload {payload}: {problem}")
     modality = meta.get("modality", "combined")
     try:
         modality = Modality(modality)
@@ -197,11 +195,9 @@ def load_nifti1(path):
         if not np.all((values == 0) | (values == 1)):
             raise VolumeFormatError(f"{path}: uint8 labels must be 0/1 after scaling")
         return LabelVolume(values.astype(bool), spacing=spacing)
-    if values.size and (values.min() < 0.0 or values.max() > 1.0):
-        raise VolumeFormatError(
-            f"{path}: probability values must lie in [0,1] after scaling, "
-            f"found [{values.min()}, {values.max()}]"
-        )
+    problem = probability_range_error(values)
+    if problem:
+        raise VolumeFormatError(f"{path}: {problem} after scaling")
     return ProbabilityVolume(values, spacing=spacing)
 
 

@@ -33,6 +33,24 @@ def _check_grid(values: np.ndarray, spacing) -> tuple[float, float, float]:
     return spacing
 
 
+def probability_range_error(values: np.ndarray) -> str | None:
+    """Why `values` are not probabilities, or None when every voxel lies in [0, 1].
+
+    min/max propagate NaN and every comparison with NaN is false, so the range
+    test rejects NaN without a pass of its own; non-finite voxels are counted
+    only once it has failed.
+    """
+    if not values.size:
+        return None
+    lo, hi = values.min(), values.max()
+    if lo >= 0.0 and hi <= 1.0:
+        return None
+    n_bad = int(np.count_nonzero(~np.isfinite(values)))
+    if n_bad:
+        return f"{n_bad} non-finite probability voxels"
+    return f"probability values must lie in [0, 1], found [{lo}, {hi}]"
+
+
 @dataclass(frozen=True)
 class ProbabilityVolume:
     """Per-voxel class probabilities for one modality (or a combined map)."""
@@ -44,9 +62,9 @@ class ProbabilityVolume:
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
         spacing = _check_grid(values, self.spacing)
-        if values.size and (values.min() < 0.0 or values.max() > 1.0):
-            bad = float(values.min()) if values.min() < 0.0 else float(values.max())
-            raise ValueError(f"probability values must lie in [0, 1], found {bad}")
+        problem = probability_range_error(values)
+        if problem:
+            raise ValueError(problem)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "spacing", spacing)

@@ -282,6 +282,20 @@ def test_mc_uncertainty_point_mass(dataset, tmp_path, capsys):
     assert float(load_volume(written[0]).values.max()) == 0.0
 
 
+def test_mc_uncertainty_connectivity_flag_matches_config(dataset, tmp_path, capsys):
+    manifest, _, _ = dataset
+    argv = [
+        "mc-uncertainty", str(manifest), "--split", "train", "--draws", "4",
+        "--sampler", '{"kind": "dirichlet", "concentration": [4, 4, 1]}',
+    ]
+    config = tmp_path / "config.json"
+    config.write_text('{"connectivity": 6}')
+    assert main(["--config", str(config)] + argv) == 0
+    from_config = capsys.readouterr().out
+    assert main(argv + ["--connectivity", "6"]) == 0
+    assert capsys.readouterr().out == from_config
+
+
 def test_mc_uncertainty_requires_sampler(dataset, capsys):
     manifest, _, _ = dataset
     assert main(["mc-uncertainty", str(manifest)]) == 1

@@ -1,6 +1,9 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from rulefuse import discovery
 from rulefuse.combine import binarize, combine_linear
 from rulefuse.discovery import (
     CaseRecord,
@@ -138,6 +141,51 @@ def test_evaluate_rule_order_and_thread_invariance():
         assert a.sd_dsc == other.sd_dsc
         assert a.mean_hd95 == other.mean_hd95
         assert [cid for cid, _ in a.per_case] == [cid for cid, _ in other.per_case]
+    # a whole stacking search, per-case reports included, on the same inputs
+    ruleset = rejection_sample_stacking(n_rules=16)
+    searches = [
+        grid_search_stacking(dataset, ruleset, threads=threads).to_dict(include_cases=True)
+        for dataset, threads in ((cases, 1), (cases, 4), (list(reversed(cases)), 1))
+    ]
+    assert searches[1] == searches[0]
+    assert searches[2] == searches[0]
+
+
+class CountingPool(ThreadPoolExecutor):
+    created = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).created += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda cases: grid_search_linear(cases, step=0.5, threads=2),  # 6 rules
+        lambda cases: availability_analysis(cases, threads=2),  # base + 7 subsets
+    ],
+    ids=["grid_search_linear", "availability_analysis"],
+)
+def test_dataset_sweep_uses_one_pool(sweep, monkeypatch):
+    monkeypatch.setattr(CountingPool, "created", 0)
+    monkeypatch.setattr(discovery, "ThreadPoolExecutor", CountingPool)
+    sweep(truth_cases(3))
+    assert CountingPool.created == 1
+
+
+def test_threaded_sweep_failure_names_case(monkeypatch):
+    cases = truth_cases(4)
+    real = discovery._evaluate_case
+
+    def failing(case, *args, **kwargs):
+        if case.case_id == "c02":
+            raise ValueError("boom")
+        return real(case, *args, **kwargs)
+
+    monkeypatch.setattr(discovery, "_evaluate_case", failing)
+    with pytest.raises(DataError, match="case c02: boom"):
+        grid_search_linear(cases, step=0.5, threads=2)
 
 
 def test_evaluate_rule_aggregates_sd():
@@ -315,6 +363,30 @@ def test_mc_deterministic_for_fixed_seed():
     b = monte_carlo_uncertainty(cases, sampler, n_draws=6, seed=5)
     for ca, cb in zip(a.cases, b.cases):
         np.testing.assert_array_equal(ca.variance, cb.variance)
+
+
+def test_mc_dsc_is_restricted_to_the_zone():
+    dims = (12, 12, 12)
+    truth = np.zeros(dims, dtype=bool)
+    truth[1:5, 1:5, 1:5] = True
+    pred = truth.copy()
+    pred[7:11, 7:11, 7:11] = True  # a false positive outside the transition zone
+    tz = np.zeros(dims, dtype=bool)
+    tz[:6] = True
+    zones = {"TZ": LabelVolume(tz), "PZ": LabelVolume(~tz)}
+    case = make_case("c0", truth, [pred.astype(np.float64)] * 3, zones=zones)
+    sampler = {"kind": "fixed", "model": "linear", "rules": [[1, 0, 0]]}
+    whole = monte_carlo_uncertainty([case], sampler, n_draws=2)
+    in_tz = monte_carlo_uncertainty([case], sampler, n_draws=2, config=EvalConfig(zone="TZ"))
+    assert whole.cases[0].dsc_mean == pytest.approx(2 * 64 / (64 + 128))
+    assert in_tz.cases[0].dsc_mean == 1.0
+    assert in_tz.cases[0].dsc_mean == evaluate_rule(
+        [case], LinearRule(np.array([1.0, 0.0, 0.0])), config=EvalConfig(zone="TZ")
+    ).mean_dsc
+    # the variance and mean volumes still cover the whole grid
+    np.testing.assert_array_equal(in_tz.cases[0].mean, pred.astype(np.float64))
+    with pytest.raises(DataError, match="zone mask 'NOPE' not present"):
+        monte_carlo_uncertainty([case], sampler, n_draws=2, config=EvalConfig(zone="NOPE"))
 
 
 def test_mc_validates_inputs():

@@ -122,6 +122,13 @@ def test_payload_value_validation(tmp_path):
         load_volume(p)
 
 
+def test_payload_nan_is_rejected_naming_file_and_count(tmp_path):
+    payload = np.array([0.5, np.nan, 0.7, np.nan], dtype="<f4").tobytes()
+    p = sidecar_case(tmp_path, {"dims": [4, 1, 1], "dtype": "f32le"}, payload=payload)
+    with pytest.raises(VolumeFormatError, match=r"bad\.f32le: 2 non-finite"):
+        load_volume(p)
+
+
 def test_unknown_modality_falls_back_to_combined(tmp_path):
     p = sidecar_case(
         tmp_path,
@@ -235,6 +242,15 @@ def test_nifti_rejections(tmp_path):
     p = tmp_path / "hdr.nii"
     p.write_bytes(b"\x00" * 348)
     with pytest.raises(VolumeFormatError, match="sizeof_hdr"):
+        load_nifti1(p)
+
+
+def test_nifti_nan_is_rejected_naming_file_and_count(tmp_path):
+    values = np.full((2, 2, 2), 0.5)
+    values[1, 0, 1] = np.nan
+    p = tmp_path / "nan.nii"
+    p.write_bytes(nifti1_bytes(values))
+    with pytest.raises(VolumeFormatError, match=r"nan\.nii: 1 non-finite"):
         load_nifti1(p)
 
 

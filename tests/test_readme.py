@@ -1,5 +1,5 @@
-"""The README's Python examples run as written, against the dataset its own
-`phantom` example generates."""
+"""The README's Python examples and dataset commands run as written, against
+the dataset its own `phantom` example generates."""
 
 import re
 import shlex
@@ -13,14 +13,14 @@ README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.M | re.S)
 
 
-def phantom_argv() -> list[str]:
-    """The README's `rulefuse ... phantom ...` command line, without `rulefuse`."""
-    commands = re.findall(r"^\$ rulefuse ((?:.*\\\n)*.*)$", README, re.M)
-    for command in commands:
-        argv = shlex.split(command.replace("\\\n", " "))
-        if "phantom" in argv:
+def readme_argv(command: str) -> list[str]:
+    """The README's `rulefuse ... <command> ...` line, without `rulefuse`."""
+    lines = re.findall(r"^\$ rulefuse ((?:.*\\\n)*.*)$", README, re.M)
+    for line in lines:
+        argv = shlex.split(line.replace("\\\n", " "))
+        if command in argv:
             return argv
-    raise AssertionError("README has no phantom example")
+    raise AssertionError(f"README has no {command} example")
 
 
 def test_readme_has_python_examples():
@@ -30,7 +30,15 @@ def test_readme_has_python_examples():
 @pytest.mark.parametrize("index", range(len(PYTHON_BLOCKS)))
 def test_readme_python_block_runs(index, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert main(phantom_argv()) == 0
+    assert main(readme_argv("phantom")) == 0
     assert (tmp_path / "demo" / "manifest.json").exists()
     exec(compile(PYTHON_BLOCKS[index], f"README.md python block {index}", "exec"), {})
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["search", "availability", "mc-uncertainty"])
+def test_readme_dataset_command_runs(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(readme_argv("phantom")) == 0
+    assert main(readme_argv(command)) == 0
     assert capsys.readouterr().out

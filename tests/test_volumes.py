@@ -27,6 +27,16 @@ def test_probability_volume_rejects_out_of_range():
         ProbabilityVolume(np.full((2, 2, 2), -0.01))
 
 
+def test_probability_volume_rejects_non_finite_values():
+    values = np.full((4, 4, 4), 0.7)
+    values[1, 2, 3] = np.nan  # every comparison with NaN is false
+    with pytest.raises(ValueError, match="1 non-finite"):
+        ProbabilityVolume(values)
+    values[0, 0, 0] = np.inf
+    with pytest.raises(ValueError, match="2 non-finite"):
+        ProbabilityVolume(values)
+
+
 def test_probability_volume_rejects_bad_grid():
     with pytest.raises(ValueError):
         ProbabilityVolume(np.zeros((2, 2)))
