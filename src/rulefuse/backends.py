@@ -49,3 +49,17 @@ def label_components(mask, connectivity):
     if structure is None:
         raise ValueError(f"connectivity must be 6, 18 or 26, got {connectivity!r}")
     return ndimage.label(mask, structure=structure)
+
+
+def components(mask, connectivity, min_voxels=1):
+    """Label `mask` and mark its components of at least `min_voxels` voxels.
+
+    Returns (labels, counts, keep): `counts[i]` voxels carry label i, and
+    `keep[i]` is True when that many is at least `min_voxels`. Label 0 is
+    background and is never kept.
+    """
+    labels, n = label_components(mask, connectivity)
+    counts = np.bincount(labels.ravel(), minlength=n + 1)
+    keep = counts >= min_voxels
+    keep[0] = False
+    return labels, counts, keep

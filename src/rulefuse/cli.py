@@ -200,8 +200,6 @@ def cmd_combine(args, config) -> int:
     except (ValueError, RuleFuseError) as exc:
         raise UsageError(f"bad rule spec: {exc}") from None
     volumes = [volio.load_any_volume(p) for p in (args.t2w, args.dwi_hb, args.adc)]
-    threshold = float(_opt(args, config, "threshold", 0.5))
-    min_region = int(_opt(args, config, "min_region", 27))
 
     if model == "vote":
         for path, vol in zip((args.t2w, args.dwi_hb, args.adc), volumes):
@@ -219,17 +217,23 @@ def cmd_combine(args, config) -> int:
     volio.save_volume(combined, args.out)
     print(f"combined map -> {args.out}")
     if args.mask_out:
-        mask = binarize(combined, threshold=threshold, min_region_voxels=min_region)
+        mask = _as_mask(combined, _eval_config(args, config), "combined map")
         volio.save_volume(mask, args.mask_out)
         print(f"binarized mask -> {args.mask_out} ({mask.count()} positive voxels)")
     return 0
 
 
-def _as_mask(volume, threshold: float, min_region: int, what: str) -> LabelVolume:
+def _as_mask(volume, eval_cfg: discovery.EvalConfig, what: str) -> LabelVolume:
+    """A mask as is; a probability volume binarized as the dataset sweeps do."""
     if isinstance(volume, LabelVolume):
         return volume
     if isinstance(volume, ProbabilityVolume):
-        return binarize(volume, threshold=threshold, min_region_voxels=min_region)
+        return binarize(
+            volume,
+            threshold=eval_cfg.threshold,
+            min_region_voxels=eval_cfg.min_region_voxels,
+            connectivity=eval_cfg.metrics.connectivity,
+        )
     raise DataError(f"{what} is neither a mask nor a probability volume")
 
 
@@ -245,7 +249,7 @@ def cmd_evaluate(args, config) -> int:
     pred = volio.load_any_volume(args.pred)
     truth = volio.load_any_volume(args.truth)
     eval_cfg = _eval_config(args, config)
-    pred = _as_mask(pred, eval_cfg.threshold, eval_cfg.min_region_voxels, "pred")
+    pred = _as_mask(pred, eval_cfg, "pred")
     if not isinstance(truth, LabelVolume):
         raise DataError("truth must be a label volume")
     zone = None
@@ -407,17 +411,6 @@ def build_parser() -> Parser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("combine", help="apply a rule to three aligned volumes")
-    p.add_argument("t2w")
-    p.add_argument("dwi_hb")
-    p.add_argument("adc")
-    p.add_argument("--rule", required=True, help="rule spec, inline JSON or path")
-    p.add_argument("--out", required=True, help="output payload path")
-    p.add_argument("--mask-out", default=None, help="also write the binarized mask here")
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--min-region", type=int, default=None)
-    p.set_defaults(func=cmd_combine)
-
     # flags shared by several subcommands, each declared once
     mask_flags = Parser(add_help=False)
     mask_flags.add_argument("--threshold", type=float, default=None)
@@ -432,6 +425,16 @@ def build_parser() -> Parser:
     report_flags.add_argument("--format", choices=["json", "csv"], default=None)
     report_flags.add_argument("--out", default=None)
     report_flags.add_argument("--csv-out", default=None)
+
+    p = sub.add_parser("combine", help="apply a rule to three aligned volumes",
+                       parents=[mask_flags])
+    p.add_argument("t2w")
+    p.add_argument("dwi_hb")
+    p.add_argument("adc")
+    p.add_argument("--rule", required=True, help="rule spec, inline JSON or path")
+    p.add_argument("--out", required=True, help="output payload path")
+    p.add_argument("--mask-out", default=None, help="also write the binarized mask here")
+    p.set_defaults(func=cmd_combine)
 
     p = sub.add_parser("evaluate", help="score a prediction against a truth mask",
                        parents=[mask_flags, lesion_flags, report_flags])

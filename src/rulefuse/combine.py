@@ -81,6 +81,31 @@ def combine_vote(masks) -> LabelVolume:
     return LabelVolume(total >= 2, spacing=masks[0].spacing)
 
 
+def binarize_components(
+    volume: ProbabilityVolume,
+    threshold: float = 0.5,
+    min_region_voxels: int = 27,
+    connectivity: int = 26,
+):
+    """`binarize`, also returning the component labelling it was made from.
+
+    Returns (mask, (labels, counts, keep)): `labels` numbers the connected
+    components of the thresholded volume, `counts[i]` is the voxel count of
+    label i and `keep[i]` marks the components that survive in `mask`. Label
+    0 is background and is never kept. `metrics.evaluate` takes the triple so
+    that it need not label the mask again.
+    """
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+    if min_region_voxels < 0:
+        raise ValueError(f"min_region_voxels must be >= 0, got {min_region_voxels}")
+    mask = volume.values > threshold
+    labels, counts, keep = backends.components(mask, connectivity, min_region_voxels)
+    if not keep[1:].all():
+        mask = keep[labels]
+    return LabelVolume(mask, spacing=volume.spacing), (labels, counts, keep)
+
+
 def binarize(
     volume: ProbabilityVolume,
     threshold: float = 0.5,
@@ -92,19 +117,7 @@ def binarize(
     Components with fewer than min_region_voxels voxels are removed; 27
     corresponds to a 3×3×3 block at 1mm isotropic spacing.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    if min_region_voxels < 0:
-        raise ValueError(f"min_region_voxels must be >= 0, got {min_region_voxels}")
-    mask = volume.values > threshold
-    if min_region_voxels > 1 and mask.any():
-        labels, n = backends.label_components(mask, connectivity)
-        if n:
-            counts = np.bincount(labels.ravel(), minlength=n + 1)
-            keep = counts >= min_region_voxels
-            keep[0] = False
-            mask = keep[labels]
-    return LabelVolume(mask, spacing=volume.spacing)
+    return binarize_components(volume, threshold, min_region_voxels, connectivity)[0]
 
 
 def eval_loss(pred: ProbabilityVolume, truth: LabelVolume) -> float:

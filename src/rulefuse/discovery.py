@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .combine import binarize, combine_linear, combine_stacking
+# binarize is not called here; it stays bound in this module because
+# perfbench/test_perfbench.py reaches it as `discovery.binarize`
+from .combine import binarize, binarize_components, combine_linear, combine_stacking
 from .errors import DataError
 from .fitting import LinearRule, StackingRule
 from .metrics import (
@@ -171,18 +173,19 @@ def _zone_for(case: CaseRecord, config: EvalConfig) -> LabelVolume | None:
 
 
 def _predict(case: CaseRecord, model: str, rule, config: EvalConfig):
-    """(zone mask or None, combined map, binarized prediction) of one rule on one case."""
+    """(zone mask or None, combined map, binarized prediction, its components)
+    of one rule on one case; see `combine.binarize_components`."""
     if model not in ("linear", "stacking"):
         raise ValueError(f"unknown model {model!r}")
     zone = _zone_for(case, config)
     combined = (combine_linear if model == "linear" else combine_stacking)(case.modalities, rule)
-    pred = binarize(
+    pred, components = binarize_components(
         combined,
         threshold=config.threshold,
         min_region_voxels=config.min_region_voxels,
         connectivity=config.metrics.connectivity,
     )
-    return zone, combined, pred
+    return zone, combined, pred, components
 
 
 def _evaluate_case(
@@ -192,8 +195,9 @@ def _evaluate_case(
     config: EvalConfig,
     truth_ctx: TruthContext | None = None,
 ) -> MetricsReport:
-    zone, _, pred = _predict(case, model, rule, config)
-    return evaluate(pred, case.truth, config.metrics, zone=zone, truth_ctx=truth_ctx)
+    zone, _, pred, components = _predict(case, model, rule, config)
+    return evaluate(pred, case.truth, config.metrics, zone=zone, truth_ctx=truth_ctx,
+                    pred_components=components)
 
 
 def _aggregate(model: str, rule, rule_number: int | None, rows) -> RuleEvaluation:
@@ -599,7 +603,7 @@ def monte_carlo_uncertainty(
 
         def draws():
             for rule in rules:
-                zone, combined, pred = _predict(case, sampler.model, rule, config)
+                zone, combined, pred, _ = _predict(case, sampler.model, rule, config)
                 dscs.append(dice(in_zone(pred, zone), in_zone(case.truth, zone)))
                 yield combined.values
 

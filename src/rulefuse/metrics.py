@@ -114,14 +114,19 @@ def connected_components(mask: LabelVolume, connectivity: int = DEFAULT_CONNECTI
     return LesionSet(components=tuple(components), connectivity=connectivity)
 
 
-def _component_overlaps(reference: LabelVolume, other: LabelVolume, connectivity: int):
-    """Per component of `reference`, the fraction of its voxels covered by `other`."""
-    labels, n = backends.label_components(reference.values, connectivity)
-    if n == 0:
-        return np.zeros(0)
-    counts = np.bincount(labels.ravel(), minlength=n + 1)[1:]
-    hits = np.bincount(labels[other.values].ravel(), minlength=n + 1)[1:]
-    return hits / counts
+def _share_covered(components, other: np.ndarray, threshold: float):
+    """Share of the kept components whose fraction of voxels inside `other`
+    strictly exceeds `threshold`; None when no component is kept.
+
+    `components` is a (labels, counts, keep) triple as `backends.components`
+    returns it.
+    """
+    labels, counts, keep = components
+    n = int(np.count_nonzero(keep))
+    if not n:
+        return None
+    covered = np.bincount(labels[other].ravel(), minlength=counts.size)
+    return float(np.count_nonzero(covered[keep] / counts[keep] > threshold)) / n
 
 
 def lesion_recall_gt(
@@ -138,10 +143,7 @@ def lesion_recall_gt(
     if not 0.0 < s_gt <= 1.0:
         raise ValueError(f"s_gt must lie in (0, 1], got {s_gt}")
     validate_aligned([pred, truth], names=["pred", "truth"])
-    overlaps = _component_overlaps(truth, pred, connectivity)
-    if overlaps.size == 0:
-        return None
-    return float(np.count_nonzero(overlaps > s_gt)) / overlaps.size
+    return _share_covered(backends.components(truth.values, connectivity), pred.values, s_gt)
 
 
 def lesion_precision_pred(
@@ -157,10 +159,7 @@ def lesion_precision_pred(
     if not 0.0 < s_pred <= 1.0:
         raise ValueError(f"s_pred must lie in (0, 1], got {s_pred}")
     validate_aligned([pred, truth], names=["pred", "truth"])
-    overlaps = _component_overlaps(pred, truth, connectivity)
-    if overlaps.size == 0:
-        return None
-    return float(np.count_nonzero(overlaps > s_pred)) / overlaps.size
+    return _share_covered(backends.components(pred.values, connectivity), truth.values, s_pred)
 
 
 @dataclass(frozen=True)
@@ -209,15 +208,15 @@ class MetricsReport:
 class TruthContext:
     """Rule-independent precomputation for scoring many predictions of one case."""
 
-    labels: np.ndarray
-    counts: np.ndarray
+    components: tuple  # (labels, counts, keep) of the truth mask
     surface: BoundarySurface | None
 
 
 def truth_context(truth: LabelVolume, connectivity: int = DEFAULT_CONNECTIVITY) -> TruthContext:
-    labels, n = backends.label_components(truth.values, connectivity)
-    counts = np.bincount(labels.ravel(), minlength=n + 1)[1:]
-    return TruthContext(labels=labels, counts=counts, surface=boundary_surface(truth))
+    return TruthContext(
+        components=backends.components(truth.values, connectivity),
+        surface=boundary_surface(truth),
+    )
 
 
 def in_zone(mask: LabelVolume, zone: LabelVolume | None) -> LabelVolume:
@@ -233,11 +232,17 @@ def evaluate(
     config: MetricsConfig | None = None,
     zone: LabelVolume | None = None,
     truth_ctx: TruthContext | None = None,
+    pred_components=None,
 ) -> MetricsReport:
     """All four metrics plus lesion counts; `zone` restricts both masks first.
 
     A `truth_ctx` passed alongside `zone` must describe the zone-restricted
     truth, since the restriction happens before any context is used.
+    `pred_components` is the (labels, counts, keep) labelling that
+    `combine.binarize_components` returned with `pred`, labelled at
+    `config.connectivity`; without a zone it stands in for labelling `pred`
+    again. With a zone it is not used, since the restriction can split a
+    component.
     """
     config = config or MetricsConfig()
     volumes = [pred, truth] + ([zone] if zone is not None else [])
@@ -246,28 +251,17 @@ def evaluate(
     pred, truth = in_zone(pred, zone), in_zone(truth, zone)
     if truth_ctx is None:
         truth_ctx = truth_context(truth, config.connectivity)
-
-    labels_p, n_pred = backends.label_components(pred.values, config.connectivity)
-    counts_p = np.bincount(labels_p.ravel(), minlength=n_pred + 1)[1:]
-    n_gt = int(truth_ctx.counts.size)
-
-    recall = None
-    if n_gt:
-        covered = np.bincount(truth_ctx.labels[pred.values].ravel(), minlength=n_gt + 1)[1:]
-        recall = float(np.count_nonzero(covered / truth_ctx.counts > config.s_gt)) / n_gt
-    precision = None
-    if n_pred:
-        covered = np.bincount(labels_p[truth.values].ravel(), minlength=n_pred + 1)[1:]
-        precision = float(np.count_nonzero(covered / counts_p > config.s_pred)) / n_pred
+    if pred_components is None or zone is not None:
+        pred_components = backends.components(pred.values, config.connectivity)
 
     return MetricsReport(
         dsc=dice(pred, truth),
         dsc_both_empty=not pred.values.any() and not truth.values.any(),
         hd95_mm=hd95(pred, truth, truth_surface=truth_ctx.surface),
-        recall_gt=recall,
-        precision_pred=precision,
-        n_gt_lesions=n_gt,
-        n_pred_lesions=int(n_pred),
+        recall_gt=_share_covered(truth_ctx.components, pred.values, config.s_gt),
+        precision_pred=_share_covered(pred_components, truth.values, config.s_pred),
+        n_gt_lesions=int(np.count_nonzero(truth_ctx.components[2])),
+        n_pred_lesions=int(np.count_nonzero(pred_components[2])),
         thresholds=(config.s_gt, config.s_pred),
         connectivity=config.connectivity,
     )

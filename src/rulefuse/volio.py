@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -81,27 +82,34 @@ def load_volume(path):
         raise VolumeFormatError(f"missing payload {payload}")
     try:
         meta = json.loads(sidecar.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise VolumeFormatError(f"sidecar {sidecar} is not valid JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise VolumeFormatError(f"sidecar {sidecar}: must hold a JSON object")
 
     dims = meta.get("dims")
-    if not (isinstance(dims, list) and len(dims) == 3 and all(int(d) > 0 for d in dims)):
+    if not (isinstance(dims, list) and len(dims) == 3
+            and all(isinstance(d, int) and not isinstance(d, bool) and d > 0 for d in dims)):
         raise VolumeFormatError(f"sidecar {sidecar}: dims must be 3 positive integers, got {dims}")
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(dims)
     spacing = meta.get("spacing_mm", [1.0, 1.0, 1.0])
-    if not (isinstance(spacing, list) and len(spacing) == 3 and all(float(s) > 0 for s in spacing)):
-        raise VolumeFormatError(f"sidecar {sidecar}: spacing_mm must be 3 positive reals")
+    if not (isinstance(spacing, list) and len(spacing) == 3
+            and all(isinstance(s, (int, float)) and not isinstance(s, bool)
+                    and 0 < s <= sys.float_info.max for s in spacing)):
+        raise VolumeFormatError(
+            f"sidecar {sidecar}: spacing_mm must be 3 positive finite reals, got {spacing}"
+        )
     order = meta.get("order", "x-fastest")
     if order != "x-fastest":
         raise VolumeFormatError(f"sidecar {sidecar}: unsupported order {order!r}")
     dtype_name = meta.get("dtype")
-    if dtype_name not in _DTYPES:
+    if not isinstance(dtype_name, str) or dtype_name not in _DTYPES:
         raise VolumeFormatError(
             f"sidecar {sidecar}: dtype must be one of {sorted(_DTYPES)}, got {dtype_name!r}"
         )
     dtype = _DTYPES[dtype_name]
 
-    expected = int(np.prod(dims)) * dtype.itemsize
+    expected = math.prod(dims) * dtype.itemsize
     blob = payload.read_bytes()
     if len(blob) != expected:
         raise VolumeFormatError(
@@ -171,13 +179,13 @@ def load_nifti1(path):
 
     pixdim = np.frombuffer(blob, dtype=f"{bo}f4", count=8, offset=76)
     spacing = tuple(float(p) for p in pixdim[1:4])
-    if min(spacing) <= 0:
-        raise VolumeFormatError(f"{path}: non-positive pixdim spacing {spacing}")
+    if not all(math.isfinite(s) and s > 0 for s in spacing):
+        raise VolumeFormatError(f"{path}: pixdim spacing must be positive and finite, got {spacing}")
 
     vox_offset = float(np.frombuffer(blob, dtype=f"{bo}f4", count=1, offset=108)[0])
-    offset = int(vox_offset)
-    if offset != vox_offset or offset < 348:
+    if not (math.isfinite(vox_offset) and vox_offset == int(vox_offset) and vox_offset >= 348):
         raise VolumeFormatError(f"{path}: bad vox_offset {vox_offset}")
+    offset = int(vox_offset)
     scl_slope = float(np.frombuffer(blob, dtype=f"{bo}f4", count=1, offset=112)[0])
     scl_inter = float(np.frombuffer(blob, dtype=f"{bo}f4", count=1, offset=116)[0])
 

@@ -8,6 +8,7 @@ computation must share dimensions and spacing; nothing here resamples.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +29,8 @@ def _check_grid(values: np.ndarray, spacing) -> tuple[float, float, float]:
     if min(values.shape) < 1:
         raise ValueError(f"volume dims must be strictly positive, got {values.shape}")
     spacing = tuple(float(s) for s in spacing)
-    if len(spacing) != 3 or min(spacing) <= 0:
-        raise ValueError(f"spacing must be 3 positive reals, got {spacing}")
+    if len(spacing) != 3 or not all(math.isfinite(s) and s > 0 for s in spacing):
+        raise ValueError(f"spacing must be 3 positive finite reals, got {spacing}")
     return spacing
 
 

@@ -186,6 +186,28 @@ def hd95_bf(pred: np.ndarray, truth: np.ndarray, spacing=(1.0, 1.0, 1.0)):
     return percentile_linear_bf(pooled, 95.0)
 
 
+def surface_distances_kd_bf(pred: np.ndarray, truth: np.ndarray, spacing):
+    """Pooled symmetric boundary distances in the arithmetic of a KD-tree query.
+
+    Points are taken to mm first (index × spacing), then each distance is the
+    square root of the summed squared coordinate differences, in axis order.
+    `hd95_bf` scales the index differences instead, which can round
+    differently in the last place.
+    """
+    sx, sy, sz = (float(s) for s in spacing)
+    surf_p = [(x * sx, y * sy, z * sz) for x, y, z in boundary_voxels_bf(pred)]
+    surf_g = [(x * sx, y * sy, z * sz) for x, y, z in boundary_voxels_bf(truth)]
+
+    def nearest(a, points):
+        return min(
+            math.sqrt((a[0] - b[0]) * (a[0] - b[0]) + (a[1] - b[1]) * (a[1] - b[1])
+                      + (a[2] - b[2]) * (a[2] - b[2]))
+            for b in points
+        )
+
+    return [nearest(a, surf_g) for a in surf_p] + [nearest(b, surf_p) for b in surf_g]
+
+
 # --- lesion metrics ---------------------------------------------------------------
 
 

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from rulefuse.cli import main
-from rulefuse.combine import combine_linear
+from rulefuse.combine import binarize, combine_linear
 from rulefuse.fitting import LinearRule
+from rulefuse.metrics import MetricsConfig, evaluate
 from rulefuse.phantoms import PhantomSpec, generate_dataset
-from rulefuse.volio import load_volume, save_volume
+from rulefuse.volio import load_volume, save_volume, write_report
 from rulefuse.volumes import LabelVolume, ProbabilityVolume
 
 
@@ -203,6 +204,32 @@ def test_evaluate_probability_pred_is_binarized(dataset, tmp_path, capsys):
     assert main(["evaluate", pred, truth, "--threshold", "0.5"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert 0.0 <= doc["dsc"] <= 1.0
+
+
+def test_binarization_honours_connectivity(tmp_path, capsys):
+    # a diagonal line is one 30-voxel component at 26-connectivity and
+    # thirty single voxels at 6-connectivity, all below --min-region 27
+    values = np.zeros((30, 30, 30))
+    values[np.arange(30), np.arange(30), np.arange(30)] = 0.9
+    prob = ProbabilityVolume(values)
+    truth = LabelVolume(values > 0.5)
+    pred_path = save_volume(prob, tmp_path / "pred.f32le")
+    truth_path = save_volume(truth, tmp_path / "truth.u8")
+    expected_mask = binarize(prob, connectivity=6)
+    assert expected_mask.count() == 0
+
+    assert main(["evaluate", str(pred_path), str(truth_path), "--connectivity", "6"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    expected = evaluate(expected_mask, truth, MetricsConfig(connectivity=6))
+    assert got == json.loads(write_report(expected, "json"))
+
+    mask_out = tmp_path / "mask.u8"
+    argv = ["combine", str(pred_path), str(pred_path), str(pred_path), "--rule",
+            '{"model": "linear", "alpha": [1, 0, 0]}', "--out", str(tmp_path / "c.f32le"),
+            "--mask-out", str(mask_out), "--connectivity", "6"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert load_volume(mask_out).count() == 0
 
 
 def test_evaluate_csv_output(dataset, tmp_path, capsys):

@@ -2,6 +2,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from rulefuse import discovery
 from rulefuse.combine import binarize, combine_linear
@@ -19,7 +20,7 @@ from rulefuse.discovery import (
 )
 from rulefuse.errors import DataError
 from rulefuse.fitting import LinearRule
-from rulefuse.metrics import MetricsConfig
+from rulefuse.metrics import MetricsConfig, connected_components, evaluate
 from rulefuse.sampling import rejection_sample_stacking
 from rulefuse.volumes import LabelVolume, Modality, ProbabilityVolume
 
@@ -149,6 +150,52 @@ def test_evaluate_rule_order_and_thread_invariance():
     ]
     assert searches[1] == searches[0]
     assert searches[2] == searches[0]
+
+
+def u_shape_cases(n_cases=3, dims=(16, 16, 12), seed=4):
+    """Blobby random modalities, each holding a U whose base lies below z = 3;
+    the zone "box" (z >= 3) cuts the U into its two arms."""
+    rng = np.random.default_rng(seed)
+    u = np.zeros(dims, dtype=bool)
+    u[2:5, 2:5, 1:11] = u[2:5, 9:12, 1:11] = True
+    u[2:5, 2:12, 1:3] = True
+    box = np.zeros(dims, dtype=bool)
+    box[:, :, 3:] = True
+    cases = []
+    for i in range(n_cases):
+        mods = []
+        for _ in range(3):
+            blobs = ndimage.gaussian_filter(rng.random(dims), 1.5)
+            blobs = (blobs - blobs.min()) / (blobs.max() - blobs.min())
+            mods.append(np.where(u, 0.95, blobs))
+        truth = (ndimage.gaussian_filter(rng.random(dims), 1.5) > 0.52) | u
+        zones = {"box": LabelVolume(box)}
+        cases.append(make_case(f"u{i}", truth, mods, zones=zones))
+    return cases, u, box
+
+
+@pytest.mark.parametrize("zone", [None, "box"])
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+@pytest.mark.parametrize("min_region", [0, 1, 27])
+def test_sweep_reports_equal_binarize_then_evaluate(min_region, connectivity, zone):
+    cases, u, box = u_shape_cases()
+    assert len(connected_components(LabelVolume(u), connectivity)) == 1
+    assert len(connected_components(LabelVolume(u & box), connectivity)) == 2
+    config = EvalConfig(min_region_voxels=min_region, zone=zone,
+                        metrics=MetricsConfig(connectivity=connectivity))
+    rules = [LinearRule(np.array(a)) for a in
+             ((1.0, 0.0, 0.0), (0.5, 0.5, 0.0), (0.2, 0.3, 0.5), (1 / 3, 1 / 3, 1 / 3))]
+    lesions = set()
+    for rule, row in zip(rules, discovery._sweep(cases, rules, "linear", config, threads=1)):
+        for case, (case_id, report) in zip(cases, row.per_case):
+            assert case_id == case.case_id
+            pred = binarize(combine_linear(case.modalities, rule), config.threshold,
+                            min_region, connectivity)
+            zone_mask = case.zones[zone] if zone else None
+            expected = evaluate(pred, case.truth, config.metrics, zone=zone_mask)
+            assert report.to_dict() == expected.to_dict()
+            lesions.add(report.n_pred_lesions)
+    assert max(lesions) > 1
 
 
 class CountingPool(ThreadPoolExecutor):

@@ -3,7 +3,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from rulefuse.cli import main
 from rulefuse.discovery import grid_search_linear, monte_carlo_uncertainty
 from rulefuse.errors import DataError, VolumeFormatError
 from rulefuse.fitting import fit_linear
@@ -103,6 +105,22 @@ def test_sidecar_validation(tmp_path):
         load_volume(sidecar_case(tmp_path, {**base, "order": "z-fastest"}))
     with pytest.raises(VolumeFormatError, match="dtype"):
         load_volume(sidecar_case(tmp_path, {**base, "dtype": "f64"}))
+
+
+@pytest.mark.parametrize("sidecar", [
+    [2, 1, 1],  # a JSON list, not an object
+    {"dims": ["a", 2, 2], "dtype": "f32le"},
+    {"dims": [None, 2, 2], "dtype": "f32le"},
+    {"dims": [1, 1, 1], "dtype": "f32le", "spacing_mm": ["x", 1, 1]},
+    {"dims": [1, 1, 1], "dtype": "f32le", "spacing_mm": [float("inf"), 1, 1]},
+    {"dims": [1, 1, 1], "dtype": "f32le", "spacing_mm": [10**400, 1, 1]},  # no float holds it
+], ids=["list", "dims-string", "dims-null", "spacing-string", "spacing-inf", "spacing-huge"])
+def test_malformed_sidecar_is_a_format_error(tmp_path, capsys, sidecar):
+    p = sidecar_case(tmp_path, sidecar)
+    with pytest.raises(VolumeFormatError, match=r"bad\.f32le\.json"):
+        load_volume(p)
+    assert main(["evaluate", str(p), str(p)]) == 2
+    assert capsys.readouterr().err.startswith("data error: sidecar ")
 
 
 def test_payload_length_mismatch_reports_both_sizes(tmp_path):
@@ -252,6 +270,83 @@ def test_nifti_nan_is_rejected_naming_file_and_count(tmp_path):
     p.write_bytes(nifti1_bytes(values))
     with pytest.raises(VolumeFormatError, match=r"nan\.nii: 1 non-finite"):
         load_nifti1(p)
+
+
+def test_nifti_nan_spacing_is_rejected(tmp_path):
+    p = tmp_path / "nanspacing.nii"
+    p.write_bytes(nifti1_bytes(np.full((2, 2, 2), 0.5), spacing=(np.nan, 1.0, 1.0)))
+    with pytest.raises(VolumeFormatError, match=r"nanspacing\.nii: pixdim"):
+        load_nifti1(p)
+
+
+# --- fuzzing: any input gives a volume or a VolumeFormatError -------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _field(valid):
+    return st.one_of(st.sampled_from(valid), _JSON)
+
+
+_SIDECARS = _JSON | st.fixed_dictionaries({}, optional={
+    "dims": _field([[2, 1, 1], [8, 1, 1], [1, 2, 1]]),
+    "spacing_mm": _field([[1.0, 1.0, 1.0], [0.7, 0.55, 3.3]]),
+    "dtype": _field(["f32le", "u8"]),
+    "order": _field(["x-fastest"]),
+    "modality": _field(["T2W", "ADC", "combined"]),
+})
+_FUZZ = settings(deadline=None, max_examples=200,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _volume_or_format_error(load, path):
+    try:
+        volume = load(path)
+    except VolumeFormatError as exc:
+        assert str(path.name) in str(exc)
+        return
+    assert isinstance(volume, (LabelVolume, ProbabilityVolume))
+
+
+@_FUZZ
+@given(meta=_SIDECARS)
+def test_fuzz_sidecar(tmp_path, meta):
+    # an 8-byte payload fits 2 float32 or 8 uint8 voxels, so valid fields load
+    p = tmp_path / "fuzz.f32le"
+    p.write_bytes(b"\x00" * 8)
+    (tmp_path / "fuzz.f32le.json").write_text(json.dumps(meta))
+    _volume_or_format_error(load_volume, p)
+
+
+_NIFTI = nifti1_bytes(np.full((2, 2, 2), 0.5))
+
+
+# (offset, bytes) writes: any single header byte, or a whole little-endian
+# value in one of the float32 (pixdim, vox_offset, scl_*) or int16 (dim,
+# datatype) fields the loader reads
+_HEADER_EDITS = st.one_of(
+    st.tuples(st.integers(0, 347), st.binary(min_size=1, max_size=1)),
+    st.tuples(st.sampled_from([76 + 4 * i for i in range(8)] + [108, 112, 116]),
+              (st.floats(width=32) | st.sampled_from([np.nan, np.inf, -np.inf]))
+              .map(lambda v: struct.pack("<f", v))),
+    st.tuples(st.sampled_from([40 + 2 * i for i in range(8)] + [70]),
+              st.integers(-(2**15), 2**15 - 1).map(lambda v: struct.pack("<h", v))),
+)
+
+
+@_FUZZ
+@given(edits=st.lists(_HEADER_EDITS, min_size=1, max_size=6))
+def test_fuzz_nifti_header(tmp_path, edits):
+    blob = bytearray(_NIFTI)
+    for offset, value in edits:
+        blob[offset : offset + len(value)] = value
+    p = tmp_path / "fuzz.nii"
+    p.write_bytes(bytes(blob))
+    _volume_or_format_error(load_nifti1, p)
 
 
 def test_load_any_volume_dispatch(tmp_path):

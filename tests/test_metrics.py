@@ -281,3 +281,20 @@ def test_metrics_match_bruteforce_oracle_spot():
             a_values, b_values, 0.1
         )
     assert checked >= 3  # the generator must exercise non-empty pairs
+
+
+@pytest.mark.parametrize("spacing", [(0.7, 0.55, 3.3), (0.664, 0.664, 3.6)])
+def test_hd95_digits_match_kd_arithmetic_exactly(spacing):
+    # at non-dyadic spacing other exact distance methods (e.g. an EDT lookup)
+    # round some distances differently; reported HD95 digits must not move
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(6):
+        a_values, b_values = oracles.random_mask_pair(rng, dims=(14, 14, 10))
+        if not a_values.any() or not b_values.any():
+            continue
+        report = evaluate(mask(a_values, spacing), mask(b_values, spacing))
+        pooled = oracles.surface_distances_kd_bf(a_values, b_values, spacing)
+        assert report.hd95_mm == float(np.percentile(pooled, 95))
+        checked += 1
+    assert checked >= 4

@@ -44,6 +44,14 @@ def test_probability_volume_rejects_bad_grid():
         ProbabilityVolume(np.zeros((2, 2, 2)), spacing=(1.0, 0.0, 1.0))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_volumes_reject_non_finite_spacing(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ProbabilityVolume(np.zeros((2, 2, 2)), spacing=(bad, 1.0, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        LabelVolume(np.zeros((2, 2, 2), dtype=bool), spacing=(1.0, 1.0, bad))
+
+
 def test_volumes_are_immutable():
     vol = ProbabilityVolume(np.zeros((2, 2, 2)))
     with pytest.raises(ValueError):
