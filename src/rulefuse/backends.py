@@ -57,9 +57,13 @@ def components(mask, connectivity, min_voxels=1):
     Returns (labels, counts, keep): `counts[i]` voxels carry label i, and
     `keep[i]` is True when that many is at least `min_voxels`. Label 0 is
     background and is never kept.
+
+    Only the positive voxels are counted; every other voxel is background.
     """
     labels, n = label_components(mask, connectivity)
-    counts = np.bincount(labels.ravel(), minlength=n + 1)
+    positives = np.flatnonzero(mask)
+    counts = np.bincount(labels.ravel().take(positives), minlength=n + 1)
+    counts[0] = labels.size - positives.size
     keep = counts >= min_voxels
     keep[0] = False
     return labels, counts, keep

@@ -342,17 +342,21 @@ def cmd_mc_uncertainty(args, config) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     cases, _ = volio.load_manifest(args.manifest, split=args.split)
+    volume_paths = {}  # checked before the run, so a bad case id costs no draws
+    if args.volumes_out:
+        volume_paths = {
+            case.case_id: volio.case_file(args.volumes_out, case.case_id, "_variance.f32le")
+            for case in cases
+        }
     n_draws = int(_opt(args, config, "draws", 16))
     result = discovery.monte_carlo_uncertainty(
         cases, sampler, n_draws=n_draws, seed=args.seed, config=_eval_config(args, config)
     )
-    if args.volumes_out:
-        out_dir = Path(args.volumes_out)
-        for case in result.cases:
+    for case in result.cases:
+        if case.case_id in volume_paths:
             var = np.clip(case.variance, 0.0, 1.0)
             volio.save_volume(
-                ProbabilityVolume(var, spacing=case.spacing),
-                out_dir / f"{case.case_id}_variance.f32le",
+                ProbabilityVolume(var, spacing=case.spacing), volume_paths[case.case_id]
             )
     return _write_reports(result, args, config)
 

@@ -31,7 +31,13 @@ def linear_map(volumes, weights) -> np.ndarray:
     """Raw voxel-wise weighted sum, without simplex validation or clamping.
 
     Exists so additivity in the weights can be exercised outside the simplex;
-    prefer combine_linear for producing valid probability volumes.
+    prefer combine_linear for producing valid probability volumes. For
+    convex weights, thresholding this map at t in (0, 1) gives the mask that
+    thresholding combine_linear's clipped map gives.
+
+    The first weighted modality is written straight into the output, which
+    is exact for weights >= 0 since 0.0 + w·y == w·y; a negative first
+    weight can leave -0.0 where the sum would hold 0.0.
     """
     volumes = list(volumes)
     if len(volumes) != 3:
@@ -40,11 +46,17 @@ def linear_map(volumes, weights) -> np.ndarray:
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (3,):
         raise ValueError(f"expected 3 weights, got shape {weights.shape}")
-    out = np.zeros(volumes[0].dims, dtype=np.float64)
+    out = product = None
     for w, vol in zip(weights, volumes):
-        if w != 0.0:  # zero weight leaves the output bit-exactly unaffected
-            out += w * vol.values
-    return out
+        if w == 0.0:  # zero weight leaves the output bit-exactly unaffected
+            continue
+        if out is None:
+            out = np.multiply(vol.values, w)
+            continue
+        if product is None:
+            product = np.empty_like(out)
+        out += np.multiply(vol.values, w, out=product)
+    return np.zeros(volumes[0].dims, dtype=np.float64) if out is None else out
 
 
 def combine_linear(volumes, rule) -> ProbabilityVolume:
@@ -56,13 +68,23 @@ def combine_linear(volumes, rule) -> ProbabilityVolume:
     return ProbabilityVolume(out, spacing=list(volumes)[0].spacing, modality=Modality.COMBINED)
 
 
+def stacking_map(volumes, rule) -> np.ndarray:
+    """Logistic stack σ(Σ_τ β_τ·Y^τ + β₀) as a plain array, computed in place."""
+    rule = _as_stacking(rule)
+    out = linear_map(volumes, rule.weights)
+    out += rule.bias
+    np.negative(out, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
+
+
 def combine_stacking(volumes, rule) -> ProbabilityVolume:
     """Logistic stack Z = σ(Σ_τ β_τ·Y^τ + β₀)."""
-    rule = _as_stacking(rule)
-    logits = linear_map(volumes, rule.weights) + rule.bias
-    with np.errstate(over="ignore"):
-        out = 1.0 / (1.0 + np.exp(-logits))
-    return ProbabilityVolume(out, spacing=list(volumes)[0].spacing, modality=Modality.COMBINED)
+    return ProbabilityVolume(
+        stacking_map(volumes, rule), spacing=list(volumes)[0].spacing, modality=Modality.COMBINED
+    )
 
 
 def stacking_logits(volumes, rule) -> np.ndarray:
@@ -82,15 +104,17 @@ def combine_vote(masks) -> LabelVolume:
 
 
 def binarize_components(
-    volume: ProbabilityVolume,
+    values: np.ndarray,
+    spacing,
     threshold: float = 0.5,
     min_region_voxels: int = 27,
     connectivity: int = 26,
 ):
-    """`binarize`, also returning the component labelling it was made from.
+    """`binarize` of a probability map given as an array on a grid of `spacing`,
+    also returning the component labelling the mask was made from.
 
     Returns (mask, (labels, counts, keep)): `labels` numbers the connected
-    components of the thresholded volume, `counts[i]` is the voxel count of
+    components of the thresholded map, `counts[i]` is the voxel count of
     label i and `keep[i]` marks the components that survive in `mask`. Label
     0 is background and is never kept. `metrics.evaluate` takes the triple so
     that it need not label the mask again.
@@ -99,11 +123,11 @@ def binarize_components(
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     if min_region_voxels < 0:
         raise ValueError(f"min_region_voxels must be >= 0, got {min_region_voxels}")
-    mask = volume.values > threshold
+    mask = values > threshold
     labels, counts, keep = backends.components(mask, connectivity, min_region_voxels)
     if not keep[1:].all():
-        mask = keep[labels]
-    return LabelVolume(mask, spacing=volume.spacing), (labels, counts, keep)
+        mask = keep.take(labels)
+    return LabelVolume(mask, spacing=spacing), (labels, counts, keep)
 
 
 def binarize(
@@ -117,7 +141,9 @@ def binarize(
     Components with fewer than min_region_voxels voxels are removed; 27
     corresponds to a 3×3×3 block at 1mm isotropic spacing.
     """
-    return binarize_components(volume, threshold, min_region_voxels, connectivity)[0]
+    return binarize_components(
+        volume.values, volume.spacing, threshold, min_region_voxels, connectivity
+    )[0]
 
 
 def eval_loss(pred: ProbabilityVolume, truth: LabelVolume) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 # binarize is not called here; it stays bound in this module because
 # perfbench/test_perfbench.py reaches it as `discovery.binarize`
-from .combine import binarize, binarize_components, combine_linear, combine_stacking
+from .combine import binarize, binarize_components, linear_map, stacking_map
 from .errors import DataError
 from .fitting import LinearRule, StackingRule
 from .metrics import (
@@ -174,13 +174,22 @@ def _zone_for(case: CaseRecord, config: EvalConfig) -> LabelVolume | None:
 
 def _predict(case: CaseRecord, model: str, rule, config: EvalConfig):
     """(zone mask or None, combined map, binarized prediction, its components)
-    of one rule on one case; see `combine.binarize_components`."""
+    of one rule on one case; see `combine.binarize_components`.
+
+    The combined map is a fresh writable array. A linear map is left
+    unclipped: its convex sums may round past [0, 1] in the last place, and
+    for a threshold in (0, 1) the mask is the same as from the clipped map.
+    """
     if model not in ("linear", "stacking"):
         raise ValueError(f"unknown model {model!r}")
     zone = _zone_for(case, config)
-    combined = (combine_linear if model == "linear" else combine_stacking)(case.modalities, rule)
+    if model == "linear":
+        combined = linear_map(case.modalities, rule.alpha)
+    else:
+        combined = stacking_map(case.modalities, rule)
     pred, components = binarize_components(
         combined,
+        case.modalities[0].spacing,
         threshold=config.threshold,
         min_region_voxels=config.min_region_voxels,
         connectivity=config.metrics.connectivity,
@@ -605,7 +614,8 @@ def monte_carlo_uncertainty(
             for rule in rules:
                 zone, combined, pred, _ = _predict(case, sampler.model, rule, config)
                 dscs.append(dice(in_zone(pred, zone), in_zone(case.truth, zone)))
-                yield combined.values
+                # as combine_linear clips; a stacking map already lies in [0, 1]
+                yield np.clip(combined, 0.0, 1.0, out=combined)
 
         mean, variance = _shifted_moments(draws(), n_draws)
         darr = np.array(dscs)

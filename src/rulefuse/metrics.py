@@ -24,11 +24,11 @@ HD_PERCENTILE = 95.0
 def dice(pred: LabelVolume, truth: LabelVolume) -> float:
     """2|P∩G|/(|P|+|G|); defined as 1.0 when both masks are empty."""
     validate_aligned([pred, truth], names=["pred", "truth"])
-    p, g = pred.values, truth.values
-    denom = int(p.sum()) + int(g.sum())
+    p = np.flatnonzero(pred.values)
+    denom = p.size + int(np.count_nonzero(truth.values))
     if denom == 0:
         return 1.0
-    return 2.0 * int((p & g).sum()) / denom
+    return 2.0 * int(np.count_nonzero(truth.values.ravel().take(p))) / denom
 
 
 def boundary_mask(values: np.ndarray) -> np.ndarray:
@@ -57,20 +57,31 @@ class BoundarySurface:
     """Boundary voxel centres in mm with a nearest-neighbour index over them.
 
     Precomputable per reference mask; hd95 against many predictions then
-    only pays for the prediction side.
+    only pays for the prediction side. `flat` holds the voxels' flat (C
+    order) indices, ascending, in the order of `points`.
     """
 
     points: np.ndarray
     tree: cKDTree
+    flat: np.ndarray
 
 
 def boundary_surface(mask: LabelVolume) -> BoundarySurface | None:
     """Surface of a mask as queryable points; None when the mask is empty."""
-    coords = np.argwhere(boundary_mask(mask.values))
-    if coords.shape[0] == 0:
+    values = mask.values
+    flat = np.flatnonzero(boundary_mask(values))
+    if flat.size == 0:
         return None
+    # the same integer coordinates as np.argwhere, without its volume pass
+    coords = np.column_stack(np.unravel_index(flat, values.shape))
     points = coords * np.asarray(mask.spacing, dtype=np.float64)
-    return BoundarySurface(points=points, tree=cKDTree(points))
+    return BoundarySurface(points=points, tree=cKDTree(points), flat=flat)
+
+
+def _shared(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Which entries of the ascending index array `a` also occur in the ascending `b`."""
+    at = np.searchsorted(b, a)
+    return b.take(at, mode="clip") == a
 
 
 def hd95(pred: LabelVolume, truth: LabelVolume, truth_surface: BoundarySurface | None = None):
@@ -79,14 +90,25 @@ def hd95(pred: LabelVolume, truth: LabelVolume, truth_surface: BoundarySurface |
     Returns None when either mask is empty. Distances are voxel-centre to
     voxel-centre, scaled by spacing; the percentile uses linear interpolation
     over the sorted pooled set.
+
+    A voxel on both surfaces is the same point in mm when both masks have the
+    same spacing, so its distance in each direction is exactly 0.0; only the
+    other points are queried, and the pooled set keeps the same values.
     """
     validate_aligned([pred, truth], names=["pred", "truth"])
     if not pred.values.any() or not truth.values.any():
         return None
     surf_p = boundary_surface(pred)
     surf_g = truth_surface if truth_surface is not None else boundary_surface(truth)
+    if pred.spacing == truth.spacing:
+        own_p = ~_shared(surf_p.flat, surf_g.flat)
+        own_g = ~_shared(surf_g.flat, surf_p.flat)
+        n_shared = surf_p.flat.size - int(np.count_nonzero(own_p))
+        from_p, from_g = surf_p.points[own_p], surf_g.points[own_g]
+    else:  # points on a different grid are not shared, however close
+        n_shared, from_p, from_g = 0, surf_p.points, surf_g.points
     pooled = np.concatenate(
-        [surf_g.tree.query(surf_p.points)[0], surf_p.tree.query(surf_g.points)[0]]
+        [surf_g.tree.query(from_p)[0], surf_p.tree.query(from_g)[0], np.zeros(2 * n_shared)]
     )
     return float(np.percentile(pooled, HD_PERCENTILE))
 
@@ -125,7 +147,7 @@ def _share_covered(components, other: np.ndarray, threshold: float):
     n = int(np.count_nonzero(keep))
     if not n:
         return None
-    covered = np.bincount(labels[other].ravel(), minlength=counts.size)
+    covered = np.bincount(labels.ravel().take(np.flatnonzero(other)), minlength=counts.size)
     return float(np.count_nonzero(covered[keep] / counts[keep] > threshold)) / n
 
 

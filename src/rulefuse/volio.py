@@ -233,8 +233,54 @@ def write_manifest(path, cases: list[dict], meta: dict | None = None) -> Path:
     return path
 
 
+def _check_manifest_path(value, what: str) -> None:
+    if not isinstance(value, str) or not value:
+        raise DataError(f"{what} must be a non-empty path string, got {value!r}")
+
+
+def _check_manifest_entries(path: Path, doc) -> list[dict]:
+    """The case entries of a manifest document, each checked for shape and types."""
+    if not isinstance(doc, dict):
+        raise DataError(f"manifest {path} is not a JSON object")
+    entries = doc.get("cases")
+    if not isinstance(entries, list):
+        raise DataError(f"manifest {path} has no 'cases' list")
+    seen = set()
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise DataError(f"manifest {path}: case entry {i} is not an object")
+        case_id = entry.get("case_id")
+        if case_id is None:
+            raise DataError(f"manifest {path}: case entry without case_id")
+        if not isinstance(case_id, str) or not case_id:
+            raise DataError(f"manifest {path}: case_id must be a non-empty string, got {case_id!r}")
+        if case_id in seen:
+            raise DataError(f"manifest {path}: duplicate case_id {case_id!r}")
+        seen.add(case_id)
+        mod_paths = entry.get("modalities", {})
+        if not isinstance(mod_paths, dict):
+            raise DataError(f"case {case_id}: modalities must be an object")
+        for key in _MODALITY_KEYS:
+            if key not in mod_paths:
+                raise DataError(f"case {case_id}: missing modality {key} in manifest")
+            _check_manifest_path(mod_paths[key], f"case {case_id}: modality {key}")
+        if entry.get("truth") is None:
+            raise DataError(f"case {case_id}: missing truth in manifest")
+        _check_manifest_path(entry["truth"], f"case {case_id}: truth")
+        zones = entry.get("zones")
+        if zones is not None and not isinstance(zones, dict):
+            raise DataError(f"case {case_id}: zones must be an object")
+        for name, rel in (zones or {}).items():
+            _check_manifest_path(rel, f"case {case_id}: zone {name}")
+    return entries
+
+
 def load_manifest(path, split: str | None = None) -> tuple[list[CaseRecord], dict]:
-    """Load (cases, manifest dict); `split` filters to one split when given."""
+    """Load (cases, manifest dict); `split` filters to one split when given.
+
+    Every entry is checked before any volume is read: a malformed manifest
+    raises DataError, as do duplicate case ids.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"manifest {path} does not exist")
@@ -242,30 +288,20 @@ def load_manifest(path, split: str | None = None) -> tuple[list[CaseRecord], dic
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"manifest {path} is not valid JSON: {exc}") from None
-    entries = doc.get("cases")
-    if not isinstance(entries, list):
-        raise DataError(f"manifest {path} has no 'cases' list")
+    entries = _check_manifest_entries(path, doc)
     base = path.parent
     records = []
     for entry in entries:
-        case_id = entry.get("case_id")
-        if case_id is None:
-            raise DataError(f"manifest {path}: case entry without case_id")
+        case_id = entry["case_id"]
         if split is not None and entry.get("split") != split:
             continue
-        mod_paths = entry.get("modalities", {})
         modalities = []
         for key in _MODALITY_KEYS:
-            if key not in mod_paths:
-                raise DataError(f"case {case_id}: missing modality {key} in manifest")
-            vol = load_any_volume(base / mod_paths[key])
+            vol = load_any_volume(base / entry["modalities"][key])
             if not isinstance(vol, ProbabilityVolume):
                 raise DataError(f"case {case_id}: modality {key} is not a probability volume")
             modalities.append(vol)
-        truth_path = entry.get("truth")
-        if truth_path is None:
-            raise DataError(f"case {case_id}: missing truth in manifest")
-        truth = load_any_volume(base / truth_path)
+        truth = load_any_volume(base / entry["truth"])
         if not isinstance(truth, LabelVolume):
             raise DataError(f"case {case_id}: truth is not a label volume")
         zones = None
@@ -284,6 +320,14 @@ def load_manifest(path, split: str | None = None) -> tuple[list[CaseRecord], dic
             f"manifest {path} produced no cases" + (f" for split {split!r}" if split else "")
         )
     return records, doc
+
+
+def case_file(directory, case_id: str, suffix: str) -> Path:
+    """`directory/<case_id><suffix>`; DataError unless the case id is a single
+    plain path component, so that no case writes outside `directory`."""
+    if case_id in ("", ".", "..") or any(c in case_id for c in "/\\\0"):
+        raise DataError(f"case id {case_id!r} cannot name a file in {directory}")
+    return Path(directory) / f"{case_id}{suffix}"
 
 
 def manifest_splits(doc: dict) -> dict[str, str]:

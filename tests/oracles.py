@@ -186,17 +186,21 @@ def hd95_bf(pred: np.ndarray, truth: np.ndarray, spacing=(1.0, 1.0, 1.0)):
     return percentile_linear_bf(pooled, 95.0)
 
 
-def surface_distances_kd_bf(pred: np.ndarray, truth: np.ndarray, spacing):
+def surface_distances_kd_bf(pred: np.ndarray, truth: np.ndarray, spacing, truth_spacing=None):
     """Pooled symmetric boundary distances in the arithmetic of a KD-tree query.
 
     Points are taken to mm first (index × spacing), then each distance is the
     square root of the summed squared coordinate differences, in axis order.
     `hd95_bf` scales the index differences instead, which can round
-    differently in the last place.
+    differently in the last place. The truth's points use `truth_spacing`
+    when given, so masks on grids a rounding error apart can be compared.
     """
-    sx, sy, sz = (float(s) for s in spacing)
-    surf_p = [(x * sx, y * sy, z * sz) for x, y, z in boundary_voxels_bf(pred)]
-    surf_g = [(x * sx, y * sy, z * sz) for x, y, z in boundary_voxels_bf(truth)]
+    def to_mm(mask, grid):
+        sx, sy, sz = (float(s) for s in grid)
+        return [(x * sx, y * sy, z * sz) for x, y, z in boundary_voxels_bf(mask)]
+
+    surf_p = to_mm(pred, spacing)
+    surf_g = to_mm(truth, spacing if truth_spacing is None else truth_spacing)
 
     def nearest(a, points):
         return min(
@@ -206,6 +210,20 @@ def surface_distances_kd_bf(pred: np.ndarray, truth: np.ndarray, spacing):
         )
 
     return [nearest(a, surf_g) for a in surf_p] + [nearest(b, surf_p) for b in surf_g]
+
+
+# --- combining --------------------------------------------------------------------
+
+
+def linear_map_ref(volumes, weights) -> np.ndarray:
+    """Weighted sum by accumulation into zeros, one freshly allocated product
+    per modality with a non-zero weight."""
+    volumes = list(volumes)
+    out = np.zeros(volumes[0].values.shape, dtype=np.float64)
+    for w, vol in zip(np.asarray(weights, dtype=np.float64), volumes):
+        if w != 0.0:
+            out += w * vol.values
+    return out
 
 
 # --- lesion metrics ---------------------------------------------------------------

@@ -16,6 +16,8 @@ from rulefuse.errors import AlignmentError
 from rulefuse.fitting import LinearRule, StackingRule
 from rulefuse.volumes import LabelVolume, Modality, ProbabilityVolume
 
+import oracles
+
 
 def vol(values, spacing=(1.0, 1.0, 1.0)):
     return ProbabilityVolume(np.asarray(values, dtype=np.float64), spacing=spacing)
@@ -77,6 +79,57 @@ def test_linear_map_additive_in_weights(stack, w1, w2):
     lhs = linear_map(vols, w1) + linear_map(vols, w2)
     rhs = linear_map(vols, w1 + w2)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+def _maps_with_exact_ends(rng, dims=(6, 5, 4)):
+    """Random maps whose first slab is 1.0 and last slab 0.0 in every modality."""
+    vols = []
+    for _ in range(3):
+        values = rng.random(dims)
+        values[0], values[-1] = 1.0, 0.0
+        vols.append(vol(values))
+    return vols
+
+
+def test_linear_map_bitwise_equals_accumulation_reference():
+    rng = np.random.default_rng(4)
+    vols = _maps_with_exact_ends(rng)
+    rules = [rng.dirichlet((1.0, 1.0, 1.0)) for _ in range(30)]
+    rules += [np.eye(3)[i] for i in range(3)]  # one-hot
+    rules += [np.array(a) for a in ((0.5, 0.5, 0.0), (0.0, 0.25, 0.75), (0.6, 0.0, 0.4))]
+    for alpha in rules:
+        got = linear_map(vols, alpha)
+        assert got.tobytes() == oracles.linear_map_ref(vols, alpha).tobytes(), alpha
+
+
+def test_unclipped_linear_map_thresholds_like_combine_linear():
+    # the sweep thresholds linear_map directly; a convex sum of 1.0s can round
+    # past 1, which combine_linear clips, and no threshold in (0, 1) may tell
+    rng = np.random.default_rng(5)
+    vols = _maps_with_exact_ends(rng)
+    above_one = 0
+    for _ in range(40):
+        alpha = rng.dirichlet((1.0, 1.0, 1.0))
+        raw = linear_map(vols, alpha)
+        clipped = combine_linear(vols, LinearRule(alpha)).values
+        above_one += bool((raw > 1.0).any())
+        inner = clipped[(clipped > 0.0) & (clipped < 1.0)]
+        for t in np.concatenate([np.linspace(0.01, 0.99, 99), inner, np.nextafter(inner, 1.0)]):
+            np.testing.assert_array_equal(raw > t, clipped > t)
+    assert above_one  # the grid must exercise the rounding the clip absorbs
+
+
+def test_stacking_map_bitwise_equals_sigmoid_of_summed_logits():
+    # stacking_map works in place; every voxel must still get the same bits
+    rng = np.random.default_rng(6)
+    vols = _maps_with_exact_ends(rng)
+    betas = list(rng.normal(0.0, 8.0, size=(20, 4))) + [np.array([0.0, -3.0, 2.0, 0.0])]
+    for beta in betas:
+        logits = oracles.linear_map_ref(vols, beta[:3]) + beta[3]
+        with np.errstate(over="ignore"):
+            want = 1.0 / (1.0 + np.exp(-logits))
+        got = combine_stacking(vols, StackingRule(beta)).values
+        assert got.tobytes() == want.tobytes(), beta
 
 
 def test_stacking_zero_beta_gives_half():

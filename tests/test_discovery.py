@@ -198,6 +198,27 @@ def test_sweep_reports_equal_binarize_then_evaluate(min_region, connectivity, zo
     assert max(lesions) > 1
 
 
+def test_sweep_prediction_keeps_the_modality_grid():
+    # alignment accepts a 1e-9 relative spacing difference; the prediction
+    # lies on the modalities' grid, as combine_linear puts it, not the truth's
+    cases, _, _ = u_shape_cases(n_cases=2)
+    spacing = (0.7, 0.55, 3.3)
+    cases = [
+        CaseRecord(
+            case_id=case.case_id,
+            modalities=tuple(ProbabilityVolume(m.values, spacing, m.modality)
+                             for m in case.modalities),
+            truth=LabelVolume(case.truth.values, (0.7 * (1 + 1e-12), 0.55, 3.3)),
+        )
+        for case in cases
+    ]
+    rule = LinearRule(np.array((0.2, 0.3, 0.5)))
+    row = discovery.evaluate_rule(cases, rule)
+    for case, (_, report) in zip(cases, row.per_case):
+        pred = binarize(combine_linear(case.modalities, rule))
+        assert report.to_dict() == evaluate(pred, case.truth).to_dict()
+
+
 class CountingPool(ThreadPoolExecutor):
     created = 0
 

@@ -403,6 +403,73 @@ def test_manifest_errors(tmp_path):
         load_manifest(p)
 
 
+@pytest.fixture
+def small_manifest(tmp_path):
+    """A 4-case 16³ phantom manifest: (path, parsed document)."""
+    spec = PhantomSpec(dims=(16, 16, 16), n_lesions=1, radius_range=(3.0, 5.0))
+    manifest_path, _ = generate_dataset(7, 4, spec, tmp_path / "ds")
+    return manifest_path, json.loads(manifest_path.read_text())
+
+
+def _assert_manifest_data_error(path, capsys, match):
+    with pytest.raises(DataError, match=match):
+        load_manifest(path)
+    capsys.readouterr()
+    assert main(["search", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "cases", {"cases": [1]}, {"cases": [None]}])
+def test_manifest_document_and_entries_must_be_objects(tmp_path, capsys, doc):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    _assert_manifest_data_error(path, capsys, "object")
+
+
+@pytest.mark.parametrize("case_id", [3, "", ["c"], True])
+def test_manifest_case_id_must_be_a_non_empty_string(small_manifest, capsys, case_id):
+    path, doc = small_manifest
+    doc["cases"][1]["case_id"] = case_id
+    path.write_text(json.dumps(doc))
+    _assert_manifest_data_error(path, capsys, "case_id must be a non-empty string")
+
+
+def test_manifest_duplicate_case_ids_are_rejected(small_manifest, capsys):
+    path, doc = small_manifest
+    doc["cases"][2]["case_id"] = doc["cases"][0]["case_id"]
+    path.write_text(json.dumps(doc))
+    _assert_manifest_data_error(path, capsys, "duplicate case_id")
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda e: e["modalities"].update(ADC=7), "modality ADC"),
+    (lambda e: e.update(modalities=["a", "b", "c"]), "modalities must be an object"),
+    (lambda e: e.update(truth=1.5), "truth"),
+    (lambda e: e.update(zones=["PZ"]), "zones must be an object"),
+    (lambda e: e.update(zones={"PZ": None}), "zone PZ"),
+])
+def test_manifest_paths_must_be_strings(small_manifest, capsys, edit, match):
+    path, doc = small_manifest
+    edit(doc["cases"][3])
+    path.write_text(json.dumps(doc))
+    _assert_manifest_data_error(path, capsys, match)
+
+
+@pytest.mark.parametrize("case_id", ["../../escaped", "sub/escaped", "..", "a\\escaped"])
+def test_mc_volumes_stay_inside_volumes_out(small_manifest, tmp_path, capsys, case_id):
+    path, doc = small_manifest
+    doc["cases"][0]["case_id"] = case_id
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out" / "vol"
+    code = main(["mc-uncertainty", str(path), "--sampler", '{"kind": "dirichlet"}',
+                 "--draws", "2", "--volumes-out", str(out_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "cannot name a file" in err
+    assert not [p for p in tmp_path.rglob("*") if "escaped" in p.name or "variance" in p.name]
+
+
 def test_manifest_empty_split_is_an_error(tmp_path):
     spec = PhantomSpec(dims=(16, 16, 16), n_lesions=1, radius_range=(3.0, 5.0))
     manifest_path, _ = generate_dataset(7, 3, spec, tmp_path / "ds")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rulefuse import backends
 from rulefuse.metrics import (
     MetricsConfig,
     connected_components,
@@ -9,6 +10,7 @@ from rulefuse.metrics import (
     hd95,
     lesion_precision_pred,
     lesion_recall_gt,
+    truth_context,
 )
 from rulefuse.volumes import LabelVolume
 
@@ -134,6 +136,22 @@ def test_components_volume_and_counts():
     # indices enumerate exactly the positive voxels
     got = {tuple(ix) for ix in comp.indices}
     assert got == {(x, y, z) for x in range(2) for y in range(2) for z in range(2)}
+
+
+@pytest.mark.parametrize("min_voxels", [0, 1, 27])
+@pytest.mark.parametrize("kind", ["empty", "full", "blobs"])
+def test_component_counts_equal_full_bincount(kind, min_voxels):
+    # counts are taken at the positive voxels only; background is the rest
+    values = {
+        "empty": np.zeros((7, 6, 5), dtype=bool),
+        "full": np.ones((7, 6, 5), dtype=bool),
+        "blobs": oracles.random_mask_pair(np.random.default_rng(8), dims=(12, 11, 10))[0],
+    }[kind]
+    labels, counts, keep = backends.components(values, 26, min_voxels)
+    full = np.bincount(labels.ravel(), minlength=counts.size)
+    assert counts.dtype == full.dtype
+    np.testing.assert_array_equal(counts, full)
+    np.testing.assert_array_equal(keep, (full >= min_voxels) & (np.arange(full.size) > 0))
 
 
 # --- lesion recall / precision ---------------------------------------------------
@@ -298,3 +316,40 @@ def test_hd95_digits_match_kd_arithmetic_exactly(spacing):
         assert report.hd95_mm == float(np.percentile(pooled, 95))
         checked += 1
     assert checked >= 4
+
+
+def _kd_hd95(pred_values, truth_values, spacing, truth_spacing=None):
+    pooled = oracles.surface_distances_kd_bf(pred_values, truth_values, spacing, truth_spacing)
+    return float(np.percentile(pooled, 95))
+
+
+def test_hd95_grids_a_rounding_error_apart_share_no_points():
+    # alignment accepts a 1e-9 relative spacing difference; the same voxel
+    # index is then two points picometres apart, so HD95 is not 0.0
+    values = cube((9, 8, 6), (2, 2, 1), (7, 6, 5)).values
+    spacing = (0.7, 0.55, 3.3)
+    other = (0.7 * (1 + 1e-12), 0.55, 3.3)
+    want = _kd_hd95(values, values, spacing, other)
+    assert 0.0 < want < 1e-11
+    pred, truth = mask(values, spacing), mask(values, other)
+    assert hd95(pred, truth) == want
+    ctx = truth_context(truth)
+    assert evaluate(pred, truth, truth_ctx=ctx).hd95_mm == want
+
+
+@pytest.mark.parametrize("axis", range(3))
+def test_hd95_one_voxel_shift_matches_kd_arithmetic(axis):
+    # most surface points lie on both surfaces; those are exactly 0.0 apart
+    truth_values = np.zeros((14, 13, 11), dtype=bool)
+    truth_values[3:10, 2:10, 2:8] = True
+    truth_values[5:8, 9:12, 4:9] = True
+    pred_values = np.roll(truth_values, 1, axis=axis)
+    surf_p = set(oracles.boundary_voxels_bf(pred_values))
+    surf_g = set(oracles.boundary_voxels_bf(truth_values))
+    assert len(surf_p & surf_g) > max(len(surf_p), len(surf_g)) / 2
+    for spacing in [(0.7, 0.55, 3.3), (0.664, 0.664, 3.6)]:
+        pred, truth = mask(pred_values, spacing), mask(truth_values, spacing)
+        want = _kd_hd95(pred_values, truth_values, spacing)
+        assert hd95(pred, truth) == want
+        assert hd95(truth, pred) == _kd_hd95(truth_values, pred_values, spacing)
+        assert evaluate(pred, truth, truth_ctx=truth_context(truth)).hd95_mm == want
