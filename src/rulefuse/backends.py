@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 from scipy import ndimage
 
@@ -43,27 +45,80 @@ def fit_logistic(X, D, lr, max_iters):
     return B, used, finite
 
 
-def label_components(mask, connectivity):
-    """Label connected regions of a 3D boolean mask. Returns (labels, count)."""
+class Support(NamedTuple):
+    """The positive voxels of a mask: their flat indices in C order, ascending,
+    and the smallest box of slices holding them (empty slices when there are
+    none)."""
+
+    flat: np.ndarray
+    box: tuple[slice, slice, slice]
+
+
+def bounding_box(flat, shape) -> tuple[slice, slice, slice]:
+    """Smallest box holding the voxels at the ascending C-order flat indices
+    `flat` of a volume of `shape`; empty slices when `flat` is empty.
+
+    The first axis's range comes from the end points, the others from integer
+    arithmetic on the indices.
+    """
+    if not flat.size:
+        return (slice(0, 0),) * 3
+    ny, nz = shape[1], shape[2]
+    rows, z = np.divmod(flat, nz)
+    y = rows % ny
+    return (
+        slice(int(flat[0]) // (ny * nz), int(flat[-1]) // (ny * nz) + 1),
+        slice(int(y.min()), int(y.max()) + 1),
+        slice(int(z.min()), int(z.max()) + 1),
+    )
+
+
+def support_of(mask) -> Support:
+    """`Support` of a 3D boolean mask."""
+    flat = np.flatnonzero(mask)
+    return Support(flat, bounding_box(flat, mask.shape))
+
+
+def label_components(mask, connectivity, box=None, out=None):
+    """Label connected regions of a 3D boolean mask. Returns (labels, count).
+
+    Only mask[box] is labelled, where `box` holds every positive voxel (the
+    mask's bounding box when not given). Scan order inside a box is scan
+    order in the volume, so the labels are those of the whole mask, and
+    every voxel outside the box is background. `out`, a C-contiguous int32
+    array of the mask's shape, receives the labels instead of a fresh array.
+    """
     structure = _STRUCTURES.get(connectivity)
     if structure is None:
         raise ValueError(f"connectivity must be 6, 18 or 26, got {connectivity!r}")
-    return ndimage.label(mask, structure=structure)
+    if box is None:
+        box = support_of(mask).box
+    if out is None:
+        out = np.zeros(mask.shape, dtype=np.int32)
+    else:
+        out.fill(0)
+    crop = mask[box]
+    if not crop.size:
+        return out, 0
+    return out, ndimage.label(crop, structure=structure, output=out[box])
 
 
-def components(mask, connectivity, min_voxels=1):
+def components(mask, connectivity, min_voxels=1, support: Support | None = None, out=None):
     """Label `mask` and mark its components of at least `min_voxels` voxels.
 
     Returns (labels, counts, keep): `counts[i]` voxels carry label i, and
     `keep[i]` is True when that many is at least `min_voxels`. Label 0 is
     background and is never kept.
 
-    Only the positive voxels are counted; every other voxel is background.
+    Only the positive voxels are counted, and only their bounding box is
+    labelled; every other voxel is background. `support` is the mask's
+    `Support` when the caller has it; `out` is as for `label_components`.
     """
-    labels, n = label_components(mask, connectivity)
-    positives = np.flatnonzero(mask)
-    counts = np.bincount(labels.ravel().take(positives), minlength=n + 1)
-    counts[0] = labels.size - positives.size
+    if support is None:
+        support = support_of(mask)
+    labels, n = label_components(mask, connectivity, support.box, out)
+    counts = np.bincount(labels.ravel().take(support.flat), minlength=n + 1)
+    counts[0] = labels.size - support.flat.size
     keep = counts >= min_voxels
     keep[0] = False
     return labels, counts, keep

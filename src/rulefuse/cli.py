@@ -350,7 +350,8 @@ def cmd_mc_uncertainty(args, config) -> int:
         }
     n_draws = int(_opt(args, config, "draws", 16))
     result = discovery.monte_carlo_uncertainty(
-        cases, sampler, n_draws=n_draws, seed=args.seed, config=_eval_config(args, config)
+        cases, sampler, n_draws=n_draws, seed=args.seed, config=_eval_config(args, config),
+        threads=args.threads,
     )
     for case in result.cases:
         if case.case_id in volume_paths:

@@ -10,6 +10,7 @@ import numpy as np
 
 from . import backends
 from .fitting import LinearRule, StackingRule
+from .metrics import LabelledMask
 from .volumes import LabelVolume, Modality, ProbabilityVolume, validate_aligned
 
 EVAL_LOSS_EPS = 1e-7
@@ -27,7 +28,7 @@ def _as_stacking(rule) -> StackingRule:
     return StackingRule(np.asarray(rule, dtype=np.float64))
 
 
-def linear_map(volumes, weights) -> np.ndarray:
+def linear_map(volumes, weights, out=None, product=None) -> np.ndarray:
     """Raw voxel-wise weighted sum, without simplex validation or clamping.
 
     Exists so additivity in the weights can be exercised outside the simplex;
@@ -38,6 +39,9 @@ def linear_map(volumes, weights) -> np.ndarray:
     The first weighted modality is written straight into the output, which
     is exact for weights >= 0 since 0.0 + w·y == w·y; a negative first
     weight can leave -0.0 where the sum would hold 0.0.
+
+    `out` and `product`, float64 arrays of the volumes' shape, receive the
+    map and the scratch products instead of fresh arrays.
     """
     volumes = list(volumes)
     if len(volumes) != 3:
@@ -46,17 +50,23 @@ def linear_map(volumes, weights) -> np.ndarray:
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (3,):
         raise ValueError(f"expected 3 weights, got shape {weights.shape}")
-    out = product = None
+    written = False
     for w, vol in zip(weights, volumes):
         if w == 0.0:  # zero weight leaves the output bit-exactly unaffected
             continue
-        if out is None:
-            out = np.multiply(vol.values, w)
+        if not written:
+            out = np.multiply(vol.values, w, out=out)
+            written = True
             continue
         if product is None:
             product = np.empty_like(out)
         out += np.multiply(vol.values, w, out=product)
-    return np.zeros(volumes[0].dims, dtype=np.float64) if out is None else out
+    if written:
+        return out
+    if out is None:
+        return np.zeros(volumes[0].dims, dtype=np.float64)
+    out.fill(0.0)
+    return out
 
 
 def combine_linear(volumes, rule) -> ProbabilityVolume:
@@ -68,10 +78,11 @@ def combine_linear(volumes, rule) -> ProbabilityVolume:
     return ProbabilityVolume(out, spacing=list(volumes)[0].spacing, modality=Modality.COMBINED)
 
 
-def stacking_map(volumes, rule) -> np.ndarray:
-    """Logistic stack σ(Σ_τ β_τ·Y^τ + β₀) as a plain array, computed in place."""
+def stacking_map(volumes, rule, out=None, product=None) -> np.ndarray:
+    """Logistic stack σ(Σ_τ β_τ·Y^τ + β₀) as a plain array, computed in place;
+    `out` and `product` are as for `linear_map`."""
     rule = _as_stacking(rule)
-    out = linear_map(volumes, rule.weights)
+    out = linear_map(volumes, rule.weights, out, product)
     out += rule.bias
     np.negative(out, out=out)
     with np.errstate(over="ignore"):
@@ -109,25 +120,43 @@ def binarize_components(
     threshold: float = 0.5,
     min_region_voxels: int = 27,
     connectivity: int = 26,
+    mask_out: np.ndarray | None = None,
+    labels_out: np.ndarray | None = None,
 ):
     """`binarize` of a probability map given as an array on a grid of `spacing`,
-    also returning the component labelling the mask was made from.
+    as a `metrics.LabelledMask`: the mask with its support and the component
+    labelling it was made from, which `metrics.evaluate` scores without
+    scanning or labelling the mask again.
 
-    Returns (mask, (labels, counts, keep)): `labels` numbers the connected
+    In the (labels, counts, keep) triple, `labels` numbers the connected
     components of the thresholded map, `counts[i]` is the voxel count of
-    label i and `keep[i]` marks the components that survive in `mask`. Label
-    0 is background and is never kept. `metrics.evaluate` takes the triple so
-    that it need not label the mask again.
+    label i and `keep[i]` marks the components that survive in the mask.
+    Label 0 is background and is never kept.
+
+    The map is scanned once: the positives are found once, only their
+    bounding box is labelled, and dropped components are cleared at their
+    voxels. `mask_out` (bool) and `labels_out` (C-contiguous int32), of the
+    map's shape, receive the mask and labels instead of fresh arrays; the
+    returned mask is then a read-only view of `mask_out`, valid until the
+    buffer is written again.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     if min_region_voxels < 0:
         raise ValueError(f"min_region_voxels must be >= 0, got {min_region_voxels}")
-    mask = values > threshold
-    labels, counts, keep = backends.components(mask, connectivity, min_region_voxels)
+    mask = np.greater(values, threshold, out=mask_out)
+    support = backends.support_of(mask)
+    labels, counts, keep = backends.components(
+        mask, connectivity, min_region_voxels, support, labels_out
+    )
     if not keep[1:].all():
-        mask = keep.take(labels)
-    return LabelVolume(mask, spacing=spacing), (labels, counts, keep)
+        flat = support.flat
+        kept = keep.take(labels.ravel().take(flat))
+        mask.flat[flat[~kept]] = False  # `flat` indexes in C order whatever the layout
+        flat = flat[kept]
+        support = backends.Support(flat, backends.bounding_box(flat, mask.shape))
+    volume = LabelVolume(mask if mask_out is None else mask.view(), spacing=spacing)
+    return LabelledMask(volume, support, (labels, counts, keep), connectivity)
 
 
 def binarize(
@@ -143,7 +172,7 @@ def binarize(
     """
     return binarize_components(
         volume.values, volume.spacing, threshold, min_region_voxels, connectivity
-    )[0]
+    ).volume
 
 
 def eval_loss(pred: ProbabilityVolume, truth: LabelVolume) -> float:

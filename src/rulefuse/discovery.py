@@ -4,7 +4,10 @@ A dataset is a list of CaseRecords held in memory. Grid search, availability
 and `evaluate_rule` are one sweep: every (rule, case) pair is scored on a
 single pool of `threads` workers, after each case's truth context is built
 once, and each rule's reports are reduced in sorted case_id order, so results
-are independent of worker count and dataset ordering.
+are independent of worker count and dataset ordering. The sweep is
+case-major: a task is one case and all the rules, and it reuses one set of
+volume buffers for all of them. Monte-Carlo uncertainty runs one task per
+case, over all its draws, the same way.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from .combine import binarize, binarize_components, linear_map, stacking_map
 from .errors import DataError
 from .fitting import LinearRule, StackingRule
 from .metrics import (
-    MetricsConfig, MetricsReport, TruthContext, dice, evaluate, in_zone, truth_context,
+    LabelledMask, MetricsConfig, MetricsReport, TruthContext, dice, evaluate, in_zone, label_mask,
+    truth_context,
 )
 from .sampling import SampledRuleSet
 from .volumes import LabelVolume, ProbabilityVolume, validate_aligned
@@ -172,29 +176,60 @@ def _zone_for(case: CaseRecord, config: EvalConfig) -> LabelVolume | None:
     return case.zones[config.zone]
 
 
-def _predict(case: CaseRecord, model: str, rule, config: EvalConfig):
-    """(zone mask or None, combined map, binarized prediction, its components)
-    of one rule on one case; see `combine.binarize_components`.
+class _Buffers:
+    """The volumes one task writes for each rule it runs on one case: the
+    combined map, the scratch products, the mask and its labels; and the
+    case's configured zone as a C-order flat mask (None without one), which
+    the task only reads.
 
-    The combined map is a fresh writable array. A linear map is left
-    unclipped: its convex sums may round past [0, 1] in the last place, and
-    for a threshold in (0, 1) the mask is the same as from the clipped map.
+    Every array is C-ordered and sized to the case. A volume a rule's
+    evaluation builds on them is valid only until the next rule runs.
+    """
+
+    def __init__(self, case: CaseRecord, config: EvalConfig):
+        dims = case.truth.dims
+        zone = _zone_for(case, config)
+        self.map = np.empty(dims)
+        self.product = np.empty(dims)
+        self.mask = np.empty(dims, dtype=bool)
+        self.labels = np.empty(dims, dtype=np.int32)
+        self.zone = None if zone is None else np.ravel(zone.values)
+
+
+def _predict(case: CaseRecord, model: str, rule, config: EvalConfig, buffers: _Buffers):
+    """(combined map, binarized prediction) of one rule on one case; the
+    prediction is a `metrics.LabelledMask` (see `combine.binarize_components`).
+
+    The map, the mask and the labels are written into `buffers`. A linear map
+    is left unclipped: its convex sums may round past [0, 1] in the last
+    place, and for a threshold in (0, 1) the mask is the same as from the
+    clipped map.
     """
     if model not in ("linear", "stacking"):
         raise ValueError(f"unknown model {model!r}")
-    zone = _zone_for(case, config)
     if model == "linear":
-        combined = linear_map(case.modalities, rule.alpha)
+        combined = linear_map(case.modalities, rule.alpha, buffers.map, buffers.product)
     else:
-        combined = stacking_map(case.modalities, rule)
-    pred, components = binarize_components(
+        combined = stacking_map(case.modalities, rule, buffers.map, buffers.product)
+    pred = binarize_components(
         combined,
         case.modalities[0].spacing,
         threshold=config.threshold,
         min_region_voxels=config.min_region_voxels,
         connectivity=config.metrics.connectivity,
+        mask_out=buffers.mask,
+        labels_out=buffers.labels,
     )
-    return zone, combined, pred, components
+    return combined, pred
+
+
+def _in_zone(pred: LabelledMask, buffers: _Buffers) -> LabelVolume:
+    """The prediction `_predict` wrote into `buffers`, restricted to the zone
+    there: its positives outside the zone are cleared in the mask buffer it
+    views, so its support and components no longer describe it."""
+    flat = pred.support.flat
+    buffers.mask.flat[flat[~buffers.zone.take(flat)]] = False
+    return pred.volume
 
 
 def _evaluate_case(
@@ -202,11 +237,26 @@ def _evaluate_case(
     model: str,
     rule,
     config: EvalConfig,
-    truth_ctx: TruthContext | None = None,
+    truth_ctx: TruthContext,
+    buffers: _Buffers,
 ) -> MetricsReport:
-    zone, _, pred, components = _predict(case, model, rule, config)
-    return evaluate(pred, case.truth, config.metrics, zone=zone, truth_ctx=truth_ctx,
-                    pred_components=components)
+    _, pred = _predict(case, model, rule, config, buffers)
+    if buffers.zone is not None:  # the restriction can split a component
+        pred = label_mask(_in_zone(pred, buffers), config.metrics.connectivity, buffers.labels)
+    return evaluate(pred, truth_ctx.mask.volume, config.metrics, truth_ctx=truth_ctx)
+
+
+def _run_tasks(run, tasks, threads: int) -> list:
+    """[run(task) for task in tasks], on one pool of `threads` workers when
+    there are more than one of each; the first failure cancels the tasks not
+    yet started."""
+    if threads > 1 and len(tasks) > 1:
+        pool = ThreadPoolExecutor(max_workers=threads)
+        try:
+            return list(pool.map(run, tasks))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return [run(task) for task in tasks]
 
 
 def _aggregate(model: str, rule, rule_number: int | None, rows) -> RuleEvaluation:
@@ -236,9 +286,10 @@ def _sweep(
 ) -> list[RuleEvaluation]:
     """Score every (rule, case) pair and aggregate one RuleEvaluation per rule.
 
-    Each case's zone-restricted truth context is built once and shared by all
-    rules. The pairs run rule-major on one pool of `threads` workers (inline
-    for one thread); the first failure cancels the pairs not yet started.
+    Each case's zone-restricted truth context is built once and shared by
+    all rules. Each case is one task, which runs every rule on it, on one
+    pool of `threads` workers (inline for one thread); a task allocates its
+    buffers once and reuses them for each rule.
     """
     cases = sorted(dataset, key=lambda c: c.case_id)  # fixed reduction order
     if not cases:
@@ -247,29 +298,24 @@ def _sweep(
         truth_context(in_zone(case.truth, _zone_for(case, config)), config.metrics.connectivity)
         for case in cases
     ]
-    pairs = [(rule, case, ctx) for rule in rules for case, ctx in zip(cases, contexts)]
 
-    def run(pair) -> MetricsReport:
-        rule, case, ctx = pair
-        try:
-            return _evaluate_case(case, model, rule, config, truth_ctx=ctx)
-        except DataError:
-            raise
-        except Exception as exc:
-            raise DataError(f"case {case.case_id}: {exc}") from exc
+    def run(task) -> list[MetricsReport]:
+        case, truth_ctx = task
+        buffers = _Buffers(case, config)
+        reports = []
+        for rule in rules:
+            try:
+                reports.append(_evaluate_case(case, model, rule, config, truth_ctx, buffers))
+            except DataError:
+                raise
+            except Exception as exc:
+                raise DataError(f"case {case.case_id}: {exc}") from exc
+        return reports
 
-    if threads > 1 and len(pairs) > 1:
-        pool = ThreadPoolExecutor(max_workers=threads)
-        try:
-            reports = list(pool.map(run, pairs))
-        finally:
-            pool.shutdown(cancel_futures=True)
-    else:
-        reports = [run(pair) for pair in pairs]
-    n = len(cases)
+    by_case = _run_tasks(run, list(zip(cases, contexts)), threads)
     return [
         _aggregate(model, rule, number, [
-            (case.case_id, rep) for case, rep in zip(cases, reports[i * n : (i + 1) * n])
+            (case.case_id, reports[i]) for case, reports in zip(cases, by_case)
         ])
         for i, (rule, number) in enumerate(zip(rules, rule_numbers or [None] * len(rules)))
     ]
@@ -561,7 +607,9 @@ def _shifted_moments(values_iter, n: int):
     """Mean and ddof=0 variance via deviations from the first sample.
 
     Centring on the first draw makes a point-mass distribution produce an
-    exactly zero variance instead of rounding residue.
+    exactly zero variance instead of rounding residue. The first sample is
+    copied; every later one is overwritten with its deviations, so a caller
+    may hand in the same buffer each time.
     """
     first = None
     s1 = s2 = None
@@ -571,9 +619,9 @@ def _shifted_moments(values_iter, n: int):
             s1 = np.zeros_like(first)
             s2 = np.zeros_like(first)
         else:
-            dev = values - first
+            dev = np.subtract(values, first, out=values)
             s1 += dev
-            s2 += dev * dev
+            s2 += np.multiply(dev, dev, out=dev)
     mean = first + s1 / n
     variance = s2 / n - (s1 / n) ** 2
     np.maximum(variance, 0.0, out=variance)
@@ -587,6 +635,7 @@ def monte_carlo_uncertainty(
     seed: int = 0,
     config: EvalConfig | None = None,
     rule_set: SampledRuleSet | None = None,
+    threads: int = 1,
 ) -> MCResult:
     """Voxel-wise variance of the combined map over a rule distribution.
 
@@ -594,6 +643,10 @@ def monte_carlo_uncertainty(
     spread across draws is summarised alongside the variance volume. A
     configured zone restricts the DSC, as in `evaluate`; the variance volume
     covers the whole grid.
+
+    The rules are drawn up front, and each case is one task on a pool of
+    `threads` workers that reuses one set of buffers for all its draws, so
+    the result does not depend on `threads`.
     """
     if n_draws < 2:
         raise ValueError(f"n_draws must be >= 2, got {n_draws}")
@@ -606,14 +659,17 @@ def monte_carlo_uncertainty(
     rng = np.random.default_rng(seed)
     rules = [sampler.draw(rng, i) for i in range(n_draws)]
 
-    cases = []
-    for case in sorted(dataset, key=lambda c: c.case_id):
+    def run(case: CaseRecord) -> MCCaseResult:
+        buffers = _Buffers(case, config)
+        truth = label_mask(in_zone(case.truth, _zone_for(case, config)), config.metrics.connectivity)
         dscs = []
 
         def draws():
             for rule in rules:
-                zone, combined, pred, _ = _predict(case, sampler.model, rule, config)
-                dscs.append(dice(in_zone(pred, zone), in_zone(case.truth, zone)))
+                combined, pred = _predict(case, sampler.model, rule, config, buffers)
+                if buffers.zone is not None:
+                    pred = _in_zone(pred, buffers)
+                dscs.append(dice(pred, truth))
                 # as combine_linear clips; a stacking map already lies in [0, 1]
                 yield np.clip(combined, 0.0, 1.0, out=combined)
 
@@ -621,14 +677,16 @@ def monte_carlo_uncertainty(
         darr = np.array(dscs)
         dev = darr - darr[0]
         dsc_var = float(np.mean(dev * dev) - np.mean(dev) ** 2)
-        cases.append(
-            MCCaseResult(
-                case_id=case.case_id,
-                mean=mean,
-                variance=variance,
-                spacing=case.truth.spacing,
-                dsc_mean=float(darr[0] + np.mean(dev)),
-                dsc_variance=max(dsc_var, 0.0),
-            )
+        return MCCaseResult(
+            case_id=case.case_id,
+            mean=mean,
+            variance=variance,
+            spacing=case.truth.spacing,
+            dsc_mean=float(darr[0] + np.mean(dev)),
+            dsc_variance=max(dsc_var, 0.0),
         )
-    return MCResult(cases=tuple(cases), n_draws=n_draws, kind=sampler.kind)
+
+    cases = sorted(dataset, key=lambda c: c.case_id)
+    return MCResult(
+        cases=tuple(_run_tasks(run, cases, threads)), n_draws=n_draws, kind=sampler.kind
+    )

@@ -21,35 +21,83 @@ DEFAULT_CONNECTIVITY = 26
 HD_PERCENTILE = 95.0
 
 
-def dice(pred: LabelVolume, truth: LabelVolume) -> float:
-    """2|P∩G|/(|P|+|G|); defined as 1.0 when both masks are empty."""
-    validate_aligned([pred, truth], names=["pred", "truth"])
-    p = np.flatnonzero(pred.values)
-    denom = p.size + int(np.count_nonzero(truth.values))
+@dataclass(frozen=True)
+class LabelledMask:
+    """A binary mask with what the metrics read of it, found together in one
+    scan: its `backends.Support` (positive voxels and their box) and its
+    connected components at `connectivity`, as the (labels, counts, keep)
+    triple of `backends.components`.
+
+    Made by `label_mask` and by `combine.binarize_components`. `dice`,
+    `hd95`, `boundary_surface` and `evaluate` take one wherever they take a
+    `LabelVolume`, and then read the positives, the box and (`evaluate`) the
+    components from it instead of scanning and labelling the mask.
+    """
+
+    volume: LabelVolume
+    support: backends.Support
+    components: tuple
+    connectivity: int
+
+
+def label_mask(
+    mask: LabelVolume, connectivity: int = DEFAULT_CONNECTIVITY, labels_out=None
+) -> LabelledMask:
+    """`mask` with its support and its components at `connectivity`;
+    `labels_out` is as `out` for `backends.label_components`."""
+    support = backends.support_of(mask.values)
+    return LabelledMask(
+        mask,
+        support,
+        backends.components(mask.values, connectivity, support=support, out=labels_out),
+        connectivity,
+    )
+
+
+def _volume(mask) -> LabelVolume:
+    return mask.volume if isinstance(mask, LabelledMask) else mask
+
+
+def _support(mask) -> backends.Support:
+    if isinstance(mask, LabelledMask):
+        return mask.support
+    return backends.support_of(mask.values)
+
+
+def dice(pred, truth) -> float:
+    """2|P∩G|/(|P|+|G|); defined as 1.0 when both masks are empty.
+
+    Either mask is a `LabelVolume` or a `LabelledMask`.
+    """
+    validate_aligned([_volume(pred), _volume(truth)], names=["pred", "truth"])
+    p, g = _support(pred).flat, _support(truth).flat
+    denom = p.size + g.size
     if denom == 0:
         return 1.0
-    return 2.0 * int(np.count_nonzero(truth.values.ravel().take(p))) / denom
+    return 2.0 * int(np.count_nonzero(_shared(p, g))) / denom
 
 
 def boundary_mask(values: np.ndarray) -> np.ndarray:
     """Positive voxels with at least one non-positive face neighbour.
 
     Voxels outside the volume count as background, so faces touching the
-    array edge are boundary.
+    array edge are boundary. The interior is built in place in one array:
+    each voxel is ANDed with its two neighbours along every axis, and the
+    first and last slab of every axis is cleared. A strided input (such as
+    a box cut from a larger mask) is copied to C order first, since the
+    shifted ANDs are faster on contiguous memory.
     """
-    interior = np.ones_like(values)
+    values = np.ascontiguousarray(values, dtype=bool)
+    interior = values.copy()
     for axis in range(3):
-        shifted = np.zeros_like(values)
-        idx_lo = [slice(None)] * 3
-        idx_hi = [slice(None)] * 3
-        idx_lo[axis] = slice(None, -1)
-        idx_hi[axis] = slice(1, None)
-        shifted[tuple(idx_lo)] = values[tuple(idx_hi)]
-        interior &= shifted
-        shifted = np.zeros_like(values)
-        shifted[tuple(idx_hi)] = values[tuple(idx_lo)]
-        interior &= shifted
-    return values & ~interior
+        lo, hi, first, last = ([slice(None)] * 3 for _ in range(4))
+        lo[axis], hi[axis] = slice(None, -1), slice(1, None)
+        first[axis], last[axis] = 0, -1
+        interior[tuple(lo)] &= values[tuple(hi)]
+        interior[tuple(hi)] &= values[tuple(lo)]
+        interior[tuple(first)] = False
+        interior[tuple(last)] = False
+    return np.logical_xor(values, interior, out=interior)
 
 
 @dataclass(frozen=True)
@@ -66,25 +114,38 @@ class BoundarySurface:
     flat: np.ndarray
 
 
-def boundary_surface(mask: LabelVolume) -> BoundarySurface | None:
-    """Surface of a mask as queryable points; None when the mask is empty."""
+def boundary_surface(mask):
+    """Surface of a mask (`LabelVolume` or `LabelledMask`) as queryable
+    points; None when the mask is empty.
+
+    Only the bounding box of the positive voxels is scanned: outside it every
+    voxel is background, so no voxel's boundary status changes.
+    """
+    support = _support(mask)
+    mask = _volume(mask)
     values = mask.values
-    flat = np.flatnonzero(boundary_mask(values))
-    if flat.size == 0:
+    if not support.flat.size:
         return None
-    # the same integer coordinates as np.argwhere, without its volume pass
-    coords = np.column_stack(np.unravel_index(flat, values.shape))
+    box = support.box
+    crop = boundary_mask(values[box])
+    # the integer coordinates np.argwhere gives, without its slower pass,
+    # shifted from the box to the volume before they are scaled
+    coords = np.column_stack(np.unravel_index(np.flatnonzero(crop), crop.shape))
+    coords += [s.start for s in box]
+    flat = np.ravel_multi_index(tuple(coords.T), values.shape)
     points = coords * np.asarray(mask.spacing, dtype=np.float64)
     return BoundarySurface(points=points, tree=cKDTree(points), flat=flat)
 
 
 def _shared(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Which entries of the ascending index array `a` also occur in the ascending `b`."""
+    if not b.size:
+        return np.zeros(a.shape, dtype=bool)
     at = np.searchsorted(b, a)
     return b.take(at, mode="clip") == a
 
 
-def hd95(pred: LabelVolume, truth: LabelVolume, truth_surface: BoundarySurface | None = None):
+def hd95(pred, truth, truth_surface: BoundarySurface | None = None):
     """95th percentile of pooled symmetric boundary-to-boundary distances (mm).
 
     Returns None when either mask is empty. Distances are voxel-centre to
@@ -94,13 +155,19 @@ def hd95(pred: LabelVolume, truth: LabelVolume, truth_surface: BoundarySurface |
     A voxel on both surfaces is the same point in mm when both masks have the
     same spacing, so its distance in each direction is exactly 0.0; only the
     other points are queried, and the pooled set keeps the same values.
+
+    Either mask is a `LabelVolume` or a `LabelledMask`; `truth_surface`, the
+    truth's `boundary_surface` when the caller has it, saves recomputing it.
     """
-    validate_aligned([pred, truth], names=["pred", "truth"])
-    if not pred.values.any() or not truth.values.any():
+    pred_volume, truth_volume = _volume(pred), _volume(truth)
+    validate_aligned([pred_volume, truth_volume], names=["pred", "truth"])
+    surf_g = truth_surface if truth_surface is not None else boundary_surface(truth)
+    if surf_g is None:
         return None
     surf_p = boundary_surface(pred)
-    surf_g = truth_surface if truth_surface is not None else boundary_surface(truth)
-    if pred.spacing == truth.spacing:
+    if surf_p is None:
+        return None
+    if pred_volume.spacing == truth_volume.spacing:
         own_p = ~_shared(surf_p.flat, surf_g.flat)
         own_g = ~_shared(surf_g.flat, surf_p.flat)
         n_shared = surf_p.flat.size - int(np.count_nonzero(own_p))
@@ -137,17 +204,18 @@ def connected_components(mask: LabelVolume, connectivity: int = DEFAULT_CONNECTI
 
 
 def _share_covered(components, other: np.ndarray, threshold: float):
-    """Share of the kept components whose fraction of voxels inside `other`
-    strictly exceeds `threshold`; None when no component is kept.
+    """Share of the kept components whose fraction of voxels inside the other
+    mask strictly exceeds `threshold`; None when no component is kept.
 
     `components` is a (labels, counts, keep) triple as `backends.components`
-    returns it.
+    returns it; `other` holds the other mask's positive voxels as C-order
+    flat indices.
     """
     labels, counts, keep = components
     n = int(np.count_nonzero(keep))
     if not n:
         return None
-    covered = np.bincount(labels.ravel().take(np.flatnonzero(other)), minlength=counts.size)
+    covered = np.bincount(labels.ravel().take(other), minlength=counts.size)
     return float(np.count_nonzero(covered[keep] / counts[keep] > threshold)) / n
 
 
@@ -165,7 +233,9 @@ def lesion_recall_gt(
     if not 0.0 < s_gt <= 1.0:
         raise ValueError(f"s_gt must lie in (0, 1], got {s_gt}")
     validate_aligned([pred, truth], names=["pred", "truth"])
-    return _share_covered(backends.components(truth.values, connectivity), pred.values, s_gt)
+    return _share_covered(
+        backends.components(truth.values, connectivity), np.flatnonzero(pred.values), s_gt
+    )
 
 
 def lesion_precision_pred(
@@ -181,7 +251,9 @@ def lesion_precision_pred(
     if not 0.0 < s_pred <= 1.0:
         raise ValueError(f"s_pred must lie in (0, 1], got {s_pred}")
     validate_aligned([pred, truth], names=["pred", "truth"])
-    return _share_covered(backends.components(pred.values, connectivity), truth.values, s_pred)
+    return _share_covered(
+        backends.components(pred.values, connectivity), np.flatnonzero(truth.values), s_pred
+    )
 
 
 @dataclass(frozen=True)
@@ -230,15 +302,13 @@ class MetricsReport:
 class TruthContext:
     """Rule-independent precomputation for scoring many predictions of one case."""
 
-    components: tuple  # (labels, counts, keep) of the truth mask
+    mask: LabelledMask  # the truth, restricted to the zone if one is scored
     surface: BoundarySurface | None
 
 
 def truth_context(truth: LabelVolume, connectivity: int = DEFAULT_CONNECTIVITY) -> TruthContext:
-    return TruthContext(
-        components=backends.components(truth.values, connectivity),
-        surface=boundary_surface(truth),
-    )
+    labelled = label_mask(truth, connectivity)
+    return TruthContext(mask=labelled, surface=boundary_surface(labelled))
 
 
 def in_zone(mask: LabelVolume, zone: LabelVolume | None) -> LabelVolume:
@@ -249,41 +319,42 @@ def in_zone(mask: LabelVolume, zone: LabelVolume | None) -> LabelVolume:
 
 
 def evaluate(
-    pred: LabelVolume,
+    pred,
     truth: LabelVolume,
     config: MetricsConfig | None = None,
     zone: LabelVolume | None = None,
     truth_ctx: TruthContext | None = None,
-    pred_components=None,
 ) -> MetricsReport:
     """All four metrics plus lesion counts; `zone` restricts both masks first.
 
-    A `truth_ctx` passed alongside `zone` must describe the zone-restricted
-    truth, since the restriction happens before any context is used.
-    `pred_components` is the (labels, counts, keep) labelling that
-    `combine.binarize_components` returned with `pred`, labelled at
-    `config.connectivity`; without a zone it stands in for labelling `pred`
-    again. With a zone it is not used, since the restriction can split a
-    component.
+    `pred` is a `LabelVolume` or a `LabelledMask`; one labelled at
+    `config.connectivity` is scored without scanning or labelling it again.
+    With a zone the restricted prediction is labelled afresh, since the
+    restriction can split a component. A `truth_ctx` describes the truth as
+    scored, so with a zone it must be the context of the restricted truth;
+    every truth-side metric reads it, and `truth` only fixes the grid.
     """
     config = config or MetricsConfig()
-    volumes = [pred, truth] + ([zone] if zone is not None else [])
+    volumes = [_volume(pred), truth] + ([zone] if zone is not None else [])
     names = ["pred", "truth"] + (["zone"] if zone is not None else [])
     validate_aligned(volumes, names=names)
-    pred, truth = in_zone(pred, zone), in_zone(truth, zone)
     if truth_ctx is None:
-        truth_ctx = truth_context(truth, config.connectivity)
-    if pred_components is None or zone is not None:
-        pred_components = backends.components(pred.values, config.connectivity)
+        truth_ctx = truth_context(in_zone(truth, zone), config.connectivity)
+    if zone is not None:
+        pred = label_mask(in_zone(_volume(pred), zone), config.connectivity)
+    elif not isinstance(pred, LabelledMask) or pred.connectivity != config.connectivity:
+        pred = label_mask(_volume(pred), config.connectivity)
+    g = truth_ctx.mask
+    p_flat, g_flat = pred.support.flat, g.support.flat
 
     return MetricsReport(
-        dsc=dice(pred, truth),
-        dsc_both_empty=not pred.values.any() and not truth.values.any(),
-        hd95_mm=hd95(pred, truth, truth_surface=truth_ctx.surface),
-        recall_gt=_share_covered(truth_ctx.components, pred.values, config.s_gt),
-        precision_pred=_share_covered(pred_components, truth.values, config.s_pred),
-        n_gt_lesions=int(np.count_nonzero(truth_ctx.components[2])),
-        n_pred_lesions=int(np.count_nonzero(pred_components[2])),
+        dsc=dice(pred, g),
+        dsc_both_empty=not p_flat.size and not g_flat.size,
+        hd95_mm=hd95(pred, g, truth_ctx.surface),
+        recall_gt=_share_covered(g.components, p_flat, config.s_gt),
+        precision_pred=_share_covered(pred.components, g_flat, config.s_pred),
+        n_gt_lesions=int(np.count_nonzero(g.components[2])),
+        n_pred_lesions=int(np.count_nonzero(pred.components[2])),
         thresholds=(config.s_gt, config.s_pred),
         connectivity=config.connectivity,
     )

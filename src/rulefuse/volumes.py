@@ -146,13 +146,17 @@ def validate_aligned(volumes, names=None) -> None:
     """Check that all volumes share dims and spacing.
 
     Raises AlignmentError naming the first offending volume and axis.
+    Volumes with exactly the first one's dims and spacing pass without the
+    per-axis tolerance test, which equal values always pass.
     """
     volumes = list(volumes)
     if not volumes:
         raise ValueError("validate_aligned requires at least one volume")
+    ref = volumes[0]
+    if all(v.dims == ref.dims and v.spacing == ref.spacing for v in volumes[1:]):
+        return
     if names is None:
         names = [_describe(v, i) for i, v in enumerate(volumes)]
-    ref = volumes[0]
     for i, vol in enumerate(volumes[1:], start=1):
         for axis, (a, b) in enumerate(zip(ref.dims, vol.dims)):
             if a != b:

@@ -151,6 +151,24 @@ def boundary_voxels_bf(mask: np.ndarray) -> list[tuple[int, int, int]]:
     return out
 
 
+def boundary_mask_ref(values: np.ndarray) -> np.ndarray:
+    """Boundary voxels by ANDing six shifted copies of the mask, each padded
+    with background at the edge it is shifted away from."""
+    interior = np.ones_like(values)
+    for axis in range(3):
+        shifted = np.zeros_like(values)
+        idx_lo = [slice(None)] * 3
+        idx_hi = [slice(None)] * 3
+        idx_lo[axis] = slice(None, -1)
+        idx_hi[axis] = slice(1, None)
+        shifted[tuple(idx_lo)] = values[tuple(idx_hi)]
+        interior &= shifted
+        shifted = np.zeros_like(values)
+        shifted[tuple(idx_hi)] = values[tuple(idx_lo)]
+        interior &= shifted
+    return values & ~interior
+
+
 def percentile_linear_bf(values, q: float) -> float:
     """Linear-interpolation percentile on the sorted values, from the formula."""
     data = sorted(float(v) for v in values)
@@ -257,6 +275,25 @@ def lesion_precision_bf(pred: np.ndarray, truth: np.ndarray, s_pred: float, conn
 
 
 # --- random masks -----------------------------------------------------------------
+
+
+def face_touching_masks(dims=(7, 6, 5)):
+    """One mask per face of the volume, each a slab on that face plus a
+    separate interior blob, and one touching every face."""
+    masks = []
+    for axis in range(3):
+        for end in (0, -1):
+            values = np.zeros(dims, dtype=bool)
+            index = [slice(1, -1)] * 3
+            index[axis] = end
+            values[tuple(index)] = True
+            values[dims[0] // 2, dims[1] // 2, dims[2] // 2] = True
+            masks.append(values)
+    every = np.zeros(dims, dtype=bool)
+    every[0, 0, 0] = every[-1, -1, -1] = True
+    every[:, 2, 2] = every[2, :, 2] = every[2, 2, :] = True
+    masks.append(every)
+    return masks
 
 
 def random_mask_pair(rng: np.random.Generator, dims=(16, 16, 16)):

@@ -276,6 +276,23 @@ def test_search_byte_identical_across_runs_and_threads(dataset, tmp_path, capsys
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_mc_uncertainty_byte_identical_across_threads(dataset, tmp_path, capsys):
+    manifest, _, _ = dataset
+    sampler = json.dumps({"kind": "dirichlet", "concentration": [3, 2, 1]})
+    outs = []
+    for threads in ("1", "2", "4"):
+        out, volumes = tmp_path / f"mc{threads}.json", tmp_path / f"vol{threads}"
+        code = main(["--seed", "4", "--threads", threads, "mc-uncertainty", str(manifest),
+                     "--split", "train", "--draws", "5", "--sampler", sampler,
+                     "--volumes-out", str(volumes), "--out", str(out)])
+        assert code == 0
+        files = sorted(volumes.iterdir())
+        assert len(files) == 2 * len(json.loads(out.read_text())["cases"]) > 2
+        outs.append([out.read_bytes()] + [(f.name, f.read_bytes()) for f in files])
+    capsys.readouterr()
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_search_stacking_needs_rules(dataset, capsys):
     manifest, _, _ = dataset
     assert main(["search", str(manifest), "--model", "stacking"]) == 1

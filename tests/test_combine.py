@@ -5,6 +5,7 @@ from hypothesis.extra import numpy as hnp
 
 from rulefuse.combine import (
     binarize,
+    binarize_components,
     combine_linear,
     combine_stacking,
     combine_vote,
@@ -14,6 +15,7 @@ from rulefuse.combine import (
 )
 from rulefuse.errors import AlignmentError
 from rulefuse.fitting import LinearRule, StackingRule
+from rulefuse.metrics import evaluate
 from rulefuse.volumes import LabelVolume, Modality, ProbabilityVolume
 
 import oracles
@@ -212,6 +214,72 @@ def test_binarize_connectivity_matters():
     assert joined.count() == 8 + 27  # one 35-voxel component survives
     split = binarize(vol(values), min_region_voxels=30, connectivity=6)
     assert split.count() == 0  # 8 and 27 both fall below 30
+
+
+def _suppression_map():
+    """A map whose thresholding gives blocks of 27 and 40 voxels and three
+    small fragments, on a grid with no symmetric axes."""
+    values = np.zeros((11, 9, 8))
+    values[1:4, 1:4, 1:4] = 0.9
+    values[5:9, 4:9, 5:7] = 0.8
+    values[9, 0, 0] = values[0, 8, 7] = 0.7
+    values[6:8, 1, 1] = 0.6
+    return values
+
+
+@pytest.mark.parametrize("connectivity", [6, 26])
+def test_fortran_ordered_suppression_matches_c_order(connectivity):
+    # volumes read from disk are Fortran-ordered; dropped components must be
+    # cleared in the mask itself, not in a flattened copy
+    values = _suppression_map()
+    c_mask = binarize(vol(values), min_region_voxels=27, connectivity=connectivity)
+    f_mask = binarize(vol(np.asfortranarray(values)), min_region_voxels=27,
+                      connectivity=connectivity)
+    assert c_mask.count() == 27 + 40
+    np.testing.assert_array_equal(f_mask.values, c_mask.values)
+    got = binarize_components(np.asfortranarray(values), (1.0, 1.0, 1.0), 0.5, 27, connectivity)
+    labels, counts, keep = got.components
+    np.testing.assert_array_equal(got.volume.values, c_mask.values)
+    np.testing.assert_array_equal(got.support.flat, np.flatnonzero(c_mask.values))
+    assert keep.sum() == 2 and counts.sum() == values.size
+    assert got.connectivity == connectivity
+
+
+def test_binarize_components_into_buffers_matches_fresh_arrays():
+    values = _suppression_map()
+    mask_buf = np.ones(values.shape, dtype=bool)
+    labels_buf = np.full(values.shape, 5, dtype=np.int32)
+    fresh = binarize_components(values, (1.0, 1.0, 1.0))
+    for rerun in range(2):  # the second run starts from the first run's buffers
+        got = binarize_components(values, (1.0, 1.0, 1.0), mask_out=mask_buf,
+                                  labels_out=labels_buf)
+        assert np.shares_memory(got.volume.values, mask_buf)
+        assert got.components[0] is labels_buf
+        assert not got.volume.values.flags.writeable and mask_buf.flags.writeable
+        np.testing.assert_array_equal(got.volume.values, fresh.volume.values)
+        for a, b in zip(got.components, fresh.components):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(got.support.flat, fresh.support.flat)
+        assert got.support.box == fresh.support.box
+
+
+def test_public_results_are_read_only_and_not_aliased():
+    rng = np.random.default_rng(3)
+    vols = [vol(rng.random((8, 7, 6))) for _ in range(3)]
+    truth = LabelVolume(rng.random((8, 7, 6)) > 0.6)
+    rule = LinearRule(np.array([0.2, 0.3, 0.5]))
+    a, b = combine_linear(vols, rule), combine_linear(vols, rule)
+    assert not a.values.flags.writeable and not np.shares_memory(a.values, b.values)
+    ma, mb = binarize(a, min_region_voxels=2), binarize(a, min_region_voxels=2)
+    assert not ma.values.flags.writeable and not np.shares_memory(ma.values, mb.values)
+    assert not np.shares_memory(ma.values, a.values)
+    ra = evaluate(ma, truth)
+    rb = evaluate(mb, truth)
+    assert ra == rb and ra.to_dict() == evaluate(ma, truth).to_dict()
+    with pytest.raises(AttributeError):
+        ra.dsc = 0.0
+    raw, raw2 = linear_map(vols, rule.alpha), linear_map(vols, rule.alpha)
+    assert raw.flags.writeable and not np.shares_memory(raw, raw2)
 
 
 def test_binarize_validates_threshold():

@@ -5,7 +5,7 @@ import pytest
 from scipy import ndimage
 
 from rulefuse import discovery
-from rulefuse.combine import binarize, combine_linear
+from rulefuse.combine import binarize, combine_linear, combine_stacking
 from rulefuse.discovery import (
     CaseRecord,
     EvalConfig,
@@ -217,6 +217,102 @@ def test_sweep_prediction_keeps_the_modality_grid():
     for case, (_, report) in zip(cases, row.per_case):
         pred = binarize(combine_linear(case.modalities, rule))
         assert report.to_dict() == evaluate(pred, case.truth).to_dict()
+
+
+def mixed_grid_cases(seed=9):
+    """Four cases on different grids, each with noisy blobby modalities (so
+    thresholding leaves fragments to suppress) and a zone slab."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i, dims in enumerate([(12, 10, 9), (9, 11, 8), (14, 8, 10), (10, 10, 10)]):
+        mods = []
+        for _ in range(3):
+            blobs = ndimage.gaussian_filter(rng.random(dims), 1.0)
+            blobs = (blobs - blobs.min()) / (blobs.max() - blobs.min())
+            mods.append(np.clip(blobs + rng.normal(0.0, 0.08, dims), 0.0, 1.0))
+        truth = ndimage.gaussian_filter(rng.random(dims), 1.2) > 0.53
+        zone = np.zeros(dims, dtype=bool)
+        zone[:, 1 + i % 3 :, :] = True
+        cases.append(make_case(f"m{i}", truth, mods, zones={"slab": LabelVolume(zone)}))
+    return cases
+
+
+@pytest.mark.parametrize("zone", [None, "slab"])
+@pytest.mark.parametrize("threads", [1, 2, 5, 9])
+def test_case_major_sweep_equals_per_pair_evaluation(threads, zone):
+    # 9 threads exceed both the 4 cases and the 6 rules
+    cases = mixed_grid_cases()
+    config = EvalConfig(min_region_voxels=4, zone=zone)
+    result = grid_search_linear(cases, step=0.5, config=config, threads=threads)
+    assert len(result.rows) == 6
+    by_id = {case.case_id: case for case in cases}
+    lesions = set()
+    for row in result.rows:
+        assert [case_id for case_id, _ in row.per_case] == sorted(by_id)
+        for case_id, report in row.per_case:
+            case = by_id[case_id]
+            pred = binarize(combine_linear(case.modalities, row.rule), 0.5, 4)
+            zone_mask = case.zones[zone] if zone else None
+            assert report == evaluate(pred, case.truth, config.metrics, zone=zone_mask)
+            lesions.add(report.n_pred_lesions)
+    assert max(lesions) > 1
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_zone_without_truth_has_no_hd95(threads):
+    # one case's truth lies wholly outside its zone
+    cases = mixed_grid_cases(seed=11)
+    truth = cases[0].truth.values.copy()
+    truth[:, 1:, :] = False
+    truth[:, 0, 2:6] = True
+    cases[0] = make_case("m0", truth, [m.values for m in cases[0].modalities],
+                         zones=cases[0].zones)
+    config = EvalConfig(min_region_voxels=4, zone="slab")
+    result = grid_search_linear(cases, step=0.5, config=config, threads=threads)
+    for row in result.rows:
+        case_id, report = row.per_case[0]
+        assert case_id == "m0" and report.hd95_mm is None and report.n_gt_lesions == 0
+        pred = binarize(combine_linear(cases[0].modalities, row.rule), 0.5, 4)
+        assert report == evaluate(pred, cases[0].truth, config.metrics,
+                                  zone=cases[0].zones["slab"])
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_case_major_stacking_sweep_equals_per_pair_evaluation(threads):
+    cases = mixed_grid_cases(seed=10)[:3]
+    rules = rejection_sample_stacking(n_rules=12)
+    config = EvalConfig(min_region_voxels=2)
+    result = grid_search_stacking(cases, rules, config=config, threads=threads)
+    for row in result.rows:
+        for case, (_, report) in zip(cases, row.per_case):
+            pred = binarize(combine_stacking(case.modalities, row.rule), 0.5, 2)
+            assert report == evaluate(pred, case.truth, config.metrics)
+
+
+@pytest.mark.parametrize("zone", [None, "slab"])
+def test_mc_identical_across_thread_counts(zone):
+    cases = mixed_grid_cases(seed=12)
+    sampler = {"kind": "dirichlet", "concentration": [2, 1, 1]}
+    config = EvalConfig(min_region_voxels=3, zone=zone)
+    runs = [monte_carlo_uncertainty(cases, sampler, n_draws=5, seed=7, config=config,
+                                    threads=threads) for threads in (1, 2, 4)]
+    for other in runs[1:]:
+        assert other.to_dict() == runs[0].to_dict()
+        for a, b in zip(runs[0].cases, other.cases):
+            assert a.mean.tobytes() == b.mean.tobytes()
+            assert a.variance.tobytes() == b.variance.tobytes()
+    # the first draw's map is copied, not left in a buffer later draws overwrite
+    rule = LinearRule(np.array([0.6, 0.3, 0.1]))
+    other = LinearRule(np.array([0.1, 0.1, 0.8]))
+    fixed = {"kind": "fixed", "model": "linear", "rules": [rule, other]}
+    case = cases[0]
+    result = monte_carlo_uncertainty([case], fixed, n_draws=2, config=config, threads=2)
+    maps = [combine_linear(case.modalities, r).values for r in (rule, other)]
+    np.testing.assert_array_equal(result.cases[0].mean, maps[0] + (maps[1] - maps[0]) / 2)
+    zone_mask = case.zones[zone] if zone else None
+    dscs = [evaluate(binarize(combine_linear(case.modalities, r), 0.5, 3), case.truth,
+                     zone=zone_mask).dsc for r in (rule, other)]
+    assert result.cases[0].dsc_mean == dscs[0] + (dscs[1] - dscs[0]) / 2
 
 
 class CountingPool(ThreadPoolExecutor):

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from rulefuse import backends
 from rulefuse.metrics import (
     MetricsConfig,
+    boundary_mask,
+    boundary_surface,
     connected_components,
     dice,
     evaluate,
     hd95,
+    in_zone,
+    label_mask,
     lesion_precision_pred,
     lesion_recall_gt,
     truth_context,
@@ -152,6 +157,138 @@ def test_component_counts_equal_full_bincount(kind, min_voxels):
     assert counts.dtype == full.dtype
     np.testing.assert_array_equal(counts, full)
     np.testing.assert_array_equal(keep, (full >= min_voxels) & (np.arange(full.size) > 0))
+
+
+def _label_cases():
+    """(name, mask) pairs: empty, full, single-voxel, face-touching and random."""
+    rng = np.random.default_rng(23)
+    dims = (9, 8, 7)
+    single = np.zeros(dims, dtype=bool)
+    single[4, 3, 5] = True
+    corner = np.zeros(dims, dtype=bool)
+    corner[-1, -1, -1] = True
+    cases = [("empty", np.zeros(dims, dtype=bool)), ("full", np.ones(dims, dtype=bool)),
+             ("single", single), ("corner", corner)]
+    cases += [(f"face{i}", m) for i, m in enumerate(oracles.face_touching_masks(dims))]
+    cases += [(f"random{i}", rng.random(dims) < p) for i, p in enumerate((0.05, 0.2, 0.45))]
+    cases += [(f"blobs{i}", oracles.random_mask_pair(rng, dims)[i]) for i in range(2)]
+    return cases
+
+
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+def test_box_labelling_equals_full_volume_labelling(connectivity):
+    structure = ndimage.generate_binary_structure(3, {6: 1, 18: 2, 26: 3}[connectivity])
+    for name, values in _label_cases():
+        want, n = ndimage.label(values, structure=structure)
+        support = backends.support_of(values)
+        labels, count = backends.label_components(values, connectivity, support.box)
+        assert count == n, name
+        np.testing.assert_array_equal(labels, want, err_msg=name)
+        for box in (support.box, None):  # without a box, the mask's own
+            stale = np.full(values.shape, 7, dtype=np.int32)  # a reused buffer
+            labels, count = backends.label_components(values, connectivity, box, stale)
+            assert labels is stale and count == n, name
+            np.testing.assert_array_equal(labels, want, err_msg=name)
+        labels, count = backends.label_components(values, connectivity)
+        assert count == n, name
+        np.testing.assert_array_equal(labels, want, err_msg=name)
+        for given in (None, support):
+            labels, counts, keep = backends.components(values, connectivity, 1, given)
+            np.testing.assert_array_equal(labels, want, err_msg=name)
+            np.testing.assert_array_equal(counts, np.bincount(want.ravel(), minlength=n + 1))
+
+
+def test_bounding_box_is_the_smallest_box_of_the_positives():
+    for name, values in _label_cases():
+        box = backends.support_of(values).box
+        if not values.any():
+            assert all(s.start == s.stop for s in box), name
+            continue
+        idx = np.argwhere(values)
+        assert box == tuple(slice(lo, hi + 1) for lo, hi in zip(idx.min(0), idx.max(0))), name
+
+
+@pytest.mark.parametrize("dims", [(7, 6, 5), (1, 5, 4), (2, 1, 6), (2, 2, 2), (1, 1, 1)])
+def test_boundary_mask_equals_six_copy_reference(dims):
+    rng = np.random.default_rng(sum(dims))
+    masks = [np.zeros(dims, dtype=bool), np.ones(dims, dtype=bool)]
+    masks += [rng.random(dims) < p for p in (0.3, 0.6, 0.9)]
+    if min(dims) > 2:
+        masks += oracles.face_touching_masks(dims)
+    for values in masks:
+        want = oracles.boundary_mask_ref(values)
+        got = boundary_mask(values)
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(boundary_mask(np.asfortranarray(values)), want)
+        assert not np.shares_memory(got, values)
+
+
+def test_boundary_surface_equals_argwhere_oracle_at_non_dyadic_spacing():
+    spacing = (0.7, 0.55, 3.3)
+    rng = np.random.default_rng(31)
+    masks = [m for _, m in _label_cases() if m.any()]
+    masks += [oracles.random_mask_pair(rng, (14, 12, 10))[0] for _ in range(3)]
+    for values in masks:
+        ref = oracles.boundary_mask_ref(values)
+        want_points = np.argwhere(ref) * np.asarray(spacing)
+        for layout in (values, np.asfortranarray(values)):
+            surface = boundary_surface(mask(layout, spacing))
+            assert surface.points.tobytes() == want_points.tobytes()
+            np.testing.assert_array_equal(surface.flat, np.flatnonzero(ref))
+    assert boundary_surface(empty(spacing=spacing)) is None
+
+
+def test_zone_whose_truth_is_empty_scores_the_restricted_truth():
+    # the truth lies wholly outside the zone: every truth-side metric must
+    # read the restricted (empty) truth, never the whole one
+    spacing = (0.7, 0.55, 3.3)
+    truth = cube((10, 9, 8), (1, 1, 1), (4, 5, 4), spacing)
+    pred = cube((10, 9, 8), (2, 2, 2), (8, 6, 6), spacing)
+    zone_values = np.zeros((10, 9, 8), dtype=bool)
+    zone_values[5:] = True
+    zone = mask(zone_values, spacing)
+    assert not in_zone(truth, zone).values.any() and truth.values.any()
+    ctx = truth_context(in_zone(truth, zone))
+    assert ctx.surface is None
+    for given in (pred, label_mask(pred)):
+        for context in (None, ctx):
+            report = evaluate(given, truth, zone=zone, truth_ctx=context)
+            assert report.hd95_mm is None
+            assert report.dsc == 0.0 and not report.dsc_both_empty
+            assert report.recall_gt is None and report.n_gt_lesions == 0
+            assert report.precision_pred == 0.0 and report.n_pred_lesions == 1
+    assert hd95(label_mask(pred), ctx.mask) is None
+    assert hd95(pred, truth) is not None
+    outside = cube((10, 9, 8), (0, 5, 5), (4, 9, 8), spacing)  # both empty in the zone
+    for context in (None, ctx):
+        report = evaluate(label_mask(outside), truth, zone=zone, truth_ctx=context)
+        assert report.dsc == 1.0 and report.dsc_both_empty and report.hd95_mm is None
+
+
+def test_labelled_mask_scores_as_its_volume():
+    rng = np.random.default_rng(41)
+    spacing = (0.7, 0.55, 3.3)
+    pred_values, truth_values = oracles.random_mask_pair(rng, (14, 12, 10))
+    pred, truth = mask(pred_values, spacing), mask(truth_values, spacing)
+    line = np.zeros((14, 12, 10), dtype=bool)  # one lesion at 26, eight at 6
+    for i in range(8):
+        line[i, i, i] = True
+    for values in (pred_values, line):
+        pred = mask(values, spacing)
+        for labelled_at in (6, 26):
+            labelled = label_mask(pred, labelled_at)
+            assert dice(labelled, truth) == dice(pred, truth)
+            assert dice(truth, labelled) == dice(truth, pred)
+            assert hd95(labelled, truth) == hd95(pred, truth)
+            assert boundary_surface(labelled).points.tobytes() == (
+                boundary_surface(pred).points.tobytes()
+            )
+            for connectivity in (6, 26):  # labelled at another connectivity: relabelled
+                config = MetricsConfig(connectivity=connectivity)
+                assert evaluate(labelled, truth, config) == evaluate(pred, truth, config)
+    assert evaluate(label_mask(mask(line, spacing), 6), mask(line, spacing),
+                    MetricsConfig(connectivity=26)).n_pred_lesions == 1
 
 
 # --- lesion recall / precision ---------------------------------------------------

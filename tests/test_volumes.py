@@ -94,6 +94,27 @@ def test_validate_aligned_spacing_tolerance():
     validate_aligned([a, b])  # sub-tolerance difference is fine
 
 
+def test_validate_aligned_tolerance_and_messages_at_non_dyadic_spacing():
+    # equal grids take a shortcut; the per-axis tolerance must still hold
+    spacing = (0.7, 0.55, 3.3)
+    a = ProbabilityVolume(np.zeros((2, 3, 2)), spacing=spacing)
+    same = LabelVolume(np.zeros((2, 3, 2), dtype=bool), spacing=spacing)
+    near = LabelVolume(np.zeros((2, 3, 2), dtype=bool), spacing=(0.7, 0.55 * (1 + 1e-12), 3.3))
+    far = LabelVolume(np.zeros((2, 3, 2), dtype=bool), spacing=(0.7, 0.55 * (1 + 1e-6), 3.3))
+    validate_aligned([a, same, near])
+    validate_aligned([near, a], names=["p", "t"])
+    with pytest.raises(AlignmentError) as info:
+        validate_aligned([a, same, far])
+    assert str(info.value) == "volume[2] axis y: spacing 0.55000055 != 0.55 of volume[0] (combined)"
+    with pytest.raises(AlignmentError) as info:
+        validate_aligned([a, far], names=["pred", "truth"])
+    assert str(info.value) == "truth axis y: spacing 0.55000055 != 0.55 of pred"
+    wide = LabelVolume(np.zeros((2, 4, 2), dtype=bool), spacing=spacing)
+    with pytest.raises(AlignmentError) as info:
+        validate_aligned([a, wide])
+    assert str(info.value) == "volume[1] axis y: dimension 4 != 3 of volume[0] (combined)"
+
+
 def test_lesion_set_connectivity_validation():
     comp = LesionComponent(id=1, indices=np.zeros((1, 3), dtype=np.int64), volume_mm3=1.0)
     ls = LesionSet(components=(comp,), connectivity=26)
