@@ -389,7 +389,11 @@ def cmd_phantom(args, config) -> int:
 def build_parser() -> Parser:
     parser = Parser(prog="rulefuse", description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="global RNG seed (default 0)")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+    parser.add_argument(
+        "--threads", type=int, default=1,
+        help="worker processes for dataset commands, this one included; capped at the "
+             "usable CPUs, inline where fork is unavailable (default 1)",
+    )
     parser.add_argument("--config", default=None, help="JSON file with option defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 

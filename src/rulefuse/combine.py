@@ -98,12 +98,6 @@ def combine_stacking(volumes, rule) -> ProbabilityVolume:
     )
 
 
-def stacking_logits(volumes, rule) -> np.ndarray:
-    """Pre-sigmoid values; thresholding these at 0 matches combine_stacking at 0.5."""
-    rule = _as_stacking(rule)
-    return linear_map(volumes, rule.weights) + rule.bias
-
-
 def combine_vote(masks) -> LabelVolume:
     """Majority vote over three binary masks: positive iff at least 2 of 3 agree."""
     masks = list(masks)

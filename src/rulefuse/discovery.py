@@ -1,20 +1,31 @@
 """Dataset-level rule comparison: grid search, availability deltas, MC variance.
 
 A dataset is a list of CaseRecords held in memory. Grid search, availability
-and `evaluate_rule` are one sweep: every (rule, case) pair is scored on a
-single pool of `threads` workers, after each case's truth context is built
-once, and each rule's reports are reduced in sorted case_id order, so results
-are independent of worker count and dataset ordering. The sweep is
-case-major: a task is one case and all the rules, and it reuses one set of
-volume buffers for all of them. Monte-Carlo uncertainty runs one task per
+and `evaluate_rule` are one sweep: every (rule, case) pair is scored, and
+each rule's reports are reduced in sorted case_id order, so results are
+independent of worker count and dataset ordering. The sweep is case-major: a
+task is one case and a contiguous range of the rules, one range per worker,
+and it builds that case's truth context and one set of volume buffers, which
+it reuses for each of its rules. Monte-Carlo uncertainty runs one task per
 case, over all its draws, the same way.
+
+Every sweep runs its tasks on `_workers(threads, n_tasks)` worker processes:
+the calling process is worker 0 and the others are forked children, which
+inherit the dataset and send back only their results. Worker k runs tasks k,
+k + w, k + 2w, ... in order; the failure earliest in task order is raised.
+With one worker, where the platform cannot fork, or while other threads run,
+the tasks run inline.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
+import mmap
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,17 +257,128 @@ def _evaluate_case(
     return evaluate(pred, truth_ctx.mask.volume, config.metrics, truth_ctx=truth_ctx)
 
 
-def _run_tasks(run, tasks, threads: int) -> list:
-    """[run(task) for task in tasks], on one pool of `threads` workers when
-    there are more than one of each; the first failure cancels the tasks not
-    yet started."""
-    if threads > 1 and len(tasks) > 1:
-        pool = ThreadPoolExecutor(max_workers=threads)
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _workers(threads: int, n_tasks: int) -> int:
+    """Worker processes for `n_tasks` tasks: at most `threads`, the usable
+    CPUs and the tasks; one where the platform cannot fork, or while other
+    threads run, as a forked child could deadlock on a lock one of them holds."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return max(1, min(threads, _usable_cpus(), n_tasks))
+
+
+def _run_stripe(run, tasks, worker: int, workers: int, progress) -> list:
+    """[(index, ok, run(task) or its exception)] for the tasks worker,
+    worker + workers, ... in order, stopping at the first failure.
+    `progress[worker]` holds the index of the task being run."""
+    outcomes = []
+    for index in range(worker, len(tasks), workers):
+        progress[worker] = index
         try:
-            return list(pool.map(run, tasks))
-        finally:
-            pool.shutdown(cancel_futures=True)
-    return [run(task) for task in tasks]
+            outcomes.append((index, True, run(tasks[index])))
+        except Exception as exc:
+            outcomes.append((index, False, exc))
+            break
+    return outcomes
+
+
+def _pickled(outcome) -> tuple:
+    """(index, ok, pickled value); a value that will not make the trip to the
+    parent, or an exception that will not unpickle there, becomes a
+    DataError with its message."""
+    index, ok, value = outcome
+    try:
+        blob = pickle.dumps(value)
+        if not ok:
+            pickle.loads(blob)
+        return index, ok, blob
+    except Exception as exc:
+        return index, False, pickle.dumps(DataError(str(exc if ok else value)))
+
+
+def _serve(run, tasks, worker: int, workers: int, progress, write_fd: int) -> None:
+    """A forked child's work: run its stripe and pickle the outcomes to the pipe."""
+    outcomes = _run_stripe(run, tasks, worker, workers, progress)
+    with os.fdopen(write_fd, "wb") as pipe:
+        pickle.dump([_pickled(outcome) for outcome in outcomes], pipe)
+
+
+def _received(payload: bytes, status: int, index: int, name: str) -> list:
+    """A child's outcomes from the bytes it piped back. A child that exited
+    without them fails task `index`, named `name`, which it was running."""
+    try:
+        return [(i, ok, pickle.loads(blob)) for i, ok, blob in pickle.loads(payload)]
+    except Exception:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+        error = DataError(f"{name}: worker process {how} before returning its results")
+        return [(index, False, error)]
+
+
+def _run_tasks(run, tasks, threads: int, name) -> list:
+    """[run(task) for task in tasks] on `_workers(threads, len(tasks))` worker
+    processes; `name(task)` says which task a dead worker was running.
+
+    The calling process is worker 0 and the others are forked children. A
+    child inherits `run` and the tasks, and pipes back only its outcomes.
+    Every worker stops at its first failure, and the failure earliest in task
+    order is raised, so every task before it ran and succeeded. On any
+    exception here the children are killed and reaped before it propagates.
+    """
+    workers = _workers(threads, len(tasks))
+    if workers == 1:
+        return [run(task) for task in tasks]
+    # each worker's current task index, shared with the children
+    progress = np.frombuffer(mmap.mmap(-1, 8 * workers), dtype=np.int64)
+    progress[:] = np.arange(workers)
+    children = {}  # pid -> (worker, read end of its pipe), until reaped
+    try:
+        for worker in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pipe = os.fdopen(read_fd, "rb")
+            try:
+                pid = os.fork()
+            except BaseException:
+                pipe.close()
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    _serve(run, tasks, worker, workers, progress, write_fd)
+                    code = 0
+                finally:
+                    os._exit(code)  # never back into the caller's frames
+            children[pid] = (worker, pipe)
+            os.close(write_fd)
+        outcomes = _run_stripe(run, tasks, 0, workers, progress)
+        for pid, (worker, pipe) in list(children.items()):
+            payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            pipe.close()
+            index = int(progress[worker])
+            outcomes += _received(payload, status, index, name(tasks[index]))
+    except BaseException:
+        for pid, (_, pipe) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    failures = [(index, value) for index, ok, value in outcomes if not ok]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results = [None] * len(tasks)
+    for index, _, value in outcomes:
+        results[index] = value
+    return results
 
 
 def _aggregate(model: str, rule, rule_number: int | None, rows) -> RuleEvaluation:
@@ -286,33 +408,38 @@ def _sweep(
 ) -> list[RuleEvaluation]:
     """Score every (rule, case) pair and aggregate one RuleEvaluation per rule.
 
-    Each case's zone-restricted truth context is built once and shared by
-    all rules. Each case is one task, which runs every rule on it, on one
-    pool of `threads` workers (inline for one thread); a task allocates its
-    buffers once and reuses them for each rule.
+    Each case's rules are cut into one contiguous range per worker, and each
+    (case, range) is one task, in case-major order. A task builds its case's
+    zone-restricted truth context and its buffers once and reuses them for
+    each rule in its range.
     """
     cases = sorted(dataset, key=lambda c: c.case_id)  # fixed reduction order
     if not cases:
         raise ValueError("rule evaluation requires a non-empty dataset")
-    contexts = [  # restricted to the zone as `evaluate` restricts the truth
-        truth_context(in_zone(case.truth, _zone_for(case, config)), config.metrics.connectivity)
-        for case in cases
-    ]
+    rules = list(rules)
+    parts = min(_workers(threads, len(cases) * len(rules)), len(rules))
+    bounds = [len(rules) * j // parts for j in range(parts + 1)]
+    tasks = [(case, rules[lo:hi]) for case in cases for lo, hi in zip(bounds, bounds[1:])]
 
     def run(task) -> list[MetricsReport]:
-        case, truth_ctx = task
-        buffers = _Buffers(case, config)
-        reports = []
-        for rule in rules:
-            try:
-                reports.append(_evaluate_case(case, model, rule, config, truth_ctx, buffers))
-            except DataError:
-                raise
-            except Exception as exc:
-                raise DataError(f"case {case.case_id}: {exc}") from exc
-        return reports
+        case, task_rules = task
+        try:
+            # restricted to the zone as `evaluate` restricts the truth
+            truth_ctx = truth_context(
+                in_zone(case.truth, _zone_for(case, config)), config.metrics.connectivity
+            )
+            buffers = _Buffers(case, config)
+            return [
+                _evaluate_case(case, model, rule, config, truth_ctx, buffers)
+                for rule in task_rules
+            ]
+        except DataError:
+            raise
+        except Exception as exc:
+            raise DataError(f"case {case.case_id}: {exc}") from exc
 
-    by_case = _run_tasks(run, list(zip(cases, contexts)), threads)
+    by_task = _run_tasks(run, tasks, threads, lambda task: f"case {task[0].case_id}")
+    by_case = [sum(by_task[i : i + parts], []) for i in range(0, len(by_task), parts)]
     return [
         _aggregate(model, rule, number, [
             (case.case_id, reports[i]) for case, reports in zip(cases, by_case)
@@ -644,9 +771,10 @@ def monte_carlo_uncertainty(
     configured zone restricts the DSC, as in `evaluate`; the variance volume
     covers the whole grid.
 
-    The rules are drawn up front, and each case is one task on a pool of
-    `threads` workers that reuses one set of buffers for all its draws, so
-    the result does not depend on `threads`.
+    The rules are drawn up front, and each case is one task, on up to
+    `threads` worker processes, that reuses one set of buffers for all its
+    draws, so the result does not depend on `threads`. Draws are not split
+    across tasks, as that would change the summation order of the moments.
     """
     if n_draws < 2:
         raise ValueError(f"n_draws must be >= 2, got {n_draws}")
@@ -688,5 +816,7 @@ def monte_carlo_uncertainty(
 
     cases = sorted(dataset, key=lambda c: c.case_id)
     return MCResult(
-        cases=tuple(_run_tasks(run, cases, threads)), n_draws=n_draws, kind=sampler.kind
+        cases=tuple(_run_tasks(run, cases, threads, lambda case: f"case {case.case_id}")),
+        n_draws=n_draws,
+        kind=sampler.kind,
     )

@@ -73,15 +73,26 @@ def save_volume(volume, path) -> Path:
     return payload
 
 
+def _read_bytes(path: Path, what: str) -> bytes:
+    """The bytes of the file `path`, which holds a volume's `what`; a
+    VolumeFormatError when no such file can be read, e.g. a directory or a
+    name the file system rejects."""
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        raise VolumeFormatError(f"missing {what} {path}") from None
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise VolumeFormatError(f"cannot read {what} {path}: {reason}") from None
+
+
 def load_volume(path):
     """Read a sidecar+payload pair; dtype decides the volume type."""
     sidecar, payload = _sidecar_and_payload(path)
-    if not sidecar.exists():
-        raise VolumeFormatError(f"missing sidecar {sidecar}")
-    if not payload.exists():
-        raise VolumeFormatError(f"missing payload {payload}")
+    text = _read_bytes(sidecar, "sidecar")
+    blob = _read_bytes(payload, "payload")
     try:
-        meta = json.loads(sidecar.read_text())
+        meta = json.loads(text.decode())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise VolumeFormatError(f"sidecar {sidecar} is not valid JSON: {exc}") from None
     if not isinstance(meta, dict):
@@ -110,7 +121,6 @@ def load_volume(path):
     dtype = _DTYPES[dtype_name]
 
     expected = math.prod(dims) * dtype.itemsize
-    blob = payload.read_bytes()
     if len(blob) != expected:
         raise VolumeFormatError(
             f"payload {payload}: expected {expected} bytes for dims {dims} ({dtype_name}), "
@@ -147,7 +157,7 @@ def load_nifti1(path):
     gzip, 4D, other dtypes, detached headers — is rejected.
     """
     path = Path(path)
-    blob = path.read_bytes()
+    blob = _read_bytes(path, "NIfTI file")
     if blob[:2] == b"\x1f\x8b":
         raise VolumeFormatError(f"{path}: gzip-compressed NIfTI is not supported")
     if len(blob) < 348:
@@ -286,7 +296,7 @@ def load_manifest(path, split: str | None = None) -> tuple[list[CaseRecord], dic
         raise DataError(f"manifest {path} does not exist")
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"manifest {path} is not valid JSON: {exc}") from None
     entries = _check_manifest_entries(path, doc)
     base = path.parent

@@ -11,7 +11,6 @@ from rulefuse.combine import (
     combine_vote,
     eval_loss,
     linear_map,
-    stacking_logits,
 )
 from rulefuse.errors import AlignmentError
 from rulefuse.fitting import LinearRule, StackingRule
@@ -155,7 +154,7 @@ def test_threshold_equivalence_with_logits():
     vols = [vol(rng.random((5, 5, 5))) for _ in range(3)]
     beta = StackingRule(np.array([3.0, -2.0, 1.0, -1.0]))
     via_prob = binarize(combine_stacking(vols, beta), 0.5, min_region_voxels=1)
-    direct = stacking_logits(vols, beta) > 0.0
+    direct = linear_map(vols, beta.weights) + beta.bias > 0.0
     np.testing.assert_array_equal(via_prob.values, direct)
 
 

@@ -1,4 +1,6 @@
-from concurrent.futures import ThreadPoolExecutor
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -315,27 +317,148 @@ def test_mc_identical_across_thread_counts(zone):
     assert result.cases[0].dsc_mean == dscs[0] + (dscs[1] - dscs[0]) / 2
 
 
-class CountingPool(ThreadPoolExecutor):
-    created = 0
-
-    def __init__(self, *args, **kwargs):
-        type(self).created += 1
-        super().__init__(*args, **kwargs)
-
-
+@pytest.mark.parametrize("threads", [2, 64])
 @pytest.mark.parametrize(
     "sweep",
     [
-        lambda cases: grid_search_linear(cases, step=0.5, threads=2),  # 6 rules
-        lambda cases: availability_analysis(cases, threads=2),  # base + 7 subsets
+        lambda cases, threads: grid_search_linear(cases, step=0.5, threads=threads),  # 6 rules
+        lambda cases, threads: availability_analysis(cases, threads=threads),  # base + 7 subsets
     ],
     ids=["grid_search_linear", "availability_analysis"],
 )
-def test_dataset_sweep_uses_one_pool(sweep, monkeypatch):
-    monkeypatch.setattr(CountingPool, "created", 0)
-    monkeypatch.setattr(discovery, "ThreadPoolExecutor", CountingPool)
-    sweep(truth_cases(3))
-    assert CountingPool.created == 1
+def test_dataset_sweep_forks_one_child(sweep, threads, monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(discovery, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    sweep(truth_cases(3), threads)
+    assert len(forks) == 1  # the calling process is the other worker
+
+
+def test_workers_capped_by_threads_cpus_and_tasks(monkeypatch):
+    for cpus in (1, 2, 3, 64):
+        monkeypatch.setattr(discovery, "_usable_cpus", lambda: cpus)
+        for threads in (1, 2, 3, 64, 10_000):
+            for n_tasks in (0, 1, 2, 9, 594, 10_000):
+                expected = max(1, min(threads, cpus, n_tasks))
+                assert discovery._workers(threads, n_tasks) == expected
+    monkeypatch.undo()
+    assert discovery._workers(10_000, 10_000) == len(os.sched_getaffinity(0))
+    monkeypatch.setattr(threading, "active_count", lambda: 2)  # fork would be unsafe
+    assert discovery._workers(10_000, 10_000) == 1
+    monkeypatch.undo()
+    monkeypatch.delattr(os, "fork")
+    assert discovery._workers(10_000, 10_000) == 1
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def failing_evaluate_case(monkeypatch, act):
+    """Patch `_evaluate_case` so that `act(case_id, where)` runs first, with
+    `where` "parent" or "child"."""
+    parent = os.getpid()
+    real = discovery._evaluate_case
+
+    def patched(case, *args, **kwargs):
+        act(case.case_id, "parent" if os.getpid() == parent else "child")
+        return real(case, *args, **kwargs)
+
+    monkeypatch.setattr(discovery, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(discovery, "_evaluate_case", patched)
+
+
+RULE = LinearRule(np.array([0.5, 0.25, 0.25]))
+
+
+@pytest.mark.parametrize(
+    "failing, expected",
+    [
+        ({"c01"}, "case c01: boom in child"),
+        ({"c02"}, "case c02: boom in parent"),
+        ({"c02", "c03"}, "case c02: boom in parent"),  # the earliest in task order
+        ({"c01", "c02"}, "case c01: boom in child"),
+    ],
+    ids=["child", "parent", "parent-before-child", "child-before-parent"],
+)
+def test_forked_sweep_raises_first_failure_and_reaps(failing, expected, monkeypatch):
+    # one rule: four one-case tasks, c00 and c02 in the parent, c01 and c03 in the child
+    def act(case_id, where):
+        if case_id in failing:
+            raise ValueError(f"boom in {where}")
+
+    failing_evaluate_case(monkeypatch, act)
+    with pytest.raises(DataError) as info:
+        evaluate_rule(truth_cases(4), RULE, threads=2)
+    assert str(info.value) == expected
+    assert_no_child_left()
+
+
+def test_child_dying_mid_stripe_names_its_case(monkeypatch):
+    def act(case_id, where):
+        if case_id == "c03":
+            assert where == "child"
+            os._exit(3)
+
+    failing_evaluate_case(monkeypatch, act)
+    with pytest.raises(DataError) as info:
+        evaluate_rule(truth_cases(4), RULE, threads=2)
+    assert str(info.value) == (
+        "case c03: worker process exited with code 3 before returning its results"
+    )
+    assert_no_child_left()
+
+
+def test_interrupted_parent_kills_and_reaps_children(monkeypatch):
+    def act(case_id, where):
+        if where == "child":
+            time.sleep(60)
+        elif case_id == "c02":
+            raise KeyboardInterrupt
+
+    failing_evaluate_case(monkeypatch, act)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        evaluate_rule(truth_cases(4), RULE, threads=2)
+    assert time.monotonic() - start < 30  # the sleeping child was killed, not awaited
+    assert_no_child_left()
+
+
+class TwoArgumentError(Exception):
+    """Pickles with its message as the only argument, so it will not unpickle."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+@pytest.mark.parametrize(
+    "error, expected",
+    [(ValueError("bad draw"), ValueError), (TwoArgumentError("bad", "draw"), DataError)],
+)
+def test_mc_child_failure_keeps_its_type_and_message(error, expected, monkeypatch):
+    real = discovery._predict
+    parent = os.getpid()
+
+    def failing(case, *args, **kwargs):
+        if case.case_id == "c01":
+            assert os.getpid() != parent
+            raise error
+        return real(case, *args, **kwargs)
+
+    monkeypatch.setattr(discovery, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(discovery, "_predict", failing)
+    with pytest.raises(expected) as info:
+        monte_carlo_uncertainty(truth_cases(3), {"kind": "dirichlet"}, n_draws=2, threads=2)
+    assert type(info.value) is expected
+    assert str(info.value) == str(error)
+    assert_no_child_left()
 
 
 def test_threaded_sweep_failure_names_case(monkeypatch):

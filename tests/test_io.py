@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from rulefuse.cli import main
 from rulefuse.discovery import grid_search_linear, monte_carlo_uncertainty
@@ -468,6 +468,94 @@ def test_mc_volumes_stay_inside_volumes_out(small_manifest, tmp_path, capsys, ca
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "cannot name a file" in err
     assert not [p for p in tmp_path.rglob("*") if "escaped" in p.name or "variance" in p.name]
+
+
+# --- fuzzing: any manifest loads or raises DataError --------------------------------
+
+# path strings that name no volume here: missing files of either format, the
+# manifest's own directory and its parent, a directory named like a NIfTI file,
+# a null byte, a name too long for the file system, the manifest itself
+_BAD_PATHS = ["", ".", "..", "/", "missing.nii", "missing.f32le", "sub.nii", "a\x00b.nii",
+              "x" * 300, "x" * 300 + ".nii", "manifest.json"]
+
+
+def _path(valid):
+    return st.one_of(st.sampled_from([valid] + _BAD_PATHS), _JSON)
+
+
+_PATHS = st.sampled_from(["p.f32le", "t.u8", "zone.u8"] + _BAD_PATHS)
+# entries that pass the shape checks, so that their paths are opened
+_SHAPED_ENTRIES = st.fixed_dictionaries({
+    "case_id": st.sampled_from(["c0", "c1"]),
+    "modalities": st.fixed_dictionaries({k: _PATHS for k in ("T2W", "DWI_hb", "ADC")}),
+    "truth": _PATHS,
+}, optional={
+    "zones": st.fixed_dictionaries({}, optional={"PZ": _PATHS, "TZ": _PATHS}),
+    "split": st.sampled_from(["train", "validation", "test"]),
+})
+_ENTRIES = _SHAPED_ENTRIES | st.fixed_dictionaries({}, optional={
+    "case_id": st.one_of(st.sampled_from(["c0", "c1"]), _JSON),
+    "modalities": st.one_of(
+        st.fixed_dictionaries({}, optional={k: _path("p.f32le") for k in ("T2W", "DWI_hb", "ADC")}),
+        _JSON,
+    ),
+    "truth": _path("t.u8"),
+    "zones": st.one_of(st.fixed_dictionaries({}, optional={"PZ": _path("zone.u8")}), _JSON),
+    "split": st.one_of(st.sampled_from(["train", "validation", "test"]), _JSON),
+})
+_MANIFESTS = st.one_of(
+    _JSON,
+    st.fixed_dictionaries({"cases": st.lists(_SHAPED_ENTRIES, min_size=1, max_size=2,
+                                             unique_by=lambda e: e["case_id"])}),
+    st.fixed_dictionaries({"cases": st.lists(_ENTRIES, min_size=1, max_size=3) | _JSON},
+                          optional={"version": _field([1])}),
+)
+
+
+def _one_case(path):
+    return {"cases": [{"case_id": "c0", "truth": "t.u8",
+                       "modalities": {"T2W": path, "DWI_hb": "p.f32le", "ADC": "p.f32le"}}]}
+
+
+@pytest.fixture(scope="module")
+def manifest_dir(tmp_path_factory):
+    """A directory with a probability volume, a truth, a zone of other dims,
+    and a directory named like a NIfTI file."""
+    d = tmp_path_factory.mktemp("fuzz-manifest")
+    save_volume(ProbabilityVolume(np.full((2, 2, 2), 0.5)), d / "p.f32le")
+    save_volume(LabelVolume(np.eye(2, dtype=bool)[:, :, None].repeat(2, axis=2)), d / "t.u8")
+    save_volume(LabelVolume(np.ones((3, 2, 2), dtype=bool)), d / "zone.u8")
+    (d / "sub.nii").mkdir()
+    return d
+
+
+@_FUZZ
+@given(doc=_MANIFESTS, split=st.sampled_from([None, "train", "test"]))
+@example(doc=_one_case("p.f32le"), split=None)
+@example(doc=_one_case("zone.u8"), split=None)
+@example(doc=_one_case("missing.nii"), split=None)
+@example(doc=_one_case("sub.nii"), split=None)
+@example(doc=_one_case("a\x00b.nii"), split=None)
+@example(doc=_one_case("x" * 300), split=None)
+def test_fuzz_manifest_document(manifest_dir, doc, split):
+    path = manifest_dir / "manifest.json"
+    path.write_text(json.dumps(doc))
+    try:
+        records, _ = load_manifest(path, split=split)
+    except DataError:
+        return
+    assert records and all(isinstance(r.truth, LabelVolume) for r in records)
+
+
+@_FUZZ
+@given(blob=st.binary(max_size=64))
+def test_fuzz_manifest_bytes(manifest_dir, blob):
+    path = manifest_dir / "manifest.json"
+    path.write_bytes(blob)
+    try:
+        load_manifest(path)
+    except DataError:
+        pass
 
 
 def test_manifest_empty_split_is_an_error(tmp_path):
