@@ -11,7 +11,6 @@ from .combine import (
     combine_linear,
     combine_stacking,
     combine_vote,
-    eval_loss,
     linear_map,
 )
 from .discovery import (
@@ -51,7 +50,6 @@ from .fitting import (
 from .metrics import (
     MetricsConfig,
     MetricsReport,
-    connected_components,
     dice,
     evaluate,
     hd95,
@@ -77,6 +75,6 @@ from .sampling import (
     simplex_grid,
 )
 from .volio import load_manifest, load_nifti1, load_volume, save_volume, write_report
-from .volumes import LabelVolume, LesionSet, Modality, ProbabilityVolume, validate_aligned
+from .volumes import LabelVolume, Modality, ProbabilityVolume, validate_aligned
 
 __version__ = "0.1.0"

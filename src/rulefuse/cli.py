@@ -59,8 +59,8 @@ def _load_json_arg(text: str, what: str):
     if not path.exists():
         raise DataError(f"{what} file {path} does not exist")
     try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{what} file {path} is not valid JSON: {exc}") from None
 
 
@@ -72,6 +72,16 @@ def _opt(args, config: dict, name: str, default):
     if name in config:
         return config[name]
     return default
+
+
+def _opt_as(convert, args, config: dict, name: str, default):
+    """`_opt` converted by `convert` (float or int); a UsageError naming the
+    option when its value does not convert."""
+    value = _opt(args, config, name, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"option {name}: cannot read {value!r} as {convert.__name__}") from None
 
 
 def _decision_for(args) -> DecisionVector:
@@ -99,8 +109,8 @@ def cmd_fit(args, config) -> int:
     decision = _decision_for(args)
     R = canonical_condition_matrix()
     model = _opt(args, config, "model", "both")
-    lr = float(_opt(args, config, "lr", DEFAULT_LEARNING_RATE))
-    iters = int(_opt(args, config, "iters", DEFAULT_MAX_ITERS))
+    lr = _opt_as(float, args, config, "lr", DEFAULT_LEARNING_RATE)
+    iters = _opt_as(int, args, config, "iters", DEFAULT_MAX_ITERS)
     reports = {}
     label = f"rule {decision.number}" + (
         f" ({decision.zone.value})" if decision.zone != Zone.CUSTOM else ""
@@ -131,10 +141,10 @@ def cmd_sample(args, config) -> int:
     model = _opt(args, config, "model", "stacking")
     fmt = _opt(args, config, "format", "json")
     if model == "stacking":
-        eta = float(_opt(args, config, "eta", sampling.DEFAULT_ETA))
-        lr = float(_opt(args, config, "lr", DEFAULT_LEARNING_RATE))
-        iters = int(_opt(args, config, "iters", DEFAULT_MAX_ITERS))
-        n_rules = int(_opt(args, config, "n_rules", 256))
+        eta = _opt_as(float, args, config, "eta", sampling.DEFAULT_ETA)
+        lr = _opt_as(float, args, config, "lr", DEFAULT_LEARNING_RATE)
+        iters = _opt_as(int, args, config, "iters", DEFAULT_MAX_ITERS)
+        n_rules = _opt_as(int, args, config, "n_rules", 256)
         ruleset = sampling.rejection_sample_stacking(
             n_rules=n_rules, eta=eta, learning_rate=lr, max_iters=iters
         )
@@ -145,13 +155,13 @@ def cmd_sample(args, config) -> int:
             print(f"accepted {ruleset.accepted_count} of {n_rules} rules (eta={eta:.6g}) -> {args.out}")
         return 0
     if model == "linear":
-        step = _opt(args, config, "grid_step", None)
-        if step is not None:
-            rules = sampling.simplex_grid(float(step))
-            doc = {"model": "linear", "grid_step": float(step),
+        if _opt(args, config, "grid_step", None) is not None:
+            step = _opt_as(float, args, config, "grid_step", None)
+            rules = sampling.simplex_grid(step)
+            doc = {"model": "linear", "grid_step": step,
                    "rules": [list(r.as_tuple()) for r in rules]}
         else:
-            n = int(_opt(args, config, "n", 10))
+            n = _opt_as(int, args, config, "n", 10)
             conc = _opt(args, config, "concentration", (1.0, 1.0, 1.0))
             if isinstance(conc, str):
                 conc = tuple(float(c) for c in conc.split(","))
@@ -263,12 +273,12 @@ def cmd_evaluate(args, config) -> int:
 
 def _eval_config(args, config) -> discovery.EvalConfig:
     return discovery.EvalConfig(
-        threshold=float(_opt(args, config, "threshold", 0.5)),
-        min_region_voxels=int(_opt(args, config, "min_region", 27)),
+        threshold=_opt_as(float, args, config, "threshold", 0.5),
+        min_region_voxels=_opt_as(int, args, config, "min_region", 27),
         metrics=MetricsConfig(
-            s_gt=float(_opt(args, config, "s_gt", 0.1)),
-            s_pred=float(_opt(args, config, "s_pred", 0.1)),
-            connectivity=int(_opt(args, config, "connectivity", 26)),
+            s_gt=_opt_as(float, args, config, "s_gt", 0.1),
+            s_pred=_opt_as(float, args, config, "s_pred", 0.1),
+            connectivity=_opt_as(int, args, config, "connectivity", 26),
         ),
         zone=_opt(args, config, "zone", None),
     )
@@ -284,7 +294,7 @@ def cmd_search(args, config) -> int:
     def run_split(split: str) -> discovery.GridSearchResult:
         cases, _ = volio.load_manifest(args.manifest, split=split)
         if model == "linear":
-            step = float(_opt(args, config, "step", 0.1))
+            step = _opt_as(float, args, config, "step", 0.1)
             return discovery.grid_search_linear(
                 cases, step=step, rank_by=rank_by, config=eval_cfg,
                 split=split, threads=args.threads,
@@ -339,7 +349,7 @@ def cmd_mc_uncertainty(args, config) -> int:
         rule_set = sampling.SampledRuleSet.load(args.rules)
     try:
         sampler = discovery.RuleSampler(sampler_cfg, rule_set=rule_set)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from None
     cases, _ = volio.load_manifest(args.manifest, split=args.split)
     volume_paths = {}  # checked before the run, so a bad case id costs no draws
@@ -348,7 +358,7 @@ def cmd_mc_uncertainty(args, config) -> int:
             case.case_id: volio.case_file(args.volumes_out, case.case_id, "_variance.f32le")
             for case in cases
         }
-    n_draws = int(_opt(args, config, "draws", 16))
+    n_draws = _opt_as(int, args, config, "draws", 16)
     result = discovery.monte_carlo_uncertainty(
         cases, sampler, n_draws=n_draws, seed=args.seed, config=_eval_config(args, config),
         threads=args.threads,
@@ -368,7 +378,7 @@ def cmd_phantom(args, config) -> int:
         spec = phantoms.PhantomSpec.from_dict(spec_doc)
     except ValueError as exc:
         raise UsageError(f"bad phantom spec: {exc}") from None
-    n_cases = int(_opt(args, config, "n_cases", 10))
+    n_cases = _opt_as(int, args, config, "n_cases", 10)
     try:
         manifest_path, cases = phantoms.generate_dataset(args.seed, n_cases, spec, args.out_dir)
     except PackingError as exc:

@@ -13,8 +13,6 @@ from .fitting import LinearRule, StackingRule
 from .metrics import LabelledMask
 from .volumes import LabelVolume, Modality, ProbabilityVolume, validate_aligned
 
-EVAL_LOSS_EPS = 1e-7
-
 
 def _as_linear(rule) -> LinearRule:
     if isinstance(rule, LinearRule):
@@ -167,19 +165,3 @@ def binarize(
     return binarize_components(
         volume.values, volume.spacing, threshold, min_region_voxels, connectivity
     ).volume
-
-
-def eval_loss(pred: ProbabilityVolume, truth: LabelVolume) -> float:
-    """Summed cross-entropy minus soft-Dice overlap, sign as in training use.
-
-    Lower is better on the cross-entropy term only if its sign is flipped;
-    this returns the raw printed form Σ[t·log y + (1−t)·log(1−y)] − Dice(y,t),
-    which callers treat as an opaque comparable score.
-    """
-    validate_aligned([pred, truth], names=["pred", "truth"])
-    y = np.clip(pred.values, EVAL_LOSS_EPS, 1.0 - EVAL_LOSS_EPS)
-    t = truth.values.astype(np.float64)
-    ce = float(np.sum(t * np.log(y) + (1.0 - t) * np.log1p(-y)))
-    denom = float(y.sum() + t.sum())
-    dice = 2.0 * float(np.sum(y * t)) / denom if denom > 0.0 else 0.0
-    return ce - dice

@@ -492,9 +492,6 @@ class GridSearchResult:
     split: str
     options: dict
 
-    def top(self, k: int = 5) -> tuple[RuleEvaluation, ...]:
-        return self.rows[:k]
-
     def rank_of_linear(self, alpha, atol: float = 1e-9) -> int | None:
         """1-based rank of a linear rule in this result, or None if absent."""
         target = np.asarray(alpha, dtype=np.float64)
@@ -651,6 +648,8 @@ class RuleSampler:
     """
 
     def __init__(self, config: dict, rule_set: SampledRuleSet | None = None):
+        if not isinstance(config, dict):
+            raise ValueError(f"sampler config must be a JSON object, got {config!r}")
         self.kind = config.get("kind")
         if self.kind == "dirichlet":
             conc = config.get("concentration", (1.0, 1.0, 1.0))
@@ -715,12 +714,6 @@ class MCResult:
     cases: tuple[MCCaseResult, ...]
     n_draws: int
     kind: str
-
-    def case(self, case_id: str) -> MCCaseResult:
-        for c in self.cases:
-            if c.case_id == case_id:
-                return c
-        raise KeyError(case_id)
 
     def to_dict(self) -> dict:
         return {

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import backends
-from .volumes import LabelVolume, LesionComponent, LesionSet, validate_aligned
+from .volumes import LabelVolume, validate_aligned
 
 DEFAULT_OVERLAP_THRESHOLD = 0.1
 DEFAULT_CONNECTIVITY = 26
@@ -178,29 +178,6 @@ def hd95(pred, truth, truth_surface: BoundarySurface | None = None):
         [surf_g.tree.query(from_p)[0], surf_p.tree.query(from_g)[0], np.zeros(2 * n_shared)]
     )
     return float(np.percentile(pooled, HD_PERCENTILE))
-
-
-def connected_components(mask: LabelVolume, connectivity: int = DEFAULT_CONNECTIVITY) -> LesionSet:
-    """Maximal connected regions of the mask, in first-voxel scan order."""
-    labels, n = backends.label_components(mask.values, connectivity)
-    if n == 0:
-        return LesionSet(components=(), connectivity=connectivity)
-    coords = np.argwhere(labels > 0)
-    label_per_voxel = labels[labels > 0]
-    order = np.argsort(label_per_voxel, kind="stable")
-    coords = coords[order]
-    counts = np.bincount(label_per_voxel, minlength=n + 1)[1:]
-    voxel_mm3 = mask.voxel_volume_mm3()
-    components = []
-    start = 0
-    for i, count in enumerate(counts, start=1):
-        chunk = coords[start : start + count]
-        chunk.flags.writeable = False
-        components.append(
-            LesionComponent(id=i, indices=chunk, volume_mm3=float(count) * voxel_mm3)
-        )
-        start += count
-    return LesionSet(components=tuple(components), connectivity=connectivity)
 
 
 def _share_covered(components, other: np.ndarray, threshold: float):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MODALITIES = ("T2W", "DWI_hb", "ADC")
 N_CONDITIONS = 8
 
 

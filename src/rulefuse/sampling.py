@@ -5,11 +5,13 @@ acceptance-rejection sweep that collects every fittable stacking rule.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fitting
+from .errors import DataError
 from .fitting import LinearRule, StackingRule
 from .rules import DecisionVector, canonical_condition_matrix, decision_from_number
 
@@ -45,6 +47,11 @@ def simplex_grid(step: float = 0.1) -> list[LinearRule]:
             alpha = np.array([i, j, k], dtype=np.float64) / m
             rules.append(LinearRule(alpha / alpha.sum()))
     return rules
+
+
+def _is_real(value) -> bool:
+    """A finite JSON number (bool excluded)."""
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -95,30 +102,38 @@ class SampledRuleSet:
             ],
         }
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
     @classmethod
     def load(cls, path) -> "SampledRuleSet":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        """Read a rule set laid out as `to_dict` writes it; DataError naming the
+        file when it is not valid JSON of that shape."""
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        try:
+            doc = json.loads(blob.decode("utf-8"))
+        except ValueError as exc:  # invalid JSON or UTF-8
+            raise DataError(f"rule set {path} is not valid JSON: {exc}") from None
+        if not (isinstance(doc, dict) and isinstance(doc.get("entries"), list)
+                and isinstance(doc.get("rejected"), list) and _is_real(doc.get("eta"))):
+            raise DataError(f"rule set {path} must be a JSON object with an 'entries' list, "
+                            "a numeric 'eta' and a 'rejected' list")
+        for key in ("entries", "rejected"):
+            for i, e in enumerate(doc[key]):
+                e = e if isinstance(e, dict) else {}
+                n, beta = e.get("rule_number"), e.get("beta")
+                if not (type(n) is int and 0 <= n <= 255 and _is_real(e.get("residual")) and (
+                        key == "rejected" or isinstance(beta, list) and len(beta) == 4
+                        and all(map(_is_real, beta)))):
+                    raise DataError(f"rule set {path}: {key}[{i}] needs an integer rule_number "
+                                    "in [0, 255], a numeric residual and, in entries, a 4-number beta")
         entries = [
-            SampledRule(
-                rule_number=int(e["rule_number"]),
-                decision=decision_from_number(int(e["rule_number"])),
-                rule=StackingRule(np.array(e["beta"], dtype=np.float64)),
-                residual=float(e["residual"]),
-            )
-            for e in payload["entries"]
+            SampledRule(rule_number=e["rule_number"], decision=decision_from_number(e["rule_number"]),
+                        rule=StackingRule(np.array(e["beta"], dtype=np.float64)),
+                        residual=float(e["residual"]))
+            for e in doc["entries"]
         ]
-        return cls(
-            entries=entries,
-            eta=float(payload["eta"]),
-            rejected=[(int(r["rule_number"]), float(r["residual"])) for r in payload["rejected"]],
-            options=payload.get("options", {}),
-        )
+        rejected = [(r["rule_number"], float(r["residual"])) for r in doc["rejected"]]
+        return cls(entries=entries, eta=float(doc["eta"]), rejected=rejected,
+                   options=doc.get("options", {}))
 
 
 def rejection_sample_stacking(

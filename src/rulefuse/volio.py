@@ -262,8 +262,9 @@ def _check_manifest_entries(path: Path, doc) -> list[dict]:
         case_id = entry.get("case_id")
         if case_id is None:
             raise DataError(f"manifest {path}: case entry without case_id")
-        if not isinstance(case_id, str) or not case_id:
-            raise DataError(f"manifest {path}: case_id must be a non-empty string, got {case_id!r}")
+        if not isinstance(case_id, str) or not case_id or not case_id.isprintable():
+            raise DataError(f"manifest {path}: case_id must be a non-empty string of "
+                            f"printable characters, got {case_id!r}")
         if case_id in seen:
             raise DataError(f"manifest {path}: duplicate case_id {case_id!r}")
         seen.add(case_id)
@@ -338,10 +339,6 @@ def case_file(directory, case_id: str, suffix: str) -> Path:
     if case_id in ("", ".", "..") or any(c in case_id for c in "/\\\0"):
         raise DataError(f"case id {case_id!r} cannot name a file in {directory}")
     return Path(directory) / f"{case_id}{suffix}"
-
-
-def manifest_splits(doc: dict) -> dict[str, str]:
-    return {e["case_id"]: e.get("split", "train") for e in doc.get("cases", [])}
 
 
 # --- reports ------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,9 +75,6 @@ class ProbabilityVolume:
     def dims(self) -> tuple[int, int, int]:
         return self.values.shape
 
-    def voxel_volume_mm3(self) -> float:
-        return float(np.prod(self.spacing))
-
 
 @dataclass(frozen=True)
 class LabelVolume:
@@ -101,38 +98,8 @@ class LabelVolume:
     def dims(self) -> tuple[int, int, int]:
         return self.values.shape
 
-    def voxel_volume_mm3(self) -> float:
-        return float(np.prod(self.spacing))
-
     def count(self) -> int:
         return int(self.values.sum())
-
-
-@dataclass(frozen=True)
-class LesionComponent:
-    id: int
-    indices: np.ndarray  # (n, 3) voxel coordinates
-    volume_mm3: float
-
-    @property
-    def voxel_count(self) -> int:
-        return self.indices.shape[0]
-
-
-@dataclass(frozen=True)
-class LesionSet:
-    """Disjoint connected components of a mask under a stated connectivity."""
-
-    components: tuple[LesionComponent, ...]
-    connectivity: int
-
-    def __post_init__(self) -> None:
-        if self.connectivity not in (6, 18, 26):
-            raise ValueError(f"connectivity must be 6, 18 or 26, got {self.connectivity}")
-        object.__setattr__(self, "components", tuple(self.components))
-
-    def __len__(self) -> int:
-        return len(self.components)
 
 
 def _describe(volume, index: int) -> str:

@@ -12,6 +12,7 @@ import numpy as np
 
 import oracles
 from conftest import ACCEPTANCE_LINES
+from rulefuse import backends
 from rulefuse.cli import main as cli_main
 from rulefuse.discovery import (
     assign_splits,
@@ -29,7 +30,6 @@ from rulefuse.fitting import (
 )
 from rulefuse.metrics import (
     MetricsConfig,
-    connected_components,
     dice,
     evaluate,
     hd95,
@@ -182,9 +182,9 @@ def test_criterion_5_metrics_vs_brute_force():
             else:
                 assert abs(got_hd - want_hd) <= 1e-6, (i, got_hd, want_hd)
 
+            labels, counts, _ = backends.components(a, 26)
             got_comps = {
-                frozenset(map(tuple, comp.indices))
-                for comp in connected_components(pred).components
+                frozenset(map(tuple, np.argwhere(labels == k))) for k in range(1, counts.size)
             }
             want_comps = {
                 frozenset(comp) for comp in oracles.flood_fill_components(a, 26)

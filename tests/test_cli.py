@@ -85,6 +85,29 @@ def test_threads_below_one_is_usage_error(threads, capsys):
     assert_one_line_usage_error(capsys, argv, f"--threads must be >= 1, got {threads}")
 
 
+def test_sampler_that_is_not_an_object_is_usage_error(tmp_path, capsys):
+    argv = ["mc-uncertainty", str(tmp_path / "m.json"), "--sampler", "[1, 2]"]
+    assert_one_line_usage_error(capsys, argv, "sampler config must be a JSON object")
+
+
+@pytest.mark.parametrize("entry", [{"threshold": [1]}, {"min_region": None},
+                                   {"s_gt": {}}, {"connectivity": "six"}])
+def test_ill_typed_config_value_is_usage_error(tmp_path, capsys, entry):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    (name, value), = entry.items()
+    argv = ["--config", str(cfg), "search", str(tmp_path / "m.json")]
+    assert_one_line_usage_error(capsys, argv, f"option {name}: cannot read {value!r}")
+
+
+def test_json_file_that_is_not_utf8_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"model": "\xff"}')
+    assert main(["--config", str(cfg), "fit", "--zone", "WG"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: config file {cfg} is not valid JSON") and err.count("\n") == 1
+
+
 # --- fit ---------------------------------------------------------------------------
 
 
@@ -297,6 +320,17 @@ def test_search_stacking_needs_rules(dataset, capsys):
     manifest, _, _ = dataset
     assert main(["search", str(manifest), "--model", "stacking"]) == 1
     assert "--rules" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [{}, {"entries": [{"rule_number": 3, "residual": 0.0}],
+                                      "eta": 0.5, "rejected": []}])
+def test_search_stacking_malformed_rules_is_data_error(dataset, tmp_path, capsys, doc):
+    manifest, _, _ = dataset
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps(doc))
+    assert main(["search", str(manifest), "--model", "stacking", "--rules", str(rules)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: rule set {rules}") and err.count("\n") == 1
 
 
 def test_availability_table(dataset, tmp_path, capsys):

@@ -9,7 +9,6 @@ from rulefuse.combine import (
     combine_linear,
     combine_stacking,
     combine_vote,
-    eval_loss,
     linear_map,
 )
 from rulefuse.errors import AlignmentError
@@ -286,31 +285,3 @@ def test_binarize_validates_threshold():
         binarize(vol(np.zeros((2, 2, 2))), threshold=0.0)
     with pytest.raises(ValueError):
         binarize(vol(np.zeros((2, 2, 2))), threshold=1.0)
-
-
-def test_eval_loss_perfect_prediction():
-    truth_values = np.zeros((4, 4, 4), dtype=bool)
-    truth_values[1:3, 1:3, 1:3] = True
-    pred = vol(truth_values.astype(np.float64))
-    loss = eval_loss(pred, LabelVolume(truth_values))
-    # cross-entropy ~0 after clipping; overlap term is exactly -1
-    assert loss == pytest.approx(-1.0, abs=1e-4)
-
-
-def test_eval_loss_uniform_half_closed_form():
-    dims = (4, 4, 4)
-    n = int(np.prod(dims))
-    truth_values = np.zeros(dims, dtype=bool)
-    truth_values[:2] = True  # half positive
-    pred = vol(np.full(dims, 0.5))
-    loss = eval_loss(pred, LabelVolume(truth_values))
-    ce = n * np.log(0.5)
-    dice = 2 * (0.5 * n / 2) / (0.5 * n + n / 2)
-    assert loss == pytest.approx(ce - dice, rel=1e-12)
-
-
-def test_eval_loss_empty_truth_near_zero_dice_term():
-    dims = (4, 4, 4)
-    pred = vol(np.zeros(dims))  # clipped to epsilon internally
-    loss = eval_loss(pred, LabelVolume(np.zeros(dims, dtype=bool)))
-    assert loss == pytest.approx(0.0, abs=1e-4)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from rulefuse import discovery
+from rulefuse import backends, discovery
 from rulefuse.combine import binarize, combine_linear, combine_stacking
 from rulefuse.discovery import (
     CaseRecord,
@@ -22,7 +22,7 @@ from rulefuse.discovery import (
 )
 from rulefuse.errors import DataError
 from rulefuse.fitting import LinearRule
-from rulefuse.metrics import MetricsConfig, connected_components, evaluate
+from rulefuse.metrics import MetricsConfig, evaluate
 from rulefuse.sampling import rejection_sample_stacking
 from rulefuse.volumes import LabelVolume, Modality, ProbabilityVolume
 
@@ -181,8 +181,8 @@ def u_shape_cases(n_cases=3, dims=(16, 16, 12), seed=4):
 @pytest.mark.parametrize("min_region", [0, 1, 27])
 def test_sweep_reports_equal_binarize_then_evaluate(min_region, connectivity, zone):
     cases, u, box = u_shape_cases()
-    assert len(connected_components(LabelVolume(u), connectivity)) == 1
-    assert len(connected_components(LabelVolume(u & box), connectivity)) == 2
+    assert np.count_nonzero(backends.components(u, connectivity)[2]) == 1
+    assert np.count_nonzero(backends.components(u & box, connectivity)[2]) == 2
     config = EvalConfig(min_region_voxels=min_region, zone=zone,
                         metrics=MetricsConfig(connectivity=connectivity))
     rules = [LinearRule(np.array(a)) for a in

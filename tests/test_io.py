@@ -18,7 +18,6 @@ from rulefuse.volio import (
     load_manifest,
     load_nifti1,
     load_volume,
-    manifest_splits,
     render_report,
     save_volume,
     write_manifest,
@@ -372,7 +371,7 @@ def test_manifest_round_trip(tmp_path):
         for got, want in zip(rec.modalities, case.modalities):
             assert got.modality is want.modality
             np.testing.assert_array_equal(got.values, want.values.astype("<f4").astype(np.float64))
-    splits = manifest_splits(doc)
+    splits = {entry["case_id"]: entry["split"] for entry in doc["cases"]}
     assert set(splits.values()) <= {"train", "validation", "test"}
     val_records, _ = load_manifest(manifest_path, split="validation")
     assert {r.case_id for r in val_records} == {c for c, s in splits.items() if s == "validation"}
@@ -427,7 +426,7 @@ def test_manifest_document_and_entries_must_be_objects(tmp_path, capsys, doc):
     _assert_manifest_data_error(path, capsys, "object")
 
 
-@pytest.mark.parametrize("case_id", [3, "", ["c"], True])
+@pytest.mark.parametrize("case_id", [3, "", ["c"], True, "a\nb", "tab\there"])
 def test_manifest_case_id_must_be_a_non_empty_string(small_manifest, capsys, case_id):
     path, doc = small_manifest
     doc["cases"][1]["case_id"] = case_id

@@ -7,7 +7,6 @@ from rulefuse.metrics import (
     MetricsConfig,
     boundary_mask,
     boundary_surface,
-    connected_components,
     dice,
     evaluate,
     hd95,
@@ -106,41 +105,47 @@ def test_hd95_symmetric():
 # --- connected components --------------------------------------------------------
 
 
+def component_voxels(values, connectivity=26):
+    """The voxel sets of the components `backends.components` finds, by label."""
+    labels, counts, keep = backends.components(values, connectivity)
+    assert keep[1:].all()  # every component has at least one voxel
+    return [{tuple(ix) for ix in np.argwhere(labels == k)} for k in range(1, counts.size)]
+
+
 def test_components_empty_mask():
-    assert len(connected_components(empty())) == 0
+    assert component_voxels(empty().values) == []
 
 
 def test_components_full_mask_is_one_component():
-    lesions = connected_components(mask(np.ones((4, 4, 4))))
+    lesions = component_voxels(np.ones((4, 4, 4), dtype=bool))
     assert len(lesions) == 1
-    assert lesions.components[0].voxel_count == 64
+    assert len(lesions[0]) == 64
 
 
 @pytest.mark.parametrize("connectivity", [0, 7, 27])
 def test_components_reject_unknown_connectivity(connectivity):
     with pytest.raises(ValueError, match=f"got {connectivity}"):
-        connected_components(mask(np.ones((4, 4, 4))), connectivity=connectivity)
+        backends.components(np.ones((4, 4, 4), dtype=bool), connectivity)
 
 
 def test_components_corner_touch_connectivity():
     values = np.zeros((8, 8, 8), dtype=bool)
     values[0:2, 0:2, 0:2] = True
     values[2:4, 2:4, 2:4] = True  # touches at one corner
-    assert len(connected_components(mask(values), connectivity=26)) == 1
-    assert len(connected_components(mask(values), connectivity=6)) == 2
+    assert len(component_voxels(values, connectivity=26)) == 1
+    assert len(component_voxels(values, connectivity=6)) == 2
 
 
 def test_components_volume_and_counts():
     values = np.zeros((8, 8, 8), dtype=bool)
     values[0:2, 0:2, 0:2] = True
-    lesions = connected_components(mask(values, spacing=(1.0, 2.0, 3.0)))
-    assert len(lesions) == 1
-    comp = lesions.components[0]
-    assert comp.voxel_count == 8
-    assert comp.volume_mm3 == pytest.approx(8 * 6.0)
-    # indices enumerate exactly the positive voxels
-    got = {tuple(ix) for ix in comp.indices}
-    assert got == {(x, y, z) for x in range(2) for y in range(2) for z in range(2)}
+    labels, counts, keep = backends.components(values, 26)
+    np.testing.assert_array_equal(counts, [8 * 8 * 8 - 8, 8])
+    np.testing.assert_array_equal(keep, [False, True])
+    # the component's voxels are exactly the positive voxels
+    assert component_voxels(values) == [
+        {(x, y, z) for x in range(2) for y in range(2) for z in range(2)}
+    ]
 
 
 @pytest.mark.parametrize("min_voxels", [0, 1, 27])
@@ -425,12 +430,10 @@ def test_metrics_match_bruteforce_oracle_spot():
         else:
             assert got == pytest.approx(want, abs=1e-6)
             checked += 1
-        ours = connected_components(a)
+        ours = component_voxels(a_values)
         theirs = oracles.flood_fill_components(a_values)
         assert len(ours) == len(theirs)
-        assert sorted(c.voxel_count for c in ours.components) == sorted(
-            len(c) for c in theirs
-        )
+        assert set(map(frozenset, ours)) == set(map(frozenset, theirs))
         assert lesion_recall_gt(a, b, 0.1) == oracles.lesion_recall_bf(a_values, b_values, 0.1)
         assert lesion_precision_pred(a, b, 0.1) == oracles.lesion_precision_bf(
             a_values, b_values, 0.1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rulefuse.errors import DataError
 from rulefuse.fitting import fit_stacking, predict_decisions
 from rulefuse.rules import canonical_condition_matrix, decision_from_number
 from rulefuse.sampling import (
@@ -9,6 +10,7 @@ from rulefuse.sampling import (
     sample_dirichlet,
     simplex_grid,
 )
+from rulefuse.volio import write_report
 
 
 def test_dirichlet_sample_is_on_simplex():
@@ -102,13 +104,47 @@ def test_rejection_sampling_matches_per_rule_fits():
 def test_rule_set_round_trips_through_json(tmp_path):
     result = rejection_sample_stacking(n_rules=8)
     path = tmp_path / "rules.json"
-    result.save(path)
+    text = write_report(result, "json", path)
     loaded = SampledRuleSet.load(path)
     assert loaded.eta == result.eta
     assert loaded.rule_numbers() == result.rule_numbers()
     for a, b in zip(loaded.entries, result.entries):
-        np.testing.assert_allclose(a.rule.beta, b.rule.beta)
+        # reports round floats to 6 significant digits
+        assert list(a.rule.beta) == [float(f"{x:.6g}") for x in b.rule.beta]
         assert a.decision.as_ints() == b.decision.as_ints()
+    assert write_report(loaded, "json", tmp_path / "again.json") == text
+    assert (tmp_path / "again.json").read_text() == text
+
+
+def _rule_set(entry: str, rejected: str = "") -> str:
+    return f'{{"entries": [{entry}], "eta": 0.5, "rejected": [{rejected}]}}'
+
+
+@pytest.mark.parametrize("text", [
+    "{broken", b'{"eta": "\xff"}', "[1]", "{}",
+    '{"entries": {}, "eta": 0.5, "rejected": []}',
+    '{"entries": [], "eta": "0.5", "rejected": []}',
+    '{"entries": [], "eta": null, "rejected": []}',
+    '{"entries": [], "eta": 0.5}',
+    _rule_set("1"),
+    _rule_set('{"rule_number": 3, "residual": 0.0}'),
+    _rule_set('{"rule_number": 3, "residual": 0.0, "beta": [1, 2, 3]}'),
+    _rule_set('{"rule_number": 3, "residual": 0.0, "beta": [1, 2, 3, "4"]}'),
+    _rule_set('{"rule_number": 3, "residual": 0.0, "beta": [1, 2, 3, NaN]}'),
+    _rule_set('{"rule_number": 3.0, "residual": 0.0, "beta": [1, 2, 3, 4]}'),
+    _rule_set('{"rule_number": 256, "residual": 0.0, "beta": [1, 2, 3, 4]}'),
+    _rule_set('{"rule_number": true, "residual": 0.0, "beta": [1, 2, 3, 4]}'),
+    _rule_set('{"rule_number": 3, "beta": [1, 2, 3, 4]}'),
+    _rule_set("", '{"rule_number": 6}'),
+    _rule_set("", '"6"'),
+])
+def test_malformed_rule_set_is_data_error(tmp_path, text):
+    path = tmp_path / "rules.json"
+    path.write_text(_rule_set('{"rule_number": 3, "residual": 0.0, "beta": [1, 2, 3, 4]}'))
+    assert SampledRuleSet.load(path).rule_numbers() == [3]
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    with pytest.raises(DataError, match=f"rule set {path}"):
+        SampledRuleSet.load(path)
 
 
 def test_rejection_sampling_validates_arguments():

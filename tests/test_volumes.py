@@ -4,8 +4,6 @@ import pytest
 from rulefuse.errors import AlignmentError
 from rulefuse.volumes import (
     LabelVolume,
-    LesionComponent,
-    LesionSet,
     Modality,
     ProbabilityVolume,
     validate_aligned,
@@ -16,7 +14,6 @@ def test_probability_volume_basics():
     vol = ProbabilityVolume(np.full((2, 3, 4), 0.25), spacing=(1.0, 2.0, 3.0), modality="T2W")
     assert vol.dims == (2, 3, 4)
     assert vol.modality is Modality.T2W
-    assert vol.voxel_volume_mm3() == pytest.approx(6.0)
     assert vol.values.dtype == np.float64
 
 
@@ -113,12 +110,3 @@ def test_validate_aligned_tolerance_and_messages_at_non_dyadic_spacing():
     with pytest.raises(AlignmentError) as info:
         validate_aligned([a, wide])
     assert str(info.value) == "volume[1] axis y: dimension 4 != 3 of volume[0] (combined)"
-
-
-def test_lesion_set_connectivity_validation():
-    comp = LesionComponent(id=1, indices=np.zeros((1, 3), dtype=np.int64), volume_mm3=1.0)
-    ls = LesionSet(components=(comp,), connectivity=26)
-    assert len(ls) == 1
-    assert ls.components[0].voxel_count == 1
-    with pytest.raises(ValueError):
-        LesionSet(components=(), connectivity=5)
