@@ -84,6 +84,15 @@ def _opt_as(convert, args, config: dict, name: str, default):
         raise UsageError(f"option {name}: cannot read {value!r} as {convert.__name__}") from None
 
 
+def _opt_path(args, config: dict, name: str):
+    """`_opt` for a file path with no default: None when not given, else a
+    non-empty string; a UsageError naming the option otherwise."""
+    value = _opt(args, config, name, None)
+    if value is not None and not (isinstance(value, str) and value):
+        raise UsageError(f"option {name}: expected a non-empty path string, got {value!r}")
+    return value
+
+
 def _decision_for(args) -> DecisionVector:
     given = [args.rule_number is not None, args.zone is not None, args.bits is not None]
     if sum(given) != 1:
@@ -300,7 +309,7 @@ def cmd_search(args, config) -> int:
                 split=split, threads=args.threads,
             )
         if model == "stacking":
-            rules_path = _opt(args, config, "rules", None)
+            rules_path = _opt_path(args, config, "rules")
             if rules_path is None:
                 raise UsageError("--rules (SampledRuleSet JSON) is required for stacking search")
             ruleset = sampling.SampledRuleSet.load(rules_path)
@@ -384,7 +393,7 @@ def cmd_phantom(args, config) -> int:
     except PackingError as exc:
         raise DataError(str(exc)) from None
     counts: dict[str, int] = {}
-    _, doc = volio.load_manifest(manifest_path)
+    doc = json.loads(manifest_path.read_text())
     for entry in doc["cases"]:
         counts[entry["split"]] = counts.get(entry["split"], 0) + 1
     summary = {

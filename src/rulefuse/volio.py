@@ -7,9 +7,12 @@ sidecar at `<payload>.json`:
      "dtype": "f32le" | "u8", "order": "x-fastest", "modality": "..."}
 
 f32le payloads load as probability volumes, u8 payloads as label volumes; the
-linearization is x-fastest. NIfTI-1 is supported read-only for uncompressed
-3D float32/uint8 single files. Reports are emitted with fixed field order and
-floats rounded to 6 significant digits so identical runs are byte-identical.
+linearization is x-fastest on disk. In memory every loaded volume is C-ordered
+(z fastest): the payload is transposed once, when it is read, so that no later
+pass reads it with a transposed stride. NIfTI-1 is supported read-only for
+uncompressed 3D float32/uint8 single files. Reports are emitted with fixed
+field order and floats rounded to 6 significant digits so identical runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -86,6 +89,12 @@ def _read_bytes(path: Path, what: str) -> bytes:
         raise VolumeFormatError(f"cannot read {what} {path}: {reason}") from None
 
 
+def _c_ordered(raw: np.ndarray, dims, dtype) -> np.ndarray:
+    """The x-fastest payload `raw`, a flat array of voxels, as a C-ordered
+    `dtype` array indexed [x, y, z]: cast and transposed in one copy."""
+    return raw.reshape(dims, order="F").astype(dtype, order="C")
+
+
 def load_volume(path):
     """Read a sidecar+payload pair; dtype decides the volume type."""
     sidecar, payload = _sidecar_and_payload(path)
@@ -126,13 +135,13 @@ def load_volume(path):
             f"payload {payload}: expected {expected} bytes for dims {dims} ({dtype_name}), "
             f"got {len(blob)}"
         )
-    values = np.frombuffer(blob, dtype=dtype).reshape(dims, order="F")
+    raw = np.frombuffer(blob, dtype=dtype)
 
     if dtype_name == "u8":
-        if not np.all((values == 0) | (values == 1)):
+        if not np.all((raw == 0) | (raw == 1)):
             raise VolumeFormatError(f"payload {payload}: u8 label values must be 0 or 1")
-        return LabelVolume(values.astype(bool), spacing=tuple(spacing))
-    values = values.astype(np.float64)
+        return LabelVolume(_c_ordered(raw, dims, bool), spacing=tuple(spacing))
+    values = _c_ordered(raw, dims, np.float64)
     problem = probability_range_error(values)
     if problem:
         raise VolumeFormatError(f"payload {payload}: {problem}")
@@ -204,8 +213,8 @@ def load_nifti1(path):
         raise VolumeFormatError(
             f"{path}: payload truncated, need {offset + n_bytes} bytes, have {len(blob)}"
         )
-    values = np.frombuffer(blob, dtype=dtype, count=int(np.prod(dims)), offset=offset)
-    values = values.reshape(dims, order="F").astype(np.float64)
+    raw = np.frombuffer(blob, dtype=dtype, count=int(np.prod(dims)), offset=offset)
+    values = _c_ordered(raw, dims, np.float64)
     if scl_slope != 0.0:
         values = values * scl_slope + scl_inter
 

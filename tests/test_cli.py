@@ -5,6 +5,7 @@ import subprocess
 import numpy as np
 import pytest
 
+from rulefuse import volio
 from rulefuse.cli import main
 from rulefuse.combine import binarize, combine_linear
 from rulefuse.fitting import LinearRule
@@ -333,6 +334,17 @@ def test_search_stacking_malformed_rules_is_data_error(dataset, tmp_path, capsys
     assert err.startswith(f"data error: rule set {rules}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("rules", [0, 1.5, ""])
+def test_rules_path_from_config_must_be_a_non_empty_string(dataset, tmp_path, capsys, rules):
+    # 0 would read the rule set from standard input, 1.5 would end in a TypeError
+    manifest, _, _ = dataset
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rules": rules}))
+    argv = ["--config", str(cfg), "search", str(manifest), "--model", "stacking"]
+    assert_one_line_usage_error(capsys, argv, f"option rules: expected a non-empty path string, "
+                                              f"got {rules!r}")
+
+
 def test_availability_table(dataset, tmp_path, capsys):
     manifest, _, _ = dataset
     assert main(["availability", str(manifest), "--split", "train"]) == 0
@@ -383,15 +395,21 @@ def test_mc_uncertainty_requires_sampler(dataset, capsys):
 # --- phantom ---------------------------------------------------------------------------
 
 
-def test_phantom_generates_dataset(tmp_path, capsys):
+def test_phantom_generates_dataset(tmp_path, capsys, monkeypatch):
+    loads = []
+    load_volume = volio.load_volume
+    monkeypatch.setattr(volio, "load_volume", lambda path: loads.append(path) or load_volume(path))
     spec = json.dumps({"dims": [16, 16, 16], "n_lesions": 1, "radius_range": [3.0, 5.0]})
     out_dir = tmp_path / "ds"
     code = main(["--seed", "3", "phantom", "--spec", spec, "--n-cases", "5", "--out-dir", str(out_dir)])
     assert code == 0
+    assert loads == []  # the volumes just written are not read back
     doc = json.loads(capsys.readouterr().out)
     assert doc["n_cases"] == 5
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    splits = [entry["split"] for entry in manifest["cases"]]
+    assert doc["splits"] == {k: splits.count(k) for k in ("train", "validation", "test")}
     assert sum(doc["splits"].values()) == 5
-    assert (out_dir / "manifest.json").exists()
 
 
 def test_phantom_bad_spec_exit_1(tmp_path, capsys):

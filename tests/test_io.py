@@ -1,12 +1,18 @@
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from rulefuse.cli import main
-from rulefuse.discovery import grid_search_linear, monte_carlo_uncertainty
+from rulefuse.discovery import (
+    CaseRecord,
+    EvalConfig,
+    grid_search_linear,
+    monte_carlo_uncertainty,
+)
 from rulefuse.errors import DataError, VolumeFormatError
 from rulefuse.fitting import fit_linear
 from rulefuse.phantoms import PhantomSpec, generate_dataset
@@ -356,6 +362,78 @@ def test_load_any_volume_dispatch(tmp_path):
     a = load_any_volume(nii)
     b = load_any_volume(raw)
     np.testing.assert_array_equal(a.values, b.values)
+
+
+# --- in-memory layout ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype_name", ["f32le", "u8"])
+def test_load_volume_is_c_ordered(tmp_path, dtype_name):
+    rng = np.random.default_rng(3)
+    dims = (5, 4, 3)
+    if dtype_name == "f32le":
+        volume, raw = ProbabilityVolume(rng.random(dims)), "<f4"
+    else:
+        volume, raw = LabelVolume(rng.random(dims) < 0.4), "u1"
+    payload = save_volume(volume, tmp_path / f"v.{dtype_name}")
+    loaded = load_volume(payload)
+    assert loaded.values.flags.c_contiguous
+    assert loaded.values.dtype == volume.values.dtype
+    want = np.frombuffer(payload.read_bytes(), dtype=raw).reshape(dims, order="F")
+    np.testing.assert_array_equal(loaded.values, want)
+
+
+@pytest.mark.parametrize("datatype, byte_order, scl_slope, scl_inter", [
+    (16, "<", 1.0, 0.0), (2, "<", 1.0, 0.0), (16, ">", 1.0, 0.0), (16, "<", 0.2, 0.1),
+], ids=["float32", "uint8", "big-endian", "scl-scaled"])
+def test_load_nifti1_is_c_ordered(tmp_path, datatype, byte_order, scl_slope, scl_inter):
+    dims = (5, 4, 3)
+    stored = np.arange(60).reshape(dims) % (2 if datatype == 2 else 3)
+    if datatype == 16 and scl_slope == 1.0:
+        stored = stored / 2.0
+    blob = nifti1_bytes(stored, byte_order=byte_order, datatype=datatype,
+                        scl_slope=scl_slope, scl_inter=scl_inter)
+    p = tmp_path / "v.nii"
+    p.write_bytes(blob)
+    loaded = load_nifti1(p)
+    assert loaded.values.flags.c_contiguous
+    raw = byte_order + {2: "u1", 16: "f4"}[datatype]
+    want = np.frombuffer(blob, dtype=raw, offset=352).reshape(dims, order="F").astype(np.float64)
+    # the header holds slope and intercept as float32
+    want = want * float(np.float32(scl_slope)) + float(np.float32(scl_inter))
+    if datatype == 2:
+        assert loaded.values.dtype == bool
+    np.testing.assert_array_equal(loaded.values, want)
+
+
+def _fortran_ordered(case: CaseRecord) -> CaseRecord:
+    def f(volume):
+        return replace(volume, values=np.asfortranarray(volume.values))
+
+    zones = {name: f(zone) for name, zone in case.zones.items()}
+    return CaseRecord(case.case_id, tuple(f(m) for m in case.modalities), f(case.truth), zones)
+
+
+def test_sweeps_do_not_depend_on_the_memory_layout_of_the_volumes(tmp_path):
+    spec = PhantomSpec(dims=(16, 16, 16), spacing=(0.7, 0.55, 3.3), n_lesions=2,
+                       radius_range=(2.0, 4.0), zone_boxes=True)
+    manifest_path, _ = generate_dataset(11, 4, spec, tmp_path / "ds")
+    loaded, _ = load_manifest(manifest_path)
+    fortran = [_fortran_ordered(case) for case in loaded]
+    for case in fortran:
+        for volume in (*case.modalities, case.truth, *case.zones.values()):
+            assert volume.values.flags.f_contiguous and not volume.values.flags.c_contiguous
+    sampler = {"kind": "dirichlet", "concentration": [3, 2, 1]}
+    for config in (EvalConfig(), EvalConfig(zone="PZ")):
+        c_search, f_search = (grid_search_linear(cases, step=0.25, config=config)
+                              for cases in (loaded, fortran))
+        assert c_search.to_dict(include_cases=True) == f_search.to_dict(include_cases=True)
+        c_mc, f_mc = (monte_carlo_uncertainty(cases, sampler, n_draws=4, seed=2, config=config)
+                      for cases in (loaded, fortran))
+        assert render_report(c_mc, "json") == render_report(f_mc, "json")
+        for a, b in zip(c_mc.cases, f_mc.cases):
+            assert a.mean.tobytes() == b.mean.tobytes()
+            assert a.variance.tobytes() == b.variance.tobytes()
 
 
 # --- manifests --------------------------------------------------------------------

@@ -5,7 +5,6 @@ from scipy import ndimage
 from rulefuse import backends
 from rulefuse.metrics import (
     MetricsConfig,
-    boundary_mask,
     boundary_surface,
     dice,
     evaluate,
@@ -213,6 +212,21 @@ def test_bounding_box_is_the_smallest_box_of_the_positives():
         assert box == tuple(slice(lo, hi + 1) for lo, hi in zip(idx.min(0), idx.max(0))), name
 
 
+def _assert_surface_is_six_copy_boundary(values, spacing=(0.7, 0.55, 3.3)):
+    """`boundary_surface` of `values`, in C and in Fortran layout, holds
+    exactly the six-copy reference's boundary voxels, as flat indices and as
+    the bytes of np.argwhere's coordinates scaled by `spacing`."""
+    ref = oracles.boundary_mask_ref(values)
+    want_points = np.argwhere(ref) * np.asarray(spacing)
+    for layout in (values, np.asfortranarray(values)):
+        surface = boundary_surface(mask(layout, spacing))
+        if not values.any():
+            assert surface is None
+            continue
+        np.testing.assert_array_equal(surface.flat, np.flatnonzero(ref))
+        assert surface.points.tobytes() == want_points.tobytes()
+
+
 @pytest.mark.parametrize("dims", [(7, 6, 5), (1, 5, 4), (2, 1, 6), (2, 2, 2), (1, 1, 1)])
 def test_boundary_mask_equals_six_copy_reference(dims):
     rng = np.random.default_rng(sum(dims))
@@ -221,27 +235,15 @@ def test_boundary_mask_equals_six_copy_reference(dims):
     if min(dims) > 2:
         masks += oracles.face_touching_masks(dims)
     for values in masks:
-        want = oracles.boundary_mask_ref(values)
-        got = boundary_mask(values)
-        assert got.dtype == bool
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(boundary_mask(np.asfortranarray(values)), want)
-        assert not np.shares_memory(got, values)
+        _assert_surface_is_six_copy_boundary(values)
 
 
 def test_boundary_surface_equals_argwhere_oracle_at_non_dyadic_spacing():
-    spacing = (0.7, 0.55, 3.3)
     rng = np.random.default_rng(31)
-    masks = [m for _, m in _label_cases() if m.any()]
+    masks = [m for _, m in _label_cases()]
     masks += [oracles.random_mask_pair(rng, (14, 12, 10))[0] for _ in range(3)]
     for values in masks:
-        ref = oracles.boundary_mask_ref(values)
-        want_points = np.argwhere(ref) * np.asarray(spacing)
-        for layout in (values, np.asfortranarray(values)):
-            surface = boundary_surface(mask(layout, spacing))
-            assert surface.points.tobytes() == want_points.tobytes()
-            np.testing.assert_array_equal(surface.flat, np.flatnonzero(ref))
-    assert boundary_surface(empty(spacing=spacing)) is None
+        _assert_surface_is_six_copy_boundary(values)
 
 
 def test_zone_whose_truth_is_empty_scores_the_restricted_truth():
