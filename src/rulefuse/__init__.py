@@ -53,8 +53,6 @@ from .metrics import (
     dice,
     evaluate,
     hd95,
-    lesion_precision_pred,
-    lesion_recall_gt,
 )
 from .phantoms import PhantomSpec, generate_case, generate_cases, generate_dataset
 from .rules import (

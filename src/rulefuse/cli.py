@@ -118,6 +118,8 @@ def cmd_fit(args, config) -> int:
     decision = _decision_for(args)
     R = canonical_condition_matrix()
     model = _opt(args, config, "model", "both")
+    if model not in ("linear", "stacking", "both"):
+        raise UsageError(f"--model must be linear, stacking or both, got {model!r}")
     lr = _opt_as(float, args, config, "lr", DEFAULT_LEARNING_RATE)
     iters = _opt_as(int, args, config, "iters", DEFAULT_MAX_ITERS)
     reports = {}
@@ -139,8 +141,6 @@ def cmd_fit(args, config) -> int:
             f"  stacking  beta = {_fmt_vec(rep.coefficients)}  "
             f"odds = {_fmt_vec(rep.odds_ratios)}  residual = {rep.residual:.6g}"
         )
-    if model not in ("linear", "stacking", "both"):
-        raise UsageError(f"--model must be linear, stacking or both, got {model!r}")
     if args.out:
         volio.write_report(reports, "json", args.out)
     return 0
@@ -218,6 +218,7 @@ def cmd_combine(args, config) -> int:
         model, rule = _rule_from_spec(spec)
     except (ValueError, RuleFuseError) as exc:
         raise UsageError(f"bad rule spec: {exc}") from None
+    eval_cfg = _eval_config(args, config) if args.mask_out else None
     volumes = [volio.load_any_volume(p) for p in (args.t2w, args.dwi_hb, args.adc)]
 
     if model == "vote":
@@ -236,7 +237,7 @@ def cmd_combine(args, config) -> int:
     volio.save_volume(combined, args.out)
     print(f"combined map -> {args.out}")
     if args.mask_out:
-        mask = _as_mask(combined, _eval_config(args, config), "combined map")
+        mask = _as_mask(combined, eval_cfg, "combined map")
         volio.save_volume(mask, args.mask_out)
         print(f"binarized mask -> {args.mask_out} ({mask.count()} positive voxels)")
     return 0
@@ -265,10 +266,9 @@ def _write_reports(result, args, config) -> int:
 
 
 def cmd_evaluate(args, config) -> int:
-    pred = volio.load_any_volume(args.pred)
-    truth = volio.load_any_volume(args.truth)
     eval_cfg = _eval_config(args, config)
-    pred = _as_mask(pred, eval_cfg, "pred")
+    pred = _as_mask(volio.load_any_volume(args.pred), eval_cfg, "pred")
+    truth = volio.load_any_volume(args.truth)
     if not isinstance(truth, LabelVolume):
         raise DataError("truth must be a label volume")
     zone = None
@@ -298,26 +298,26 @@ def cmd_search(args, config) -> int:
     rank_by = _opt(args, config, "rank_by", "dsc")
     rank_split = _opt(args, config, "split", "validation")
     eval_split = _opt(args, config, "eval_split", "test")
+    if model not in ("linear", "stacking"):
+        raise UsageError(f"--model must be linear or stacking, got {model!r}")
+    if args.heatmap_out and model != "linear":
+        raise UsageError("--heatmap-out only applies to linear search")
     eval_cfg = _eval_config(args, config)
+    ruleset = None
+    if model == "linear":
+        step = _opt_as(float, args, config, "step", 0.1)
+    else:
+        rules_path = _opt_path(args, config, "rules")
+        if rules_path is None:
+            raise UsageError("--rules (SampledRuleSet JSON) is required for stacking search")
+        ruleset = sampling.SampledRuleSet.load(rules_path)
 
     def run_split(split: str) -> discovery.GridSearchResult:
         cases, _ = volio.load_manifest(args.manifest, split=split)
-        if model == "linear":
-            step = _opt_as(float, args, config, "step", 0.1)
-            return discovery.grid_search_linear(
-                cases, step=step, rank_by=rank_by, config=eval_cfg,
-                split=split, threads=args.threads,
-            )
-        if model == "stacking":
-            rules_path = _opt_path(args, config, "rules")
-            if rules_path is None:
-                raise UsageError("--rules (SampledRuleSet JSON) is required for stacking search")
-            ruleset = sampling.SampledRuleSet.load(rules_path)
-            return discovery.grid_search_stacking(
-                cases, ruleset, rank_by=rank_by, config=eval_cfg,
-                split=split, threads=args.threads,
-            )
-        raise UsageError(f"--model must be linear or stacking, got {model!r}")
+        options = dict(rank_by=rank_by, config=eval_cfg, split=split, threads=args.threads)
+        if ruleset is None:
+            return discovery.grid_search_linear(cases, step=step, **options)
+        return discovery.grid_search_stacking(cases, ruleset, **options)
 
     ranked = run_split(rank_split)
     held_out = run_split(eval_split)
@@ -327,14 +327,13 @@ def cmd_search(args, config) -> int:
     if args.csv_out:
         volio.write_report(ranked, "csv", args.csv_out)
     if args.heatmap_out:
-        if model != "linear":
-            raise UsageError("--heatmap-out only applies to linear search")
         Path(args.heatmap_out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.heatmap_out).write_text(volio.heatmap_csv(ranked, metric="dsc"))
+        Path(args.heatmap_out).write_text(volio.heatmap_csv(ranked))
     return 0
 
 
 def cmd_availability(args, config) -> int:
+    eval_cfg = _eval_config(args, config)
     cases, _ = volio.load_manifest(args.manifest, split=args.split)
     base = None
     if args.base_rule:
@@ -344,7 +343,7 @@ def cmd_availability(args, config) -> int:
             raise UsageError("availability base rule must be linear")
         base = rule
     table = discovery.availability_analysis(
-        cases, base_rule=base, config=_eval_config(args, config), threads=args.threads
+        cases, base_rule=base, config=eval_cfg, threads=args.threads
     )
     return _write_reports(table, args, config)
 
@@ -360,6 +359,8 @@ def cmd_mc_uncertainty(args, config) -> int:
         sampler = discovery.RuleSampler(sampler_cfg, rule_set=rule_set)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from None
+    eval_cfg = _eval_config(args, config)
+    n_draws = _opt_as(int, args, config, "draws", 16)
     cases, _ = volio.load_manifest(args.manifest, split=args.split)
     volume_paths = {}  # checked before the run, so a bad case id costs no draws
     if args.volumes_out:
@@ -367,9 +368,8 @@ def cmd_mc_uncertainty(args, config) -> int:
             case.case_id: volio.case_file(args.volumes_out, case.case_id, "_variance.f32le")
             for case in cases
         }
-    n_draws = _opt_as(int, args, config, "draws", 16)
     result = discovery.monte_carlo_uncertainty(
-        cases, sampler, n_draws=n_draws, seed=args.seed, config=_eval_config(args, config),
+        cases, sampler, n_draws=n_draws, seed=args.seed, config=eval_cfg,
         threads=args.threads,
     )
     for case in result.cases:

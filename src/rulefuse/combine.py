@@ -106,6 +106,14 @@ def combine_vote(masks) -> LabelVolume:
     return LabelVolume(total >= 2, spacing=masks[0].spacing)
 
 
+def check_binarization(threshold: float, min_region_voxels: int) -> None:
+    """Raise ValueError unless `threshold` lies in (0, 1) and `min_region_voxels` is >= 0."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+    if min_region_voxels < 0:
+        raise ValueError(f"min_region_voxels must be >= 0, got {min_region_voxels}")
+
+
 def binarize_components(
     values: np.ndarray,
     spacing,
@@ -132,10 +140,7 @@ def binarize_components(
     returned mask is then a read-only view of `mask_out`, valid until the
     buffer is written again.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    if min_region_voxels < 0:
-        raise ValueError(f"min_region_voxels must be >= 0, got {min_region_voxels}")
+    check_binarization(threshold, min_region_voxels)
     mask = np.greater(values, threshold, out=mask_out)
     support = backends.support_of(mask)
     labels, counts, keep = backends.components(

@@ -5,9 +5,10 @@ and `evaluate_rule` are one sweep: every (rule, case) pair is scored, and
 each rule's reports are reduced in sorted case_id order, so results are
 independent of worker count and dataset ordering. The sweep is case-major: a
 task is one case and a contiguous range of the rules, one range per worker,
-and it builds that case's truth context and one set of volume buffers, which
-it reuses for each of its rules. Monte-Carlo uncertainty runs one task per
-case, over all its draws, the same way.
+and it sets its case up once, with `_case_setup`: the zone, the truth
+restricted to it and one set of volume buffers, which it reuses for each of
+its rules. Monte-Carlo uncertainty runs one task per case, over all its
+draws, on the same set-up.
 
 Every sweep runs its tasks on `_workers(threads, n_tasks)` worker processes:
 the calling process is worker 0 and the others are forked children, which
@@ -32,12 +33,11 @@ import numpy as np
 
 # binarize is not called here; it stays bound in this module because
 # perfbench/test_perfbench.py reaches it as `discovery.binarize`
-from .combine import binarize, binarize_components, linear_map, stacking_map
+from .combine import binarize, binarize_components, check_binarization, linear_map, stacking_map
 from .errors import DataError
 from .fitting import LinearRule, StackingRule
 from .metrics import (
-    LabelledMask, MetricsConfig, MetricsReport, TruthContext, dice, evaluate, in_zone, label_mask,
-    truth_context,
+    MetricsConfig, MetricsReport, TruthContext, dice, evaluate, in_zone, label_mask, truth_context,
 )
 from .sampling import SampledRuleSet
 from .volumes import LabelVolume, ProbabilityVolume, validate_aligned
@@ -122,6 +122,9 @@ class EvalConfig:
     metrics: MetricsConfig = field(default_factory=MetricsConfig)
     zone: str | None = None
 
+    def __post_init__(self) -> None:
+        check_binarization(self.threshold, self.min_region_voxels)
+
 
 def _mean_defined(values):
     """(mean over non-None entries, count defined); (None, 0) when all missing."""
@@ -189,22 +192,27 @@ def _zone_for(case: CaseRecord, config: EvalConfig) -> LabelVolume | None:
 
 class _Buffers:
     """The volumes one task writes for each rule it runs on one case: the
-    combined map, the scratch products, the mask and its labels; and the
-    case's configured zone as a C-order flat mask (None without one), which
-    the task only reads.
+    combined map, the scratch products, the mask and its labels.
 
     Every array is C-ordered and sized to the case. A volume a rule's
     evaluation builds on them is valid only until the next rule runs.
     """
 
-    def __init__(self, case: CaseRecord, config: EvalConfig):
-        dims = case.truth.dims
-        zone = _zone_for(case, config)
+    def __init__(self, dims):
         self.map = np.empty(dims)
         self.product = np.empty(dims)
         self.mask = np.empty(dims, dtype=bool)
         self.labels = np.empty(dims, dtype=np.int32)
-        self.zone = None if zone is None else np.ravel(zone.values)
+
+
+def _case_setup(case: CaseRecord, config: EvalConfig):
+    """(zone, truth, buffers): what every sweep builds once for a case before
+    its rules or draws run. `zone` is the configured zone mask (None without
+    one), `truth` the case's truth restricted to it as a `LabelledMask` at the
+    configured connectivity, and `buffers` a fresh `_Buffers`."""
+    zone = _zone_for(case, config)
+    truth = label_mask(in_zone(case.truth, zone), config.metrics.connectivity)
+    return zone, truth, _Buffers(case.truth.dims)
 
 
 def _predict(case: CaseRecord, model: str, rule, config: EvalConfig, buffers: _Buffers):
@@ -234,26 +242,19 @@ def _predict(case: CaseRecord, model: str, rule, config: EvalConfig, buffers: _B
     return combined, pred
 
 
-def _in_zone(pred: LabelledMask, buffers: _Buffers) -> LabelVolume:
-    """The prediction `_predict` wrote into `buffers`, restricted to the zone
-    there: its positives outside the zone are cleared in the mask buffer it
-    views, so its support and components no longer describe it."""
-    flat = pred.support.flat
-    buffers.mask.flat[flat[~buffers.zone.take(flat)]] = False
-    return pred.volume
-
-
 def _evaluate_case(
     case: CaseRecord,
     model: str,
     rule,
     config: EvalConfig,
+    zone: LabelVolume | None,
     truth_ctx: TruthContext,
     buffers: _Buffers,
 ) -> MetricsReport:
     _, pred = _predict(case, model, rule, config, buffers)
-    if buffers.zone is not None:  # the restriction can split a component
-        pred = label_mask(_in_zone(pred, buffers), config.metrics.connectivity, buffers.labels)
+    # a restricted prediction is labelled into the buffer its unrestricted
+    # labels were in, which nothing reads any more
+    pred = label_mask(in_zone(pred, zone), config.metrics.connectivity, buffers.labels)
     return evaluate(pred, truth_ctx.mask.volume, config.metrics, truth_ctx=truth_ctx)
 
 
@@ -409,9 +410,9 @@ def _sweep(
     """Score every (rule, case) pair and aggregate one RuleEvaluation per rule.
 
     Each case's rules are cut into one contiguous range per worker, and each
-    (case, range) is one task, in case-major order. A task builds its case's
-    zone-restricted truth context and its buffers once and reuses them for
-    each rule in its range.
+    (case, range) is one task, in case-major order. A task sets its case up
+    and builds the restricted truth's context once, and reuses them for each
+    rule in its range.
     """
     cases = sorted(dataset, key=lambda c: c.case_id)  # fixed reduction order
     if not cases:
@@ -424,13 +425,10 @@ def _sweep(
     def run(task) -> list[MetricsReport]:
         case, task_rules = task
         try:
-            # restricted to the zone as `evaluate` restricts the truth
-            truth_ctx = truth_context(
-                in_zone(case.truth, _zone_for(case, config)), config.metrics.connectivity
-            )
-            buffers = _Buffers(case, config)
+            zone, truth, buffers = _case_setup(case, config)
+            truth_ctx = truth_context(truth, config.metrics.connectivity)
             return [
-                _evaluate_case(case, model, rule, config, truth_ctx, buffers)
+                _evaluate_case(case, model, rule, config, zone, truth_ctx, buffers)
                 for rule in task_rules
             ]
         except DataError:
@@ -508,22 +506,11 @@ class GridSearchResult:
             "rows": [row.to_dict(include_cases) for row in self.rows],
         }
 
-    def heatmap_rows(self, metric: str = "dsc"):
-        """(α₁, α₂, value) triples for linear rows; α₃ is 1 − α₁ − α₂."""
-        out = []
-        for row in self.rows:
-            if row.model != "linear":
-                continue
-            a = row.rule.as_tuple()
-            value = {
-                "dsc": row.mean_dsc,
-                "recall": row.mean_recall,
-                "precision": row.mean_precision,
-                "hd95": row.mean_hd95,
-            }[metric]
-            out.append((a[0], a[1], value))
-        out.sort(key=lambda r: (r[0], r[1]))
-        return out
+    def heatmap_rows(self):
+        """(α₁, α₂, mean DSC) triples for linear rows; α₃ is 1 − α₁ − α₂."""
+        rows = [(*row.rule.as_tuple()[:2], row.mean_dsc)
+                for row in self.rows if row.model == "linear"]
+        return sorted(rows, key=lambda r: r[:2])
 
 
 def _search(rows, rank_by: str, split: str, options: dict) -> GridSearchResult:
@@ -781,16 +768,13 @@ def monte_carlo_uncertainty(
     rules = [sampler.draw(rng, i) for i in range(n_draws)]
 
     def run(case: CaseRecord) -> MCCaseResult:
-        buffers = _Buffers(case, config)
-        truth = label_mask(in_zone(case.truth, _zone_for(case, config)), config.metrics.connectivity)
+        zone, truth, buffers = _case_setup(case, config)
         dscs = []
 
         def draws():
             for rule in rules:
                 combined, pred = _predict(case, sampler.model, rule, config, buffers)
-                if buffers.zone is not None:
-                    pred = _in_zone(pred, buffers)
-                dscs.append(dice(pred, truth))
+                dscs.append(dice(in_zone(pred, zone), truth))
                 # as combine_linear clips; a stacking map already lies in [0, 1]
                 yield np.clip(combined, 0.0, 1.0, out=combined)
 

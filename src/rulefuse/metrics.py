@@ -23,34 +23,58 @@ HD_PERCENTILE = 95.0
 
 @dataclass(frozen=True)
 class LabelledMask:
-    """A binary mask with what the metrics read of it, found together in one
-    scan: its `backends.Support` (positive voxels and their box) and its
-    connected components at `connectivity`, as the (labels, counts, keep)
-    triple of `backends.components`.
+    """A binary mask with what the metrics read of it: its `backends.Support`
+    (positive voxels and their box) and, once labelled, its connected
+    components at `connectivity`, as the (labels, counts, keep) triple of
+    `backends.components`. `components` and `connectivity` are None when it
+    is not labelled, as `in_zone` leaves a restricted mask.
 
-    Made by `label_mask` and by `combine.binarize_components`. `dice`,
-    `hd95`, `boundary_surface` and `evaluate` take one wherever they take a
-    `LabelVolume`, and then read the positives, the box and (`evaluate`) the
-    components from it instead of scanning and labelling the mask.
+    Made by `label_mask`, `in_zone` and `combine.binarize_components`.
+    `dice`, `hd95`, `boundary_surface` and `evaluate` take one wherever they
+    take a `LabelVolume`, and then read the positives, the box and
+    (`evaluate`) the components from it instead of scanning and labelling
+    the mask.
     """
 
     volume: LabelVolume
     support: backends.Support
-    components: tuple
-    connectivity: int
+    components: tuple | None = None
+    connectivity: int | None = None
 
 
-def label_mask(
-    mask: LabelVolume, connectivity: int = DEFAULT_CONNECTIVITY, labels_out=None
-) -> LabelledMask:
-    """`mask` with its support and its components at `connectivity`;
-    `labels_out` is as `out` for `backends.label_components`."""
-    support = backends.support_of(mask.values)
+def label_mask(mask, connectivity: int = DEFAULT_CONNECTIVITY, labels_out=None) -> LabelledMask:
+    """`mask` (a `LabelVolume` or `LabelledMask`) with its support and its
+    components at `connectivity`; a mask already labelled there is returned
+    as it is. `labels_out` is as `out` for `backends.label_components`."""
+    if isinstance(mask, LabelledMask) and mask.connectivity == connectivity:
+        return mask
+    volume, support = _volume(mask), _support(mask)
     return LabelledMask(
-        mask,
+        volume,
         support,
-        backends.components(mask.values, connectivity, support=support, out=labels_out),
+        backends.components(volume.values, connectivity, support=support, out=labels_out),
         connectivity,
+    )
+
+
+def in_zone(mask, zone: LabelVolume | None):
+    """`mask` (a `LabelVolume` or `LabelledMask`) restricted to `zone`, as a
+    `LabelledMask`; the mask itself when there is no zone.
+
+    The restricted positives are the mask's own, ascending, at which the zone
+    is set, so no volume is scanned for them. The restriction can split a
+    component, so the restricted mask is not labelled; `label_mask` labels it.
+    """
+    if zone is None:
+        return mask
+    volume, support = _volume(mask), _support(mask)
+    validate_aligned([volume, zone], names=["mask", "zone"])
+    flat = support.flat[np.ravel(zone.values).take(support.flat)]
+    values = np.zeros(volume.dims, dtype=bool)
+    values.ravel()[flat] = True  # a view: `values` is C-ordered
+    return LabelledMask(
+        LabelVolume(values, spacing=volume.spacing),
+        backends.Support(flat, backends.bounding_box(flat, values.shape)),
     )
 
 
@@ -185,43 +209,6 @@ def _share_covered(components, other: np.ndarray, threshold: float):
     return float(np.count_nonzero(covered[keep] / counts[keep] > threshold)) / n
 
 
-def lesion_recall_gt(
-    pred: LabelVolume,
-    truth: LabelVolume,
-    s_gt: float = DEFAULT_OVERLAP_THRESHOLD,
-    connectivity: int = DEFAULT_CONNECTIVITY,
-):
-    """Fraction of truth lesions whose covered fraction strictly exceeds s_gt.
-
-    Coverage of one truth lesion sums overlaps from all predicted components.
-    Returns None when the truth mask has no lesions.
-    """
-    if not 0.0 < s_gt <= 1.0:
-        raise ValueError(f"s_gt must lie in (0, 1], got {s_gt}")
-    validate_aligned([pred, truth], names=["pred", "truth"])
-    return _share_covered(
-        backends.components(truth.values, connectivity), np.flatnonzero(pred.values), s_gt
-    )
-
-
-def lesion_precision_pred(
-    pred: LabelVolume,
-    truth: LabelVolume,
-    s_pred: float = DEFAULT_OVERLAP_THRESHOLD,
-    connectivity: int = DEFAULT_CONNECTIVITY,
-):
-    """Fraction of predicted lesions whose truth-covered fraction exceeds s_pred.
-
-    Returns None when the prediction has no lesions.
-    """
-    if not 0.0 < s_pred <= 1.0:
-        raise ValueError(f"s_pred must lie in (0, 1], got {s_pred}")
-    validate_aligned([pred, truth], names=["pred", "truth"])
-    return _share_covered(
-        backends.components(pred.values, connectivity), np.flatnonzero(truth.values), s_pred
-    )
-
-
 @dataclass(frozen=True)
 class MetricsConfig:
     s_gt: float = DEFAULT_OVERLAP_THRESHOLD
@@ -272,16 +259,11 @@ class TruthContext:
     surface: BoundarySurface | None
 
 
-def truth_context(truth: LabelVolume, connectivity: int = DEFAULT_CONNECTIVITY) -> TruthContext:
+def truth_context(truth, connectivity: int = DEFAULT_CONNECTIVITY) -> TruthContext:
+    """The context of `truth` (a `LabelVolume` or `LabelledMask`), labelled at
+    `connectivity`."""
     labelled = label_mask(truth, connectivity)
     return TruthContext(mask=labelled, surface=boundary_surface(labelled))
-
-
-def in_zone(mask: LabelVolume, zone: LabelVolume | None) -> LabelVolume:
-    """`mask` restricted to `zone`; the mask itself when there is no zone."""
-    if zone is None:
-        return mask
-    return LabelVolume(mask.values & zone.values, spacing=mask.spacing)
 
 
 def evaluate(
@@ -306,10 +288,7 @@ def evaluate(
     validate_aligned(volumes, names=names)
     if truth_ctx is None:
         truth_ctx = truth_context(in_zone(truth, zone), config.connectivity)
-    if zone is not None:
-        pred = label_mask(in_zone(_volume(pred), zone), config.connectivity)
-    elif not isinstance(pred, LabelledMask) or pred.connectivity != config.connectivity:
-        pred = label_mask(_volume(pred), config.connectivity)
+    pred = label_mask(in_zone(pred, zone), config.connectivity)
     g = truth_ctx.mask
     p_flat, g_flat = pred.support.flat, g.support.flat
 

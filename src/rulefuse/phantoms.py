@@ -218,7 +218,7 @@ def generate_cases(seed: int, n_cases: int, spec: PhantomSpec) -> list[CaseRecor
     ]
 
 
-def generate_dataset(seed: int, n_cases: int, spec: PhantomSpec, out_dir, ratios=None):
+def generate_dataset(seed: int, n_cases: int, spec: PhantomSpec, out_dir):
     """Write a case-per-directory dataset plus a manifest with split tags.
 
     Splits are assigned by hashing case ids with the same seed, so the
@@ -229,9 +229,7 @@ def generate_dataset(seed: int, n_cases: int, spec: PhantomSpec, out_dir, ratios
 
     out_dir = Path(out_dir)
     cases = generate_cases(seed, n_cases, spec)
-    assignment = assign_splits(
-        [c.case_id for c in cases], seed, ratios or DEFAULT_SPLIT_RATIOS
-    )
+    assignment = assign_splits([c.case_id for c in cases], seed, DEFAULT_SPLIT_RATIOS)
     entries = []
     for case in cases:
         mod_paths = {}
@@ -261,7 +259,7 @@ def generate_dataset(seed: int, n_cases: int, spec: PhantomSpec, out_dir, ratios
         meta={
             "seed": seed,
             "n_cases": n_cases,
-            "ratios": list(ratios or DEFAULT_SPLIT_RATIOS),
+            "ratios": list(DEFAULT_SPLIT_RATIOS),
             "phantom_spec": spec.to_dict(),
         },
     )

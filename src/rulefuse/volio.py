@@ -37,7 +37,7 @@ from .errors import DataError, VolumeFormatError
 from .metrics import MetricsReport
 from .rules import decision_from_number
 from .sampling import SampledRuleSet
-from .volumes import LabelVolume, Modality, ProbabilityVolume, probability_range_error
+from .volumes import LabelVolume, Modality, ProbabilityVolume
 
 SIDECAR_SUFFIX = ".json"
 _DTYPES = {"f32le": np.dtype("<f4"), "u8": np.dtype("u1")}
@@ -142,15 +142,15 @@ def load_volume(path):
             raise VolumeFormatError(f"payload {payload}: u8 label values must be 0 or 1")
         return LabelVolume(_c_ordered(raw, dims, bool), spacing=tuple(spacing))
     values = _c_ordered(raw, dims, np.float64)
-    problem = probability_range_error(values)
-    if problem:
-        raise VolumeFormatError(f"payload {payload}: {problem}")
     modality = meta.get("modality", "combined")
     try:
         modality = Modality(modality)
     except ValueError:
         modality = Modality.COMBINED
-    return ProbabilityVolume(values, spacing=tuple(spacing), modality=modality)
+    try:  # the grid is checked above, so only the probability range can fail here
+        return ProbabilityVolume(values, spacing=tuple(spacing), modality=modality)
+    except ValueError as exc:
+        raise VolumeFormatError(f"payload {payload}: {exc}") from None
 
 
 # --- NIfTI-1 (read-only, minimal) -------------------------------------------
@@ -222,10 +222,10 @@ def load_nifti1(path):
         if not np.all((values == 0) | (values == 1)):
             raise VolumeFormatError(f"{path}: uint8 labels must be 0/1 after scaling")
         return LabelVolume(values.astype(bool), spacing=spacing)
-    problem = probability_range_error(values)
-    if problem:
-        raise VolumeFormatError(f"{path}: {problem} after scaling")
-    return ProbabilityVolume(values, spacing=spacing)
+    try:  # the grid is checked above, so only the probability range can fail here
+        return ProbabilityVolume(values, spacing=spacing)
+    except ValueError as exc:
+        raise VolumeFormatError(f"{path}: {exc} after scaling") from None
 
 
 def load_any_volume(path):
@@ -456,12 +456,12 @@ def _flatten(value):
     return value
 
 
-def heatmap_csv(result: GridSearchResult, metric: str = "dsc") -> str:
-    """CSV of (alpha1, alpha2, value); alpha3 is implied by 1 − alpha1 − alpha2."""
+def heatmap_csv(result: GridSearchResult) -> str:
+    """CSV of (alpha1, alpha2, dsc); alpha3 is implied by 1 − alpha1 − alpha2."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["alpha1", "alpha2", metric])
-    for a1, a2, value in result.heatmap_rows(metric):
+    writer.writerow(["alpha1", "alpha2", "dsc"])
+    for a1, a2, value in result.heatmap_rows():
         writer.writerow([_fmt(a1), _fmt(a2), _fmt(value)])
     return buf.getvalue()
 

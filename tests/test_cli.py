@@ -5,7 +5,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from rulefuse import volio
+from rulefuse import sampling, volio
 from rulefuse.cli import main
 from rulefuse.combine import binarize, combine_linear
 from rulefuse.fitting import LinearRule
@@ -107,6 +107,71 @@ def test_json_file_that_is_not_utf8_is_data_error(tmp_path, capsys):
     assert main(["--config", str(cfg), "fit", "--zone", "WG"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"data error: config file {cfg} is not valid JSON") and err.count("\n") == 1
+
+
+BAD_BINARIZATION = [
+    ("threshold", "--threshold", 1.5, "threshold must lie in (0, 1), got 1.5"),
+    ("threshold", "--threshold", float("nan"), "threshold must lie in (0, 1), got nan"),
+    ("min_region", "--min-region", -1, "min_region_voxels must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+@pytest.mark.parametrize("name, flag, value, message", BAD_BINARIZATION,
+                         ids=["threshold-1.5", "threshold-nan", "min-region-minus-1"])
+@pytest.mark.parametrize("command", ["search", "availability", "mc-uncertainty"])
+def test_bad_binarization_option_is_usage_error_before_any_load(
+    dataset, tmp_path, capsys, monkeypatch, command, name, flag, value, message, given
+):
+    manifest, _, _ = dataset
+    loads = []
+    load_manifest = volio.load_manifest
+    monkeypatch.setattr(volio, "load_manifest",
+                        lambda *args, **kwargs: loads.append(args) or load_manifest(*args, **kwargs))
+    argv = [command, str(manifest)]
+    if command == "mc-uncertainty":
+        argv += ["--sampler", '{"kind": "dirichlet"}']
+    if given == "flag":
+        argv += [flag, str(value)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: value}))
+        argv = ["--config", str(cfg)] + argv
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"usage error: {message}\n")
+    assert loads == []
+
+
+def test_search_heatmap_for_stacking_writes_nothing(dataset, tmp_path, capsys, monkeypatch):
+    manifest, _, _ = dataset
+    rules = tmp_path / "rules.json"
+    assert main(["sample", "--model", "stacking", "--n-rules", "16", "--out", str(rules)]) == 0
+    capsys.readouterr()
+    outputs = [tmp_path / name for name in ("h.csv", "s.json", "g.csv")]
+    argv = ["search", str(manifest), "--model", "stacking", "--rules", str(rules),
+            "--out", str(outputs[1]), "--csv-out", str(outputs[2])]
+    assert main(argv + ["--heatmap-out", str(outputs[0])]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --heatmap-out only applies to linear search\n"
+    assert not any(path.exists() for path in outputs)
+    # without the heatmap the search runs, reading the rule set once for both splits
+    loads = []
+    load = sampling.SampledRuleSet.load
+    monkeypatch.setattr(sampling.SampledRuleSet, "load",
+                        staticmethod(lambda path: loads.append(path) or load(path)))
+    assert main(argv) == 0
+    assert loads == [str(rules)] and outputs[1].exists() and outputs[2].exists()
+
+
+def test_fit_bad_model_from_config_prints_nothing(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "bogus"}))
+    assert main(["--config", str(cfg), "fit", "--zone", "WG"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --model must be linear, stacking or both, got 'bogus'\n"
 
 
 # --- fit ---------------------------------------------------------------------------

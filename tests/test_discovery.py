@@ -279,6 +279,36 @@ def test_sweep_zone_without_truth_has_no_hd95(threads):
                                   zone=cases[0].zones["slab"])
 
 
+@pytest.mark.parametrize("zone", [None, "slab"])
+def test_sweeps_scan_each_prediction_once_and_share_the_case_setup(zone, monkeypatch):
+    # the grid is scanned for positives once per prediction, when it is
+    # thresholded, and once per case, for its truth; restricting to a zone
+    # reads the prediction's own positives. The rule sweep and MC set each
+    # case up with the same helper.
+    cases = mixed_grid_cases(seed=13)
+    case_ids = sorted(case.case_id for case in cases)
+    config = EvalConfig(min_region_voxels=4, zone=zone)
+    scans, setups = [], []
+    support_of, case_setup = backends.support_of, discovery._case_setup
+
+    def counted_support_of(mask):
+        scans.append(mask.shape)
+        return support_of(mask)
+
+    def counted_case_setup(case, config):
+        setups.append(case.case_id)
+        return case_setup(case, config)
+
+    monkeypatch.setattr(backends, "support_of", counted_support_of)
+    monkeypatch.setattr(discovery, "_case_setup", counted_case_setup)
+    grid_search_linear(cases, step=0.5, config=config)  # 6 rules
+    assert (len(scans), setups) == (len(cases) * (6 + 1), case_ids)
+    scans.clear()
+    setups.clear()
+    monte_carlo_uncertainty(cases, {"kind": "dirichlet"}, n_draws=3, config=config)
+    assert (len(scans), setups) == (len(cases) * (3 + 1), case_ids)
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 def test_case_major_stacking_sweep_equals_per_pair_evaluation(threads):
     cases = mixed_grid_cases(seed=10)[:3]
@@ -513,7 +543,7 @@ def test_grid_search_rank_of_linear_lookup():
 def test_grid_search_heatmap_rows():
     cases = truth_cases(2)
     result = grid_search_linear(cases, step=0.5)
-    rows = result.heatmap_rows("dsc")
+    rows = result.heatmap_rows()
     assert len(rows) == 6
     assert all(len(r) == 3 for r in rows)
     assert rows == sorted(rows)

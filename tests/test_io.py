@@ -277,6 +277,43 @@ def test_nifti_nan_is_rejected_naming_file_and_count(tmp_path):
         load_nifti1(p)
 
 
+def test_loaded_probabilities_are_range_checked_once(tmp_path, monkeypatch):
+    from rulefuse import volio, volumes
+
+    checks = []
+    check = volumes.probability_range_error
+
+    def counted(values):
+        checks.append(values.shape)
+        return check(values)
+
+    for module in (volumes, volio):  # wherever a loader could reach it
+        monkeypatch.setattr(module, "probability_range_error", counted, raising=False)
+    good = sidecar_case(tmp_path, {"dims": [2, 1, 1], "dtype": "f32le"},
+                        payload=np.array([0.5, 0.25], dtype="<f4").tobytes())
+    nii = tmp_path / "good.nii"
+    nii.write_bytes(nifti1_bytes(np.full((2, 2, 2), 0.5)))
+    for path in (good, nii):
+        load_any_volume(path)
+        assert len(checks) == 1, path
+        checks.clear()
+    # the messages name the file as before
+    bad = sidecar_case(tmp_path, {"dims": [2, 1, 1], "dtype": "f32le"},
+                       payload=np.array([0.5, 1.5], dtype="<f4").tobytes())
+    with pytest.raises(VolumeFormatError) as info:
+        load_volume(bad)
+    assert str(info.value) == (
+        f"payload {bad}: probability values must lie in [0, 1], found [0.5, 1.5]"
+    )
+    scaled = tmp_path / "scaled.nii"
+    scaled.write_bytes(nifti1_bytes(np.full((2, 2, 2), 0.5), scl_slope=4.0, scl_inter=0.0))
+    with pytest.raises(VolumeFormatError) as info:
+        load_nifti1(scaled)
+    assert str(info.value) == (
+        f"{scaled}: probability values must lie in [0, 1], found [2.0, 2.0] after scaling"
+    )
+
+
 def test_nifti_nan_spacing_is_rejected(tmp_path):
     p = tmp_path / "nanspacing.nii"
     p.write_bytes(nifti1_bytes(np.full((2, 2, 2), 0.5), spacing=(np.nan, 1.0, 1.0)))

@@ -11,8 +11,6 @@ from rulefuse.metrics import (
     hd95,
     in_zone,
     label_mask,
-    lesion_precision_pred,
-    lesion_recall_gt,
     truth_context,
 )
 from rulefuse.volumes import LabelVolume
@@ -255,7 +253,7 @@ def test_zone_whose_truth_is_empty_scores_the_restricted_truth():
     zone_values = np.zeros((10, 9, 8), dtype=bool)
     zone_values[5:] = True
     zone = mask(zone_values, spacing)
-    assert not in_zone(truth, zone).values.any() and truth.values.any()
+    assert not in_zone(truth, zone).volume.values.any() and truth.values.any()
     ctx = truth_context(in_zone(truth, zone))
     assert ctx.surface is None
     for given in (pred, label_mask(pred)):
@@ -271,6 +269,36 @@ def test_zone_whose_truth_is_empty_scores_the_restricted_truth():
     for context in (None, ctx):
         report = evaluate(label_mask(outside), truth, zone=zone, truth_ctx=context)
         assert report.dsc == 1.0 and report.dsc_both_empty and report.hd95_mm is None
+
+
+def test_in_zone_keeps_the_positives_the_zone_holds(monkeypatch):
+    # the restriction is read from the mask's own positives: a labelled mask
+    # is never scanned again, whatever the zone's memory layout
+    rng = np.random.default_rng(43)
+    spacing = (0.7, 0.55, 3.3)
+    for i in range(8):
+        values, zone_values = oracles.random_mask_pair(rng, (12, 11, 10))
+        if i == 0:
+            zone_values[:] = True  # nothing outside the zone
+        pred = mask(values, spacing)
+        labelled = label_mask(pred, 6)
+        want = values & zone_values
+        ref = label_mask(mask(want, spacing), 6)
+        with monkeypatch.context() as patched:
+            patched.setattr(backends, "support_of", None)
+            for zone in (mask(zone_values, spacing), mask(np.asfortranarray(zone_values), spacing)):
+                got = in_zone(labelled, zone)
+                assert got.components is None and got.connectivity is None
+                assert got.volume.spacing == spacing
+                np.testing.assert_array_equal(got.volume.values, want)
+                np.testing.assert_array_equal(got.support.flat, ref.support.flat)
+                assert got.support.box == ref.support.box
+                relabelled = label_mask(got, 6)
+                np.testing.assert_array_equal(relabelled.components[0], ref.components[0])
+                np.testing.assert_array_equal(relabelled.components[1], ref.components[1])
+        got = in_zone(pred, mask(zone_values, spacing))  # a plain volume is scanned once
+        np.testing.assert_array_equal(got.support.flat, ref.support.flat)
+        assert in_zone(pred, None) is pred and in_zone(labelled, None) is labelled
 
 
 def test_labelled_mask_scores_as_its_volume():
@@ -303,17 +331,18 @@ def test_labelled_mask_scores_as_its_volume():
 
 def test_recall_full_coverage():
     truth = cube((10, 10, 10), (1, 1, 1), (4, 4, 4))
-    assert lesion_recall_gt(truth, truth, s_gt=0.1) == 1.0
+    assert evaluate(truth, truth, MetricsConfig(s_gt=0.1)).recall_gt == 1.0
 
 
 def test_recall_empty_pred():
     truth = cube((10, 10, 10), (1, 1, 1), (4, 4, 4))
-    assert lesion_recall_gt(empty((10, 10, 10)), truth, s_gt=0.1) == 0.0
+    assert evaluate(empty((10, 10, 10)), truth, MetricsConfig(s_gt=0.1)).recall_gt == 0.0
 
 
 def test_recall_zero_gt_lesions_undefined():
     pred = cube((10, 10, 10), (1, 1, 1), (4, 4, 4))
-    assert lesion_recall_gt(pred, empty((10, 10, 10)), s_gt=0.1) is None
+    report = evaluate(pred, empty((10, 10, 10)), MetricsConfig(s_gt=0.1))
+    assert report.recall_gt is None and report.n_gt_lesions == 0
 
 
 def test_recall_partial_coverage_two_lesions():
@@ -324,20 +353,21 @@ def test_recall_partial_coverage_two_lesions():
     pred = np.zeros(dims, dtype=bool)
     pred[1:4, 1:5, 1:6] = True  # 60% of A
     pred[9, 1, 1:6] = True  # 5% of B
-    r = lesion_recall_gt(mask(pred), mask(truth), s_gt=0.1)
-    assert r == pytest.approx(0.5)
+    report = evaluate(mask(pred), mask(truth), MetricsConfig(s_gt=0.1))
+    assert report.recall_gt == pytest.approx(0.5)
+    assert report.n_gt_lesions == report.n_pred_lesions == 2
 
 
 def test_precision_pred_inside_truth():
     truth = cube((10, 10, 10), (1, 1, 1), (6, 6, 6))
     pred = cube((10, 10, 10), (2, 2, 2), (4, 4, 4))
-    assert lesion_precision_pred(pred, truth, s_pred=0.1) == 1.0
+    assert evaluate(pred, truth, MetricsConfig(s_pred=0.1)).precision_pred == 1.0
 
 
 def test_precision_pred_outside_truth():
     truth = cube((10, 10, 10), (1, 1, 1), (3, 3, 3))
     pred = cube((10, 10, 10), (6, 6, 6), (9, 9, 9))
-    assert lesion_precision_pred(pred, truth, s_pred=0.1) == 0.0
+    assert evaluate(pred, truth, MetricsConfig(s_pred=0.1)).precision_pred == 0.0
 
 
 def test_precision_threshold_strictness():
@@ -346,22 +376,23 @@ def test_precision_threshold_strictness():
     truth[0:3, 0:8, 0:8] = True
     pred = np.zeros(dims, dtype=bool)
     pred[0:10, 0, 0] = True  # 10 voxels, 3 inside truth -> 30% coverage
-    assert lesion_precision_pred(mask(pred), mask(truth), s_pred=0.5) == 0.0
-    assert lesion_precision_pred(mask(pred), mask(truth), s_pred=0.25) == 1.0
+    assert evaluate(mask(pred), mask(truth), MetricsConfig(s_pred=0.5)).precision_pred == 0.0
+    assert evaluate(mask(pred), mask(truth), MetricsConfig(s_pred=0.25)).precision_pred == 1.0
+    assert evaluate(mask(pred), mask(truth), MetricsConfig(s_pred=0.3)).precision_pred == 0.0
 
 
 def test_precision_no_pred_lesions_undefined():
     truth = cube((10, 10, 10), (1, 1, 1), (4, 4, 4))
-    assert lesion_precision_pred(empty((10, 10, 10)), truth, s_pred=0.1) is None
+    report = evaluate(empty((10, 10, 10)), truth, MetricsConfig(s_pred=0.1))
+    assert report.precision_pred is None and report.n_pred_lesions == 0
 
 
 def test_overlap_threshold_validation():
-    m = cube((6, 6, 6), (1, 1, 1), (3, 3, 3))
-    for bad in (0.0, 1.5, -0.1):
-        with pytest.raises(ValueError):
-            lesion_recall_gt(m, m, s_gt=bad)
-        with pytest.raises(ValueError):
-            lesion_precision_pred(m, m, s_pred=bad)
+    for bad in (0.0, 1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match=f"s_gt must lie in \\(0, 1\\], got {bad}"):
+            MetricsConfig(s_gt=bad)
+        with pytest.raises(ValueError, match=f"s_pred must lie in \\(0, 1\\], got {bad}"):
+            MetricsConfig(s_pred=bad)
 
 
 # --- evaluate -------------------------------------------------------------------
@@ -436,10 +467,11 @@ def test_metrics_match_bruteforce_oracle_spot():
         theirs = oracles.flood_fill_components(a_values)
         assert len(ours) == len(theirs)
         assert set(map(frozenset, ours)) == set(map(frozenset, theirs))
-        assert lesion_recall_gt(a, b, 0.1) == oracles.lesion_recall_bf(a_values, b_values, 0.1)
-        assert lesion_precision_pred(a, b, 0.1) == oracles.lesion_precision_bf(
-            a_values, b_values, 0.1
-        )
+        report = evaluate(a, b)
+        assert report.recall_gt == oracles.lesion_recall_bf(a_values, b_values, 0.1)
+        assert report.precision_pred == oracles.lesion_precision_bf(a_values, b_values, 0.1)
+        assert report.n_pred_lesions == len(theirs)
+        assert report.n_gt_lesions == len(oracles.flood_fill_components(b_values))
     assert checked >= 3  # the generator must exercise non-empty pairs
 
 
