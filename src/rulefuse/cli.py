@@ -5,11 +5,18 @@ malformed inline JSON, a diverging fit), 2 data error (missing/invalid files,
 misaligned volumes, failed generation).
 All output is deterministic for fixed seeds: reports round floats to 6
 significant digits and contain no timestamps.
+
+Each option is declared once, in `build_parser`, with its type, choices and
+default. A `Setting` option is taken from its flag, else from the `--config`
+entry of its name (`_` for `-`), read through the same type and choices, else
+from its default. Each command builds every library object its options
+describe before it reads a file, so no usage error follows a volume read.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -18,23 +25,13 @@ import numpy as np
 
 from . import discovery, phantoms, sampling, volio
 from .combine import binarize, combine_linear, combine_stacking, combine_vote
+from .discovery import EvalConfig
 from .errors import DataError, DivergenceError, PackingError, RuleFuseError
-from .fitting import (
-    DEFAULT_LEARNING_RATE,
-    DEFAULT_MAX_ITERS,
-    LinearRule,
-    StackingRule,
-    fit_linear,
-    fit_stacking,
-)
+from .fitting import (DEFAULT_LEARNING_RATE, DEFAULT_MAX_ITERS, LinearRule, StackingRule,
+                      fit_linear, fit_stacking)
 from .metrics import MetricsConfig, evaluate as evaluate_masks
-from .rules import (
-    PIRADS_RULE_NUMBERS,
-    Zone,
-    canonical_condition_matrix,
-    decision_from_number,
-    DecisionVector,
-)
+from .rules import (PIRADS_RULE_NUMBERS, DecisionVector, Zone, canonical_condition_matrix,
+                    decision_from_number)
 from .volumes import LabelVolume, ProbabilityVolume
 
 
@@ -47,50 +44,89 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_json_arg(text: str, what: str):
-    """Accept inline JSON or a path to a JSON file."""
-    stripped = text.strip()
-    if stripped.startswith("{") or stripped.startswith("["):
+class Setting(argparse.Action):
+    """Stores an option that --config may also give, noting in `flags_given` that the flag was."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.flags_given = getattr(namespace, "flags_given", frozenset()) | {self.dest}
+
+
+def _json(what: str):
+    """Option type: inline JSON or a JSON file's path; a --config entry is JSON already."""
+    def read(value):
+        if not isinstance(value, str):
+            return value
+        if value.strip()[:1] in ("{", "["):
+            try:
+                return json.loads(value)
+            except json.JSONDecodeError as exc:
+                raise UsageError(f"invalid inline JSON for {what}: {exc}") from None
+        path = Path(value)
+        if not path.exists():
+            raise DataError(f"{what} file {path} does not exist")
         try:
-            return json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"invalid inline JSON for {what}: {exc}") from None
-    path = Path(text)
-    if not path.exists():
-        raise DataError(f"{what} file {path} does not exist")
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"{what} file {path} is not valid JSON: {exc}") from None
+            return json.loads(path.read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DataError(f"{what} file {path} is not valid JSON: {exc}") from None
+    read.__name__ = what
+    return read
 
 
-def _opt(args, config: dict, name: str, default):
-    """Layering: explicit flag > --config entry > built-in default."""
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if name in config:
-        return config[name]
-    return default
-
-
-def _opt_as(convert, args, config: dict, name: str, default):
-    """`_opt` converted by `convert` (float or int); a UsageError naming the
-    option when its value does not convert."""
-    value = _opt(args, config, name, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"option {name}: cannot read {value!r} as {convert.__name__}") from None
-
-
-def _opt_path(args, config: dict, name: str):
-    """`_opt` for a file path with no default: None when not given, else a
-    non-empty string; a UsageError naming the option otherwise."""
-    value = _opt(args, config, name, None)
-    if value is not None and not (isinstance(value, str) and value):
-        raise UsageError(f"option {name}: expected a non-empty path string, got {value!r}")
+def _path(value) -> str:
+    """Option type: a non-empty path string."""
+    if not (isinstance(value, str) and value):
+        raise argparse.ArgumentTypeError(f"expected a non-empty path string, got {value!r}")
     return value
+
+
+def _reals(value) -> tuple:
+    """Option type: comma-separated reals, or a --config list of numbers, kept as given."""
+    if isinstance(value, list) and all(type(v) in (int, float) for v in value):
+        return tuple(value)
+    try:
+        return tuple(float(v) for v in value.split(","))
+    except (AttributeError, ValueError):
+        raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {value!r}") from None
+
+
+def _default(func, name: str):
+    """The library's own default for parameter `name` of `func`."""
+    return inspect.signature(func).parameters[name].default
+
+
+def _from_config(action: argparse.Action, value):
+    """A --config entry read as the option's flag is: by its type, then its choices."""
+    convert = action.type or str
+    if value is None and action.default is None:
+        return None  # null leaves an option that is off by default off
+    try:
+        if convert in (int, float) and isinstance(value, (int, float)):
+            read = convert(json.dumps(value))  # a number's own text: true is no float, 2.5 no int
+        elif convert in (int, float, str) and not isinstance(value, str):
+            raise TypeError(value)
+        else:
+            read = convert(value)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"option {action.dest}: {exc}") from None
+    except (TypeError, ValueError):
+        raise UsageError(
+            f"option {action.dest}: cannot read {value!r} as {convert.__name__}") from None
+    if action.choices is not None and read not in action.choices:
+        *others, last = action.choices
+        raise UsageError(f"{action.option_strings[0]} must be {', '.join(others)} or {last}, "
+                         f"got {read!r}")
+    return read
+
+
+def _apply_config(command: Parser, args) -> None:
+    """Give each Setting whose flag was not given its --config entry, if any."""
+    if not isinstance(args.config, dict):
+        raise UsageError("--config must contain a JSON object")
+    given = getattr(args, "flags_given", frozenset())
+    for action in command._actions:
+        if isinstance(action, Setting) and action.dest in args.config and action.dest not in given:
+            setattr(args, action.dest, _from_config(action, args.config[action.dest]))
 
 
 def _decision_for(args) -> DecisionVector:
@@ -98,141 +134,116 @@ def _decision_for(args) -> DecisionVector:
     if sum(given) != 1:
         raise UsageError("specify exactly one of --rule-number, --zone, --bits")
     if args.rule_number is not None:
-        if not 0 <= args.rule_number <= 255:
-            raise UsageError(f"--rule-number must be in [0, 255], got {args.rule_number}")
-        return decision_from_number(args.rule_number)
+        return decision_from_number(args.rule_number)  # ValueError outside [0, 255]
     if args.zone is not None:
         zone = Zone(args.zone)
         return decision_from_number(PIRADS_RULE_NUMBERS[zone], zone=zone)
-    bits = args.bits
-    if len(bits) != 8 or set(bits) - {"0", "1"}:
-        raise UsageError(f"--bits must be 8 characters of 0/1, got {bits!r}")
-    return DecisionVector(np.array([int(b) for b in bits], dtype=bool))
+    if len(args.bits) != 8 or set(args.bits) - {"0", "1"}:
+        raise UsageError(f"--bits must be 8 characters of 0/1, got {args.bits!r}")
+    return DecisionVector(np.array([int(b) for b in args.bits], dtype=bool))
 
 
 def _fmt_vec(values) -> str:
     return "[" + ", ".join(f"{float(v):.6g}" for v in values) + "]"
 
 
-def cmd_fit(args, config) -> int:
+def cmd_fit(args) -> int:
     decision = _decision_for(args)
     R = canonical_condition_matrix()
-    model = _opt(args, config, "model", "both")
-    if model not in ("linear", "stacking", "both"):
-        raise UsageError(f"--model must be linear, stacking or both, got {model!r}")
-    lr = _opt_as(float, args, config, "lr", DEFAULT_LEARNING_RATE)
-    iters = _opt_as(int, args, config, "iters", DEFAULT_MAX_ITERS)
     reports = {}
-    label = f"rule {decision.number}" + (
-        f" ({decision.zone.value})" if decision.zone != Zone.CUSTOM else ""
-    )
-    print(label)
-    if model in ("linear", "both"):
+    zone = f" ({decision.zone.value})" if decision.zone != Zone.CUSTOM else ""
+    lines = [f"rule {decision.number}{zone}"]  # printed once every fit has succeeded
+    if args.model in ("linear", "both"):
         rep = fit_linear(R, decision)
         reports["linear"] = rep.to_dict()
         line = f"  linear    alpha = {_fmt_vec(rep.coefficients)}  residual = {rep.residual:.6g}"
         if rep.t_stats is not None:
             line += f"  T = {_fmt_vec(rep.t_stats)}"
-        print(line)
-    if model in ("stacking", "both"):
-        rep = fit_stacking(R, decision, learning_rate=lr, max_iters=iters)
+        lines.append(line)
+    if args.model in ("stacking", "both"):
+        rep = fit_stacking(R, decision, learning_rate=args.lr, max_iters=args.iters)
         reports["stacking"] = rep.to_dict()
-        print(
-            f"  stacking  beta = {_fmt_vec(rep.coefficients)}  "
-            f"odds = {_fmt_vec(rep.odds_ratios)}  residual = {rep.residual:.6g}"
-        )
+        lines.append(f"  stacking  beta = {_fmt_vec(rep.coefficients)}  "
+                     f"odds = {_fmt_vec(rep.odds_ratios)}  residual = {rep.residual:.6g}")
+    print("\n".join(lines))
     if args.out:
         volio.write_report(reports, "json", args.out)
     return 0
 
 
-def cmd_sample(args, config) -> int:
-    model = _opt(args, config, "model", "stacking")
-    fmt = _opt(args, config, "format", "json")
-    if model == "stacking":
-        eta = _opt_as(float, args, config, "eta", sampling.DEFAULT_ETA)
-        lr = _opt_as(float, args, config, "lr", DEFAULT_LEARNING_RATE)
-        iters = _opt_as(int, args, config, "iters", DEFAULT_MAX_ITERS)
-        n_rules = _opt_as(int, args, config, "n_rules", 256)
+def cmd_sample(args) -> int:
+    if args.model == "stacking":
         ruleset = sampling.rejection_sample_stacking(
-            n_rules=n_rules, eta=eta, learning_rate=lr, max_iters=iters
+            n_rules=args.n_rules, eta=args.eta, learning_rate=args.lr, max_iters=args.iters
         )
-        text = volio.write_report(ruleset, fmt, args.out)
+        text = volio.write_report(ruleset, args.format, args.out)
         if not args.out:
             sys.stdout.write(text)
         else:
-            print(f"accepted {ruleset.accepted_count} of {n_rules} rules (eta={eta:.6g}) -> {args.out}")
+            print(f"accepted {ruleset.accepted_count} of {args.n_rules} rules "
+                  f"(eta={args.eta:.6g}) -> {args.out}")
         return 0
-    if model == "linear":
-        if _opt(args, config, "grid_step", None) is not None:
-            step = _opt_as(float, args, config, "grid_step", None)
-            rules = sampling.simplex_grid(step)
-            doc = {"model": "linear", "grid_step": step,
-                   "rules": [list(r.as_tuple()) for r in rules]}
-        else:
-            n = _opt_as(int, args, config, "n", 10)
-            conc = _opt(args, config, "concentration", (1.0, 1.0, 1.0))
-            if isinstance(conc, str):
-                conc = tuple(float(c) for c in conc.split(","))
-            rules = [
-                sampling.sample_dirichlet([args.seed, i], concentration=conc)
-                for i in range(n)
-            ]
-            doc = {"model": "linear", "seed": args.seed, "concentration": list(conc),
-                   "rules": [list(r.as_tuple()) for r in rules]}
-        text = volio.write_report(doc, "json", args.out)
-        if not args.out:
-            sys.stdout.write(text)
-        return 0
-    raise UsageError(f"--model must be linear or stacking, got {model!r}")
+    if args.grid_step is not None:
+        rules = sampling.simplex_grid(args.grid_step)
+        doc = {"model": "linear", "grid_step": args.grid_step}
+    else:
+        if args.n < 1:
+            raise UsageError(f"--n must be >= 1, got {args.n}")
+        rules = [sampling.sample_dirichlet([args.seed, i], concentration=args.concentration)
+                 for i in range(args.n)]
+        doc = {"model": "linear", "seed": args.seed, "concentration": list(args.concentration)}
+    doc["rules"] = [list(r.as_tuple()) for r in rules]
+    text = volio.write_report(doc, "json", args.out)
+    if not args.out:
+        sys.stdout.write(text)
+    return 0
 
 
-def _rule_from_spec(spec: dict):
-    """Rule spec: {"model": "linear"|"stacking"|"vote", and one of
-    "alpha", "beta", or "rule_number" (fitted with default settings)."""
+def _rule_from_spec(spec):
+    """(model, rule) from a rule spec: {"model": "linear" (the default), "stacking"
+    or "vote", and for the first two either the weights, "alpha" or "beta", or a
+    "rule_number" fitted with default settings}; a UsageError for anything else."""
     if not isinstance(spec, dict):
-        raise UsageError("rule spec must be a JSON object")
+        raise UsageError("bad rule spec: a rule spec must be a JSON object")
     model = spec.get("model", "linear")
     if model == "vote":
         return "vote", None
-    if model == "linear":
-        if "alpha" in spec:
-            return "linear", LinearRule(np.asarray(spec["alpha"], dtype=np.float64))
-        if "rule_number" in spec:
-            rep = fit_linear(canonical_condition_matrix(), decision_from_number(int(spec["rule_number"])))
-            return "linear", rep.linear_rule()
-        raise UsageError("linear rule spec needs 'alpha' or 'rule_number'")
-    if model == "stacking":
-        if "beta" in spec:
-            return "stacking", StackingRule(np.asarray(spec["beta"], dtype=np.float64))
-        if "rule_number" in spec:
-            rep = fit_stacking(canonical_condition_matrix(), decision_from_number(int(spec["rule_number"])))
-            return "stacking", rep.stacking_rule()
-        raise UsageError("stacking rule spec needs 'beta' or 'rule_number'")
-    raise UsageError(f"unknown rule model {model!r}")
-
-
-def cmd_combine(args, config) -> int:
-    spec = _load_json_arg(args.rule, "rule spec")
+    if model not in ("linear", "stacking"):
+        raise UsageError(f"bad rule spec: unknown rule model {model!r}")
+    key, make, fit = ("alpha", LinearRule, fit_linear) if model == "linear" else (
+        "beta", StackingRule, fit_stacking)
     try:
-        model, rule = _rule_from_spec(spec)
-    except (ValueError, RuleFuseError) as exc:
+        if key in spec:
+            weights = spec[key]
+            if not (isinstance(weights, list) and all(type(w) in (int, float) for w in weights)):
+                raise ValueError(f"{key} must be a list of numbers, got {weights!r}")
+            return model, make(np.asarray(weights, dtype=np.float64))
+        if "rule_number" in spec:
+            number = spec["rule_number"]
+            if type(number) is not int:
+                raise ValueError(f"rule_number must be an integer, got {number!r}")
+            rep = fit(canonical_condition_matrix(), decision_from_number(number))
+            return model, rep.linear_rule() if model == "linear" else rep.stacking_rule()
+        raise ValueError(f"{model} rule spec needs {key!r} or 'rule_number'")
+    except (ValueError, OverflowError, RuleFuseError) as exc:
         raise UsageError(f"bad rule spec: {exc}") from None
-    eval_cfg = _eval_config(args, config) if args.mask_out else None
-    volumes = [volio.load_any_volume(p) for p in (args.t2w, args.dwi_hb, args.adc)]
 
+
+def cmd_combine(args) -> int:
+    model, rule = _rule_from_spec(args.rule)
+    eval_cfg = _eval_config(args)
+    paths = (args.t2w, args.dwi_hb, args.adc)
+    volumes = [volio.load_any_volume(p) for p in paths]
+    kind, kind_name = ((LabelVolume, "binary masks") if model == "vote"
+                       else (ProbabilityVolume, "probability volumes"))
+    for path, vol in zip(paths, volumes):
+        if not isinstance(vol, kind):
+            raise DataError(f"{model} combining requires {kind_name}, {path} is not one")
     if model == "vote":
-        for path, vol in zip((args.t2w, args.dwi_hb, args.adc), volumes):
-            if not isinstance(vol, LabelVolume):
-                raise DataError(f"vote combining requires binary masks, {path} is not one")
         result = combine_vote(volumes)
         volio.save_volume(result, args.out)
         print(f"vote mask -> {args.out} ({result.count()} positive voxels)")
         return 0
-
-    for path, vol in zip((args.t2w, args.dwi_hb, args.adc), volumes):
-        if not isinstance(vol, ProbabilityVolume):
-            raise DataError(f"{model} combining requires probability volumes, {path} is not one")
     combined = (combine_linear if model == "linear" else combine_stacking)(volumes, rule)
     volio.save_volume(combined, args.out)
     print(f"combined map -> {args.out}")
@@ -243,87 +254,71 @@ def cmd_combine(args, config) -> int:
     return 0
 
 
-def _as_mask(volume, eval_cfg: discovery.EvalConfig, what: str) -> LabelVolume:
+def _as_mask(volume, eval_cfg: EvalConfig, what: str) -> LabelVolume:
     """A mask as is; a probability volume binarized as the dataset sweeps do."""
     if isinstance(volume, LabelVolume):
         return volume
     if isinstance(volume, ProbabilityVolume):
-        return binarize(
-            volume,
-            threshold=eval_cfg.threshold,
-            min_region_voxels=eval_cfg.min_region_voxels,
-            connectivity=eval_cfg.metrics.connectivity,
-        )
+        return binarize(volume, threshold=eval_cfg.threshold,
+                        min_region_voxels=eval_cfg.min_region_voxels,
+                        connectivity=eval_cfg.metrics.connectivity)
     raise DataError(f"{what} is neither a mask nor a probability volume")
 
 
-def _write_reports(result, args, config) -> int:
+def _write_reports(result, args) -> int:
     """Print the report in --format, also to --out, and write its CSV form to --csv-out."""
-    sys.stdout.write(volio.write_report(result, _opt(args, config, "format", "json"), args.out))
+    sys.stdout.write(volio.write_report(result, args.format, args.out))
     if args.csv_out:
         volio.write_report(result, "csv", args.csv_out)
     return 0
 
 
-def cmd_evaluate(args, config) -> int:
-    eval_cfg = _eval_config(args, config)
+def cmd_evaluate(args) -> int:
+    eval_cfg = _eval_config(args)
     pred = _as_mask(volio.load_any_volume(args.pred), eval_cfg, "pred")
     truth = volio.load_any_volume(args.truth)
     if not isinstance(truth, LabelVolume):
         raise DataError("truth must be a label volume")
-    zone = None
-    if args.zone_mask:
-        zone = volio.load_any_volume(args.zone_mask)
-        if not isinstance(zone, LabelVolume):
-            raise DataError("zone mask must be a label volume")
+    zone = volio.load_any_volume(args.zone_mask) if args.zone_mask else None
+    if zone is not None and not isinstance(zone, LabelVolume):
+        raise DataError("zone mask must be a label volume")
     report = evaluate_masks(pred, truth, eval_cfg.metrics, zone=zone)
-    return _write_reports(report, args, config)
+    return _write_reports(report, args)
 
 
-def _eval_config(args, config) -> discovery.EvalConfig:
-    return discovery.EvalConfig(
-        threshold=_opt_as(float, args, config, "threshold", 0.5),
-        min_region_voxels=_opt_as(int, args, config, "min_region", 27),
-        metrics=MetricsConfig(
-            s_gt=_opt_as(float, args, config, "s_gt", 0.1),
-            s_pred=_opt_as(float, args, config, "s_pred", 0.1),
-            connectivity=_opt_as(int, args, config, "connectivity", 26),
-        ),
-        zone=_opt(args, config, "zone", None),
-    )
+def _eval_config(args) -> EvalConfig:
+    """The binarization and scoring options; library defaults for those the command lacks."""
+    options = vars(args)
+    metrics = {key: options[key] for key in ("s_gt", "s_pred", "connectivity") if key in options}
+    return EvalConfig(threshold=args.threshold, min_region_voxels=args.min_region,
+                      metrics=MetricsConfig(**metrics), zone=options.get("zone"))
 
 
-def cmd_search(args, config) -> int:
-    model = _opt(args, config, "model", "linear")
-    rank_by = _opt(args, config, "rank_by", "dsc")
-    rank_split = _opt(args, config, "split", "validation")
-    eval_split = _opt(args, config, "eval_split", "test")
-    if model not in ("linear", "stacking"):
-        raise UsageError(f"--model must be linear or stacking, got {model!r}")
-    if args.heatmap_out and model != "linear":
+def cmd_search(args) -> int:
+    if args.heatmap_out and args.model != "linear":
         raise UsageError("--heatmap-out only applies to linear search")
-    eval_cfg = _eval_config(args, config)
+    eval_cfg = _eval_config(args)
     ruleset = None
-    if model == "linear":
-        step = _opt_as(float, args, config, "step", 0.1)
+    if args.model == "linear":
+        sampling.simplex_grid(args.step)  # a step that does not divide 1 fails here
     else:
-        rules_path = _opt_path(args, config, "rules")
-        if rules_path is None:
+        if args.rules is None:
             raise UsageError("--rules (SampledRuleSet JSON) is required for stacking search")
-        ruleset = sampling.SampledRuleSet.load(rules_path)
+        ruleset = sampling.SampledRuleSet.load(args.rules)
+        if not ruleset.entries:
+            raise UsageError(f"--rules {args.rules} holds no accepted rules")
 
     def run_split(split: str) -> discovery.GridSearchResult:
         cases, _ = volio.load_manifest(args.manifest, split=split)
-        options = dict(rank_by=rank_by, config=eval_cfg, split=split, threads=args.threads)
+        options = dict(rank_by=args.rank_by, config=eval_cfg, split=split, threads=args.threads)
         if ruleset is None:
-            return discovery.grid_search_linear(cases, step=step, **options)
+            return discovery.grid_search_linear(cases, step=args.step, **options)
         return discovery.grid_search_stacking(cases, ruleset, **options)
 
-    ranked = run_split(rank_split)
-    held_out = run_split(eval_split)
-    doc = {rank_split: ranked.to_dict(), eval_split: held_out.to_dict()}
-    text = volio.write_report(doc, "json", args.out)
-    sys.stdout.write(text)
+    ranked = run_split(args.split)
+    held_out = run_split(args.eval_split)
+    doc = {args.split: ranked.to_dict(), args.eval_split: held_out.to_dict()}
+    sys.stdout.write(volio.write_report(doc, "json", args.out))
     if args.csv_out:
         volio.write_report(ranked, "csv", args.csv_out)
     if args.heatmap_out:
@@ -332,75 +327,57 @@ def cmd_search(args, config) -> int:
     return 0
 
 
-def cmd_availability(args, config) -> int:
-    eval_cfg = _eval_config(args, config)
-    cases, _ = volio.load_manifest(args.manifest, split=args.split)
+def cmd_availability(args) -> int:
+    eval_cfg = _eval_config(args)
     base = None
-    if args.base_rule:
-        spec = _load_json_arg(args.base_rule, "base rule")
-        model, rule = _rule_from_spec(spec if isinstance(spec, dict) else {"model": "linear", "alpha": spec})
-        if model != "linear":
+    if args.base_rule is not None:
+        spec = args.base_rule if isinstance(args.base_rule, dict) else {"alpha": args.base_rule}
+        if spec.get("model", "linear") != "linear":
             raise UsageError("availability base rule must be linear")
-        base = rule
-    table = discovery.availability_analysis(
-        cases, base_rule=base, config=eval_cfg, threads=args.threads
-    )
-    return _write_reports(table, args, config)
+        _, base = _rule_from_spec(spec)
+    cases, _ = volio.load_manifest(args.manifest, split=args.split)
+    table = discovery.availability_analysis(cases, base_rule=base, config=eval_cfg,
+                                            threads=args.threads)
+    return _write_reports(table, args)
 
 
-def cmd_mc_uncertainty(args, config) -> int:
-    sampler_cfg = _load_json_arg(args.sampler, "sampler config") if args.sampler else config.get("sampler")
-    if not sampler_cfg:
+def cmd_mc_uncertainty(args) -> int:
+    if not args.sampler:
         raise UsageError("--sampler (inline JSON or path) is required")
-    rule_set = None
-    if args.rules:
-        rule_set = sampling.SampledRuleSet.load(args.rules)
+    rule_set = sampling.SampledRuleSet.load(args.rules) if args.rules else None
     try:
-        sampler = discovery.RuleSampler(sampler_cfg, rule_set=rule_set)
+        sampler = discovery.RuleSampler(args.sampler, rule_set=rule_set)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from None
-    eval_cfg = _eval_config(args, config)
-    n_draws = _opt_as(int, args, config, "draws", 16)
+    eval_cfg = _eval_config(args)
+    discovery.check_draws(args.draws)
     cases, _ = volio.load_manifest(args.manifest, split=args.split)
-    volume_paths = {}  # checked before the run, so a bad case id costs no draws
-    if args.volumes_out:
-        volume_paths = {
-            case.case_id: volio.case_file(args.volumes_out, case.case_id, "_variance.f32le")
-            for case in cases
-        }
+    # checked before the run, so a bad case id costs no draws
+    volume_paths = {c.case_id: volio.case_file(args.volumes_out, c.case_id, "_variance.f32le")
+                    for c in cases} if args.volumes_out else {}
     result = discovery.monte_carlo_uncertainty(
-        cases, sampler, n_draws=n_draws, seed=args.seed, config=eval_cfg,
-        threads=args.threads,
+        cases, sampler, n_draws=args.draws, seed=args.seed, config=eval_cfg, threads=args.threads,
     )
     for case in result.cases:
         if case.case_id in volume_paths:
-            var = np.clip(case.variance, 0.0, 1.0)
-            volio.save_volume(
-                ProbabilityVolume(var, spacing=case.spacing), volume_paths[case.case_id]
-            )
-    return _write_reports(result, args, config)
+            var = ProbabilityVolume(np.clip(case.variance, 0.0, 1.0), spacing=case.spacing)
+            volio.save_volume(var, volume_paths[case.case_id])
+    return _write_reports(result, args)
 
 
-def cmd_phantom(args, config) -> int:
-    spec_doc = _load_json_arg(args.spec, "phantom spec") if args.spec else config.get("phantom_spec", {})
+def cmd_phantom(args) -> int:
     try:
-        spec = phantoms.PhantomSpec.from_dict(spec_doc)
+        spec = phantoms.PhantomSpec.from_dict(args.phantom_spec)
     except ValueError as exc:
         raise UsageError(f"bad phantom spec: {exc}") from None
-    n_cases = _opt_as(int, args, config, "n_cases", 10)
     try:
-        manifest_path, cases = phantoms.generate_dataset(args.seed, n_cases, spec, args.out_dir)
+        manifest_path, cases = phantoms.generate_dataset(args.seed, args.n_cases, spec,
+                                                         args.out_dir)
     except PackingError as exc:
         raise DataError(str(exc)) from None
-    counts: dict[str, int] = {}
-    doc = json.loads(manifest_path.read_text())
-    for entry in doc["cases"]:
-        counts[entry["split"]] = counts.get(entry["split"], 0) + 1
-    summary = {
-        "manifest": str(manifest_path),
-        "n_cases": len(cases),
-        "splits": {k: counts.get(k, 0) for k in discovery.SPLIT_NAMES},
-    }
+    splits = [entry["split"] for entry in json.loads(manifest_path.read_text())["cases"]]
+    summary = {"manifest": str(manifest_path), "n_cases": len(cases),
+               "splits": {k: splits.count(k) for k in discovery.SPLIT_NAMES}}
     sys.stdout.write(volio.write_report(summary, "json", None))
     return 0
 
@@ -408,105 +385,111 @@ def cmd_phantom(args, config) -> int:
 def build_parser() -> Parser:
     parser = Parser(prog="rulefuse", description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="global RNG seed (default 0)")
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="worker processes for dataset commands, this one included; capped at the "
-             "usable CPUs, inline where fork is unavailable (default 1)",
-    )
-    parser.add_argument("--config", default=None, help="JSON file with option defaults")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker processes for dataset commands, this one included; capped "
+                             "at the usable CPUs, inline where fork is unavailable (default 1)")
+    parser.add_argument("--config", type=_json("config"), default={},
+                        help="JSON object of option values, inline or a file's path")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
-    p = sub.add_parser("fit", help="fit linear and stacking rules to a decision vector")
-    p.add_argument("--rule-number", type=int, default=None)
-    p.add_argument("--zone", choices=[z.value for z in PIRADS_RULE_NUMBERS], default=None)
-    p.add_argument("--bits", default=None, help="8 decision bits, e.g. 00111111")
-    p.add_argument("--model", choices=["linear", "stacking", "both"], default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--out", default=None, help="write FitReport JSON here")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("sample", help="sample rules (Dirichlet/grid or rejection-sampled stacking)")
-    p.add_argument("--model", choices=["linear", "stacking"], default=None)
-    p.add_argument("--eta", type=float, default=None, help="acceptance threshold (stacking)")
-    p.add_argument("--n-rules", type=int, default=None, help="enumerate rules 0..N-1 (default 256)")
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--n", type=int, default=None, help="number of Dirichlet draws (linear)")
-    p.add_argument("--concentration", default=None, help="Dirichlet concentration a,b,c")
-    p.add_argument("--grid-step", type=float, default=None, help="emit the simplex grid instead")
-    p.add_argument("--format", choices=["json", "csv"], default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sample)
+    def command(name: str, func, help: str, *parents: Parser) -> Parser:
+        p = sub.add_parser(name, help=help, parents=parents)
+        p.set_defaults(func=func)
+        return p
 
     # flags shared by several subcommands, each declared once
+    descent_flags = Parser(add_help=False)
+    descent_flags.add_argument("--lr", action=Setting, type=float, default=DEFAULT_LEARNING_RATE)
+    descent_flags.add_argument("--iters", action=Setting, type=int, default=DEFAULT_MAX_ITERS)
     mask_flags = Parser(add_help=False)
-    mask_flags.add_argument("--threshold", type=float, default=None)
-    mask_flags.add_argument("--min-region", type=int, default=None)
-    mask_flags.add_argument("--connectivity", type=int, default=None)
+    mask_flags.add_argument("--threshold", action=Setting, type=float, default=EvalConfig.threshold)
+    mask_flags.add_argument("--min-region", action=Setting, type=int,
+                            default=EvalConfig.min_region_voxels)
+    mask_flags.add_argument("--connectivity", action=Setting, type=int,
+                            default=MetricsConfig.connectivity)
     lesion_flags = Parser(add_help=False)
-    lesion_flags.add_argument("--s-gt", type=float, default=None)
-    lesion_flags.add_argument("--s-pred", type=float, default=None)
+    lesion_flags.add_argument("--s-gt", action=Setting, type=float, default=MetricsConfig.s_gt)
+    lesion_flags.add_argument("--s-pred", action=Setting, type=float, default=MetricsConfig.s_pred)
     zone_flag = Parser(add_help=False)
-    zone_flag.add_argument("--zone", default=None)
-    report_flags = Parser(add_help=False)
-    report_flags.add_argument("--format", choices=["json", "csv"], default=None)
-    report_flags.add_argument("--out", default=None)
-    report_flags.add_argument("--csv-out", default=None)
+    zone_flag.add_argument("--zone", action=Setting, default=EvalConfig.zone)
+    format_flag = Parser(add_help=False)
+    format_flag.add_argument("--format", action=Setting, choices=("json", "csv"),
+                             default=_default(volio.write_report, "fmt"))
+    report_flags = Parser(add_help=False, parents=[format_flag])
+    report_flags.add_argument("--out")
+    report_flags.add_argument("--csv-out")
 
-    p = sub.add_parser("combine", help="apply a rule to three aligned volumes",
-                       parents=[mask_flags])
-    p.add_argument("t2w")
-    p.add_argument("dwi_hb")
-    p.add_argument("adc")
-    p.add_argument("--rule", required=True, help="rule spec, inline JSON or path")
+    p = command("fit", cmd_fit, "fit linear and stacking rules to a decision vector", descent_flags)
+    p.add_argument("--rule-number", type=int)
+    p.add_argument("--zone", choices=[z.value for z in PIRADS_RULE_NUMBERS])
+    p.add_argument("--bits", help="8 decision bits, e.g. 00111111")
+    p.add_argument("--model", action=Setting, choices=("linear", "stacking", "both"), default="both")
+    p.add_argument("--out", help="write FitReport JSON here")
+
+    p = command("sample", cmd_sample, "sample rules (Dirichlet/grid or rejection-sampled stacking)",
+                descent_flags, format_flag)
+    p.add_argument("--model", action=Setting, choices=("linear", "stacking"), default="stacking")
+    p.add_argument("--eta", action=Setting, type=float, default=sampling.DEFAULT_ETA,
+                   help="acceptance threshold (stacking)")
+    p.add_argument("--n-rules", action=Setting, type=int, help="enumerate rules 0..N-1",
+                   default=_default(sampling.rejection_sample_stacking, "n_rules"))
+    p.add_argument("--n", action=Setting, type=int, default=10, help="Dirichlet draws (linear)")
+    p.add_argument("--concentration", action=Setting, type=_reals, help="Dirichlet a,b,c",
+                   default=_default(sampling.sample_dirichlet, "concentration"))
+    p.add_argument("--grid-step", action=Setting, type=float, help="emit the simplex grid instead")
+    p.add_argument("--out")
+
+    p = command("combine", cmd_combine, "apply a rule to three aligned volumes", mask_flags)
+    for name in ("t2w", "dwi_hb", "adc"):
+        p.add_argument(name)
+    p.add_argument("--rule", type=_json("rule spec"), required=True, help="inline JSON or path")
     p.add_argument("--out", required=True, help="output payload path")
-    p.add_argument("--mask-out", default=None, help="also write the binarized mask here")
-    p.set_defaults(func=cmd_combine)
+    p.add_argument("--mask-out", help="also write the binarized mask here")
 
-    p = sub.add_parser("evaluate", help="score a prediction against a truth mask",
-                       parents=[mask_flags, lesion_flags, report_flags])
+    p = command("evaluate", cmd_evaluate, "score a prediction against a truth mask",
+                mask_flags, lesion_flags, report_flags)
     p.add_argument("pred")
     p.add_argument("truth")
-    p.add_argument("--zone-mask", default=None)
-    p.set_defaults(func=cmd_evaluate)
+    p.add_argument("--zone-mask")
 
-    p = sub.add_parser("search", help="grid-search rules on one split, re-evaluate on another",
-                       parents=[mask_flags, lesion_flags, zone_flag])
+    p = command("search", cmd_search, "grid-search rules on one split, re-evaluate on another",
+                mask_flags, lesion_flags, zone_flag)
     p.add_argument("manifest")
-    p.add_argument("--model", choices=["linear", "stacking"], default=None)
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--rules", default=None, help="SampledRuleSet JSON (stacking)")
-    p.add_argument("--rank-by", choices=list(discovery.RANK_METRICS), default=None)
-    p.add_argument("--split", default=None, help="ranking split (default validation)")
-    p.add_argument("--eval-split", default=None, help="held-out split (default test)")
-    p.add_argument("--out", default=None)
-    p.add_argument("--csv-out", default=None)
-    p.add_argument("--heatmap-out", default=None)
-    p.set_defaults(func=cmd_search)
+    p.add_argument("--model", action=Setting, choices=("linear", "stacking"), default="linear")
+    p.add_argument("--step", action=Setting, type=float,
+                   default=_default(sampling.simplex_grid, "step"))
+    p.add_argument("--rules", action=Setting, type=_path, help="SampledRuleSet JSON (stacking)")
+    p.add_argument("--rank-by", action=Setting, choices=discovery.RANK_METRICS,
+                   default=_default(discovery.grid_search_linear, "rank_by"))
+    p.add_argument("--split", action=Setting, help="ranking split",
+                   default=_default(discovery.grid_search_linear, "split"))
+    p.add_argument("--eval-split", action=Setting, default="test", help="held-out split")
+    for name in ("--out", "--csv-out", "--heatmap-out"):
+        p.add_argument(name)
 
-    p = sub.add_parser("availability", help="modality-subset analysis vs a base rule",
-                       parents=[mask_flags, lesion_flags, zone_flag, report_flags])
+    p = command("availability", cmd_availability, "modality-subset analysis vs a base rule",
+                mask_flags, lesion_flags, zone_flag, report_flags)
     p.add_argument("manifest")
-    p.add_argument("--split", default=None)
-    p.add_argument("--base-rule", default=None, help="linear rule spec (default equal thirds)")
-    p.set_defaults(func=cmd_availability)
+    p.add_argument("--split")
+    p.add_argument("--base-rule", type=_json("base rule"),
+                   help="linear rule spec (default equal thirds)")
 
-    p = sub.add_parser("mc-uncertainty", help="Monte-Carlo variance over a rule distribution",
-                       parents=[mask_flags, zone_flag, report_flags])
+    p = command("mc-uncertainty", cmd_mc_uncertainty,
+                "Monte-Carlo variance over a rule distribution", mask_flags, zone_flag, report_flags)
     p.add_argument("manifest")
-    p.add_argument("--sampler", default=None, help="sampler config, inline JSON or path")
-    p.add_argument("--draws", type=int, default=None)
-    p.add_argument("--rules", default=None, help="SampledRuleSet JSON for stacking_set samplers")
-    p.add_argument("--split", default=None)
-    p.add_argument("--volumes-out", default=None, help="directory for per-case variance volumes")
-    p.set_defaults(func=cmd_mc_uncertainty)
+    p.add_argument("--sampler", action=Setting, type=_json("sampler config"),
+                   help="sampler config, inline JSON or path")
+    p.add_argument("--draws", action=Setting, type=int, default=16)
+    p.add_argument("--rules", type=_path, help="SampledRuleSet JSON for stacking_set samplers")
+    p.add_argument("--split")
+    p.add_argument("--volumes-out", help="directory for per-case variance volumes")
 
-    p = sub.add_parser("phantom", help="generate a synthetic dataset with a manifest")
-    p.add_argument("--spec", default=None, help="phantom spec, inline JSON or path")
-    p.add_argument("--n-cases", type=int, default=None)
+    p = command("phantom", cmd_phantom, "generate a synthetic dataset with a manifest")
+    p.add_argument("--spec", dest="phantom_spec", action=Setting, type=_json("phantom spec"),
+                   default={}, help="phantom spec, inline JSON or path")
+    p.add_argument("--n-cases", action=Setting, type=int, default=10)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_phantom)
 
     return parser
 
@@ -517,20 +500,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.threads < 1:
             raise UsageError(f"--threads must be >= 1, got {args.threads}")
-        config = {}
-        if args.config:
-            config = _load_json_arg(args.config, "config")
-            if not isinstance(config, dict):
-                raise UsageError("--config must contain a JSON object")
-        return args.func(args, config)
+        if args.seed < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
+        _apply_config(parser.commands[args.command], args)
+        return args.func(args)
     except (UsageError, ValueError, DivergenceError) as exc:
         # out-of-range option values surface from the library as ValueError
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -735,6 +735,12 @@ def _shifted_moments(values_iter, n: int):
     return mean, variance
 
 
+def check_draws(n_draws: int) -> None:
+    """Raise ValueError unless `n_draws` is at least 2, as a variance needs."""
+    if n_draws < 2:
+        raise ValueError(f"n_draws must be >= 2, got {n_draws}")
+
+
 def monte_carlo_uncertainty(
     dataset,
     sampler: RuleSampler | dict,
@@ -756,8 +762,7 @@ def monte_carlo_uncertainty(
     draws, so the result does not depend on `threads`. Draws are not split
     across tasks, as that would change the summation order of the moments.
     """
-    if n_draws < 2:
-        raise ValueError(f"n_draws must be >= 2, got {n_draws}")
+    check_draws(n_draws)
     dataset = list(dataset)
     if not dataset:
         raise ValueError("monte_carlo_uncertainty requires a non-empty dataset")

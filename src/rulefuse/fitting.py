@@ -162,16 +162,14 @@ def fit_linear(R: ConditionMatrix, d: DecisionVector) -> FitReport:
         unnormalized_coefficients=x,
         degenerate=degenerate,
     )
-    report.t_stats = t_statistics(report, d, alpha0=0.0)
+    report.t_stats = t_statistics(report, d)
     return report
 
 
-def t_statistics(
-    report: FitReport, d: DecisionVector, alpha0: float = 0.0
-) -> np.ndarray | None:
+def t_statistics(report: FitReport, d: DecisionVector) -> np.ndarray | None:
     """Per-modality t-statistics of a linear fit.
 
-    T = (x - alpha0) / sqrt(C_tt) with C = var(d) (R R^T)^-1, where x is the
+    T = x / sqrt(C_tt) with C = var(d) (R R^T)^-1, where x is the
     unnormalized coefficient vector and var(d) is the sample variance of the
     decisions (divisor 7). Returns None when d is constant, for which the
     statistics are undefined.
@@ -185,7 +183,7 @@ def t_statistics(
     Rf = canonical_condition_matrix().as_float()
     cov = var_d * np.linalg.inv(Rf @ Rf.T)
     se = np.sqrt(np.diag(cov))
-    return (report.unnormalized_coefficients - alpha0) / se
+    return report.unnormalized_coefficients / se
 
 
 def fit_stacking(

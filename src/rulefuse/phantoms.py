@@ -14,13 +14,15 @@ planted rule reproduce the truth bit-exactly and all other rules imperfectly.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
-from .combine import binarize, combine_linear
+from .combine import binarize, check_binarization, combine_linear
 from .discovery import CaseRecord
 from .errors import PackingError
 from .fitting import LinearRule
@@ -31,6 +33,13 @@ PACKING_ATTEMPTS = 500
 
 # semi-axis range straddling a 15 mm diameter at 1 mm spacing
 DEFAULT_RADIUS_RANGE = (4.0, 10.0)
+
+
+# (field, entry count or None for a scalar, integral?): the types checked before the ranges
+_NUMERIC_FIELDS = (("dims", 3, True), ("spacing", 3, False), ("n_lesions", None, True),
+                   ("radius_range", 2, False), ("fidelity", 3, False), ("noise_sd", None, False),
+                   ("smooth_halfwidth", None, True), ("smooth_weight", None, False),
+                   ("threshold", None, False), ("min_region_voxels", None, True))
 
 
 @dataclass(frozen=True)
@@ -49,24 +58,29 @@ class PhantomSpec:
     zone_boxes: bool = False
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) != 3 or min(dims) < 16:
-            raise ValueError(f"dims must be 3 integers >= 16, got {dims}")
-        object.__setattr__(self, "dims", dims)
-        spacing = tuple(float(s) for s in self.spacing)
-        if len(spacing) != 3 or min(spacing) <= 0:
-            raise ValueError(f"spacing must be 3 positive reals, got {spacing}")
-        object.__setattr__(self, "spacing", spacing)
+        for name, count, integral in _NUMERIC_FIELDS:
+            value = getattr(self, name)
+            items = value if count else [value]
+            kind = numbers.Integral if integral else numbers.Real
+            if not (isinstance(items, (list, tuple, np.ndarray)) and len(items) == (count or 1)
+                    and all(isinstance(v, kind) and not isinstance(v, bool) and math.isfinite(v)
+                            for v in items)):
+                noun = "integer" if integral else "finite number"
+                what = f"{count} {noun}s" if count else ("an " if integral else "a ") + noun
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+            if count:
+                object.__setattr__(self, name, tuple(map(int if integral else float, items)))
+        if min(self.dims) < 16:
+            raise ValueError(f"dims must be 3 integers >= 16, got {self.dims}")
+        if min(self.spacing) <= 0:
+            raise ValueError(f"spacing must be 3 positive reals, got {self.spacing}")
         if self.n_lesions < 0:
             raise ValueError(f"n_lesions must be >= 0, got {self.n_lesions}")
-        lo, hi = (float(r) for r in self.radius_range)
+        lo, hi = self.radius_range
         if not 0 < lo <= hi:
             raise ValueError(f"radius_range must satisfy 0 < lo <= hi, got {self.radius_range}")
-        object.__setattr__(self, "radius_range", (lo, hi))
-        fidelity = tuple(float(f) for f in self.fidelity)
-        if len(fidelity) != 3 or min(fidelity) < 0 or max(fidelity) > 1:
-            raise ValueError(f"fidelity must be 3 values in [0,1], got {fidelity}")
-        object.__setattr__(self, "fidelity", fidelity)
+        if min(self.fidelity) < 0 or max(self.fidelity) > 1:
+            raise ValueError(f"fidelity must be 3 values in [0,1], got {self.fidelity}")
         if self.noise_sd < 0:
             raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
         if self.smooth_halfwidth < 1:
@@ -74,8 +88,9 @@ class PhantomSpec:
         # w >= 0.5 would break exact threshold recovery of the truth
         if not 0.0 <= self.smooth_weight < 0.5:
             raise ValueError(f"smooth_weight must lie in [0, 0.5), got {self.smooth_weight}")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError(f"threshold must lie in (0,1), got {self.threshold}")
+        check_binarization(self.threshold, self.min_region_voxels)
+        if not isinstance(self.zone_boxes, bool):
+            raise ValueError(f"zone_boxes must be true or false, got {self.zone_boxes!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -95,17 +110,19 @@ class PhantomSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PhantomSpec":
+        """The spec a JSON object describes; ValueError for any other value."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a phantom spec must be a JSON object, got {data!r}")
+        unknown = set(data) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ValueError(f"unknown phantom spec fields: {sorted(unknown)}")
         data = dict(data)
         planted = data.get("planted_rule")
         if planted is not None:
-            data["planted_rule"] = LinearRule(np.asarray(planted, dtype=np.float64))
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown phantom spec fields: {sorted(unknown)}")
-        for key in ("dims", "spacing", "radius_range", "fidelity"):
-            if key in data:
-                data[key] = tuple(data[key])
+            try:
+                data["planted_rule"] = LinearRule(np.asarray(planted, dtype=np.float64))
+            except TypeError:
+                raise ValueError(f"planted_rule must be 3 numbers, got {planted!r}") from None
         return cls(**data)
 
 

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import shutil
 import subprocess
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from rulefuse import sampling, volio
+from rulefuse import cli, sampling, volio
 from rulefuse.cli import main
 from rulefuse.combine import binarize, combine_linear
 from rulefuse.fitting import LinearRule
@@ -486,6 +492,254 @@ def test_phantom_impossible_packing_exit_2(tmp_path, capsys):
     spec = json.dumps({"dims": [16, 16, 16], "n_lesions": 20, "radius_range": [6.0, 7.0]})
     code = main(["phantom", "--spec", spec, "--n-cases", "1", "--out-dir", str(tmp_path / "x")])
     assert code == 2
+
+
+# --- option layer: every argv ends in one line, and usage errors touch no volume ---------
+
+
+@pytest.fixture(scope="module")
+def argv_dataset(tmp_path_factory):
+    """A 4-case 16³ phantom with zone boxes, two rule sets and a scratch root."""
+    root = tmp_path_factory.mktemp("argv_ds")
+    spec = PhantomSpec(dims=(16, 16, 16), n_lesions=1, radius_range=(3.0, 5.0), zone_boxes=True)
+    manifest, _ = generate_dataset(5, 4, spec, root / "ds")
+    rules = sampling.rejection_sample_stacking(n_rules=16, max_iters=2000)
+    write_report(rules, "json", root / "rules.json")
+    write_report(sampling.SampledRuleSet(entries=[], eta=0.5), "json", root / "empty_rules.json")
+    case = root / "ds" / "case_0000"
+    return root, {
+        "{M}": str(manifest), "{RULES}": str(root / "rules.json"),
+        "{EMPTY_RULES}": str(root / "empty_rules.json"), "{MISSING}": str(root / "missing"),
+        "{T2W}": str(case / "T2W.f32le"), "{DWI}": str(case / "DWI_hb.f32le"),
+        "{ADC}": str(case / "ADC.f32le"), "{TRUTH}": str(case / "truth.u8"),
+        "{PZ}": str(case / "zone_PZ.u8"),
+    }
+
+
+USAGE_PROBES = [
+    (["mc-uncertainty", "{M}", "--sampler", '{"kind": "dirichlet"}', "--volumes-out", "vo"],
+     {"format": "xml"}, "--format must be json or csv, got 'xml'"),
+    (["search", "{M}"], {"rank_by": "speed"},
+     "--rank-by must be dsc, recall, precision or hd95, got 'speed'"),
+    (["search", "{M}", "--step", "0.3"], None, "step must divide 1 evenly, got 0.3"),
+    (["mc-uncertainty", "{M}", "--sampler", '{"kind": "dirichlet"}', "--draws", "1"], None,
+     "n_draws must be >= 2, got 1"),
+    (["availability", "{M}", "--base-rule", '{"model": "stacking", "rule_number": 3}'], None,
+     "availability base rule must be linear"),
+    (["availability", "{M}", "--base-rule", '{"model": "linear", "rule_number": [1]}'], None,
+     "bad rule spec: rule_number must be an integer, got [1]"),
+    (["combine", "{T2W}", "{DWI}", "{ADC}", "--rule", '{"model": "stacking", "beta": {"a": 1}}',
+      "--out", "c.f32le"], None, "bad rule spec: beta must be a list of numbers, got {'a': 1}"),
+    (["search", "{M}", "--model", "stacking", "--rules", "{EMPTY_RULES}"], None,
+     "--rules {EMPTY_RULES} holds no accepted rules"),
+    (["sample", "--model", "linear", "--n", "0"], None, "--n must be >= 1, got 0"),
+    (["sample", "--model", "linear"], {"n": -2}, "--n must be >= 1, got -2"),
+    (["sample", "--model", "linear"], {"n": 2.5}, "option n: cannot read 2.5 as int"),
+    (["phantom", "--spec", "[1]", "--out-dir", "ds"], None,
+     "bad phantom spec: a phantom spec must be a JSON object, got [1]"),
+    (["phantom", "--spec", '{"dims": 5}', "--out-dir", "ds"], None,
+     "bad phantom spec: dims must be 3 integers, got 5"),
+    (["phantom", "--out-dir", "ds"], {"phantom_spec": {"n_lesions": "3"}},
+     "bad phantom spec: n_lesions must be an integer, got '3'"),
+    (["phantom", "--spec", '{"n_lesions": 2.5}', "--out-dir", "ds"], None,
+     "bad phantom spec: n_lesions must be an integer, got 2.5"),
+    (["phantom", "--spec", '{"noise_sd": null}', "--out-dir", "ds"], None,
+     "bad phantom spec: noise_sd must be a finite number, got None"),
+    (["phantom", "--spec", '{"min_region_voxels": -5}', "--out-dir", "ds"], None,
+     "bad phantom spec: min_region_voxels must be >= 0, got -5"),
+    (["--seed", "-1", "sample", "--model", "linear"], None, "--seed must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("argv, config, message", USAGE_PROBES)
+def test_usage_error_reads_no_volume_and_writes_nothing(argv_dataset, tmp_path, monkeypatch,
+                                                         capsys, argv, config, message):
+    root, files = argv_dataset
+    for placeholder, path in files.items():
+        argv = [arg.replace(placeholder, path) for arg in argv]
+        message = message.replace(placeholder, path)
+    if config is not None:
+        argv = ["--config", json.dumps(config)] + argv
+    loads = []
+    load_volume = volio.load_volume
+    monkeypatch.setattr(volio, "load_volume", lambda path: loads.append(path) or load_volume(path))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert loads == [] and list(tmp_path.iterdir()) == []
+
+
+# the --config keys each subcommand honours
+CONFIG_KEYS = {
+    "fit": {"model", "lr", "iters"},
+    "sample": {"model", "format", "eta", "lr", "iters", "n_rules", "grid_step", "n",
+               "concentration"},
+    "combine": {"threshold", "min_region", "connectivity"},
+    "evaluate": {"threshold", "min_region", "connectivity", "s_gt", "s_pred", "format"},
+    "search": {"threshold", "min_region", "connectivity", "s_gt", "s_pred", "zone", "model",
+               "rank_by", "split", "eval_split", "step", "rules"},
+    "availability": {"threshold", "min_region", "connectivity", "s_gt", "s_pred", "zone",
+                     "format"},
+    "mc-uncertainty": {"threshold", "min_region", "connectivity", "zone", "draws", "format",
+                       "sampler"},
+    "phantom": {"phantom_spec", "n_cases"},
+}
+# two values for every key, each valid wherever the key is honoured; the last
+# keys name options or flags that no --config entry may set
+CONFIG_PASSES = {
+    "model": ("linear", "stacking"), "format": ("csv", "json"), "lr": (0.5, 0.25),
+    "iters": (5, 7), "eta": (0.3, 0.4), "n_rules": (3, 4), "grid_step": (0.5, 0.25),
+    "n": (3, 4), "concentration": ([2, 2, 2], [3, 3, 3]), "threshold": (0.3, 0.4),
+    "min_region": (3, 4), "connectivity": (6, 18), "s_gt": (0.2, 0.3), "s_pred": (0.2, 0.3),
+    "zone": ("PZ", "TZ"), "rank_by": ("hd95", "recall"), "split": ("train", "test"),
+    "eval_split": ("train", "validation"), "step": (0.5, 0.25), "rules": ("a.json", "b.json"),
+    "draws": (3, 5), "sampler": ({"kind": "dirichlet"}, {"kind": "fixed", "rules": [[1, 0, 0]]}),
+    "phantom_spec": ({"n_lesions": 1}, {"n_lesions": 2}), "n_cases": (3, 4),
+    "out": ("a", "b"), "csv_out": ("a", "b"), "seed": (1, 2), "threads": (2, 3),
+    "rule_number": (3, 4), "bits": ("00111111", "00011111"), "rule": ("a", "b"),
+    "base_rule": ("a", "b"), "mask_out": ("a", "b"), "zone_mask": ("a", "b"),
+    "volumes_out": ("a", "b"), "heatmap_out": ("a", "b"), "out_dir": ("a", "b"),
+    "spec": ("a", "b"), "manifest": ("a", "b"),
+}
+REQUIRED_ARGV = {
+    "combine": ["a", "b", "c", "--rule", '{"model": "vote"}', "--out", "o"],
+    "evaluate": ["p", "t"], "search": ["m"], "availability": ["m"], "mc-uncertainty": ["m"],
+    "phantom": ["--out-dir", "d"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
+def test_config_keys_each_command_honours(command, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"),
+                        lambda args: seen.append(vars(args)) or 0)
+    honoured = set(CONFIG_PASSES)
+    for index in range(2):
+        config = {key: values[index] for key, values in CONFIG_PASSES.items()}
+        argv = ["--config", json.dumps(config), command] + REQUIRED_ARGV.get(command, [])
+        assert main(argv) == 0
+        honoured = {key for key in honoured
+                    if json.dumps(seen[-1].get(key)) == json.dumps(config[key])}
+    assert honoured == CONFIG_KEYS[command]
+
+
+
+FLOATS = ["0.5", "0.25", "1.5", "-1", "nan", "x"]
+INTS = ["0", "1", "3", "-2", "2.5", "x"]
+MASK = {"--threshold": FLOATS, "--min-region": INTS, "--connectivity": ["6", "26", "5", "x"]}
+LESION = {"--s-gt": FLOATS, "--s-pred": FLOATS}
+ZONE = {"--zone": ["PZ", "XX"]}
+REPORT = {"--format": ["json", "csv", "xml"], "--out": ["r.json"], "--csv-out": ["r.csv"]}
+RULE_SPECS = [
+    '{"model": "linear", "alpha": [0.5, 0.5, 0]}', '{"model": "vote"}',
+    '{"model": "stacking", "beta": [1, 1, 1, -1]}', '{"model": "linear", "rule_number": 3}',
+    '{"model": "stacking", "rule_number": 3}', '{"model": "linear", "rule_number": [1]}',
+    '{"model": "stacking", "beta": {"a": 1}}', '{"model": "linear", "alpha": [1, 0]}',
+    '{"model": "x"}', '{"alpha": "abc"}', "[1]", "[0.5, 0.5, 0]", "{bad", "{MISSING}",
+]
+SAMPLERS = [
+    '{"kind": "dirichlet"}', '{"kind": "fixed", "rules": [[0.5, 0.5, 0]]}',
+    '{"kind": "stacking_set"}', '{"kind": "bogus"}', '{"kind": "dirichlet", "concentration": 5}',
+    "[1, 2]", "{bad", "{MISSING}",
+]
+PHANTOM_SPECS = [
+    '{"dims": [16, 16, 16], "n_lesions": 1, "radius_range": [3, 5]}',
+    '{"dims": [16, 16, 16], "n_lesions": 20, "radius_range": [6, 7]}',
+    "[1]", '{"dims": 5}', '{"n_lesions": "3"}', '{"n_lesions": 2.5}', '{"noise_sd": null}',
+    '{"min_region_voxels": -5}', '{"threshold": 1}', '{"planted_rule": {}}', "{bad",
+]
+SPLITS = ["train", "validation", "test", "bogus"]
+# per command: the tokens always given (each a list of choices) and the optional flags
+COMMANDS = {
+    "fit": ([], {"--rule-number": ["3", "300", "x"], "--zone": ["WG", "PZ", "XX"],
+                 "--bits": ["00111111", "01"], "--model": ["linear", "stacking", "both", "bogus"],
+                 "--lr": ["1.0", "1e6", "-1", "x"], "--iters": ["50", "0", "x"],
+                 "--out": ["fit.json"]}),
+    "sample": ([["--n-rules"], ["0", "2", "300", "x"]],
+               {"--model": ["linear", "stacking", "bogus"], "--eta": FLOATS,
+                "--lr": ["1.0", "-1", "x"], "--iters": ["50", "0", "x"], "--n": INTS,
+                "--concentration": ["1,1,1", "1,2", "a,b,c"],
+                "--grid-step": ["0.5", "0.3", "0", "x"], "--format": ["json", "csv", "xml"],
+                "--out": ["s.json"]}),
+    "combine": ([["{T2W}", "{T2W}", "{TRUTH}", "{MISSING}"], ["{DWI}"], ["{ADC}"], ["--rule"], RULE_SPECS,
+                 ["--out"], ["c.f32le"]], {"--mask-out": ["m.u8"], **MASK}),
+    "evaluate": ([["{TRUTH}", "{T2W}", "{MISSING}"], ["{TRUTH}", "{T2W}"]],
+                 {"--zone-mask": ["{PZ}", "{T2W}"], **MASK, **LESION, **REPORT}),
+    "search": ([["{M}", "{M}", "{MISSING}"], ["--step"], ["0.5", "1", "0.3", "-0.1", "x"]],
+               {**MASK, **LESION, **ZONE, "--model": ["linear", "stacking", "bogus"],
+                "--rules": ["{RULES}", "{EMPTY_RULES}", "{MISSING}", ""],
+                "--rank-by": ["dsc", "hd95", "speed"], "--split": SPLITS, "--eval-split": SPLITS,
+                "--out": ["s.json"], "--csv-out": ["s.csv"], "--heatmap-out": ["h.csv"]}),
+    "availability": ([["{M}"]], {**MASK, **LESION, **ZONE, **REPORT, "--split": SPLITS,
+                                 "--base-rule": RULE_SPECS}),
+    "mc-uncertainty": ([["{M}"], ["--sampler"], SAMPLERS],
+                       {**MASK, **ZONE, **REPORT, "--draws": ["1", "2", "3", "x"],
+                        "--rules": ["{RULES}", "{MISSING}"], "--split": SPLITS,
+                        "--volumes-out": ["vo"]}),
+    "phantom": ([["--spec"], PHANTOM_SPECS, ["--out-dir"], ["ds"]],
+                {"--n-cases": ["0", "1", "2", "x"]}),
+}
+CONFIG_VALUES = [0.5, 3, -1, 2.5, True, None, "x", "csv", "xml", "linear", "speed", "PZ", [1], {},
+                 {"kind": "dirichlet"}, "{bad"]
+CONFIG_TEXTS = ["{bad", "[1]", "5", b'{"model": "\xff"}']
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand's argv, with {PLACEHOLDERS} for the dataset's files."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    fixed, optional = COMMANDS[command]
+    argv = [command] + [draw(st.sampled_from(choices)) for choices in fixed]
+    for flag in draw(st.lists(st.sampled_from(sorted(optional)), unique=True, max_size=4)):
+        argv += [flag, draw(st.sampled_from(optional[flag]))]
+    for flag, values in (("--seed", ["0", "3", "-1", "x"]), ("--threads", ["1", "2"])):
+        if draw(st.booleans()):
+            argv = [flag, draw(st.sampled_from(values))] + argv
+    return argv
+
+
+# a --config file's contents, half the time: an object of option values, or text that is not one
+configs = st.one_of(st.none(), st.sampled_from(CONFIG_TEXTS) | st.dictionaries(
+    st.sampled_from(sorted(CONFIG_PASSES)), st.sampled_from(CONFIG_VALUES), max_size=3))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=argvs(), config=configs)
+@example(argv=["mc-uncertainty", "{M}", "--sampler", '{"kind": "dirichlet"}',
+               "--volumes-out", "vo"], config={"format": "xml"})
+@example(argv=["search", "{M}"], config={"rank_by": "speed"})
+@example(argv=["search", "{M}", "--step", "0.3"], config=None)
+@example(argv=["mc-uncertainty", "{M}", "--sampler", '{"kind": "dirichlet"}', "--draws", "1"],
+         config=None)
+@example(argv=["availability", "{M}", "--base-rule", '{"model": "stacking", "rule_number": 3}'],
+         config=None)
+@example(argv=["combine", "{T2W}", "{DWI}", "{ADC}", "--rule",
+               '{"model": "linear", "rule_number": [1]}', "--out", "c.f32le"], config=None)
+@example(argv=["phantom", "--spec", '{"noise_sd": null}', "--out-dir", "ds"], config=None)
+@example(argv=["sample", "--n-rules", "2", "--model", "linear", "--n", "0"], config=None)
+def test_any_argv_exits_with_one_line_and_usage_errors_touch_nothing(argv_dataset, argv, config):
+    root, files = argv_dataset
+    for placeholder, path in files.items():
+        argv = [arg.replace(placeholder, path) for arg in argv]
+    work = Path(tempfile.mkdtemp(dir=root))  # the command's cwd, for its relative outputs
+    if config is not None:
+        cfg = Path(tempfile.mkdtemp(dir=root)) / "cfg.json"
+        text = json.dumps(config) if isinstance(config, dict) else config
+        cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
+        argv = ["--config", str(cfg)] + argv
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with mock.patch.object(volio, "load_volume", wraps=volio.load_volume) as load, \
+            contextlib.chdir(work), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    err = stderr.getvalue()
+    assert code in (0, 1, 2), (argv, config, err)
+    if code:
+        assert err.count("\n") == 1 and err.endswith("\n"), (argv, config, err)
+        assert "Traceback" not in err
+    if code == 1:
+        assert load.call_count == 0, (argv, config, err)
+        assert list(work.iterdir()) == [], (argv, config, err)
 
 
 # --- console script ----------------------------------------------------------------------
