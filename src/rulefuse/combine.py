@@ -26,17 +26,45 @@ def _as_stacking(rule) -> StackingRule:
     return StackingRule(np.asarray(rule, dtype=np.float64))
 
 
+def weighted_sum(arrays, weights, out=None, product=None) -> np.ndarray:
+    """Σ w·a over `arrays` and their `weights`, in order, skipping zero weights.
+
+    The first weighted array is written straight into the output, which is
+    exact for weights >= 0 since 0.0 + w·a == w·a; a negative first weight
+    can leave -0.0 where the sum would hold 0.0. Each later one is multiplied
+    into `product` and added. Every element is thus the same float64
+    arithmetic whatever the arrays' shape, so a sum over gathered elements is
+    bitwise the sum at those elements of the whole arrays. `out` and
+    `product` receive the sum and the scratch products instead of fresh
+    arrays; with every weight zero the sum is all zeros.
+    """
+    written = False
+    for w, a in zip(weights, arrays):
+        if w == 0.0:  # zero weight leaves the output bit-exactly unaffected
+            continue
+        if not written:
+            out = np.multiply(a, w, out=out)
+            written = True
+            continue
+        if product is None:
+            product = np.empty_like(out)
+        out += np.multiply(a, w, out=product)
+    if written:
+        return out
+    if out is None:
+        return np.zeros(np.shape(arrays[0]), dtype=np.float64)
+    out.fill(0.0)
+    return out
+
+
 def linear_map(volumes, weights, out=None, product=None) -> np.ndarray:
     """Raw voxel-wise weighted sum, without simplex validation or clamping.
 
     Exists so additivity in the weights can be exercised outside the simplex;
     prefer combine_linear for producing valid probability volumes. For
     convex weights, thresholding this map at t in (0, 1) gives the mask that
-    thresholding combine_linear's clipped map gives.
-
-    The first weighted modality is written straight into the output, which
-    is exact for weights >= 0 since 0.0 + w·y == w·y; a negative first
-    weight can leave -0.0 where the sum would hold 0.0.
+    thresholding combine_linear's clipped map gives. The sum is
+    `weighted_sum` of the volumes' values.
 
     `out` and `product`, float64 arrays of the volumes' shape, receive the
     map and the scratch products instead of fresh arrays.
@@ -48,23 +76,7 @@ def linear_map(volumes, weights, out=None, product=None) -> np.ndarray:
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (3,):
         raise ValueError(f"expected 3 weights, got shape {weights.shape}")
-    written = False
-    for w, vol in zip(weights, volumes):
-        if w == 0.0:  # zero weight leaves the output bit-exactly unaffected
-            continue
-        if not written:
-            out = np.multiply(vol.values, w, out=out)
-            written = True
-            continue
-        if product is None:
-            product = np.empty_like(out)
-        out += np.multiply(vol.values, w, out=product)
-    if written:
-        return out
-    if out is None:
-        return np.zeros(volumes[0].dims, dtype=np.float64)
-    out.fill(0.0)
-    return out
+    return weighted_sum([vol.values for vol in volumes], weights, out, product)
 
 
 def combine_linear(volumes, rule) -> ProbabilityVolume:
@@ -124,25 +136,42 @@ def binarize_components(
     labels_out: np.ndarray | None = None,
 ):
     """`binarize` of a probability map given as an array on a grid of `spacing`,
-    as a `metrics.LabelledMask`: the mask with its support and the component
-    labelling it was made from, which `metrics.evaluate` scores without
-    scanning or labelling the mask again.
+    as a `metrics.LabelledMask` (see `label_positives`).
 
-    In the (labels, counts, keep) triple, `labels` numbers the connected
-    components of the thresholded map, `counts[i]` is the voxel count of
-    label i and `keep[i]` marks the components that survive in the mask.
-    Label 0 is background and is never kept.
-
-    The map is scanned once: the positives are found once, only their
-    bounding box is labelled, and dropped components are cleared at their
-    voxels. `mask_out` (bool) and `labels_out` (C-contiguous int32), of the
-    map's shape, receive the mask and labels instead of fresh arrays; the
-    returned mask is then a read-only view of `mask_out`, valid until the
-    buffer is written again.
+    The map is thresholded and scanned for its positives once, over the
+    whole grid; `label_positives` does the rest. `mask_out` (bool) and
+    `labels_out` (C-contiguous int32), of the map's shape, receive the mask
+    and labels instead of fresh arrays; the returned mask is then a
+    read-only view of `mask_out`, valid until the buffer is written again.
     """
     check_binarization(threshold, min_region_voxels)
     mask = np.greater(values, threshold, out=mask_out)
-    support = backends.support_of(mask)
+    return label_positives(mask, backends.support_of(mask), spacing, min_region_voxels,
+                           connectivity, labels_out)
+
+
+def label_positives(
+    mask: np.ndarray,
+    support: backends.Support,
+    spacing,
+    min_region_voxels: int,
+    connectivity: int,
+    labels_out: np.ndarray | None = None,
+):
+    """A thresholded mask, with small components dropped, as a
+    `metrics.LabelledMask`: the mask with its support and the component
+    labelling it was made from, which `metrics.evaluate` scores without
+    scanning or labelling the mask again.
+
+    `mask` is a bool array set exactly at the `backends.Support` `support`,
+    however its positives were found. Only their bounding box is labelled,
+    and dropped components are cleared in `mask` at their voxels. In the
+    (labels, counts, keep) triple, `labels` numbers the connected components
+    of the thresholded mask, `counts[i]` is the voxel count of label i and
+    `keep[i]` marks the components that survive. Label 0 is background and
+    is never kept. `labels_out` is as `out` for `backends.label_components`.
+    The returned mask is a read-only view of `mask`.
+    """
     labels, counts, keep = backends.components(
         mask, connectivity, min_region_voxels, support, labels_out
     )
@@ -152,7 +181,7 @@ def binarize_components(
         mask.flat[flat[~kept]] = False  # `flat` indexes in C order whatever the layout
         flat = flat[kept]
         support = backends.Support(flat, backends.bounding_box(flat, mask.shape))
-    volume = LabelVolume(mask if mask_out is None else mask.view(), spacing=spacing)
+    volume = LabelVolume(mask.view(), spacing=spacing)
     return LabelledMask(volume, support, (labels, counts, keep), connectivity)
 
 

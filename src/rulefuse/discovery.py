@@ -10,6 +10,15 @@ restricted to it and one set of volume buffers, which it reuses for each of
 its rules. Monte-Carlo uncertainty runs one task per case, over all its
 draws, on the same set-up.
 
+Where a rule's positives come from depends on the task. A task with two or
+more linear rules also finds its case's `_Candidates` once: the voxels where
+some modality comes within `_CANDIDATE_MARGIN` of the threshold, outside
+which no convex sum can exceed it. Each of its rules sums and thresholds
+only those voxels, so its positives are found without a pass over the grid.
+A lone linear rule, a stacking rule and every draw of Monte-Carlo
+uncertainty (which needs the whole map for its moments) compute the whole
+map and threshold it.
+
 Every sweep runs its tasks on `_workers(threads, n_tasks)` worker processes:
 the calling process is worker 0 and the others are forked children, which
 inherit the dataset and send back only their results. Worker k runs tasks k,
@@ -31,11 +40,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import backends
 # binarize is not called here; it stays bound in this module because
 # perfbench/test_perfbench.py reaches it as `discovery.binarize`
-from .combine import binarize, binarize_components, check_binarization, linear_map, stacking_map
+from .combine import (
+    binarize, binarize_components, check_binarization, label_positives, linear_map, stacking_map,
+    weighted_sum,
+)
 from .errors import DataError
-from .fitting import LinearRule, StackingRule
+from .fitting import _SIMPLEX_TOL, LinearRule, StackingRule
 from .metrics import (
     MetricsConfig, MetricsReport, TruthContext, dice, evaluate, in_zone, label_mask, truth_context,
 )
@@ -215,14 +228,71 @@ def _case_setup(case: CaseRecord, config: EvalConfig):
     return zone, truth, _Buffers(case.truth.dims)
 
 
+# How far below the threshold t a voxel's largest modality y may lie while a
+# linear rule's computed sum there still exceeds t. LinearRule accepts weights
+# >= -tol whose computed sum is within tol of 1 (tol = _SIMPLEX_TOL), and
+# clamps the negative ones to 0, so its weights are >= 0 and sum to at most
+# 1 + 3·tol (plus an ulp or two from the rounded sum it checked). The sum of
+# up to three products, each of a weight and a y in [0, 1], is rounded at
+# most five times, which puts the computed sum at or below
+# Σα·max y·(1 + u)³ <= max y·(1 + 3·tol)(1 + 4u), u = 2⁻⁵³. It exceeds t
+# only if max y > t / ((1 + 3·tol)(1 + 4u)) > t - 3·tol - 1e-15 for t < 1.
+# A margin of 4·tol therefore leaves every such voxel above the rounded
+# t - margin, for every t in (0, 1), with a whole tol to spare.
+_CANDIDATE_MARGIN = 4 * _SIMPLEX_TOL
+
+
+class _Candidates:
+    """The voxels of one case where a linear rule can exceed `threshold`:
+    `flat`, the ascending C-order flat indices where some modality exceeds
+    threshold - `_CANDIDATE_MARGIN`, and `values`, the three modalities
+    there as one contiguous (3, n) float64 array.
+
+    `positives` writes each rule's positives into the task's mask buffer:
+    the buffer is cleared once, here, and from then on only at the previous
+    rule's positives, so it is set exactly at the current rule's.
+    """
+
+    def __init__(self, case: CaseRecord, threshold: float, mask: np.ndarray):
+        floor = threshold - _CANDIDATE_MARGIN
+        y = [np.ravel(m.values) for m in case.modalities]
+        some = y[0] > floor  # max y > floor, without a float64 pass for the max
+        some |= y[1] > floor
+        some |= y[2] > floor
+        self.flat = np.flatnonzero(some)
+        self.values = np.empty((3, self.flat.size))
+        for row, values in zip(self.values, y):
+            values.take(self.flat, out=row)
+        self.sum = np.empty(self.flat.size)
+        self.product = np.empty(self.flat.size)
+        mask.fill(False)
+        self.shape = mask.shape
+        self.mask = mask.reshape(-1)  # a view: the buffer is C-ordered
+        self.marked = self.flat[:0]  # the positives set in the mask
+
+    def positives(self, alpha: np.ndarray, threshold: float) -> backends.Support:
+        """The `Support` of Σ α·y > `threshold`, with the mask set exactly there.
+
+        Each sum is `weighted_sum` over the same values as `linear_map` sums
+        on the whole grid, so it is that map's value bitwise.
+        """
+        sums = weighted_sum(self.values, alpha, self.sum, self.product)
+        flat = self.flat[sums > threshold]
+        self.mask[self.marked] = False
+        self.mask[flat] = True
+        self.marked = flat
+        return backends.Support(flat, backends.bounding_box(flat, self.shape))
+
+
 def _predict(case: CaseRecord, model: str, rule, config: EvalConfig, buffers: _Buffers):
     """(combined map, binarized prediction) of one rule on one case; the
     prediction is a `metrics.LabelledMask` (see `combine.binarize_components`).
 
-    The map, the mask and the labels are written into `buffers`. A linear map
-    is left unclipped: its convex sums may round past [0, 1] in the last
-    place, and for a threshold in (0, 1) the mask is the same as from the
-    clipped map.
+    The whole map is computed and thresholded, and its positives are found
+    by a scan of the grid. The map, the mask and the labels are written into
+    `buffers`. A linear map is left unclipped: its convex sums may round past
+    [0, 1] in the last place, and for a threshold in (0, 1) the mask is the
+    same as from the clipped map.
     """
     if model not in ("linear", "stacking"):
         raise ValueError(f"unknown model {model!r}")
@@ -250,8 +320,23 @@ def _evaluate_case(
     zone: LabelVolume | None,
     truth_ctx: TruthContext,
     buffers: _Buffers,
+    candidates: _Candidates | None = None,
 ) -> MetricsReport:
-    _, pred = _predict(case, model, rule, config, buffers)
+    """The report of one rule on one case. A linear rule's positives come
+    from the task's `candidates`, written into `buffers.mask`; without them
+    they come from `_predict`'s whole map. Either way `label_positives`
+    labels them and drops the small components."""
+    if candidates is not None:
+        pred = label_positives(
+            buffers.mask,
+            candidates.positives(rule.alpha, config.threshold),
+            case.modalities[0].spacing,
+            config.min_region_voxels,
+            config.metrics.connectivity,
+            buffers.labels,
+        )
+    else:
+        _, pred = _predict(case, model, rule, config, buffers)
     # a restricted prediction is labelled into the buffer its unrestricted
     # labels were in, which nothing reads any more
     pred = label_mask(in_zone(pred, zone), config.metrics.connectivity, buffers.labels)
@@ -410,9 +495,10 @@ def _sweep(
     """Score every (rule, case) pair and aggregate one RuleEvaluation per rule.
 
     Each case's rules are cut into one contiguous range per worker, and each
-    (case, range) is one task, in case-major order. A task sets its case up
-    and builds the restricted truth's context once, and reuses them for each
-    rule in its range.
+    (case, range) is one task, in case-major order. A task sets its case up,
+    builds the restricted truth's context and, for two or more linear rules,
+    finds the case's `_Candidates` once, and reuses them for each rule in
+    its range.
     """
     cases = sorted(dataset, key=lambda c: c.case_id)  # fixed reduction order
     if not cases:
@@ -427,8 +513,12 @@ def _sweep(
         try:
             zone, truth, buffers = _case_setup(case, config)
             truth_ctx = truth_context(truth, config.metrics.connectivity)
+            # building a candidate set costs about as much as one rule's dense
+            # map, threshold and scan, so a task with one rule runs it dense
+            candidates = (_Candidates(case, config.threshold, buffers.mask)
+                          if model == "linear" and len(task_rules) > 1 else None)
             return [
-                _evaluate_case(case, model, rule, config, zone, truth_ctx, buffers)
+                _evaluate_case(case, model, rule, config, zone, truth_ctx, buffers, candidates)
                 for rule in task_rules
             ]
         except DataError:

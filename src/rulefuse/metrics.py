@@ -8,6 +8,7 @@ sentinel numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,9 +119,19 @@ class BoundarySurface:
     flat: np.ndarray
 
 
-def boundary_surface(mask):
+# cKDTree options. A query's distance does not depend on the tree's shape,
+# only on how fast it is found, and an unbalanced tree builds faster. A
+# truth's tree is built once per case and queried at the own surface points
+# of every prediction. A prediction's tree is built for each one and queried
+# only at the few truth points off its surface, so its build is most of its
+# cost, and uncompacted nodes and larger leaves make that cheaper.
+_TRUTH_TREE = {"balanced_tree": False}
+_PRED_TREE = {"balanced_tree": False, "compact_nodes": False, "leafsize": 32}
+
+
+def boundary_surface(mask, tree_options=_TRUTH_TREE):
     """Surface of a mask (`LabelVolume` or `LabelledMask`) as queryable
-    points; None when the mask is empty.
+    points; None when the mask is empty. `tree_options` are the cKDTree's.
 
     Found from the positive voxels alone: each one off the volume's faces is
     tested against its six face neighbours, gathered by flat index, so no
@@ -143,10 +154,8 @@ def boundary_surface(mask):
     boundary = ~off_face
     boundary[off_face] = ~interior
     coords = np.column_stack((x[boundary], y[boundary], z[boundary]))
-    # the tree's shape does not change a query's distance, only how fast it
-    # is found, and an unbalanced tree builds faster
     points = coords * np.asarray(mask.spacing, dtype=np.float64)
-    return BoundarySurface(points=points, tree=cKDTree(points, balanced_tree=False),
+    return BoundarySurface(points=points, tree=cKDTree(points, **tree_options),
                            flat=flat[boundary])
 
 
@@ -162,8 +171,9 @@ def hd95(pred, truth, truth_surface: BoundarySurface | None = None):
     """95th percentile of pooled symmetric boundary-to-boundary distances (mm).
 
     Returns None when either mask is empty. Distances are voxel-centre to
-    voxel-centre, scaled by spacing; the percentile uses linear interpolation
-    over the sorted pooled set.
+    voxel-centre, scaled by spacing; the percentile is `np.percentile`'s
+    linear interpolation over the sorted pooled set, taken from its one or
+    two order statistics (see `_percentile_past_zeros`).
 
     A voxel on both surfaces is the same point in mm when both masks have the
     same spacing, so its distance in each direction is exactly 0.0; only the
@@ -177,7 +187,7 @@ def hd95(pred, truth, truth_surface: BoundarySurface | None = None):
     surf_g = truth_surface if truth_surface is not None else boundary_surface(truth)
     if surf_g is None:
         return None
-    surf_p = boundary_surface(pred)
+    surf_p = boundary_surface(pred, _PRED_TREE)
     if surf_p is None:
         return None
     if pred_volume.spacing == truth_volume.spacing:
@@ -187,10 +197,33 @@ def hd95(pred, truth, truth_surface: BoundarySurface | None = None):
         from_p, from_g = surf_p.points[own_p], surf_g.points[own_g]
     else:  # points on a different grid are not shared, however close
         n_shared, from_p, from_g = 0, surf_p.points, surf_g.points
-    pooled = np.concatenate(
-        [surf_g.tree.query(from_p)[0], surf_p.tree.query(from_g)[0], np.zeros(2 * n_shared)]
-    )
-    return float(np.percentile(pooled, HD_PERCENTILE))
+    own = np.concatenate([surf_g.tree.query(from_p)[0], surf_p.tree.query(from_g)[0]])
+    return _percentile_past_zeros(own, 2 * n_shared, HD_PERCENTILE)
+
+
+def _percentile_past_zeros(values: np.ndarray, n_zeros: int, q: float) -> float:
+    """`np.percentile` ("linear" method) of `values` pooled with `n_zeros`
+    zeros, bitwise, from at most two order statistics of `values`.
+
+    `values` must be >= 0, so the zeros sort first and the pooled set's k-th
+    smallest is 0.0 for k < n_zeros and the (k - n_zeros)-th smallest of
+    `values` after. The order statistics come from a partition of `values`,
+    and they are interpolated as numpy's `_lerp` does. `values` is partitioned
+    in place.
+    """
+    n = values.size + n_zeros
+    index = (n - 1) * (q / 100)  # numpy's virtual index: (n - 1)·quantile
+    lower = math.floor(index)
+    upper = min(lower + 1, n - 1)
+    gamma = index - lower
+    wanted = [k - n_zeros for k in (lower, upper) if k >= n_zeros]
+    if wanted:
+        values.partition(wanted)
+    a, b = (float(values[k - n_zeros]) if k >= n_zeros else 0.0 for k in (lower, upper))
+    diff = b - a
+    if gamma >= 0.5:
+        return b - diff * (1 - gamma)
+    return a + diff * gamma
 
 
 def _share_covered(components, other: np.ndarray, threshold: float):

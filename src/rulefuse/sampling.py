@@ -29,14 +29,22 @@ def sample_dirichlet(seed: int, concentration=(1.0, 1.0, 1.0)) -> LinearRule:
     return LinearRule(alpha / alpha.sum())
 
 
+# The finest grid: 1/step divisions per axis, (d + 1)(d + 2)/2 rules for d
+# divisions, so 501 501 rules at step 0.001.
+MAX_GRID_DIVISIONS = 1000
+
+
 def simplex_grid(step: float = 0.1) -> list[LinearRule]:
     """All mixing weights with entries on a regular grid summing to one.
 
-    step must divide 1 evenly; step 0.1 yields the 66 lattice points of the
-    3-simplex, boundary included.
+    step must divide 1 evenly, at most `MAX_GRID_DIVISIONS` times; step 0.1
+    yields the 66 lattice points of the 3-simplex, boundary included.
     """
     if not 0.0 < step <= 1.0:
         raise ValueError(f"step must lie in (0, 1], got {step}")
+    if 1.0 / step > MAX_GRID_DIVISIONS:
+        raise ValueError(f"step must be at least {1 / MAX_GRID_DIVISIONS:g} "
+                         f"(at most {MAX_GRID_DIVISIONS} divisions), got {step}")
     m = round(1.0 / step)
     if m < 1 or abs(m * step - 1.0) > 1e-9:
         raise ValueError(f"step must divide 1 evenly, got {step}")

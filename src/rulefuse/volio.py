@@ -216,7 +216,9 @@ def load_nifti1(path):
     raw = np.frombuffer(blob, dtype=dtype, count=int(np.prod(dims)), offset=offset)
     values = _c_ordered(raw, dims, np.float64)
     if scl_slope != 0.0:
-        values = values * scl_slope + scl_inter
+        # a non-finite result is reported below as a data error, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = values * scl_slope + scl_inter
 
     if datatype == 2:
         if not np.all((values == 0) | (values == 1)):

@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import rulefuse
 from rulefuse import cli, sampling, volio
 from rulefuse.cli import main
 from rulefuse.combine import binarize, combine_linear
@@ -79,6 +82,31 @@ def test_sample_negative_eta_is_usage_error(capsys):
 def test_sample_uneven_grid_step_is_usage_error(capsys):
     argv = ["sample", "--model", "linear", "--grid-step", "0.3"]
     assert_one_line_usage_error(capsys, argv, "step must divide 1 evenly")
+
+
+@pytest.mark.parametrize("argv", [["sample", "--model", "linear", "--grid-step"],
+                                  ["search", "missing.json", "--step"]], ids=["sample", "search"])
+def test_grid_step_bound_is_checked_before_any_rule_or_load(argv, capsys, monkeypatch):
+    # 1/step > 1000 would ask for more than 501 501 rules; 0.0001 asks for ~50 million
+    built, loads = [], []
+    make_rule = sampling.LinearRule
+
+    def counted_rule(alpha):  # fails fast, at the parent too, instead of filling memory
+        built.append(1)
+        assert len(built) <= 501 * 502 // 2, "more rules built than step 0.001 makes"
+        return make_rule(alpha)
+
+    monkeypatch.setattr(sampling, "LinearRule", counted_rule)
+    monkeypatch.setattr(volio, "load_manifest", lambda *args, **kwargs: loads.append(args) or
+                        (_ for _ in ()).throw(cli.DataError("manifest reached")))
+    assert_one_line_usage_error(capsys, argv + ["0.0001"], "step must be at least 0.001")
+    assert (built, loads) == ([], [])
+    code = main(argv + ["0.002"])  # 125 751 rules, still allowed
+    out, err = capsys.readouterr()
+    if argv[0] == "sample":
+        assert code == 0 and len(json.loads(out)["rules"]) == len(built) == 501 * 502 // 2
+    else:
+        assert (code, err, len(loads)) == (2, "data error: manifest reached\n", 1)
 
 
 def test_phantom_zero_cases_is_usage_error(tmp_path, capsys):
@@ -299,6 +327,24 @@ def test_evaluate_probability_pred_is_binarized(dataset, tmp_path, capsys):
     assert main(["evaluate", pred, truth, "--threshold", "0.5"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert 0.0 <= doc["dsc"] <= 1.0
+
+
+def test_evaluate_non_finite_nifti_scaling_prints_one_data_error_line(tmp_path):
+    # inf slope and -inf intercept make every scaled voxel nan; numpy must not
+    # warn about it on stderr before the data error does
+    from test_io import nifti1_bytes
+
+    pred = tmp_path / "p.nii"
+    pred.write_bytes(nifti1_bytes(np.full((4, 4, 4), 0.5), scl_slope=np.inf, scl_inter=-np.inf))
+    truth = save_volume(LabelVolume(np.zeros((4, 4, 4), dtype=bool)), tmp_path / "t.u8")
+    src = str(Path(rulefuse.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "rulefuse", "evaluate", str(pred), str(truth)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"data error: {pred}: ") and proc.stderr.count("\n") == 1, (
+        proc.stderr)
+    assert proc.stdout == ""
 
 
 def test_binarization_honours_connectivity(tmp_path, capsys):

@@ -4,10 +4,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
 from rulefuse import backends, discovery
-from rulefuse.combine import binarize, combine_linear, combine_stacking
+from rulefuse.combine import binarize, combine_linear, combine_stacking, linear_map
 from rulefuse.discovery import (
     CaseRecord,
     EvalConfig,
@@ -22,8 +23,8 @@ from rulefuse.discovery import (
 )
 from rulefuse.errors import DataError
 from rulefuse.fitting import LinearRule
-from rulefuse.metrics import MetricsConfig, evaluate
-from rulefuse.sampling import rejection_sample_stacking
+from rulefuse.metrics import MetricsConfig, evaluate, truth_context
+from rulefuse.sampling import rejection_sample_stacking, simplex_grid
 from rulefuse.volumes import LabelVolume, Modality, ProbabilityVolume
 
 
@@ -281,10 +282,12 @@ def test_sweep_zone_without_truth_has_no_hd95(threads):
 
 @pytest.mark.parametrize("zone", [None, "slab"])
 def test_sweeps_scan_each_prediction_once_and_share_the_case_setup(zone, monkeypatch):
-    # the grid is scanned for positives once per prediction, when it is
-    # thresholded, and once per case, for its truth; restricting to a zone
-    # reads the prediction's own positives. The rule sweep and MC set each
-    # case up with the same helper.
+    # the grid is scanned for positives once per case, for its truth. A
+    # linear sweep finds each rule's positives among its case's candidate
+    # voxels, with no scan; a lone rule, and each MC draw, thresholds its
+    # whole map and scans it once. Restricting to a zone reads the
+    # prediction's own positives. The rule sweep and MC set each case up
+    # with the same helper.
     cases = mixed_grid_cases(seed=13)
     case_ids = sorted(case.case_id for case in cases)
     config = EvalConfig(min_region_voxels=4, zone=zone)
@@ -302,11 +305,136 @@ def test_sweeps_scan_each_prediction_once_and_share_the_case_setup(zone, monkeyp
     monkeypatch.setattr(backends, "support_of", counted_support_of)
     monkeypatch.setattr(discovery, "_case_setup", counted_case_setup)
     grid_search_linear(cases, step=0.5, config=config)  # 6 rules
-    assert (len(scans), setups) == (len(cases) * (6 + 1), case_ids)
+    assert (len(scans), setups) == (len(cases), case_ids)
+    scans.clear()
+    setups.clear()
+    evaluate_rule(cases, LinearRule(np.array([0.5, 0.25, 0.25])), config=config)
+    assert (len(scans), setups) == (len(cases) * (1 + 1), case_ids)
     scans.clear()
     setups.clear()
     monte_carlo_uncertainty(cases, {"kind": "dirichlet"}, n_draws=3, config=config)
     assert (len(scans), setups) == (len(cases) * (3 + 1), case_ids)
+
+
+# --- linear positives from candidate voxels ---------------------------------------
+
+GRID_RULES = simplex_grid(0.1)
+HALF_VOXEL = [np.full((1, 1, 1), 0.5)] * 3
+
+
+def rounds_past_half(rule) -> bool:
+    """Whether the rule's computed sum over an all-0.5 voxel exceeds 0.5."""
+    return bool(linear_map([prob(v) for v in HALF_VOXEL], rule.alpha)[0, 0, 0] > 0.5)
+
+
+ROUND_UP_RULES = [rule for rule in GRID_RULES if rounds_past_half(rule)]
+
+
+def nudged(rule, axis: int, sign: int) -> LinearRule:
+    """`rule` with one weight moved by just under the simplex tolerance, so
+    its weights sum to 1 ± 1e-9, or a zero weight goes to -1e-9 and is clamped."""
+    alpha = np.array(rule.alpha)
+    alpha[axis] += sign * 0.999e-9
+    return LinearRule(alpha)
+
+
+def clamped(axis: int) -> LinearRule:
+    """The heaviest rule LinearRule accepts: two weights at -1e-9, clamped to 0,
+    and the third at 1 + 3e-9 less a hair, so the weights sum to that."""
+    alpha = np.full(3, -1e-9)
+    alpha[axis] = 1 + 2.99e-9
+    return LinearRule(alpha)
+
+
+LINEAR_RULES = st.one_of(
+    st.sampled_from(GRID_RULES),
+    st.builds(nudged, st.sampled_from(GRID_RULES), st.integers(0, 2), st.sampled_from([-1, 1])),
+    st.builds(clamped, st.integers(0, 2)),
+    st.tuples(*[st.floats(0.0, 1.0)] * 3).filter(lambda w: sum(w) > 0).map(
+        lambda w: LinearRule(np.array(w) / sum(w))),
+)
+THRESHOLDS = st.one_of(
+    st.sampled_from([0.5, 1e-12, 3e-9, 0.99, 1 - 1e-9, 1 - 1e-12]),
+    st.floats(1e-12, 1 - 1e-12),
+)
+
+
+def candidate_case(seed: int, t: float, dims=(7, 6, 5)) -> CaseRecord:
+    """Random modalities, half their voxels from values at and around `t`,
+    with pinned voxels: all three at 0.5, all three at `t`, and each modality
+    alone just over 2·1e-9 below `t`, where a clamped rule still exceeds it."""
+    rng = np.random.default_rng(seed)
+    below = max(t - 2.5e-9, 0.0)
+    palette = np.array([0.0, 1.0, 0.5, t, np.nextafter(t, 0), np.nextafter(t, 1), below,
+                        max(t - 4e-9, 0.0)])
+    mods = [np.where(rng.random(dims) < 0.5, rng.choice(palette, dims), rng.random(dims))
+            for _ in range(3)]
+    for m, values in enumerate(mods):
+        values[0, 0, 0] = 0.5
+        values[1, 0, 0] = t
+        values[2, 0, :3] = 0.0
+        values[2, 0, m] = below
+    zone = np.zeros(dims, dtype=bool)
+    zone[:, 2:, :] = True
+    truth = rng.random(dims) < 0.3
+    return make_case("h", truth, mods, zones={"half": LabelVolume(zone)})
+
+
+def candidates_match_dense(case: CaseRecord, t: float, rules) -> bool:
+    """Whether each rule's candidate positives, and the mask they leave, are
+    the dense map's, with the rules run in order on one candidate set."""
+    mask = np.empty(case.truth.dims, dtype=bool)
+    candidates = discovery._Candidates(case, t, mask)
+    for rule in rules:
+        dense = linear_map(case.modalities, rule.alpha) > t
+        support = candidates.positives(rule.alpha, t)
+        if support.flat.tobytes() != np.flatnonzero(dense).tobytes():
+            return False
+        assert support.box == backends.support_of(dense).box
+        assert np.array_equal(mask, dense)
+    return True
+
+
+@example(seed=0, t=0.5, rules=ROUND_UP_RULES, min_region=0, zone=False)
+@example(seed=1, t=0.99, rules=[clamped(0), clamped(2)], min_region=1, zone=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t=THRESHOLDS,
+    rules=st.lists(LINEAR_RULES, min_size=1, max_size=5),
+    min_region=st.integers(0, 4),
+    zone=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_candidate_positives_and_reports_equal_the_dense_path(seed, t, rules, min_region, zone):
+    case = candidate_case(seed, t)
+    assert candidates_match_dense(case, t, rules)
+    config = EvalConfig(threshold=t, min_region_voxels=min_region, zone="half" if zone else None)
+    zone_mask, truth, buffers = discovery._case_setup(case, config)
+    truth_ctx = truth_context(truth, config.metrics.connectivity)
+    candidates = discovery._Candidates(case, t, buffers.mask)
+    dense_buffers = discovery._Buffers(case.truth.dims)
+    for rule in rules:
+        got = discovery._evaluate_case(case, "linear", rule, config, zone_mask, truth_ctx,
+                                       buffers, candidates)
+        want = discovery._evaluate_case(case, "linear", rule, config, zone_mask, truth_ctx,
+                                        dense_buffers)
+        assert repr(got) == repr(want)
+
+
+def test_candidate_margin_is_needed_and_enough(monkeypatch):
+    # four grid rules sum an all-0.5 voxel past 0.5; a clamped rule's weights
+    # sum to 1 + 3e-9, so it lifts a voxel 2.5e-9 below t = 0.99 past t
+    assert [tuple(round(w, 9) for w in rule.as_tuple()) for rule in ROUND_UP_RULES] == [
+        (0.2, 0.7, 0.1), (0.3, 0.6, 0.1), (0.6, 0.3, 0.1), (0.7, 0.2, 0.1)]
+    half = make_case("half", np.zeros((3, 3, 3)), [np.full((3, 3, 3), 0.5)] * 3)
+    lifted = candidate_case(2, 0.99)
+    assert (linear_map(lifted.modalities, clamped(0).alpha) > 0.99)[2, 0, 0]
+    assert candidates_match_dense(half, 0.5, ROUND_UP_RULES)
+    assert candidates_match_dense(lifted, 0.99, [clamped(0)])
+    monkeypatch.setattr(discovery, "_CANDIDATE_MARGIN", 0.0)
+    assert not candidates_match_dense(half, 0.5, ROUND_UP_RULES)
+    monkeypatch.setattr(discovery, "_CANDIDATE_MARGIN", 2e-9)
+    assert not candidates_match_dense(lifted, 0.99, [clamped(0)])
 
 
 @pytest.mark.parametrize("threads", [1, 3])

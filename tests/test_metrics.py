@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
 from rulefuse import backends
 from rulefuse.metrics import (
+    HD_PERCENTILE,
     MetricsConfig,
+    _percentile_past_zeros,
     boundary_surface,
     dice,
     evaluate,
@@ -490,6 +493,50 @@ def test_hd95_digits_match_kd_arithmetic_exactly(spacing):
         assert report.hd95_mm == float(np.percentile(pooled, 95))
         checked += 1
     assert checked >= 4
+
+
+def _interpolated_above_half(n: int, q: float) -> bool:
+    """Whether numpy's linear percentile over n values takes its g >= 0.5 branch."""
+    index = (n - 1) * (q / 100)
+    return index - np.floor(index) >= 0.5
+
+
+# a pooled set of n = 1, 11, 12 or 22 values has g = 0, 0.5, 0.45 and 0.95 at q = 95
+@example(values=[], n_zeros=1, q=HD_PERCENTILE)  # one element, a zero
+@example(values=[2.5], n_zeros=0, q=HD_PERCENTILE)  # one element, no zeros
+@example(values=[], n_zeros=7, q=HD_PERCENTILE)  # all zeros
+@example(values=[0.0, 0.0, 0.0], n_zeros=4, q=HD_PERCENTILE)  # all zeros, some own
+@example(values=[1.0] * 5 + [3.0] * 6, n_zeros=0, q=HD_PERCENTILE)  # ties, g = 0.5
+@example(values=[float(v) for v in range(12)], n_zeros=0, q=HD_PERCENTILE)  # no zeros, g < 0.5
+@example(values=[0.5, 0.25, 4.0], n_zeros=19, q=HD_PERCENTILE)  # g >= 0.5 past the zeros
+@example(values=[0.5, 0.25, 4.0, 4.0], n_zeros=8, q=HD_PERCENTILE)  # g < 0.5, ties at the top
+@given(
+    values=st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0, 1.5, 2.0 ** 0.5]),
+                  st.floats(min_value=0.0, max_value=1e3, allow_subnormal=True)),
+        max_size=40,
+    ),
+    n_zeros=st.integers(min_value=0, max_value=40),
+    q=st.sampled_from([HD_PERCENTILE, 0.0, 50.0, 99.0, 100.0]),
+)
+@settings(max_examples=300, deadline=None)
+def test_order_statistic_percentile_is_numpy_percentile_bitwise(values, n_zeros, q):
+    if not values and not n_zeros:
+        return
+    own = np.array(values, dtype=np.float64)
+    pooled = np.concatenate([own, np.zeros(n_zeros)])
+    want = float(np.percentile(pooled, q))
+    got = _percentile_past_zeros(own.copy(), n_zeros, q)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+
+
+def test_order_statistic_percentile_examples_take_both_interpolation_branches():
+    # the examples above reach both branches of numpy's `_lerp`
+    assert _interpolated_above_half(3 + 19, HD_PERCENTILE)
+    assert _interpolated_above_half(11, HD_PERCENTILE)
+    assert not _interpolated_above_half(12, HD_PERCENTILE)
+    assert not _interpolated_above_half(4 + 8, HD_PERCENTILE)
 
 
 def _kd_hd95(pred_values, truth_values, spacing, truth_spacing=None):
