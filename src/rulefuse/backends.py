@@ -79,14 +79,25 @@ def support_of(mask) -> Support:
     return Support(flat, bounding_box(flat, mask.shape))
 
 
+class LabelBuffer:
+    """A reused labels volume: `array`, C-contiguous int32, is zero outside
+    `box`, the box the last `label_components` call wrote, so the next call
+    clears only that box."""
+
+    def __init__(self, shape):
+        self.array = np.zeros(shape, dtype=np.int32)
+        self.box = (slice(0, 0),) * 3
+
+
 def label_components(mask, connectivity, box=None, out=None):
     """Label connected regions of a 3D boolean mask. Returns (labels, count).
 
     Only mask[box] is labelled, where `box` holds every positive voxel (the
     mask's bounding box when not given). Scan order inside a box is scan
     order in the volume, so the labels are those of the whole mask, and
-    every voxel outside the box is background. `out`, a C-contiguous int32
-    array of the mask's shape, receives the labels instead of a fresh array.
+    every voxel outside the box is background. `out` receives the labels
+    instead of a fresh array: a `LabelBuffer` of the mask's shape, or a
+    C-contiguous int32 array of that shape, which is zeroed first.
     """
     structure = _STRUCTURES.get(connectivity)
     if structure is None:
@@ -95,6 +106,9 @@ def label_components(mask, connectivity, box=None, out=None):
         box = support_of(mask).box
     if out is None:
         out = np.zeros(mask.shape, dtype=np.int32)
+    elif isinstance(out, LabelBuffer):
+        out.array[out.box] = 0
+        out.box, out = box, out.array
     else:
         out.fill(0)
     crop = mask[box]

@@ -294,6 +294,12 @@ def _eval_config(args) -> EvalConfig:
                       metrics=MetricsConfig(**metrics), zone=options.get("zone"))
 
 
+def _load_cases(args, split: str, eval_cfg: EvalConfig) -> list:
+    """The manifest's cases in `split`, with only the configured zone's volumes read."""
+    zones = [eval_cfg.zone] if eval_cfg.zone is not None else []
+    return volio.load_manifest(args.manifest, split=split, zones=zones)[0]
+
+
 def cmd_search(args) -> int:
     if args.heatmap_out and args.model != "linear":
         raise UsageError("--heatmap-out only applies to linear search")
@@ -309,7 +315,7 @@ def cmd_search(args) -> int:
             raise UsageError(f"--rules {args.rules} holds no accepted rules")
 
     def run_split(split: str) -> discovery.GridSearchResult:
-        cases, _ = volio.load_manifest(args.manifest, split=split)
+        cases = _load_cases(args, split, eval_cfg)
         options = dict(rank_by=args.rank_by, config=eval_cfg, split=split, threads=args.threads)
         if ruleset is None:
             return discovery.grid_search_linear(cases, step=args.step, **options)
@@ -335,7 +341,7 @@ def cmd_availability(args) -> int:
         if spec.get("model", "linear") != "linear":
             raise UsageError("availability base rule must be linear")
         _, base = _rule_from_spec(spec)
-    cases, _ = volio.load_manifest(args.manifest, split=args.split)
+    cases = _load_cases(args, args.split, eval_cfg)
     table = discovery.availability_analysis(cases, base_rule=base, config=eval_cfg,
                                             threads=args.threads)
     return _write_reports(table, args)
@@ -351,7 +357,7 @@ def cmd_mc_uncertainty(args) -> int:
         raise UsageError(str(exc)) from None
     eval_cfg = _eval_config(args)
     discovery.check_draws(args.draws)
-    cases, _ = volio.load_manifest(args.manifest, split=args.split)
+    cases = _load_cases(args, args.split, eval_cfg)
     # checked before the run, so a bad case id costs no draws
     volume_paths = {c.case_id: volio.case_file(args.volumes_out, c.case_id, "_variance.f32le")
                     for c in cases} if args.volumes_out else {}
@@ -506,11 +512,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except (UsageError, ValueError, DivergenceError) as exc:
         # out-of-range option values surface from the library as ValueError
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        error, code = f"usage error: {exc}", 1
     except (DataError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
+        error, code = f"data error: {exc}", 2
+    # one line whatever a path in it holds: unprintable characters are escaped
+    print("".join(c if c.isprintable() else c.encode("unicode_escape").decode("ascii")
+                  for c in error), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

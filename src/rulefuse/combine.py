@@ -133,16 +133,16 @@ def binarize_components(
     min_region_voxels: int = 27,
     connectivity: int = 26,
     mask_out: np.ndarray | None = None,
-    labels_out: np.ndarray | None = None,
+    labels_out=None,
 ):
     """`binarize` of a probability map given as an array on a grid of `spacing`,
     as a `metrics.LabelledMask` (see `label_positives`).
 
     The map is thresholded and scanned for its positives once, over the
-    whole grid; `label_positives` does the rest. `mask_out` (bool) and
-    `labels_out` (C-contiguous int32), of the map's shape, receive the mask
-    and labels instead of fresh arrays; the returned mask is then a
-    read-only view of `mask_out`, valid until the buffer is written again.
+    whole grid; `label_positives` does the rest. `mask_out`, a bool array of
+    the map's shape, receives the mask instead of a fresh array; the
+    returned mask is then a read-only view of it, valid until the buffer is
+    written again. `labels_out` is as `out` for `backends.label_components`.
     """
     check_binarization(threshold, min_region_voxels)
     mask = np.greater(values, threshold, out=mask_out)
@@ -156,7 +156,7 @@ def label_positives(
     spacing,
     min_region_voxels: int,
     connectivity: int,
-    labels_out: np.ndarray | None = None,
+    labels_out=None,
 ):
     """A thresholded mask, with small components dropped, as a
     `metrics.LabelledMask`: the mask with its support and the component

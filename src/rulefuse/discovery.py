@@ -207,15 +207,17 @@ class _Buffers:
     """The volumes one task writes for each rule it runs on one case: the
     combined map, the scratch products, the mask and its labels.
 
-    Every array is C-ordered and sized to the case. A volume a rule's
-    evaluation builds on them is valid only until the next rule runs.
+    Every array is C-ordered and sized to the case; the labels are a
+    `backends.LabelBuffer`, cleared once here and then only where each
+    labelling wrote. A volume a rule's evaluation builds on them is valid
+    only until the next rule runs.
     """
 
     def __init__(self, dims):
         self.map = np.empty(dims)
         self.product = np.empty(dims)
         self.mask = np.empty(dims, dtype=bool)
-        self.labels = np.empty(dims, dtype=np.int32)
+        self.labels = backends.LabelBuffer(dims)
 
 
 def _case_setup(case: CaseRecord, config: EvalConfig):

@@ -92,14 +92,15 @@ def _support(mask) -> backends.Support:
 def dice(pred, truth) -> float:
     """2|P∩G|/(|P|+|G|); defined as 1.0 when both masks are empty.
 
-    Either mask is a `LabelVolume` or a `LabelledMask`.
+    Either mask is a `LabelVolume` or a `LabelledMask`. |P∩G| counts the
+    truth's values gathered at the prediction's positives.
     """
     validate_aligned([_volume(pred), _volume(truth)], names=["pred", "truth"])
     p, g = _support(pred).flat, _support(truth).flat
     denom = p.size + g.size
     if denom == 0:
         return 1.0
-    return 2.0 * int(np.count_nonzero(_shared(p, g))) / denom
+    return 2.0 * int(np.count_nonzero(np.ravel(_volume(truth).values).take(p))) / denom
 
 
 @dataclass(frozen=True)
@@ -129,76 +130,87 @@ _TRUTH_TREE = {"balanced_tree": False}
 _PRED_TREE = {"balanced_tree": False, "compact_nodes": False, "leafsize": 32}
 
 
-def boundary_surface(mask, tree_options=_TRUTH_TREE):
+def _face_flags(dims) -> np.ndarray:
+    """Flat (C order) flags of the voxels on the faces of a volume of `dims`."""
+    faces = np.ones(dims, dtype=bool)
+    faces[1:-1, 1:-1, 1:-1] = False
+    return faces.reshape(-1)
+
+
+def boundary_surface(mask, tree_options=_TRUTH_TREE, faces: np.ndarray | None = None):
     """Surface of a mask (`LabelVolume` or `LabelledMask`) as queryable
     points; None when the mask is empty. `tree_options` are the cKDTree's.
 
-    Found from the positive voxels alone: each one off the volume's faces is
-    tested against its six face neighbours, gathered by flat index, so no
-    pass over the volume or its bounding box is made.
+    Found from the positive voxels alone: each one off the volume's faces
+    (`faces`, its `_face_flags` when the caller has them) is tested against
+    its six face neighbours, gathered by flat index, so no pass over the
+    volume or its bounding box is made; only boundary voxels get coordinates.
     """
     flat = _support(mask).flat
     mask = _volume(mask)
     if not flat.size:
         return None
-    nx, ny, nz = mask.values.shape
-    rows, z = np.divmod(flat, nz)
-    x, y = np.divmod(rows, ny)
-    off_face = ~((x == 0) | (x == nx - 1) | (y == 0) | (y == ny - 1) | (z == 0) | (z == nz - 1))
-    inner = flat[off_face]
+    if faces is None:
+        faces = _face_flags(mask.dims)
+    ny, nz = mask.dims[1:]
+    boundary = faces.take(flat)
+    inner = flat[~boundary]
     values = mask.values.ravel()
     interior = np.ones(inner.size, dtype=bool)
     for step in (1, nz, ny * nz):
         interior &= values.take(inner - step)
         interior &= values.take(inner + step)
-    boundary = ~off_face
-    boundary[off_face] = ~interior
-    coords = np.column_stack((x[boundary], y[boundary], z[boundary]))
-    points = coords * np.asarray(mask.spacing, dtype=np.float64)
-    return BoundarySurface(points=points, tree=cKDTree(points, **tree_options),
-                           flat=flat[boundary])
+    boundary[~boundary] = ~interior
+    flat = flat[boundary]
+    rows, z = np.divmod(flat, nz)
+    x, y = np.divmod(rows, ny)
+    points = np.column_stack((x, y, z)) * np.asarray(mask.spacing, dtype=np.float64)
+    return BoundarySurface(points=points, tree=cKDTree(points, **tree_options), flat=flat)
 
 
-def _shared(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Which entries of the ascending index array `a` also occur in the ascending `b`."""
-    if not b.size:
-        return np.zeros(a.shape, dtype=bool)
-    at = np.searchsorted(b, a)
-    return b.take(at, mode="clip") == a
-
-
-def hd95(pred, truth, truth_surface: BoundarySurface | None = None):
+def hd95(pred, truth, truth_ctx: TruthContext | None = None):
     """95th percentile of pooled symmetric boundary-to-boundary distances (mm).
 
     Returns None when either mask is empty. Distances are voxel-centre to
-    voxel-centre, scaled by spacing; the percentile is `np.percentile`'s
-    linear interpolation over the sorted pooled set, taken from its one or
-    two order statistics (see `_percentile_past_zeros`).
+    voxel-centre, scaled by spacing, as a cKDTree query gives them; the
+    percentile is `np.percentile`'s linear interpolation over the pooled set,
+    taken from its one or two order statistics (see `_percentile_past_zeros`).
 
-    A voxel on both surfaces is the same point in mm when both masks have the
-    same spacing, so its distance in each direction is exactly 0.0; only the
-    other points are queried, and the pooled set keeps the same values.
-
-    Either mask is a `LabelVolume` or a `LabelledMask`; `truth_surface`, the
-    truth's `boundary_surface` when the caller has it, saves recomputing it.
+    Either mask is a `LabelVolume` or a `LabelledMask`; `truth_ctx` is the
+    `truth_context` of `truth`, a throwaway one when not given. At equal
+    spacings a voxel on both surfaces is the same point, 0.0 away both ways,
+    and only the other points are queried: the shared voxels are gathered
+    from the context's `on_surface` and `scratch`, and the prediction's other
+    points take their distances from its memo, querying and storing only the
+    misses (a query does not depend on the points queried with it).
     """
     pred_volume, truth_volume = _volume(pred), _volume(truth)
     validate_aligned([pred_volume, truth_volume], names=["pred", "truth"])
-    surf_g = truth_surface if truth_surface is not None else boundary_surface(truth)
+    ctx = truth_ctx if truth_ctx is not None else truth_context(truth)
+    surf_g = ctx.surface
     if surf_g is None:
         return None
-    surf_p = boundary_surface(pred, _PRED_TREE)
+    surf_p = boundary_surface(pred, _PRED_TREE, ctx.faces)
     if surf_p is None:
         return None
-    if pred_volume.spacing == truth_volume.spacing:
-        own_p = ~_shared(surf_p.flat, surf_g.flat)
-        own_g = ~_shared(surf_g.flat, surf_p.flat)
-        n_shared = surf_p.flat.size - int(np.count_nonzero(own_p))
-        from_p, from_g = surf_p.points[own_p], surf_g.points[own_g]
-    else:  # points on a different grid are not shared, however close
-        n_shared, from_p, from_g = 0, surf_p.points, surf_g.points
-    own = np.concatenate([surf_g.tree.query(from_p)[0], surf_p.tree.query(from_g)[0]])
-    return _percentile_past_zeros(own, 2 * n_shared, HD_PERCENTILE)
+    if pred_volume.spacing != truth_volume.spacing:
+        # points on another grid are not shared, however close, nor memoised
+        own = np.concatenate([surf_g.tree.query(surf_p.points)[0],
+                              surf_p.tree.query(surf_g.points)[0]])
+        return _percentile_past_zeros(own, 0, HD_PERCENTILE)
+    own_p = np.flatnonzero(~ctx.on_surface.take(surf_p.flat))
+    own_flat = surf_p.flat.take(own_p)
+    from_p = ctx.distance.take(own_flat)
+    missed = np.isnan(from_p)
+    if missed.any():
+        from_p[missed] = surf_g.tree.query(surf_p.points[own_p[missed]])[0]
+        ctx.distance[own_flat[missed]] = from_p[missed]
+    ctx.scratch[surf_p.flat] = True
+    own_g = ~ctx.scratch.take(surf_g.flat)
+    ctx.scratch[surf_p.flat] = False
+    from_g = surf_p.tree.query(surf_g.points[own_g])[0]
+    n_shared = surf_p.flat.size - own_flat.size
+    return _percentile_past_zeros(np.concatenate([from_p, from_g]), 2 * n_shared, HD_PERCENTILE)
 
 
 def _percentile_past_zeros(values: np.ndarray, n_zeros: int, q: float) -> float:
@@ -286,17 +298,35 @@ class MetricsReport:
 
 @dataclass(frozen=True)
 class TruthContext:
-    """Rule-independent precomputation for scoring many predictions of one case."""
+    """Set-up for scoring many predictions against one truth, built once by
+    `truth_context`. It holds a mutable cache: valid for one truth at one spacing.
 
-    mask: LabelledMask  # the truth, restricted to the zone if one is scored
+    `mask` is the truth as scored (zone-restricted if one is scored), labelled;
+    `surface` its `boundary_surface` (None when empty). The rest are flat
+    C-order volumes of its grid: `faces` (`_face_flags`), `on_surface` (set at
+    the surface's voxels), `distance` (`hd95`'s memo of each voxel's distance
+    to the surface, NaN until asked) and `scratch` (False between `hd95` calls).
+    """
+
+    mask: LabelledMask
     surface: BoundarySurface | None
+    faces: np.ndarray
+    on_surface: np.ndarray
+    distance: np.ndarray
+    scratch: np.ndarray
 
 
 def truth_context(truth, connectivity: int = DEFAULT_CONNECTIVITY) -> TruthContext:
     """The context of `truth` (a `LabelVolume` or `LabelledMask`), labelled at
     `connectivity`."""
     labelled = label_mask(truth, connectivity)
-    return TruthContext(mask=labelled, surface=boundary_surface(labelled))
+    faces = _face_flags(labelled.volume.dims)
+    surface = boundary_surface(labelled, _TRUTH_TREE, faces)
+    on_surface = np.zeros(faces.size, dtype=bool)
+    if surface is not None:
+        on_surface[surface.flat] = True
+    return TruthContext(labelled, surface, faces, on_surface, np.full(faces.size, np.nan),
+                        np.zeros(faces.size, dtype=bool))
 
 
 def evaluate(
@@ -328,7 +358,7 @@ def evaluate(
     return MetricsReport(
         dsc=dice(pred, g),
         dsc_both_empty=not p_flat.size and not g_flat.size,
-        hd95_mm=hd95(pred, g, truth_ctx.surface),
+        hd95_mm=hd95(pred, g, truth_ctx),
         recall_gt=_share_covered(g.components, p_flat, config.s_gt),
         precision_pred=_share_covered(pred.components, g_flat, config.s_pred),
         n_gt_lesions=int(np.count_nonzero(g.components[2])),

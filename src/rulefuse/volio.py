@@ -297,11 +297,12 @@ def _check_manifest_entries(path: Path, doc) -> list[dict]:
     return entries
 
 
-def load_manifest(path, split: str | None = None) -> tuple[list[CaseRecord], dict]:
+def load_manifest(path, split: str | None = None, zones=None) -> tuple[list[CaseRecord], dict]:
     """Load (cases, manifest dict); `split` filters to one split when given.
 
-    Every entry is checked before any volume is read: a malformed manifest
-    raises DataError, as do duplicate case ids.
+    `zones` names the zone volumes to read, each where a case lists it; every
+    zone a case lists when None. Every entry is checked before any volume is
+    read: a malformed manifest raises DataError, as do duplicate case ids.
     """
     path = Path(path)
     if not path.exists():
@@ -326,16 +327,16 @@ def load_manifest(path, split: str | None = None) -> tuple[list[CaseRecord], dic
         truth = load_any_volume(base / entry["truth"])
         if not isinstance(truth, LabelVolume):
             raise DataError(f"case {case_id}: truth is not a label volume")
-        zones = None
-        if entry.get("zones"):
-            zones = {}
-            for name, rel in sorted(entry["zones"].items()):
-                zone = load_any_volume(base / rel)
-                if not isinstance(zone, LabelVolume):
-                    raise DataError(f"case {case_id}: zone {name} is not a label volume")
-                zones[name] = zone
+        read = {}
+        for name, rel in sorted((entry.get("zones") or {}).items()):
+            if zones is not None and name not in zones:
+                continue
+            read[name] = load_any_volume(base / rel)
+            if not isinstance(read[name], LabelVolume):
+                raise DataError(f"case {case_id}: zone {name} is not a label volume")
         records.append(
-            CaseRecord(case_id=case_id, modalities=tuple(modalities), truth=truth, zones=zones)
+            CaseRecord(case_id=case_id, modalities=tuple(modalities), truth=truth,
+                       zones=read or None)
         )
     if not records:
         raise DataError(

@@ -788,6 +788,72 @@ def test_any_argv_exits_with_one_line_and_usage_errors_touch_nothing(argv_datase
         assert list(work.iterdir()) == [], (argv, config, err)
 
 
+@pytest.mark.parametrize("probe", ["manifest", "sidecar", "out"])
+def test_a_path_with_a_newline_prints_one_escaped_error_line(probe, argv_dataset, tmp_path,
+                                                             capsys, monkeypatch):
+    _, files = argv_dataset
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "o\nut").mkdir()
+    argv, needle = {
+        "manifest": (["search", "bad\nname.json"], "manifest bad\\nname.json does not exist"),
+        "sidecar": (["evaluate", "p\nq.u8", files["{TRUTH}"]], "missing sidecar p\\nq.u8.json"),
+        "out": (["evaluate", files["{TRUTH}"], files["{TRUTH}"], "--out", "o\nut"],
+                "Is a directory: 'o\\nut'"),
+    }[probe]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1 and needle in err, err
+
+
+def _zone_reads(argv, capsys, monkeypatch, every_zone=False):
+    """(exit code, stdout, {zone name: volumes read}, cases read) of one run;
+    with `every_zone` the manifest's every zone is read, as it was before
+    only the configured one was."""
+    reads = []
+    load_volume, load_manifest = volio.load_volume, volio.load_manifest
+    monkeypatch.setattr(volio, "load_volume",
+                        lambda path: reads.append(Path(path).name) or load_volume(path))
+    if every_zone:
+        monkeypatch.setattr(volio, "load_manifest",
+                            lambda path, split=None, zones=None: load_manifest(path, split))
+    code = main(argv)
+    monkeypatch.undo()
+    out = capsys.readouterr().out
+    zones = {name: reads.count(f"zone_{name}.u8") for name in ("PZ", "TZ")}
+    return code, out, zones, reads.count("truth.u8")
+
+
+@pytest.mark.parametrize("command", ["search", "availability", "mc-uncertainty"])
+def test_only_the_configured_zone_is_read(command, argv_dataset, capsys, monkeypatch):
+    _, files = argv_dataset
+    argv = [command, files["{M}"]]
+    if command == "mc-uncertainty":
+        argv += ["--sampler", '{"kind": "dirichlet"}', "--draws", "3"]
+    for zone_argv, read in (([], {"PZ": False, "TZ": False}),
+                            (["--zone", "PZ"], {"PZ": True, "TZ": False})):
+        code, out, zones, cases = _zone_reads(argv + zone_argv, capsys, monkeypatch)
+        assert code == 0 and cases > 0
+        assert zones == {name: cases if read[name] else 0 for name in zones}
+        old_code, old_out, old_zones, _ = _zone_reads(argv + zone_argv, capsys, monkeypatch,
+                                                      every_zone=True)
+        assert (old_code, old_zones) == (0, {"PZ": cases, "TZ": cases})
+        assert out.encode() == old_out.encode()
+
+
+def test_a_bad_zone_file_fails_only_the_runs_that_ask_for_it(argv_dataset, tmp_path, capsys):
+    ds = tmp_path / "ds"
+    shutil.copytree(Path(argv_dataset[1]["{M}"]).parent, ds)
+    for zone in ds.glob("*/zone_TZ.u8"):
+        zone.write_bytes(b"\x07")
+    manifest = str(ds / "manifest.json")
+    assert main(["search", manifest]) == 0
+    assert main(["search", manifest, "--zone", "PZ"]) == 0
+    capsys.readouterr()
+    assert main(["search", manifest, "--zone", "TZ"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1 and "zone_TZ.u8" in err, err
+
+
 # --- console script ----------------------------------------------------------------------
 
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
-from rulefuse import backends, discovery
+from rulefuse import backends, discovery, metrics
 from rulefuse.combine import binarize, combine_linear, combine_stacking, linear_map
 from rulefuse.discovery import (
     CaseRecord,
@@ -314,6 +315,43 @@ def test_sweeps_scan_each_prediction_once_and_share_the_case_setup(zone, monkeyp
     setups.clear()
     monte_carlo_uncertainty(cases, {"kind": "dirichlet"}, n_draws=3, config=config)
     assert (len(scans), setups) == (len(cases) * (3 + 1), case_ids)
+
+
+@pytest.mark.parametrize("zone", [None, "slab"])
+def test_linear_sweep_queries_no_voxel_twice_on_a_truth_tree(zone, monkeypatch):
+    # a task's truth context remembers each voxel's distance to the truth's
+    # surface, so across its 66 rules no voxel is queried on the truth's tree
+    # twice; each HD95 leaves the context's scratch volume clear
+    class RecordingTree(cKDTree):
+        def query(self, x, *args, **kwargs):
+            self.__dict__.setdefault("queried", []).append(np.array(x))
+            return super().query(x, *args, **kwargs)
+
+    contexts, scored = [], []
+
+    def recorded_context(*args, **kwargs):
+        contexts.append(truth_context(*args, **kwargs))
+        return contexts[-1]
+
+    def checked_evaluate(*args, truth_ctx, **kwargs):
+        report = evaluate(*args, truth_ctx=truth_ctx, **kwargs)
+        assert not truth_ctx.scratch.any()
+        scored.append(report.hd95_mm)
+        return report
+
+    monkeypatch.setattr(metrics, "cKDTree", RecordingTree)
+    monkeypatch.setattr(discovery, "truth_context", recorded_context)
+    monkeypatch.setattr(discovery, "evaluate", checked_evaluate)
+    cases = mixed_grid_cases(seed=13)
+    grid_search_linear(cases, step=0.1, config=EvalConfig(min_region_voxels=4, zone=zone))
+    assert len(contexts) == len(cases) and len(scored) == 66 * len(cases)
+    assert sum(hd is not None for hd in scored) > 60 * len(cases)
+    repeats = 0
+    for ctx in contexts:
+        queried = np.concatenate(ctx.surface.tree.__dict__.get("queried", [np.empty((0, 3))]))
+        assert queried.size
+        repeats += len(queried) - len(np.unique(queried, axis=0))
+    assert repeats == 0
 
 
 # --- linear positives from candidate voxels ---------------------------------------

@@ -203,6 +203,46 @@ def test_box_labelling_equals_full_volume_labelling(connectivity):
             np.testing.assert_array_equal(counts, np.bincount(want.ravel(), minlength=n + 1))
 
 
+def _moving_boxes(dims=(12, 11, 10), seed=31):
+    """Masks in sequence whose boxes move, shrink, grow, vanish and come back."""
+    rng = np.random.default_rng(seed)
+
+    def blob(lo, hi, p=0.45):
+        values = np.zeros(dims, dtype=bool)
+        box = tuple(slice(a, b) for a, b in zip(lo, hi))
+        values[box] = rng.random([b - a for a, b in zip(lo, hi)]) < p
+        return values
+
+    empty = np.zeros(dims, dtype=bool)
+    return [blob((2, 2, 2), (7, 7, 6)), blob((5, 4, 3), (10, 9, 8)),  # moves
+            blob((6, 5, 4), (8, 7, 6), 1.0), blob((0, 0, 0), dims),  # shrinks, grows to all
+            empty, blob((3, 3, 3), (4, 4, 4), 1.0), empty, empty,  # empty, one voxel
+            blob((1, 8, 0), (11, 11, 10)), blob((0, 0, 7), (4, 3, 10)),  # moves across
+            blob((9, 0, 0), (12, 11, 3), 0.6)]
+
+
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+def test_label_buffer_labels_each_mask_as_a_fresh_zeroed_buffer(connectivity):
+    # the buffer is cleared only over the box the previous labelling wrote
+    masks = _moving_boxes()
+    buffer = backends.LabelBuffer(masks[0].shape)
+    for i, values in enumerate(masks):
+        support = backends.support_of(values)
+        for box in (support.box, None):
+            want, n = backends.label_components(values, connectivity, box,
+                                                np.zeros(values.shape, dtype=np.int32))
+            got, count = backends.label_components(values, connectivity, box, buffer)
+            assert got is buffer.array and buffer.box == support.box and count == n, i
+            assert got.tobytes() == want.tobytes(), i
+        # as a sweep reuses it: the mask's components, then a restriction of it
+        restricted = values & (np.arange(values.shape[1]) % 3 > 0)[None, :, None]
+        for mask_values in (values, restricted):
+            fresh = backends.components(mask_values, connectivity, 2)
+            got = backends.components(mask_values, connectivity, 2, out=buffer)
+            for a, b in zip(got, fresh):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), i
+
+
 def test_bounding_box_is_the_smallest_box_of_the_positives():
     for name, values in _label_cases():
         box = backends.support_of(values).box
@@ -574,3 +614,60 @@ def test_hd95_one_voxel_shift_matches_kd_arithmetic(axis):
         assert hd95(pred, truth) == want
         assert hd95(truth, pred) == _kd_hd95(truth_values, pred_values, spacing)
         assert evaluate(pred, truth, truth_ctx=truth_context(truth)).hd95_mm == want
+
+
+# --- one truth context scores many predictions -------------------------------------
+
+REUSE_DIMS = (10, 9, 8)
+PREDICTION_KINDS = ("random", "shift", "identical", "disjoint", "empty")
+
+
+def _prediction(kind, truth_values, rng):
+    if kind == "random":
+        return oracles.random_mask_pair(rng, truth_values.shape)[0]
+    if kind == "shift":  # one voxel along one axis, either way
+        axis, way = divmod(int(rng.integers(6)), 2)
+        return np.roll(truth_values, 2 * way - 1, axis=axis)
+    if kind == "identical":
+        return truth_values.copy()
+    if kind == "disjoint":
+        return oracles.random_mask_pair(rng, truth_values.shape)[0] & ~truth_values
+    return np.zeros(truth_values.shape, dtype=bool)
+
+
+# each step is (kind, whether the prediction's grid is 1e-12 apart from the truth's)
+@example(seed=3, spacing=(0.7, 0.55, 3.3),
+         steps=[("random", False), ("random", True), ("shift", False), ("shift", True)])
+@example(seed=4, spacing=(0.664, 0.664, 3.6),
+         steps=[("identical", False), ("identical", True), ("disjoint", False), ("random", False),
+                ("empty", False), ("random", True), ("random", False)])
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    spacing=st.sampled_from([(0.7, 0.55, 3.3), (0.664, 0.664, 3.6)]),
+    steps=st.lists(st.tuples(st.sampled_from(PREDICTION_KINDS), st.booleans()),
+                   min_size=1, max_size=8),
+)
+@settings(max_examples=40, deadline=None)
+def test_reused_truth_context_scores_as_the_oracles_and_a_fresh_context(seed, spacing, steps):
+    # the context's distance memo and scratch volume carry over from one
+    # prediction to the next; no value may depend on what was scored before
+    rng = np.random.default_rng(seed)
+    truth_values = oracles.random_mask_pair(rng, REUSE_DIMS)[1]
+    truth = mask(truth_values, spacing)
+    ctx = truth_context(truth)
+    for kind, apart in steps:
+        pred_spacing = (spacing[0] * (1 + 1e-12),) + spacing[1:] if apart else spacing
+        pred_values = _prediction(kind, truth_values, rng)
+        pred = mask(pred_values, pred_spacing)
+        got = evaluate(pred, truth, truth_ctx=ctx)
+        assert not ctx.scratch.any()
+        fresh = evaluate(pred, truth)
+        want_hd = None
+        if pred_values.any() and truth_values.any():
+            pooled = oracles.surface_distances_kd_bf(pred_values, truth_values, pred_spacing,
+                                                     spacing)
+            want_hd = float(np.percentile(pooled, HD_PERCENTILE))
+        want = repr((want_hd, oracles.dice_bf(pred_values, truth_values)))
+        assert repr((got.hd95_mm, got.dsc)) == want, kind
+        assert repr((fresh.hd95_mm, fresh.dsc)) == want, kind
+        assert repr(hd95(pred, truth, ctx)) == repr(want_hd)
