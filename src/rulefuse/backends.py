@@ -47,8 +47,9 @@ def fit_logistic(X, D, lr, max_iters):
 
 class Support(NamedTuple):
     """The positive voxels of a mask: their flat indices in C order, ascending,
-    and the smallest box of slices holding them (empty slices when there are
-    none)."""
+    and a box of slices holding every positive voxel. `support_of` gives the
+    smallest such box (empty slices when there are none); any box that holds
+    them labels them alike (see `label_components`)."""
 
     flat: np.ndarray
     box: tuple[slice, slice, slice]

@@ -294,10 +294,11 @@ def _eval_config(args) -> EvalConfig:
                       metrics=MetricsConfig(**metrics), zone=options.get("zone"))
 
 
-def _load_cases(args, split: str, eval_cfg: EvalConfig) -> list:
-    """The manifest's cases in `split`, with only the configured zone's volumes read."""
+def _case_sources(args, split: str, eval_cfg: EvalConfig) -> list:
+    """The sources of the manifest's cases in `split`, each to read only the
+    configured zone's volumes; no volume is read until a sweep loads a case."""
     zones = [eval_cfg.zone] if eval_cfg.zone is not None else []
-    return volio.load_manifest(args.manifest, split=split, zones=zones)[0]
+    return volio.case_sources(args.manifest, split=split, zones=zones)[0]
 
 
 def cmd_search(args) -> int:
@@ -315,11 +316,11 @@ def cmd_search(args) -> int:
             raise UsageError(f"--rules {args.rules} holds no accepted rules")
 
     def run_split(split: str) -> discovery.GridSearchResult:
-        cases = _load_cases(args, split, eval_cfg)
+        sources = _case_sources(args, split, eval_cfg)
         options = dict(rank_by=args.rank_by, config=eval_cfg, split=split, threads=args.threads)
         if ruleset is None:
-            return discovery.grid_search_linear(cases, step=args.step, **options)
-        return discovery.grid_search_stacking(cases, ruleset, **options)
+            return discovery.grid_search_linear(sources, step=args.step, **options)
+        return discovery.grid_search_stacking(sources, ruleset, **options)
 
     ranked = run_split(args.split)
     held_out = run_split(args.eval_split)
@@ -341,8 +342,8 @@ def cmd_availability(args) -> int:
         if spec.get("model", "linear") != "linear":
             raise UsageError("availability base rule must be linear")
         _, base = _rule_from_spec(spec)
-    cases = _load_cases(args, args.split, eval_cfg)
-    table = discovery.availability_analysis(cases, base_rule=base, config=eval_cfg,
+    sources = _case_sources(args, args.split, eval_cfg)
+    table = discovery.availability_analysis(sources, base_rule=base, config=eval_cfg,
                                             threads=args.threads)
     return _write_reports(table, args)
 
@@ -357,12 +358,12 @@ def cmd_mc_uncertainty(args) -> int:
         raise UsageError(str(exc)) from None
     eval_cfg = _eval_config(args)
     discovery.check_draws(args.draws)
-    cases = _load_cases(args, args.split, eval_cfg)
+    sources = _case_sources(args, args.split, eval_cfg)
     # checked before the run, so a bad case id costs no draws
     volume_paths = {c.case_id: volio.case_file(args.volumes_out, c.case_id, "_variance.f32le")
-                    for c in cases} if args.volumes_out else {}
+                    for c in sources} if args.volumes_out else {}
     result = discovery.monte_carlo_uncertainty(
-        cases, sampler, n_draws=args.draws, seed=args.seed, config=eval_cfg, threads=args.threads,
+        sources, sampler, n_draws=args.draws, seed=args.seed, config=eval_cfg, threads=args.threads,
     )
     for case in result.cases:
         if case.case_id in volume_paths:
@@ -377,12 +378,12 @@ def cmd_phantom(args) -> int:
     except ValueError as exc:
         raise UsageError(f"bad phantom spec: {exc}") from None
     try:
-        manifest_path, cases = phantoms.generate_dataset(args.seed, args.n_cases, spec,
-                                                         args.out_dir)
+        manifest_path, entries = phantoms.generate_dataset(args.seed, args.n_cases, spec,
+                                                           args.out_dir)
     except PackingError as exc:
         raise DataError(str(exc)) from None
-    splits = [entry["split"] for entry in json.loads(manifest_path.read_text())["cases"]]
-    summary = {"manifest": str(manifest_path), "n_cases": len(cases),
+    splits = [entry["split"] for entry in entries]
+    summary = {"manifest": str(manifest_path), "n_cases": len(entries),
                "splits": {k: splits.count(k) for k in discovery.SPLIT_NAMES}}
     sys.stdout.write(volio.write_report(summary, "json", None))
     return 0

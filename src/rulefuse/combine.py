@@ -164,8 +164,9 @@ def label_positives(
     scanning or labelling the mask again.
 
     `mask` is a bool array set exactly at the `backends.Support` `support`,
-    however its positives were found. Only their bounding box is labelled,
-    and dropped components are cleared in `mask` at their voxels. In the
+    however its positives were found. Only the support's box is labelled,
+    and dropped components are cleared in `mask` at their voxels; the
+    returned support keeps that box, which still holds the survivors. In the
     (labels, counts, keep) triple, `labels` numbers the connected components
     of the thresholded mask, `counts[i]` is the voxel count of label i and
     `keep[i]` marks the components that survive. Label 0 is background and
@@ -179,8 +180,7 @@ def label_positives(
         flat = support.flat
         kept = keep.take(labels.ravel().take(flat))
         mask.flat[flat[~kept]] = False  # `flat` indexes in C order whatever the layout
-        flat = flat[kept]
-        support = backends.Support(flat, backends.bounding_box(flat, mask.shape))
+        support = backends.Support(flat[kept], support.box)  # the box still holds them all
     volume = LabelVolume(mask.view(), spacing=spacing)
     return LabelledMask(volume, support, (labels, counts, keep), connectivity)
 

@@ -1,14 +1,17 @@
 """Dataset-level rule comparison: grid search, availability deltas, MC variance.
 
-A dataset is a list of CaseRecords held in memory. Grid search, availability
-and `evaluate_rule` are one sweep: every (rule, case) pair is scored, and
-each rule's reports are reduced in sorted case_id order, so results are
-independent of worker count and dataset ordering. The sweep is case-major: a
-task is one case and a contiguous range of the rules, one range per worker,
-and it sets its case up once, with `_case_setup`: the zone, the truth
-restricted to it and one set of volume buffers, which it reuses for each of
-its rules. Monte-Carlo uncertainty runs one task per case, over all its
-draws, on the same set-up.
+A dataset is a list of case sources, each a `case_id` and a `load()` that
+returns the case's CaseRecord: CaseRecords held in memory load as
+themselves, and `volio.CaseSource`s read their case's volumes when loaded.
+Grid search, availability and `evaluate_rule` are one sweep: every (rule,
+case) pair is scored, and each rule's reports are reduced in sorted case_id
+order, so results are independent of worker count and dataset ordering. The
+sweep is case-major: a task is one case and a contiguous range of the rules,
+one range per worker. It loads its case in the worker that runs it, so a
+worker holds about one case at a time, and sets it up once, with
+`_case_setup`: the zone, the truth restricted to it and one set of volume
+buffers, which it reuses for each of its rules. Monte-Carlo uncertainty runs
+one task per case, over all its draws, on the same set-up.
 
 Where a rule's positives come from depends on the task. A task with two or
 more linear rules also finds its case's `_Candidates` once: the voxels where
@@ -21,8 +24,9 @@ map and threshold it.
 
 Every sweep runs its tasks on `_workers(threads, n_tasks)` worker processes:
 the calling process is worker 0 and the others are forked children, which
-inherit the dataset and send back only their results. Worker k runs tasks k,
-k + w, k + 2w, ... in order; the failure earliest in task order is raised.
+inherit the dataset's sources, load their own cases and send back only their
+results. Worker k runs tasks k, k + w, k + 2w, ... in order; the failure
+earliest in task order is raised.
 With one worker, where the platform cannot fork, or while other threads run,
 the tasks run inline.
 """
@@ -83,6 +87,11 @@ class CaseRecord:
             validate_aligned(volumes, names=names)
         except Exception as exc:
             raise type(exc)(f"case {self.case_id}: {exc}") from None
+
+    def load(self) -> "CaseRecord":
+        """The record itself: a case in memory is its own case source (see
+        `volio.CaseSource`)."""
+        return self
 
 
 def assign_splits(case_ids, seed: int, ratios=DEFAULT_SPLIT_RATIOS) -> dict[str, str]:
@@ -496,23 +505,29 @@ def _sweep(
 ) -> list[RuleEvaluation]:
     """Score every (rule, case) pair and aggregate one RuleEvaluation per rule.
 
-    Each case's rules are cut into one contiguous range per worker, and each
-    (case, range) is one task, in case-major order. A task sets its case up,
-    builds the restricted truth's context and, for two or more linear rules,
-    finds the case's `_Candidates` once, and reuses them for each rule in
-    its range.
+    `dataset` holds case sources: each has a `case_id` and a `load()` that
+    returns its `CaseRecord` (a `volio.CaseSource`, or a `CaseRecord`, which
+    loads as itself). Each case's rules are cut into one contiguous range per
+    worker, and each (case, range) is one task, in case-major order. A task
+    loads its case in the worker that runs it, sets it up, builds the
+    restricted truth's context and, for two or more linear rules, finds the
+    case's `_Candidates` once, reuses them for each rule in its range, and
+    drops the case, so a worker holds one loaded case at a time. A case whose
+    rules are split across workers is loaded by each of them. A case that
+    fails to load fails its task, as a failing rule does.
     """
-    cases = sorted(dataset, key=lambda c: c.case_id)  # fixed reduction order
-    if not cases:
+    sources = sorted(dataset, key=lambda c: c.case_id)  # fixed reduction order
+    if not sources:
         raise ValueError("rule evaluation requires a non-empty dataset")
     rules = list(rules)
-    parts = min(_workers(threads, len(cases) * len(rules)), len(rules))
+    parts = min(_workers(threads, len(sources) * len(rules)), len(rules))
     bounds = [len(rules) * j // parts for j in range(parts + 1)]
-    tasks = [(case, rules[lo:hi]) for case in cases for lo, hi in zip(bounds, bounds[1:])]
+    tasks = [(source, rules[lo:hi]) for source in sources for lo, hi in zip(bounds, bounds[1:])]
 
     def run(task) -> list[MetricsReport]:
-        case, task_rules = task
+        source, task_rules = task
         try:
+            case = source.load()
             zone, truth, buffers = _case_setup(case, config)
             truth_ctx = truth_context(truth, config.metrics.connectivity)
             # building a candidate set costs about as much as one rule's dense
@@ -526,13 +541,13 @@ def _sweep(
         except DataError:
             raise
         except Exception as exc:
-            raise DataError(f"case {case.case_id}: {exc}") from exc
+            raise DataError(f"case {source.case_id}: {exc}") from exc
 
     by_task = _run_tasks(run, tasks, threads, lambda task: f"case {task[0].case_id}")
     by_case = [sum(by_task[i : i + parts], []) for i in range(0, len(by_task), parts)]
     return [
         _aggregate(model, rule, number, [
-            (case.case_id, reports[i]) for case, reports in zip(cases, by_case)
+            (source.case_id, reports[i]) for source, reports in zip(sources, by_case)
         ])
         for i, (rule, number) in enumerate(zip(rules, rule_numbers or [None] * len(rules)))
     ]
@@ -849,10 +864,13 @@ def monte_carlo_uncertainty(
     configured zone restricts the DSC, as in `evaluate`; the variance volume
     covers the whole grid.
 
-    The rules are drawn up front, and each case is one task, on up to
-    `threads` worker processes, that reuses one set of buffers for all its
-    draws, so the result does not depend on `threads`. Draws are not split
+    `dataset` holds case sources, as for `_sweep`. The rules are drawn up
+    front, and each case is one task, on up to `threads` worker processes:
+    it loads its case in the worker that runs it, reuses one set of buffers
+    for all its draws and drops the case, so a worker holds one loaded case
+    at a time. The result does not depend on `threads`. Draws are not split
     across tasks, as that would change the summation order of the moments.
+    Each case's mean and variance volumes are returned whole.
     """
     check_draws(n_draws)
     dataset = list(dataset)
@@ -864,7 +882,8 @@ def monte_carlo_uncertainty(
     rng = np.random.default_rng(seed)
     rules = [sampler.draw(rng, i) for i in range(n_draws)]
 
-    def run(case: CaseRecord) -> MCCaseResult:
+    def run(source) -> MCCaseResult:
+        case = source.load()
         zone, truth, buffers = _case_setup(case, config)
         dscs = []
 
@@ -888,9 +907,9 @@ def monte_carlo_uncertainty(
             dsc_variance=max(dsc_var, 0.0),
         )
 
-    cases = sorted(dataset, key=lambda c: c.case_id)
+    sources = sorted(dataset, key=lambda c: c.case_id)
     return MCResult(
-        cases=tuple(_run_tasks(run, cases, threads, lambda case: f"case {case.case_id}")),
+        cases=tuple(_run_tasks(run, sources, threads, lambda source: f"case {source.case_id}")),
         n_draws=n_draws,
         kind=sampler.kind,
     )

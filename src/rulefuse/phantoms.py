@@ -22,8 +22,9 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
+from . import volio
 from .combine import binarize, check_binarization, combine_linear
-from .discovery import CaseRecord
+from .discovery import DEFAULT_SPLIT_RATIOS, CaseRecord, assign_splits
 from .errors import PackingError
 from .fitting import LinearRule
 from .volumes import LabelVolume, Modality, ProbabilityVolume
@@ -160,16 +161,18 @@ def _place_lesions(rng: np.random.Generator, spec: PhantomSpec) -> list[tuple[np
 
 def _rasterize(dims, lesions) -> np.ndarray:
     truth = np.zeros(dims, dtype=bool)
-    xs = np.arange(dims[0])[:, None, None]
-    ys = np.arange(dims[1])[None, :, None]
-    zs = np.arange(dims[2])[None, None, :]
     for center, semi in lesions:
+        # a voxel more than a semi-axis from the centre along an axis is
+        # outside; the box keeps a voxel's margin past that bound
+        box = tuple(slice(max(int(c - s) - 1, 0), min(int(c + s) + 2, n))
+                    for c, s, n in zip(center, semi, dims))
+        xs, ys, zs = (np.arange(b.start, b.stop) for b in box)
         q = (
-            ((xs - center[0]) / semi[0]) ** 2
-            + ((ys - center[1]) / semi[1]) ** 2
-            + ((zs - center[2]) / semi[2]) ** 2
+            ((xs[:, None, None] - center[0]) / semi[0]) ** 2
+            + ((ys[None, :, None] - center[1]) / semi[1]) ** 2
+            + ((zs[None, None, :] - center[2]) / semi[2]) ** 2
         )
-        truth |= q <= 1.0
+        truth[box] |= q <= 1.0
     return truth
 
 
@@ -178,10 +181,12 @@ def triangular_blur(values: np.ndarray, halfwidth: int) -> np.ndarray:
     ramp = np.arange(1, halfwidth + 1, dtype=np.float64)
     kernel = np.concatenate([ramp, [halfwidth + 1.0], ramp[::-1]])
     kernel /= kernel.sum()
-    out = np.asarray(values, dtype=np.float64)
+    # two volumes, each pass reading one and writing the other; `values` is copied
+    source, out = np.array(values, dtype=np.float64), np.empty(np.shape(values))
     for axis in range(3):
-        out = ndimage.convolve1d(out, kernel, axis=axis, mode="constant", cval=0.0)
-    return out
+        ndimage.convolve1d(source, kernel, axis=axis, output=out, mode="constant", cval=0.0)
+        source, out = out, source
+    return source
 
 
 def _zone_masks(dims, spacing) -> dict[str, LabelVolume]:
@@ -200,14 +205,20 @@ def generate_case(seed, spec: PhantomSpec, case_id: str | None = None) -> CaseRe
     rng = np.random.default_rng(seed)
     lesions = _place_lesions(rng, spec)
     truth_values = _rasterize(spec.dims, lesions)
-    smooth = (1.0 - spec.smooth_weight) * truth_values + spec.smooth_weight * triangular_blur(
-        truth_values, spec.smooth_halfwidth
-    )
+    # each volume is computed in place, in as few arrays as the formulas
+    # allow; IEEE products and sums commute, so every value is as written
+    smooth = triangular_blur(truth_values, spec.smooth_halfwidth)
+    smooth *= spec.smooth_weight
+    smooth += (1.0 - spec.smooth_weight) * truth_values
 
     modalities = []
     for modality, fidelity in zip(MODALITY_ORDER, spec.fidelity):
-        noise = np.clip(rng.normal(0.5, spec.noise_sd, size=spec.dims), 0.0, 1.0)
-        values = np.clip(fidelity * smooth + (1.0 - fidelity) * noise, 0.0, 1.0)
+        noise = rng.normal(0.5, spec.noise_sd, size=spec.dims)
+        np.clip(noise, 0.0, 1.0, out=noise)
+        noise *= 1.0 - fidelity
+        values = fidelity * smooth
+        values += noise
+        np.clip(values, 0.0, 1.0, out=values)
         modalities.append(ProbabilityVolume(values, spacing=spec.spacing, modality=modality))
     modalities = tuple(modalities)
 
@@ -226,50 +237,64 @@ def generate_case(seed, spec: PhantomSpec, case_id: str | None = None) -> CaseRe
     return CaseRecord(case_id=case_id, modalities=modalities, truth=truth, zones=zones)
 
 
-def generate_cases(seed: int, n_cases: int, spec: PhantomSpec) -> list[CaseRecord]:
-    """In-memory dataset; case i is seeded by [seed, i] so cases are independent."""
+def _case_seeds(seed: int, n_cases: int) -> list[tuple[str, list[int]]]:
+    """(case id, seed) of each case of a dataset; case i is seeded by
+    [seed, i], so cases are independent."""
     if n_cases < 1:
         raise ValueError(f"n_cases must be >= 1, got {n_cases}")
-    return [
-        generate_case([seed, i], spec, case_id=f"case_{i:04d}") for i in range(n_cases)
-    ]
+    return [(f"case_{i:04d}", [seed, i]) for i in range(n_cases)]
+
+
+def generate_cases(seed: int, n_cases: int, spec: PhantomSpec) -> list[CaseRecord]:
+    """In-memory dataset; case i is seeded by [seed, i] so cases are independent."""
+    return [generate_case(case_seed, spec, case_id=case_id)
+            for case_id, case_seed in _case_seeds(seed, n_cases)]
+
+
+def _write_case(case: CaseRecord, split: str, out_dir: Path) -> dict:
+    """Write one case's volumes under `out_dir/<case_id>/`; returns its manifest entry."""
+    mod_paths = {}
+    for volume in case.modalities:
+        rel = f"{case.case_id}/{volume.modality.value}.f32le"
+        volio.save_volume(volume, out_dir / rel)
+        mod_paths[volume.modality.value] = rel
+    truth_rel = f"{case.case_id}/truth.u8"
+    volio.save_volume(case.truth, out_dir / truth_rel)
+    entry = {
+        "case_id": case.case_id,
+        "split": split,
+        "modalities": mod_paths,
+        "truth": truth_rel,
+    }
+    if case.zones:
+        zone_paths = {}
+        for name in sorted(case.zones):
+            rel = f"{case.case_id}/zone_{name}.u8"
+            volio.save_volume(case.zones[name], out_dir / rel)
+            zone_paths[name] = rel
+        entry["zones"] = zone_paths
+    return entry
 
 
 def generate_dataset(seed: int, n_cases: int, spec: PhantomSpec, out_dir):
-    """Write a case-per-directory dataset plus a manifest with split tags.
+    """Write the cases of `generate_cases` as a case-per-directory dataset
+    plus a manifest with split tags; returns (manifest path, its case entries).
 
-    Splits are assigned by hashing case ids with the same seed, so the
-    assignment is reproducible from the manifest alone.
+    Each case is generated, written and dropped before the next is made, so
+    at most one is in memory. Every case's lesions are placed before the
+    first write, so a spec that cannot be packed raises PackingError with
+    nothing written. Splits are assigned by hashing case ids with the same
+    seed, so the assignment is reproducible from the manifest alone.
     """
-    from . import volio
-    from .discovery import DEFAULT_SPLIT_RATIOS, assign_splits
-
     out_dir = Path(out_dir)
-    cases = generate_cases(seed, n_cases, spec)
-    assignment = assign_splits([c.case_id for c in cases], seed, DEFAULT_SPLIT_RATIOS)
-    entries = []
-    for case in cases:
-        mod_paths = {}
-        for volume in case.modalities:
-            rel = f"{case.case_id}/{volume.modality.value}.f32le"
-            volio.save_volume(volume, out_dir / rel)
-            mod_paths[volume.modality.value] = rel
-        truth_rel = f"{case.case_id}/truth.u8"
-        volio.save_volume(case.truth, out_dir / truth_rel)
-        entry = {
-            "case_id": case.case_id,
-            "split": assignment[case.case_id],
-            "modalities": mod_paths,
-            "truth": truth_rel,
-        }
-        if case.zones:
-            zone_paths = {}
-            for name in sorted(case.zones):
-                rel = f"{case.case_id}/zone_{name}.u8"
-                volio.save_volume(case.zones[name], out_dir / rel)
-                zone_paths[name] = rel
-            entry["zones"] = zone_paths
-        entries.append(entry)
+    seeds = _case_seeds(seed, n_cases)
+    for _, case_seed in seeds:  # raises PackingError before anything is written
+        _place_lesions(np.random.default_rng(case_seed), spec)
+    assignment = assign_splits([case_id for case_id, _ in seeds], seed, DEFAULT_SPLIT_RATIOS)
+    # each case is only an argument, so it is freed once it is written
+    entries = [_write_case(generate_case(case_seed, spec, case_id=case_id), assignment[case_id],
+                           out_dir)
+               for case_id, case_seed in seeds]
     manifest_path = volio.write_manifest(
         out_dir / "manifest.json",
         entries,
@@ -280,4 +305,4 @@ def generate_dataset(seed: int, n_cases: int, spec: PhantomSpec, out_dir):
             "phantom_spec": spec.to_dict(),
         },
     )
-    return manifest_path, cases
+    return manifest_path, entries

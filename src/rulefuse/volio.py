@@ -22,6 +22,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -297,12 +298,52 @@ def _check_manifest_entries(path: Path, doc) -> list[dict]:
     return entries
 
 
-def load_manifest(path, split: str | None = None, zones=None) -> tuple[list[CaseRecord], dict]:
-    """Load (cases, manifest dict); `split` filters to one split when given.
+@dataclass(frozen=True)
+class CaseSource:
+    """One checked manifest entry, whose volumes are read only by `load()`.
 
-    `zones` names the zone volumes to read, each where a case lists it; every
-    zone a case lists when None. Every entry is checked before any volume is
-    read: a malformed manifest raises DataError, as do duplicate case ids.
+    The entry's paths are relative to `base`; `zones` names the zone volumes
+    to read, each where the entry lists it, and every zone it lists when
+    None. A source holds no volume, so a sweep can hold one per case and load
+    each case in the worker that scores it.
+    """
+
+    case_id: str
+    base: Path
+    entry: dict
+    zones: tuple | None = None
+
+    def load(self) -> CaseRecord:
+        """The case as a `CaseRecord`; DataError for a volume that cannot be
+        read or is of the wrong kind."""
+        case_id, entry = self.case_id, self.entry
+        modalities = []
+        for key in _MODALITY_KEYS:
+            vol = load_any_volume(self.base / entry["modalities"][key])
+            if not isinstance(vol, ProbabilityVolume):
+                raise DataError(f"case {case_id}: modality {key} is not a probability volume")
+            modalities.append(vol)
+        truth = load_any_volume(self.base / entry["truth"])
+        if not isinstance(truth, LabelVolume):
+            raise DataError(f"case {case_id}: truth is not a label volume")
+        read = {}
+        for name, rel in sorted((entry.get("zones") or {}).items()):
+            if self.zones is not None and name not in self.zones:
+                continue
+            read[name] = load_any_volume(self.base / rel)
+            if not isinstance(read[name], LabelVolume):
+                raise DataError(f"case {case_id}: zone {name} is not a label volume")
+        return CaseRecord(case_id=case_id, modalities=tuple(modalities), truth=truth,
+                          zones=read or None)
+
+
+def case_sources(path, split: str | None = None, zones=None) -> tuple[list[CaseSource], dict]:
+    """(one `CaseSource` per case, manifest dict), in manifest order; `split`
+    filters to one split when given, and `zones` is as for `CaseSource`.
+
+    Every entry is checked here, before any volume is read: a malformed
+    manifest raises DataError, as do duplicate case ids and a split with no
+    cases. A volume that cannot be read fails only its source's `load()`.
     """
     path = Path(path)
     if not path.exists():
@@ -312,37 +353,24 @@ def load_manifest(path, split: str | None = None, zones=None) -> tuple[list[Case
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"manifest {path} is not valid JSON: {exc}") from None
     entries = _check_manifest_entries(path, doc)
-    base = path.parent
-    records = []
-    for entry in entries:
-        case_id = entry["case_id"]
-        if split is not None and entry.get("split") != split:
-            continue
-        modalities = []
-        for key in _MODALITY_KEYS:
-            vol = load_any_volume(base / entry["modalities"][key])
-            if not isinstance(vol, ProbabilityVolume):
-                raise DataError(f"case {case_id}: modality {key} is not a probability volume")
-            modalities.append(vol)
-        truth = load_any_volume(base / entry["truth"])
-        if not isinstance(truth, LabelVolume):
-            raise DataError(f"case {case_id}: truth is not a label volume")
-        read = {}
-        for name, rel in sorted((entry.get("zones") or {}).items()):
-            if zones is not None and name not in zones:
-                continue
-            read[name] = load_any_volume(base / rel)
-            if not isinstance(read[name], LabelVolume):
-                raise DataError(f"case {case_id}: zone {name} is not a label volume")
-        records.append(
-            CaseRecord(case_id=case_id, modalities=tuple(modalities), truth=truth,
-                       zones=read or None)
-        )
-    if not records:
+    zones = None if zones is None else tuple(zones)
+    sources = [CaseSource(entry["case_id"], path.parent, entry, zones)
+               for entry in entries if split is None or entry.get("split") == split]
+    if not sources:
         raise DataError(
             f"manifest {path} produced no cases" + (f" for split {split!r}" if split else "")
         )
-    return records, doc
+    return sources, doc
+
+
+def load_manifest(path, split: str | None = None, zones=None) -> tuple[list[CaseRecord], dict]:
+    """(cases, manifest dict): every source of `case_sources(path, split,
+    zones)` loaded, in manifest order. Every entry is checked before any
+    volume is read. The whole split is then in memory; a dataset sweep takes
+    the sources instead and loads one case at a time.
+    """
+    sources, doc = case_sources(path, split, zones)
+    return [source.load() for source in sources], doc
 
 
 def case_file(directory, case_id: str, suffix: str) -> Path:

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -14,12 +15,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import rulefuse
-from rulefuse import cli, sampling, volio
+from rulefuse import cli, discovery, phantoms, sampling, volio
 from rulefuse.cli import main
 from rulefuse.combine import binarize, combine_linear
+from rulefuse.errors import PackingError
 from rulefuse.fitting import LinearRule
 from rulefuse.metrics import MetricsConfig, evaluate
-from rulefuse.phantoms import PhantomSpec, generate_dataset
+from rulefuse.phantoms import PhantomSpec, generate_cases, generate_dataset
 from rulefuse.volio import load_volume, save_volume, write_report
 from rulefuse.volumes import LabelVolume, ProbabilityVolume
 
@@ -28,8 +30,8 @@ from rulefuse.volumes import LabelVolume, ProbabilityVolume
 def dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli_ds")
     spec = PhantomSpec(dims=(16, 16, 16), n_lesions=1, radius_range=(3.0, 5.0))
-    manifest_path, cases = generate_dataset(21, 6, spec, root)
-    return manifest_path, cases, root
+    manifest_path, _ = generate_dataset(21, 6, spec, root)
+    return manifest_path, generate_cases(21, 6, spec), root
 
 
 # --- exit codes -------------------------------------------------------------------
@@ -97,7 +99,7 @@ def test_grid_step_bound_is_checked_before_any_rule_or_load(argv, capsys, monkey
         return make_rule(alpha)
 
     monkeypatch.setattr(sampling, "LinearRule", counted_rule)
-    monkeypatch.setattr(volio, "load_manifest", lambda *args, **kwargs: loads.append(args) or
+    monkeypatch.setattr(volio, "case_sources", lambda *args, **kwargs: loads.append(args) or
                         (_ for _ in ()).throw(cli.DataError("manifest reached")))
     assert_one_line_usage_error(capsys, argv + ["0.0001"], "step must be at least 0.001")
     assert (built, loads) == ([], [])
@@ -159,9 +161,9 @@ def test_bad_binarization_option_is_usage_error_before_any_load(
 ):
     manifest, _, _ = dataset
     loads = []
-    load_manifest = volio.load_manifest
-    monkeypatch.setattr(volio, "load_manifest",
-                        lambda *args, **kwargs: loads.append(args) or load_manifest(*args, **kwargs))
+    case_sources = volio.case_sources
+    monkeypatch.setattr(volio, "case_sources",
+                        lambda *args, **kwargs: loads.append(args) or case_sources(*args, **kwargs))
     argv = [command, str(manifest)]
     if command == "mc-uncertainty":
         argv += ["--sampler", '{"kind": "dirichlet"}']
@@ -540,6 +542,22 @@ def test_phantom_impossible_packing_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_phantom_that_cannot_pack_a_later_case_writes_nothing(tmp_path, capsys):
+    # with this seed and spec, cases 0, 1, 3 and 4 pack their lesions and case 2 cannot
+    spec = {"dims": [16, 16, 16], "n_lesions": 3, "radius_range": [3.0, 4.0]}
+    for i, packs in enumerate([True, True, False, True, True]):
+        rng = np.random.default_rng([12, i])
+        with contextlib.nullcontext() if packs else pytest.raises(PackingError):
+            phantoms._place_lesions(rng, PhantomSpec.from_dict(spec))
+    out_dir = tmp_path / "ds"
+    argv = ["--seed", "12", "phantom", "--spec", json.dumps(spec), "--n-cases", "5",
+            "--out-dir", str(out_dir)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: could not place lesion") and err.count("\n") == 1, err
+    assert not out_dir.exists() or not any(out_dir.rglob("*"))
+
+
 # --- option layer: every argv ends in one line, and usage errors touch no volume ---------
 
 
@@ -810,12 +828,12 @@ def _zone_reads(argv, capsys, monkeypatch, every_zone=False):
     with `every_zone` the manifest's every zone is read, as it was before
     only the configured one was."""
     reads = []
-    load_volume, load_manifest = volio.load_volume, volio.load_manifest
+    load_volume, case_sources = volio.load_volume, volio.case_sources
     monkeypatch.setattr(volio, "load_volume",
                         lambda path: reads.append(Path(path).name) or load_volume(path))
     if every_zone:
-        monkeypatch.setattr(volio, "load_manifest",
-                            lambda path, split=None, zones=None: load_manifest(path, split))
+        monkeypatch.setattr(volio, "case_sources",
+                            lambda path, split=None, zones=None: case_sources(path, split))
     code = main(argv)
     monkeypatch.undo()
     out = capsys.readouterr().out
@@ -852,6 +870,82 @@ def test_a_bad_zone_file_fails_only_the_runs_that_ask_for_it(argv_dataset, tmp_p
     assert main(["search", manifest, "--zone", "TZ"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1 and "zone_TZ.u8" in err, err
+
+
+# --- streaming: a dataset command loads one case at a time ----------------------------
+
+
+@pytest.fixture(scope="module")
+def stream_dataset(tmp_path_factory):
+    """A 12-case 16³ phantom (train 8, validation 2, test 2): (manifest, train case ids)."""
+    root = tmp_path_factory.mktemp("stream_ds")
+    spec = PhantomSpec(dims=(16, 16, 16), n_lesions=1, radius_range=(3.0, 5.0))
+    manifest, _ = generate_dataset(9, 12, spec, root / "ds")
+    entries = json.loads(manifest.read_text())["cases"]
+    train = sorted(e["case_id"] for e in entries if e["split"] == "train")
+    assert len(train) == 8
+    return manifest, train
+
+
+STREAM_COMMANDS = {
+    "search": ["search", "{M}", "--split", "train", "--eval-split", "test", "--step", "0.25",
+               "--csv-out", "{OUT}/ranked.csv", "--heatmap-out", "{OUT}/heatmap.csv"],
+    "availability": ["availability", "{M}", "--split", "train", "--csv-out", "{OUT}/table.csv"],
+    "mc-uncertainty": ["mc-uncertainty", "{M}", "--split", "train", "--draws", "3",
+                       "--sampler", '{"kind": "dirichlet"}', "--volumes-out", "{OUT}/volumes"],
+}
+
+
+def _stream_argv(command, manifest, out_dir, threads="1"):
+    argv = [arg.replace("{M}", str(manifest)).replace("{OUT}", str(out_dir))
+            for arg in STREAM_COMMANDS[command]]
+    return ["--threads", threads] + argv + ["--out", str(out_dir / "report.json")]
+
+
+@pytest.mark.parametrize("command", sorted(STREAM_COMMANDS))
+def test_a_dataset_command_holds_one_loaded_case_at_a_time(command, stream_dataset, tmp_path,
+                                                         capsys, monkeypatch):
+    manifest, train = stream_dataset
+    made, live_at_make = [], []
+    post_init = discovery.CaseRecord.__post_init__
+
+    def counted(record):
+        post_init(record)
+        live_at_make.append(sum(ref() is not None for ref in made))
+        made.append(weakref.ref(record))
+
+    monkeypatch.setattr(discovery.CaseRecord, "__post_init__", counted)
+    assert main(_stream_argv(command, manifest, tmp_path)) == 0, capsys.readouterr().err
+    # search loads the train split, then the test split; the others only train
+    assert len(made) == len(train) + (2 if command == "search" else 0)
+    assert live_at_make == [0] * len(made)
+
+
+@pytest.mark.parametrize("command", sorted(STREAM_COMMANDS))
+def test_a_bad_volume_in_the_last_case_is_reported_when_reached_and_writes_nothing(
+    command, stream_dataset, tmp_path, capsys, monkeypatch
+):
+    manifest, train = stream_dataset
+    ds = tmp_path / "ds"
+    shutil.copytree(Path(manifest).parent, ds)
+    bad = ds / train[-1] / "DWI_hb.f32le"
+    bad.write_bytes(bad.read_bytes()[:-4])
+    set_up = []
+    case_setup = discovery._case_setup
+    monkeypatch.setattr(discovery, "_case_setup",
+                        lambda case, config: set_up.append(case.case_id) or case_setup(case, config))
+    errors = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"out{threads}"
+        set_up.clear()
+        assert main(_stream_argv(command, ds / "manifest.json", out_dir, threads)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: payload {bad}: expected ") and err.count("\n") == 1, err
+        assert not out_dir.exists() or not any(out_dir.rglob("*"))
+        errors.append(err)
+        if threads == "1":  # every case before the bad one was scored before it was read
+            assert set_up == train[:-1]
+    assert errors[0] == errors[1]
 
 
 # --- console script ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from rulefuse.discovery import (
 )
 from rulefuse.errors import DataError, VolumeFormatError
 from rulefuse.fitting import fit_linear
-from rulefuse.phantoms import PhantomSpec, generate_dataset
+from rulefuse.phantoms import PhantomSpec, generate_cases, generate_dataset
 from rulefuse.rules import Zone, canonical_condition_matrix, pirads_decisions
 from rulefuse.sampling import rejection_sample_stacking
 from rulefuse.volio import (
@@ -478,7 +478,8 @@ def test_sweeps_do_not_depend_on_the_memory_layout_of_the_volumes(tmp_path):
 
 def test_manifest_round_trip(tmp_path):
     spec = PhantomSpec(dims=(16, 16, 16), n_lesions=1, radius_range=(3.0, 5.0))
-    manifest_path, cases = generate_dataset(7, 6, spec, tmp_path / "ds")
+    manifest_path, _ = generate_dataset(7, 6, spec, tmp_path / "ds")
+    cases = generate_cases(7, 6, spec)
     records, doc = load_manifest(manifest_path)
     assert [r.case_id for r in records] == [c.case_id for c in cases]
     for rec, case in zip(records, cases):

@@ -1,10 +1,12 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
 
-from rulefuse import backends
+from rulefuse import backends, volio
 from rulefuse.combine import binarize, combine_linear
+from rulefuse.discovery import CaseRecord
 from rulefuse.errors import PackingError
 from rulefuse.fitting import LinearRule
 from rulefuse.phantoms import (
@@ -179,6 +181,7 @@ def test_triangular_blur_conserves_interior_mass():
     values = np.zeros((9, 9, 9))
     values[4, 4, 4] = 1.0
     blurred = triangular_blur(values, 2)
+    assert values.sum() == values[4, 4, 4] == 1.0  # the input is left as it was
     assert blurred.sum() == pytest.approx(1.0)
     assert blurred[4, 4, 4] == pytest.approx((3 / 9) ** 3)
     # borders leak mass outside
@@ -188,11 +191,13 @@ def test_triangular_blur_conserves_interior_mass():
 
 def test_generate_dataset_layout(tmp_path):
     spec = small_spec(zone_boxes=True)
-    manifest_path, cases = generate_dataset(12, 5, spec, tmp_path / "ds")
+    manifest_path, entries = generate_dataset(12, 5, spec, tmp_path / "ds")
     doc = json.loads(manifest_path.read_text())
     assert doc["seed"] == 12
     assert doc["phantom_spec"]["dims"] == [20, 20, 20]
     assert len(doc["cases"]) == 5
+    assert entries == doc["cases"]
+    assert [e["case_id"] for e in entries] == [c.case_id for c in generate_cases(12, 5, spec)]
     for entry in doc["cases"]:
         case_dir = tmp_path / "ds" / entry["case_id"]
         for key in ("T2W", "DWI_hb", "ADC"):
@@ -201,6 +206,25 @@ def test_generate_dataset_layout(tmp_path):
         assert set(entry["zones"]) == {"PZ", "TZ"}
         assert entry["split"] in {"train", "validation", "test"}
         assert case_dir.is_dir()
+
+
+def test_generate_dataset_holds_at_most_one_case_while_it_writes(tmp_path, monkeypatch):
+    made, live_at_write = [], []
+    post_init, save_volume = CaseRecord.__post_init__, volio.save_volume
+
+    def counted(record):
+        post_init(record)
+        made.append(weakref.ref(record))
+
+    def save(volume, path):
+        live_at_write.append(sum(ref() is not None for ref in made))
+        return save_volume(volume, path)
+
+    monkeypatch.setattr(CaseRecord, "__post_init__", counted)
+    monkeypatch.setattr(volio, "save_volume", save)
+    generate_dataset(14, 4, small_spec(zone_boxes=True), tmp_path / "ds")
+    assert len(made) == 4
+    assert live_at_write == [1] * 4 * 6  # 3 modalities, the truth and 2 zones per case
 
 
 def test_generate_dataset_deterministic(tmp_path):
