@@ -394,7 +394,8 @@ def build_parser() -> Parser:
     parser.add_argument("--seed", type=int, default=0, help="global RNG seed (default 0)")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker processes for dataset commands, this one included; capped "
-                             "at the usable CPUs, inline where fork is unavailable (default 1)")
+                             "at the usable CPUs and the cases, inline where fork is unavailable "
+                             "(default 1)")
     parser.add_argument("--config", type=_json("config"), default={},
                         help="JSON object of option values, inline or a file's path")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,34 +1,34 @@
 """Dataset-level rule comparison: grid search, availability deltas, MC variance.
 
-A dataset is a list of case sources, each a `case_id` and a `load()` that
-returns the case's CaseRecord: CaseRecords held in memory load as
+A dataset is an iterable of case sources, each a `case_id` and a `load()`
+that returns the case's CaseRecord: CaseRecords held in memory load as
 themselves, and `volio.CaseSource`s read their case's volumes when loaded.
 Grid search, availability and `evaluate_rule` are one sweep: every (rule,
 case) pair is scored, and each rule's reports are reduced in sorted case_id
-order, so results are independent of worker count and dataset ordering. The
-sweep is case-major: a task is one case and a contiguous range of the rules,
-one range per worker. It loads its case in the worker that runs it, so a
-worker holds about one case at a time, and sets it up once, with
-`_case_setup`: the zone, the truth restricted to it and one set of volume
-buffers, which it reuses for each of its rules. Monte-Carlo uncertainty runs
-one task per case, over all its draws, on the same set-up.
+order, so results are independent of worker count and dataset ordering.
+Monte-Carlo uncertainty runs each of its drawn rules on every case.
 
-Where a rule's positives come from depends on the task. A task with two or
-more linear rules also finds its case's `_Candidates` once: the voxels where
-some modality comes within `_CANDIDATE_MARGIN` of the threshold, outside
-which no convex sum can exceed it. Each of its rules sums and thresholds
-only those voxels, so its positives are found without a pass over the grid.
-A lone linear rule, a stacking rule and every draw of Monte-Carlo
-uncertainty (which needs the whole map for its moments) compute the whole
-map and threshold it.
+Both run on one scheduler, `_run_cases`, where a task is one case and all
+its rules or draws. The worker that runs a task loads its case, so each case
+is read once per sweep and a worker holds about one case at a time, and sets
+it up once, with `_case_setup`: the zone, the truth restricted to it and one
+set of volume buffers, which every rule or draw on the case reuses.
 
-Every sweep runs its tasks on `_workers(threads, n_tasks)` worker processes:
-the calling process is worker 0 and the others are forked children, which
+Where a rule's positives come from depends on the sweep. A rule sweep with
+two or more linear rules also finds each case's `_Candidates` once: the
+voxels where some modality comes within `_CANDIDATE_MARGIN` of the
+threshold, outside which no convex sum can exceed it. Each of its rules sums
+and thresholds only those voxels, so its positives are found without a pass
+over the grid. A lone linear rule, a stacking rule and every draw of
+Monte-Carlo uncertainty (which needs the whole map for its moments) compute
+the whole map and threshold it.
+
+The scheduler runs on `_workers(threads, n_cases)` worker processes: the
+calling process is worker 0 and the others are forked children, which
 inherit the dataset's sources, load their own cases and send back only their
-results. Worker k runs tasks k, k + w, k + 2w, ... in order; the failure
-earliest in task order is raised.
-With one worker, where the platform cannot fork, or while other threads run,
-the tasks run inline.
+results. Worker k runs cases k, k + w, k + 2w, ... in case_id order; the
+failure earliest in that order is raised. With one worker, where the
+platform cannot fork, or while other threads run, the cases run inline.
 """
 
 from __future__ import annotations
@@ -305,8 +305,6 @@ def _predict(case: CaseRecord, model: str, rule, config: EvalConfig, buffers: _B
     [0, 1] in the last place, and for a threshold in (0, 1) the mask is the
     same as from the clipped map.
     """
-    if model not in ("linear", "stacking"):
-        raise ValueError(f"unknown model {model!r}")
     if model == "linear":
         combined = linear_map(case.modalities, rule.alpha, buffers.map, buffers.product)
     else:
@@ -419,19 +417,34 @@ def _received(payload: bytes, status: int, index: int, name: str) -> list:
         return [(index, False, error)]
 
 
-def _run_tasks(run, tasks, threads: int, name) -> list:
-    """[run(task) for task in tasks] on `_workers(threads, len(tasks))` worker
-    processes; `name(task)` says which task a dead worker was running.
+def _run_cases(run, dataset, threads: int, config: EvalConfig) -> list:
+    """[run(case, zone, truth, buffers) for each case of `dataset`], in
+    case_id order, with (zone, truth, buffers) from `_case_setup`.
+
+    `dataset` is any iterable of case sources; it is sorted by case_id once,
+    which fixes the order results are reduced in, and an empty one is a
+    ValueError. Each case is one task, run on `_workers(threads, n_cases)`
+    worker processes: the worker that runs it loads the case and sets it up,
+    so each case is read once whatever `threads` is.
 
     The calling process is worker 0 and the others are forked children. A
-    child inherits `run` and the tasks, and pipes back only its outcomes.
-    Every worker stops at its first failure, and the failure earliest in task
-    order is raised, so every task before it ran and succeeded. On any
-    exception here the children are killed and reaped before it propagates.
+    child inherits `run` and the sources, and pipes back only its outcomes.
+    Every worker stops at its first failure, and the failure earliest in case
+    order is raised, so every case before it ran and succeeded; a worker that
+    dies without its results fails the case it was running. On any exception
+    here the children are killed and reaped before it propagates.
     """
-    workers = _workers(threads, len(tasks))
+    sources = sorted(dataset, key=lambda source: source.case_id)
+    if not sources:
+        raise ValueError("a dataset sweep requires a non-empty dataset")
+
+    def task(source):
+        case = source.load()
+        return run(case, *_case_setup(case, config))
+
+    workers = _workers(threads, len(sources))
     if workers == 1:
-        return [run(task) for task in tasks]
+        return [task(source) for source in sources]
     # each worker's current task index, shared with the children
     progress = np.frombuffer(mmap.mmap(-1, 8 * workers), dtype=np.int64)
     progress[:] = np.arange(workers)
@@ -449,20 +462,20 @@ def _run_tasks(run, tasks, threads: int, name) -> list:
             if pid == 0:
                 code = 1
                 try:
-                    _serve(run, tasks, worker, workers, progress, write_fd)
+                    _serve(task, sources, worker, workers, progress, write_fd)
                     code = 0
                 finally:
                     os._exit(code)  # never back into the caller's frames
             children[pid] = (worker, pipe)
             os.close(write_fd)
-        outcomes = _run_stripe(run, tasks, 0, workers, progress)
+        outcomes = _run_stripe(task, sources, 0, workers, progress)
         for pid, (worker, pipe) in list(children.items()):
             payload = pipe.read()
             status = os.waitpid(pid, 0)[1]
             del children[pid]
             pipe.close()
             index = int(progress[worker])
-            outcomes += _received(payload, status, index, name(tasks[index]))
+            outcomes += _received(payload, status, index, f"case {sources[index].case_id}")
     except BaseException:
         for pid, (_, pipe) in children.items():
             pipe.close()
@@ -472,7 +485,7 @@ def _run_tasks(run, tasks, threads: int, name) -> list:
     failures = [(index, value) for index, ok, value in outcomes if not ok]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    results = [None] * len(tasks)
+    results = [None] * len(sources)
     for index, _, value in outcomes:
         results[index] = value
     return results
@@ -505,50 +518,34 @@ def _sweep(
 ) -> list[RuleEvaluation]:
     """Score every (rule, case) pair and aggregate one RuleEvaluation per rule.
 
-    `dataset` holds case sources: each has a `case_id` and a `load()` that
-    returns its `CaseRecord` (a `volio.CaseSource`, or a `CaseRecord`, which
-    loads as itself). Each case's rules are cut into one contiguous range per
-    worker, and each (case, range) is one task, in case-major order. A task
-    loads its case in the worker that runs it, sets it up, builds the
-    restricted truth's context and, for two or more linear rules, finds the
-    case's `_Candidates` once, reuses them for each rule in its range, and
-    drops the case, so a worker holds one loaded case at a time. A case whose
-    rules are split across workers is loaded by each of them. A case that
-    fails to load fails its task, as a failing rule does.
+    Each case is one task of `_run_cases`, which loads and sets it up in the
+    worker that runs it. The task builds the restricted truth's context and,
+    for two or more linear rules, finds the case's `_Candidates` once, then
+    runs all the rules on the case. A failing rule fails its case, with the
+    case id in the message.
     """
-    sources = sorted(dataset, key=lambda c: c.case_id)  # fixed reduction order
-    if not sources:
-        raise ValueError("rule evaluation requires a non-empty dataset")
     rules = list(rules)
-    parts = min(_workers(threads, len(sources) * len(rules)), len(rules))
-    bounds = [len(rules) * j // parts for j in range(parts + 1)]
-    tasks = [(source, rules[lo:hi]) for source in sources for lo, hi in zip(bounds, bounds[1:])]
 
-    def run(task) -> list[MetricsReport]:
-        source, task_rules = task
+    def run(case, zone, truth, buffers) -> list[tuple[str, MetricsReport]]:
         try:
-            case = source.load()
-            zone, truth, buffers = _case_setup(case, config)
             truth_ctx = truth_context(truth, config.metrics.connectivity)
             # building a candidate set costs about as much as one rule's dense
-            # map, threshold and scan, so a task with one rule runs it dense
+            # map, threshold and scan, so a lone rule runs dense
             candidates = (_Candidates(case, config.threshold, buffers.mask)
-                          if model == "linear" and len(task_rules) > 1 else None)
+                          if model == "linear" and len(rules) > 1 else None)
             return [
-                _evaluate_case(case, model, rule, config, zone, truth_ctx, buffers, candidates)
-                for rule in task_rules
+                (case.case_id,
+                 _evaluate_case(case, model, rule, config, zone, truth_ctx, buffers, candidates))
+                for rule in rules
             ]
         except DataError:
             raise
         except Exception as exc:
-            raise DataError(f"case {source.case_id}: {exc}") from exc
+            raise DataError(f"case {case.case_id}: {exc}") from exc
 
-    by_task = _run_tasks(run, tasks, threads, lambda task: f"case {task[0].case_id}")
-    by_case = [sum(by_task[i : i + parts], []) for i in range(0, len(by_task), parts)]
+    by_case = _run_cases(run, dataset, threads, config)
     return [
-        _aggregate(model, rule, number, [
-            (source.case_id, reports[i]) for source, reports in zip(sources, by_case)
-        ])
+        _aggregate(model, rule, number, [rows[i] for rows in by_case])
         for i, (rule, number) in enumerate(zip(rules, rule_numbers or [None] * len(rules)))
     ]
 
@@ -564,11 +561,18 @@ def evaluate_rule(
     """Combine, binarize and score every case; aggregate mean/sd per metric.
 
     Any per-case failure aborts the whole evaluation, tagged with the case id.
+    A `model` other than "linear" or "stacking", or one that disagrees with a
+    rule object's type, is a ValueError before any case is read.
     """
     if model is None:
         model = "stacking" if isinstance(rule, StackingRule) else "linear"
+    kind = {"linear": LinearRule, "stacking": StackingRule}.get(model)
+    if kind is None:
+        raise ValueError(f"model must be 'linear' or 'stacking', got {model!r}")
     if not isinstance(rule, (LinearRule, StackingRule)):
-        rule = StackingRule(rule) if model == "stacking" else LinearRule(rule)
+        rule = kind(rule)
+    elif not isinstance(rule, kind):
+        raise ValueError(f"model {model!r} does not take a {type(rule).__name__}")
     return _sweep(dataset, [rule], model, config or EvalConfig(), threads, [rule_number])[0]
 
 
@@ -864,27 +868,20 @@ def monte_carlo_uncertainty(
     configured zone restricts the DSC, as in `evaluate`; the variance volume
     covers the whole grid.
 
-    `dataset` holds case sources, as for `_sweep`. The rules are drawn up
-    front, and each case is one task, on up to `threads` worker processes:
-    it loads its case in the worker that runs it, reuses one set of buffers
-    for all its draws and drops the case, so a worker holds one loaded case
-    at a time. The result does not depend on `threads`. Draws are not split
+    `dataset` is as for `_run_cases`. The rules are drawn up front, and each
+    case is one task, which runs all the draws on the buffers it was set up
+    with. The result does not depend on `threads`. Draws are not split
     across tasks, as that would change the summation order of the moments.
     Each case's mean and variance volumes are returned whole.
     """
     check_draws(n_draws)
-    dataset = list(dataset)
-    if not dataset:
-        raise ValueError("monte_carlo_uncertainty requires a non-empty dataset")
     if isinstance(sampler, dict):
         sampler = RuleSampler(sampler, rule_set=rule_set)
     config = config or EvalConfig()
     rng = np.random.default_rng(seed)
     rules = [sampler.draw(rng, i) for i in range(n_draws)]
 
-    def run(source) -> MCCaseResult:
-        case = source.load()
-        zone, truth, buffers = _case_setup(case, config)
+    def run(case, zone, truth, buffers) -> MCCaseResult:
         dscs = []
 
         def draws():
@@ -907,9 +904,8 @@ def monte_carlo_uncertainty(
             dsc_variance=max(dsc_var, 0.0),
         )
 
-    sources = sorted(dataset, key=lambda c: c.case_id)
     return MCResult(
-        cases=tuple(_run_tasks(run, sources, threads, lambda source: f"case {source.case_id}")),
+        cases=tuple(_run_cases(run, dataset, threads, config)),
         n_draws=n_draws,
         kind=sampler.kind,
     )

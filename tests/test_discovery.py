@@ -23,7 +23,7 @@ from rulefuse.discovery import (
     split_dataset,
 )
 from rulefuse.errors import DataError
-from rulefuse.fitting import LinearRule
+from rulefuse.fitting import LinearRule, StackingRule
 from rulefuse.metrics import MetricsConfig, evaluate, truth_context
 from rulefuse.sampling import rejection_sample_stacking, simplex_grid
 from rulefuse.volumes import LabelVolume, Modality, ProbabilityVolume
@@ -133,6 +133,45 @@ def test_evaluate_rule_case_failure_names_case():
     config = EvalConfig(zone="TZ")  # cases carry no zone masks
     with pytest.raises(DataError, match="c00"):
         evaluate_rule(cases, LinearRule(np.array([1.0, 0.0, 0.0])), config=config)
+
+
+class LoggedSource:
+    """A case source whose `load()` appends "<case_id> <pid>" to the file `log`,
+    opened with O_APPEND, so that loads in forked workers are recorded too."""
+
+    def __init__(self, case, log):
+        self.case_id, self.case, self.log = case.case_id, case, log
+
+    def load(self):
+        fd = os.open(self.log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{self.case_id} {os.getpid()}\n".encode())
+        finally:
+            os.close(fd)
+        return self.case
+
+
+def logged_loads(log):
+    """[(case_id, pid)] for each load a `LoggedSource` recorded in `log`."""
+    return [tuple(line.split()) for line in log.read_text().splitlines()] if log.exists() else []
+
+
+@pytest.mark.parametrize(
+    "rule, model, message",
+    [
+        ([1 / 3] * 3, "vote", "model must be 'linear' or 'stacking', got 'vote'"),
+        (StackingRule(np.array([1.0, 1.0, 1.0, -1.5])), "linear",
+         "model 'linear' does not take a StackingRule"),
+        (LinearRule(np.full(3, 1 / 3)), "stacking", "model 'stacking' does not take a LinearRule"),
+    ],
+    ids=["unknown", "stacking-rule-as-linear", "linear-rule-as-stacking"],
+)
+def test_evaluate_rule_refuses_a_bad_model_before_reading_a_case(rule, model, message, tmp_path):
+    log = tmp_path / "loads"
+    with pytest.raises(ValueError) as info:
+        evaluate_rule([LoggedSource(case, log) for case in truth_cases(2)], rule, model=model)
+    assert type(info.value) is ValueError and str(info.value) == message
+    assert logged_loads(log) == []
 
 
 def test_evaluate_rule_order_and_thread_invariance():
@@ -534,6 +573,60 @@ def test_dataset_sweep_forks_one_child(sweep, threads, monkeypatch):
     monkeypatch.setattr(os, "fork", counting_fork)
     sweep(truth_cases(3), threads)
     assert len(forks) == 1  # the calling process is the other worker
+
+
+def mc_outputs(result):
+    """An MC result's report and the bytes of every case's mean and variance."""
+    return result.to_dict(), [(c.mean.tobytes(), c.variance.tobytes()) for c in result.cases]
+
+
+@pytest.fixture(scope="module")
+def sweeps():
+    """Every dataset sweep, as name -> f(dataset, threads) giving comparable output."""
+    stacking = rejection_sample_stacking(n_rules=2)
+    rule = LinearRule(np.array([0.5, 0.25, 0.25]))
+    return {
+        "evaluate_rule": lambda dataset, threads: evaluate_rule(
+            dataset, rule, threads=threads).to_dict(include_cases=True),
+        "grid_search_linear": lambda dataset, threads: grid_search_linear(
+            dataset, step=0.5, threads=threads).to_dict(include_cases=True),
+        "grid_search_stacking": lambda dataset, threads: grid_search_stacking(
+            dataset, stacking, threads=threads).to_dict(include_cases=True),
+        "availability_analysis": lambda dataset, threads: availability_analysis(
+            dataset, threads=threads).to_dict(),
+        "monte_carlo_uncertainty": lambda dataset, threads: mc_outputs(monte_carlo_uncertainty(
+            dataset, {"kind": "dirichlet"}, n_draws=3, seed=5, threads=threads)),
+    }
+
+
+SWEEP_NAMES = ["evaluate_rule", "grid_search_linear", "grid_search_stacking",
+               "availability_analysis", "monte_carlo_uncertainty"]
+
+
+@pytest.mark.parametrize("name", SWEEP_NAMES)
+def test_each_case_is_read_once_per_sweep(name, sweeps, tmp_path, monkeypatch):
+    monkeypatch.setattr(discovery, "_usable_cpus", lambda: 2)
+    cases = truth_cases(4)
+    results = []
+    for threads in (1, 2):
+        log = tmp_path / f"loads{threads}"
+        results.append(sweeps[name]([LoggedSource(case, log) for case in cases], threads))
+        loads = logged_loads(log)
+        assert sorted(case_id for case_id, _ in loads) == [case.case_id for case in cases]
+        assert len({pid for _, pid in loads}) == threads  # both workers read cases
+    assert results[1] == results[0]
+
+
+@pytest.mark.parametrize("name", SWEEP_NAMES)
+def test_sweeps_refuse_an_empty_dataset_and_take_a_generator(name, sweeps, monkeypatch):
+    monkeypatch.setattr(discovery, "_usable_cpus", lambda: 2)
+    for empty in ([], iter(())):
+        with pytest.raises(ValueError, match="non-empty dataset"):
+            sweeps[name](empty, 1)
+    cases = truth_cases(3)
+    expected = sweeps[name](cases, 1)
+    for threads in (1, 2):
+        assert sweeps[name]((case for case in reversed(cases)), threads) == expected
 
 
 def test_workers_capped_by_threads_cpus_and_tasks(monkeypatch):
