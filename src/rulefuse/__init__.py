@@ -72,7 +72,7 @@ from .sampling import (
     sample_dirichlet,
     simplex_grid,
 )
-from .volio import case_sources, load_manifest, load_nifti1, load_volume, save_volume, write_report
+from .volio import case_sources, load_nifti1, load_volume, save_volume, write_report
 from .volumes import LabelVolume, Modality, ProbabilityVolume, validate_aligned
 
 __version__ = "0.1.0"

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 from scipy import ndimage
 
@@ -45,16 +43,6 @@ def fit_logistic(X, D, lr, max_iters):
     return B, used, finite
 
 
-class Support(NamedTuple):
-    """The positive voxels of a mask: their flat indices in C order, ascending,
-    and a box of slices holding every positive voxel. `support_of` gives the
-    smallest such box (empty slices when there are none); any box that holds
-    them labels them alike (see `label_components`)."""
-
-    flat: np.ndarray
-    box: tuple[slice, slice, slice]
-
-
 def bounding_box(flat, shape) -> tuple[slice, slice, slice]:
     """Smallest box holding the voxels at the ascending C-order flat indices
     `flat` of a volume of `shape`; empty slices when `flat` is empty.
@@ -74,10 +62,10 @@ def bounding_box(flat, shape) -> tuple[slice, slice, slice]:
     )
 
 
-def support_of(mask) -> Support:
-    """`Support` of a 3D boolean mask."""
-    flat = np.flatnonzero(mask)
-    return Support(flat, bounding_box(flat, mask.shape))
+def support_of(mask) -> np.ndarray:
+    """The positives of a 3D boolean mask: their flat indices in C order,
+    ascending, whatever the mask's layout."""
+    return np.flatnonzero(mask)
 
 
 class LabelBuffer:
@@ -90,35 +78,29 @@ class LabelBuffer:
         self.box = (slice(0, 0),) * 3
 
 
-def label_components(mask, connectivity, box=None, out=None):
+def label_components(mask, connectivity, box, out: LabelBuffer | None = None):
     """Label connected regions of a 3D boolean mask. Returns (labels, count).
 
-    Only mask[box] is labelled, where `box` holds every positive voxel (the
-    mask's bounding box when not given). Scan order inside a box is scan
-    order in the volume, so the labels are those of the whole mask, and
-    every voxel outside the box is background. `out` receives the labels
-    instead of a fresh array: a `LabelBuffer` of the mask's shape, or a
-    C-contiguous int32 array of that shape, which is zeroed first.
+    Only mask[box] is labelled, where `box` holds every positive voxel. Scan
+    order inside a box is scan order in the volume, so the labels are those
+    of the whole mask, and every voxel outside the box is background. The
+    labels go into `out`'s array, when given, instead of a fresh array.
     """
     structure = _STRUCTURES.get(connectivity)
     if structure is None:
         raise ValueError(f"connectivity must be 6, 18 or 26, got {connectivity!r}")
-    if box is None:
-        box = support_of(mask).box
     if out is None:
-        out = np.zeros(mask.shape, dtype=np.int32)
-    elif isinstance(out, LabelBuffer):
-        out.array[out.box] = 0
-        out.box, out = box, out.array
+        labels = np.zeros(mask.shape, dtype=np.int32)
     else:
-        out.fill(0)
+        out.array[out.box] = 0
+        out.box, labels = box, out.array
     crop = mask[box]
     if not crop.size:
-        return out, 0
-    return out, ndimage.label(crop, structure=structure, output=out[box])
+        return labels, 0
+    return labels, ndimage.label(crop, structure=structure, output=labels[box])
 
 
-def components(mask, connectivity, min_voxels=1, support: Support | None = None, out=None):
+def components(mask, connectivity, min_voxels=1, positives: np.ndarray | None = None, out=None):
     """Label `mask` and mark its components of at least `min_voxels` voxels.
 
     Returns (labels, counts, keep): `counts[i]` voxels carry label i, and
@@ -126,14 +108,16 @@ def components(mask, connectivity, min_voxels=1, support: Support | None = None,
     background and is never kept.
 
     Only the positive voxels are counted, and only their bounding box is
-    labelled; every other voxel is background. `support` is the mask's
-    `Support` when the caller has it; `out` is as for `label_components`.
+    labelled; every other voxel is background. `positives` are the mask's
+    (see `support_of`) when the caller has them; `out` is as for
+    `label_components`.
     """
-    if support is None:
-        support = support_of(mask)
-    labels, n = label_components(mask, connectivity, support.box, out)
-    counts = np.bincount(labels.ravel().take(support.flat), minlength=n + 1)
-    counts[0] = labels.size - support.flat.size
+    if positives is None:
+        positives = support_of(mask)
+    box = bounding_box(positives, mask.shape)
+    labels, n = label_components(mask, connectivity, box, out)
+    counts = np.bincount(labels.ravel().take(positives), minlength=n + 1)
+    counts[0] = labels.size - positives.size
     keep = counts >= min_voxels
     keep[0] = False
     return labels, counts, keep

@@ -126,63 +126,38 @@ def check_binarization(threshold: float, min_region_voxels: int) -> None:
         raise ValueError(f"min_region_voxels must be >= 0, got {min_region_voxels}")
 
 
-def binarize_components(
-    values: np.ndarray,
-    spacing,
-    threshold: float = 0.5,
-    min_region_voxels: int = 27,
-    connectivity: int = 26,
-    mask_out: np.ndarray | None = None,
-    labels_out=None,
-):
-    """`binarize` of a probability map given as an array on a grid of `spacing`,
-    as a `metrics.LabelledMask` (see `label_positives`).
-
-    The map is thresholded and scanned for its positives once, over the
-    whole grid; `label_positives` does the rest. `mask_out`, a bool array of
-    the map's shape, receives the mask instead of a fresh array; the
-    returned mask is then a read-only view of it, valid until the buffer is
-    written again. `labels_out` is as `out` for `backends.label_components`.
-    """
-    check_binarization(threshold, min_region_voxels)
-    mask = np.greater(values, threshold, out=mask_out)
-    return label_positives(mask, backends.support_of(mask), spacing, min_region_voxels,
-                           connectivity, labels_out)
-
-
 def label_positives(
     mask: np.ndarray,
-    support: backends.Support,
+    positives: np.ndarray,
     spacing,
     min_region_voxels: int,
     connectivity: int,
     labels_out=None,
 ):
     """A thresholded mask, with small components dropped, as a
-    `metrics.LabelledMask`: the mask with its support and the component
+    `metrics.LabelledMask`: the mask with its positives and the component
     labelling it was made from, which `metrics.evaluate` scores without
     scanning or labelling the mask again.
 
-    `mask` is a bool array set exactly at the `backends.Support` `support`,
-    however its positives were found. Only the support's box is labelled,
-    and dropped components are cleared in `mask` at their voxels; the
-    returned support keeps that box, which still holds the survivors. In the
-    (labels, counts, keep) triple, `labels` numbers the connected components
-    of the thresholded mask, `counts[i]` is the voxel count of label i and
-    `keep[i]` marks the components that survive. Label 0 is background and
-    is never kept. `labels_out` is as `out` for `backends.label_components`.
-    The returned mask is a read-only view of `mask`.
+    `mask` is a bool array set exactly at `positives`, ascending C-order flat
+    indices (see `backends.support_of`), however they were found. Dropped
+    components are cleared in `mask` at their voxels, and the returned
+    positives are the survivors. In the (labels, counts, keep) triple,
+    `labels` numbers the connected components of the thresholded mask,
+    `counts[i]` is the voxel count of label i and `keep[i]` marks the
+    components that survive. Label 0 is background and is never kept.
+    `labels_out` is as `out` for `backends.label_components`. The returned
+    mask is a read-only view of `mask`.
     """
     labels, counts, keep = backends.components(
-        mask, connectivity, min_region_voxels, support, labels_out
+        mask, connectivity, min_region_voxels, positives, labels_out
     )
     if not keep[1:].all():
-        flat = support.flat
-        kept = keep.take(labels.ravel().take(flat))
-        mask.flat[flat[~kept]] = False  # `flat` indexes in C order whatever the layout
-        support = backends.Support(flat[kept], support.box)  # the box still holds them all
+        kept = keep.take(labels.ravel().take(positives))
+        mask.flat[positives[~kept]] = False  # C-order indices whatever the layout
+        positives = positives[kept]
     volume = LabelVolume(mask.view(), spacing=spacing)
-    return LabelledMask(volume, support, (labels, counts, keep), connectivity)
+    return LabelledMask(volume, positives, (labels, counts, keep), connectivity)
 
 
 def binarize(
@@ -196,6 +171,8 @@ def binarize(
     Components with fewer than min_region_voxels voxels are removed; 27
     corresponds to a 3×3×3 block at 1mm isotropic spacing.
     """
-    return binarize_components(
-        volume.values, volume.spacing, threshold, min_region_voxels, connectivity
+    check_binarization(threshold, min_region_voxels)
+    mask = volume.values > threshold
+    return label_positives(
+        mask, backends.support_of(mask), volume.spacing, min_region_voxels, connectivity
     ).volume

@@ -48,8 +48,7 @@ from . import backends
 # binarize is not called here; it stays bound in this module because
 # perfbench/test_perfbench.py reaches it as `discovery.binarize`
 from .combine import (
-    binarize, binarize_components, check_binarization, label_positives, linear_map, stacking_map,
-    weighted_sum,
+    binarize, check_binarization, label_positives, linear_map, stacking_map, weighted_sum,
 )
 from .errors import DataError
 from .fitting import _SIMPLEX_TOL, LinearRule, StackingRule
@@ -277,12 +276,12 @@ class _Candidates:
         self.sum = np.empty(self.flat.size)
         self.product = np.empty(self.flat.size)
         mask.fill(False)
-        self.shape = mask.shape
         self.mask = mask.reshape(-1)  # a view: the buffer is C-ordered
         self.marked = self.flat[:0]  # the positives set in the mask
 
-    def positives(self, alpha: np.ndarray, threshold: float) -> backends.Support:
-        """The `Support` of Σ α·y > `threshold`, with the mask set exactly there.
+    def positives(self, alpha: np.ndarray, threshold: float) -> np.ndarray:
+        """The ascending flat indices where Σ α·y > `threshold`, with the mask
+        set exactly there.
 
         Each sum is `weighted_sum` over the same values as `linear_map` sums
         on the whole grid, so it is that map's value bitwise.
@@ -292,12 +291,12 @@ class _Candidates:
         self.mask[self.marked] = False
         self.mask[flat] = True
         self.marked = flat
-        return backends.Support(flat, backends.bounding_box(flat, self.shape))
+        return flat
 
 
 def _predict(case: CaseRecord, model: str, rule, config: EvalConfig, buffers: _Buffers):
     """(combined map, binarized prediction) of one rule on one case; the
-    prediction is a `metrics.LabelledMask` (see `combine.binarize_components`).
+    prediction is a `metrics.LabelledMask` (see `combine.label_positives`).
 
     The whole map is computed and thresholded, and its positives are found
     by a scan of the grid. The map, the mask and the labels are written into
@@ -309,14 +308,14 @@ def _predict(case: CaseRecord, model: str, rule, config: EvalConfig, buffers: _B
         combined = linear_map(case.modalities, rule.alpha, buffers.map, buffers.product)
     else:
         combined = stacking_map(case.modalities, rule, buffers.map, buffers.product)
-    pred = binarize_components(
-        combined,
+    mask = np.greater(combined, config.threshold, out=buffers.mask)
+    pred = label_positives(
+        mask,
+        backends.support_of(mask),
         case.modalities[0].spacing,
-        threshold=config.threshold,
-        min_region_voxels=config.min_region_voxels,
-        connectivity=config.metrics.connectivity,
-        mask_out=buffers.mask,
-        labels_out=buffers.labels,
+        config.min_region_voxels,
+        config.metrics.connectivity,
+        buffers.labels,
     )
     return combined, pred
 

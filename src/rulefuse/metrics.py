@@ -24,36 +24,36 @@ HD_PERCENTILE = 95.0
 
 @dataclass(frozen=True)
 class LabelledMask:
-    """A binary mask with what the metrics read of it: its `backends.Support`
-    (positive voxels and their box) and, once labelled, its connected
-    components at `connectivity`, as the (labels, counts, keep) triple of
-    `backends.components`. `components` and `connectivity` are None when it
-    is not labelled, as `in_zone` leaves a restricted mask.
+    """A binary mask with what the metrics read of it: its `positives`, the
+    ascending C-order flat indices of its positive voxels, and, once
+    labelled, its connected components at `connectivity`, as the (labels,
+    counts, keep) triple of `backends.components`. `components` and
+    `connectivity` are None when it is not labelled, as `in_zone` leaves a
+    restricted mask.
 
-    Made by `label_mask`, `in_zone` and `combine.binarize_components`.
-    `dice`, `hd95`, `boundary_surface` and `evaluate` take one wherever they
-    take a `LabelVolume`, and then read the positives, the box and
-    (`evaluate`) the components from it instead of scanning and labelling
-    the mask.
+    Made by `label_mask`, `in_zone` and `combine.label_positives`. `dice`,
+    `hd95`, `boundary_surface` and `evaluate` take one wherever they take a
+    `LabelVolume`, and then read the positives and (`evaluate`) the
+    components from it instead of scanning and labelling the mask.
     """
 
     volume: LabelVolume
-    support: backends.Support
+    positives: np.ndarray
     components: tuple | None = None
     connectivity: int | None = None
 
 
 def label_mask(mask, connectivity: int = DEFAULT_CONNECTIVITY, labels_out=None) -> LabelledMask:
-    """`mask` (a `LabelVolume` or `LabelledMask`) with its support and its
+    """`mask` (a `LabelVolume` or `LabelledMask`) with its positives and its
     components at `connectivity`; a mask already labelled there is returned
     as it is. `labels_out` is as `out` for `backends.label_components`."""
     if isinstance(mask, LabelledMask) and mask.connectivity == connectivity:
         return mask
-    volume, support = _volume(mask), _support(mask)
+    volume, positives = _volume(mask), _positives(mask)
     return LabelledMask(
         volume,
-        support,
-        backends.components(volume.values, connectivity, support=support, out=labels_out),
+        positives,
+        backends.components(volume.values, connectivity, positives=positives, out=labels_out),
         connectivity,
     )
 
@@ -68,24 +68,21 @@ def in_zone(mask, zone: LabelVolume | None):
     """
     if zone is None:
         return mask
-    volume, support = _volume(mask), _support(mask)
+    volume, positives = _volume(mask), _positives(mask)
     validate_aligned([volume, zone], names=["mask", "zone"])
-    flat = support.flat[np.ravel(zone.values).take(support.flat)]
+    positives = positives[np.ravel(zone.values).take(positives)]
     values = np.zeros(volume.dims, dtype=bool)
-    values.ravel()[flat] = True  # a view: `values` is C-ordered
-    return LabelledMask(
-        LabelVolume(values, spacing=volume.spacing),
-        backends.Support(flat, backends.bounding_box(flat, values.shape)),
-    )
+    values.ravel()[positives] = True  # a view: `values` is C-ordered
+    return LabelledMask(LabelVolume(values, spacing=volume.spacing), positives)
 
 
 def _volume(mask) -> LabelVolume:
     return mask.volume if isinstance(mask, LabelledMask) else mask
 
 
-def _support(mask) -> backends.Support:
+def _positives(mask) -> np.ndarray:
     if isinstance(mask, LabelledMask):
-        return mask.support
+        return mask.positives
     return backends.support_of(mask.values)
 
 
@@ -96,7 +93,7 @@ def dice(pred, truth) -> float:
     truth's values gathered at the prediction's positives.
     """
     validate_aligned([_volume(pred), _volume(truth)], names=["pred", "truth"])
-    p, g = _support(pred).flat, _support(truth).flat
+    p, g = _positives(pred), _positives(truth)
     denom = p.size + g.size
     if denom == 0:
         return 1.0
@@ -146,7 +143,7 @@ def boundary_surface(mask, tree_options=_TRUTH_TREE, faces: np.ndarray | None = 
     its six face neighbours, gathered by flat index, so no pass over the
     volume or its bounding box is made; only boundary voxels get coordinates.
     """
-    flat = _support(mask).flat
+    flat = _positives(mask)
     mask = _volume(mask)
     if not flat.size:
         return None
@@ -353,7 +350,7 @@ def evaluate(
         truth_ctx = truth_context(in_zone(truth, zone), config.connectivity)
     pred = label_mask(in_zone(pred, zone), config.connectivity)
     g = truth_ctx.mask
-    p_flat, g_flat = pred.support.flat, g.support.flat
+    p_flat, g_flat = pred.positives, g.positives
 
     return MetricsReport(
         dsc=dice(pred, g),

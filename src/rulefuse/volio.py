@@ -363,16 +363,6 @@ def case_sources(path, split: str | None = None, zones=None) -> tuple[list[CaseS
     return sources, doc
 
 
-def load_manifest(path, split: str | None = None, zones=None) -> tuple[list[CaseRecord], dict]:
-    """(cases, manifest dict): every source of `case_sources(path, split,
-    zones)` loaded, in manifest order. Every entry is checked before any
-    volume is read. The whole split is then in memory; a dataset sweep takes
-    the sources instead and loads one case at a time.
-    """
-    sources, doc = case_sources(path, split, zones)
-    return [source.load() for source in sources], doc
-
-
 def case_file(directory, case_id: str, suffix: str) -> Path:
     """`directory/<case_id><suffix>`; DataError unless the case id is a single
     plain path component, so that no case writes outside `directory`."""

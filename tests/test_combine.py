@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from rulefuse import backends
 from rulefuse.combine import (
     binarize,
-    binarize_components,
     combine_linear,
     combine_stacking,
     combine_vote,
+    label_positives,
     linear_map,
 )
 from rulefuse.errors import AlignmentError
@@ -235,30 +236,38 @@ def test_fortran_ordered_suppression_matches_c_order(connectivity):
                       connectivity=connectivity)
     assert c_mask.count() == 27 + 40
     np.testing.assert_array_equal(f_mask.values, c_mask.values)
-    got = binarize_components(np.asfortranarray(values), (1.0, 1.0, 1.0), 0.5, 27, connectivity)
+    thresholded = np.asfortranarray(values) > 0.5
+    assert thresholded.flags.f_contiguous and not thresholded.flags.c_contiguous
+    got = label_positives(thresholded, backends.support_of(thresholded), (1.0, 1.0, 1.0), 27,
+                          connectivity)
     labels, counts, keep = got.components
     np.testing.assert_array_equal(got.volume.values, c_mask.values)
-    np.testing.assert_array_equal(got.support.flat, np.flatnonzero(c_mask.values))
+    np.testing.assert_array_equal(got.positives, np.flatnonzero(c_mask.values))
     assert keep.sum() == 2 and counts.sum() == values.size
     assert got.connectivity == connectivity
 
 
-def test_binarize_components_into_buffers_matches_fresh_arrays():
+def test_label_positives_into_buffers_matches_fresh_arrays():
     values = _suppression_map()
+
+    def labelled(mask, labels_out=None):
+        return label_positives(mask, backends.support_of(mask), (1.0, 1.0, 1.0), 27, 26,
+                               labels_out)
+
     mask_buf = np.ones(values.shape, dtype=bool)
-    labels_buf = np.full(values.shape, 5, dtype=np.int32)
-    fresh = binarize_components(values, (1.0, 1.0, 1.0))
+    labels_buf = backends.LabelBuffer(values.shape)  # a reused buffer, dirty everywhere
+    labels_buf.array.fill(5)
+    labels_buf.box = (slice(None),) * 3
+    fresh = labelled(values > 0.5)
     for rerun in range(2):  # the second run starts from the first run's buffers
-        got = binarize_components(values, (1.0, 1.0, 1.0), mask_out=mask_buf,
-                                  labels_out=labels_buf)
+        got = labelled(np.greater(values, 0.5, out=mask_buf), labels_buf)
         assert np.shares_memory(got.volume.values, mask_buf)
-        assert got.components[0] is labels_buf
+        assert got.components[0] is labels_buf.array
         assert not got.volume.values.flags.writeable and mask_buf.flags.writeable
         np.testing.assert_array_equal(got.volume.values, fresh.volume.values)
         for a, b in zip(got.components, fresh.components):
             np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(got.support.flat, fresh.support.flat)
-        assert got.support.box == fresh.support.box
+        np.testing.assert_array_equal(got.positives, fresh.positives)
 
 
 def test_public_results_are_read_only_and_not_aliased():

@@ -24,7 +24,7 @@ from rulefuse.discovery import (
 )
 from rulefuse.errors import DataError
 from rulefuse.fitting import LinearRule, StackingRule
-from rulefuse.metrics import MetricsConfig, evaluate, truth_context
+from rulefuse.metrics import MetricsConfig, dice, evaluate, hd95, truth_context
 from rulefuse.sampling import rejection_sample_stacking, simplex_grid
 from rulefuse.volumes import LabelVolume, Modality, ProbabilityVolume
 
@@ -356,6 +356,49 @@ def test_sweeps_scan_each_prediction_once_and_share_the_case_setup(zone, monkeyp
     assert (len(scans), setups) == (len(cases) * (3 + 1), case_ids)
 
 
+def test_a_box_is_worked_out_once_per_labelling_and_never_without_one(monkeypatch):
+    # a mask's positives carry no box: only a labelling needs one, so every
+    # sweep and every public metric works out exactly one box per labelling
+    cases = mixed_grid_cases(seed=13)
+    config = EvalConfig(min_region_voxels=4, zone="slab")
+    boxes, labellings = [], []
+    bounding_box, label_components = backends.bounding_box, backends.label_components
+
+    def counted_bounding_box(flat, shape):
+        boxes.append(shape)
+        return bounding_box(flat, shape)
+
+    def counted_label_components(mask, connectivity, box, out=None):
+        labellings.append(mask.shape)
+        return label_components(mask, connectivity, box, out)
+
+    monkeypatch.setattr(backends, "bounding_box", counted_bounding_box)
+    monkeypatch.setattr(backends, "label_components", counted_label_components)
+    rule = LinearRule(np.array([0.5, 0.25, 0.25]))
+    runs = {
+        "zoned grid search": lambda: grid_search_linear(cases, step=0.5, config=config),
+        "lone rule": lambda: evaluate_rule(cases, rule, config=config),
+        "zoned MC": lambda: monte_carlo_uncertainty(cases, {"kind": "dirichlet"}, n_draws=3,
+                                                    config=config),
+    }
+    for case in cases:
+        pred = LabelVolume(combine_linear(case.modalities, rule).values > 0.5)
+        zone = case.zones["slab"]
+        runs[f"dice {case.case_id}"] = lambda p=pred, c=case: dice(p, c.truth)
+        runs[f"hd95 {case.case_id}"] = lambda p=pred, c=case: hd95(p, c.truth)
+        runs[f"evaluate {case.case_id}"] = lambda p=pred, c=case: evaluate(p, c.truth)
+        runs[f"zoned evaluate {case.case_id}"] = (
+            lambda p=pred, c=case, z=zone: evaluate(p, c.truth, zone=z)
+        )
+    for name, run in runs.items():
+        boxes.clear()
+        labellings.clear()
+        run()
+        assert len(boxes) == len(labellings), name
+        if not name.startswith("dice"):
+            assert labellings, name
+
+
 @pytest.mark.parametrize("zone", [None, "slab"])
 def test_linear_sweep_queries_no_voxel_twice_on_a_truth_tree(zone, monkeypatch):
     # a task's truth context remembers each voxel's distance to the truth's
@@ -464,10 +507,8 @@ def candidates_match_dense(case: CaseRecord, t: float, rules) -> bool:
     candidates = discovery._Candidates(case, t, mask)
     for rule in rules:
         dense = linear_map(case.modalities, rule.alpha) > t
-        support = candidates.positives(rule.alpha, t)
-        if support.flat.tobytes() != np.flatnonzero(dense).tobytes():
+        if candidates.positives(rule.alpha, t).tobytes() != np.flatnonzero(dense).tobytes():
             return False
-        assert support.box == backends.support_of(dense).box
         assert np.array_equal(mask, dense)
     return True
 

@@ -19,9 +19,9 @@ from rulefuse.phantoms import PhantomSpec, generate_cases, generate_dataset
 from rulefuse.rules import Zone, canonical_condition_matrix, pirads_decisions
 from rulefuse.sampling import rejection_sample_stacking
 from rulefuse.volio import (
+    case_sources,
     heatmap_csv,
     load_any_volume,
-    load_manifest,
     load_nifti1,
     load_volume,
     render_report,
@@ -32,6 +32,12 @@ from rulefuse.volio import (
 from rulefuse.volumes import LabelVolume, Modality, ProbabilityVolume
 
 from test_discovery import truth_cases
+
+
+def loaded_cases(path, split=None):
+    """(cases, manifest dict): every source of `case_sources` loaded, in order."""
+    sources, doc = case_sources(path, split=split)
+    return [source.load() for source in sources], doc
 
 
 # --- native sidecar format -----------------------------------------------------
@@ -455,7 +461,7 @@ def test_sweeps_do_not_depend_on_the_memory_layout_of_the_volumes(tmp_path):
     spec = PhantomSpec(dims=(16, 16, 16), spacing=(0.7, 0.55, 3.3), n_lesions=2,
                        radius_range=(2.0, 4.0), zone_boxes=True)
     manifest_path, _ = generate_dataset(11, 4, spec, tmp_path / "ds")
-    loaded, _ = load_manifest(manifest_path)
+    loaded, _ = loaded_cases(manifest_path)
     fortran = [_fortran_ordered(case) for case in loaded]
     for case in fortran:
         for volume in (*case.modalities, case.truth, *case.zones.values()):
@@ -480,7 +486,7 @@ def test_manifest_round_trip(tmp_path):
     spec = PhantomSpec(dims=(16, 16, 16), n_lesions=1, radius_range=(3.0, 5.0))
     manifest_path, _ = generate_dataset(7, 6, spec, tmp_path / "ds")
     cases = generate_cases(7, 6, spec)
-    records, doc = load_manifest(manifest_path)
+    records, doc = loaded_cases(manifest_path)
     assert [r.case_id for r in records] == [c.case_id for c in cases]
     for rec, case in zip(records, cases):
         np.testing.assert_array_equal(rec.truth.values, case.truth.values)
@@ -489,22 +495,22 @@ def test_manifest_round_trip(tmp_path):
             np.testing.assert_array_equal(got.values, want.values.astype("<f4").astype(np.float64))
     splits = {entry["case_id"]: entry["split"] for entry in doc["cases"]}
     assert set(splits.values()) <= {"train", "validation", "test"}
-    val_records, _ = load_manifest(manifest_path, split="validation")
+    val_records, _ = loaded_cases(manifest_path, split="validation")
     assert {r.case_id for r in val_records} == {c for c, s in splits.items() if s == "validation"}
 
 
 def test_manifest_errors(tmp_path):
     with pytest.raises(DataError, match="does not exist"):
-        load_manifest(tmp_path / "nope.json")
+        loaded_cases(tmp_path / "nope.json")
 
     p = tmp_path / "bad.json"
     p.write_text("{broken")
     with pytest.raises(DataError, match="JSON"):
-        load_manifest(p)
+        loaded_cases(p)
 
     p.write_text(json.dumps({"version": 1}))
     with pytest.raises(DataError, match="cases"):
-        load_manifest(p)
+        loaded_cases(p)
 
     truth = save_volume(LabelVolume(np.zeros((2, 2, 2), dtype=bool)), tmp_path / "t.u8")
     t2w = save_volume(ProbabilityVolume(np.full((2, 2, 2), 0.5)), tmp_path / "t2w.f32le")
@@ -515,7 +521,7 @@ def test_manifest_errors(tmp_path):
     }
     write_manifest(p, [entry])
     with pytest.raises(DataError, match="c0.*DWI_hb"):
-        load_manifest(p)
+        loaded_cases(p)
 
 
 @pytest.fixture
@@ -528,7 +534,7 @@ def small_manifest(tmp_path):
 
 def _assert_manifest_data_error(path, capsys, match):
     with pytest.raises(DataError, match=match):
-        load_manifest(path)
+        loaded_cases(path)
     capsys.readouterr()
     assert main(["search", str(path)]) == 2
     err = capsys.readouterr().err
@@ -656,7 +662,7 @@ def test_fuzz_manifest_document(manifest_dir, doc, split):
     path = manifest_dir / "manifest.json"
     path.write_text(json.dumps(doc))
     try:
-        records, _ = load_manifest(path, split=split)
+        records, _ = loaded_cases(path, split=split)
     except DataError:
         return
     assert records and all(isinstance(r.truth, LabelVolume) for r in records)
@@ -668,7 +674,7 @@ def test_fuzz_manifest_bytes(manifest_dir, blob):
     path = manifest_dir / "manifest.json"
     path.write_bytes(blob)
     try:
-        load_manifest(path)
+        loaded_cases(path)
     except DataError:
         pass
 
@@ -677,7 +683,7 @@ def test_manifest_empty_split_is_an_error(tmp_path):
     spec = PhantomSpec(dims=(16, 16, 16), n_lesions=1, radius_range=(3.0, 5.0))
     manifest_path, _ = generate_dataset(7, 3, spec, tmp_path / "ds")
     with pytest.raises(DataError, match="no cases"):
-        load_manifest(manifest_path, split="nonexistent")
+        loaded_cases(manifest_path, split="nonexistent")
 
 
 # --- reports ----------------------------------------------------------------------

@@ -185,19 +185,20 @@ def test_box_labelling_equals_full_volume_labelling(connectivity):
     structure = ndimage.generate_binary_structure(3, {6: 1, 18: 2, 26: 3}[connectivity])
     for name, values in _label_cases():
         want, n = ndimage.label(values, structure=structure)
-        support = backends.support_of(values)
-        labels, count = backends.label_components(values, connectivity, support.box)
-        assert count == n, name
-        np.testing.assert_array_equal(labels, want, err_msg=name)
-        for box in (support.box, None):  # without a box, the mask's own
-            stale = np.full(values.shape, 7, dtype=np.int32)  # a reused buffer
-            labels, count = backends.label_components(values, connectivity, box, stale)
-            assert labels is stale and count == n, name
+        positives = backends.support_of(values)
+        whole = (slice(None),) * 3
+        for box in (backends.bounding_box(positives, values.shape), whole):
+            # any box holding every positive labels alike
+            labels, count = backends.label_components(values, connectivity, box)
+            assert count == n, name
             np.testing.assert_array_equal(labels, want, err_msg=name)
-        labels, count = backends.label_components(values, connectivity)
-        assert count == n, name
-        np.testing.assert_array_equal(labels, want, err_msg=name)
-        for given in (None, support):
+            stale = backends.LabelBuffer(values.shape)  # a reused buffer, dirty everywhere
+            stale.array.fill(7)
+            stale.box = whole
+            labels, count = backends.label_components(values, connectivity, box, stale)
+            assert labels is stale.array and stale.box == box and count == n, name
+            np.testing.assert_array_equal(labels, want, err_msg=name)
+        for given in (None, positives):
             labels, counts, keep = backends.components(values, connectivity, 1, given)
             np.testing.assert_array_equal(labels, want, err_msg=name)
             np.testing.assert_array_equal(counts, np.bincount(want.ravel(), minlength=n + 1))
@@ -227,13 +228,11 @@ def test_label_buffer_labels_each_mask_as_a_fresh_zeroed_buffer(connectivity):
     masks = _moving_boxes()
     buffer = backends.LabelBuffer(masks[0].shape)
     for i, values in enumerate(masks):
-        support = backends.support_of(values)
-        for box in (support.box, None):
-            want, n = backends.label_components(values, connectivity, box,
-                                                np.zeros(values.shape, dtype=np.int32))
-            got, count = backends.label_components(values, connectivity, box, buffer)
-            assert got is buffer.array and buffer.box == support.box and count == n, i
-            assert got.tobytes() == want.tobytes(), i
+        box = backends.bounding_box(backends.support_of(values), values.shape)
+        want, n = backends.label_components(values, connectivity, box)
+        got, count = backends.label_components(values, connectivity, box, buffer)
+        assert got is buffer.array and buffer.box == box and count == n, i
+        assert got.tobytes() == want.tobytes(), i
         # as a sweep reuses it: the mask's components, then a restriction of it
         restricted = values & (np.arange(values.shape[1]) % 3 > 0)[None, :, None]
         for mask_values in (values, restricted):
@@ -245,7 +244,7 @@ def test_label_buffer_labels_each_mask_as_a_fresh_zeroed_buffer(connectivity):
 
 def test_bounding_box_is_the_smallest_box_of_the_positives():
     for name, values in _label_cases():
-        box = backends.support_of(values).box
+        box = backends.bounding_box(backends.support_of(values), values.shape)
         if not values.any():
             assert all(s.start == s.stop for s in box), name
             continue
@@ -334,13 +333,12 @@ def test_in_zone_keeps_the_positives_the_zone_holds(monkeypatch):
                 assert got.components is None and got.connectivity is None
                 assert got.volume.spacing == spacing
                 np.testing.assert_array_equal(got.volume.values, want)
-                np.testing.assert_array_equal(got.support.flat, ref.support.flat)
-                assert got.support.box == ref.support.box
+                np.testing.assert_array_equal(got.positives, ref.positives)
                 relabelled = label_mask(got, 6)
                 np.testing.assert_array_equal(relabelled.components[0], ref.components[0])
                 np.testing.assert_array_equal(relabelled.components[1], ref.components[1])
         got = in_zone(pred, mask(zone_values, spacing))  # a plain volume is scanned once
-        np.testing.assert_array_equal(got.support.flat, ref.support.flat)
+        np.testing.assert_array_equal(got.positives, ref.positives)
         assert in_zone(pred, None) is pred and in_zone(labelled, None) is labelled
 
 
