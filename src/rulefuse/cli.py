@@ -26,7 +26,7 @@ import numpy as np
 from . import discovery, phantoms, sampling, volio
 from .combine import binarize, combine_linear, combine_stacking, combine_vote
 from .discovery import EvalConfig
-from .errors import DataError, DivergenceError, PackingError, RuleFuseError
+from .errors import DataError, DivergenceError, RuleFuseError
 from .fitting import (DEFAULT_LEARNING_RATE, DEFAULT_MAX_ITERS, LinearRule, StackingRule,
                       fit_linear, fit_stacking)
 from .metrics import MetricsConfig, evaluate as evaluate_masks
@@ -377,11 +377,7 @@ def cmd_phantom(args) -> int:
         spec = phantoms.PhantomSpec.from_dict(args.phantom_spec)
     except ValueError as exc:
         raise UsageError(f"bad phantom spec: {exc}") from None
-    try:
-        manifest_path, entries = phantoms.generate_dataset(args.seed, args.n_cases, spec,
-                                                           args.out_dir)
-    except PackingError as exc:
-        raise DataError(str(exc)) from None
+    manifest_path, entries = phantoms.generate_dataset(args.seed, args.n_cases, spec, args.out_dir)
     splits = [entry["split"] for entry in entries]
     summary = {"manifest": str(manifest_path), "n_cases": len(entries),
                "splits": {k: splits.count(k) for k in discovery.SPLIT_NAMES}}

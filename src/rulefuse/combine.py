@@ -9,21 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import backends
-from .fitting import LinearRule, StackingRule
 from .metrics import LabelledMask
 from .volumes import LabelVolume, Modality, ProbabilityVolume, validate_aligned
-
-
-def _as_linear(rule) -> LinearRule:
-    if isinstance(rule, LinearRule):
-        return rule
-    return LinearRule(np.asarray(rule, dtype=np.float64))
-
-
-def _as_stacking(rule) -> StackingRule:
-    if isinstance(rule, StackingRule):
-        return rule
-    return StackingRule(np.asarray(rule, dtype=np.float64))
 
 
 def weighted_sum(arrays, weights, out=None, product=None) -> np.ndarray:
@@ -80,8 +67,8 @@ def linear_map(volumes, weights, out=None, product=None) -> np.ndarray:
 
 
 def combine_linear(volumes, rule) -> ProbabilityVolume:
-    """Convex combination Z = Σ_τ α_τ·Y^τ of the three modality maps."""
-    rule = _as_linear(rule)
+    """Convex combination Z = Σ_τ α_τ·Y^τ of the three modality maps, for a
+    `LinearRule`."""
     out = linear_map(volumes, rule.alpha)
     # convexity keeps values in [0,1]; clip only absorbs float rounding
     np.clip(out, 0.0, 1.0, out=out)
@@ -89,9 +76,8 @@ def combine_linear(volumes, rule) -> ProbabilityVolume:
 
 
 def stacking_map(volumes, rule, out=None, product=None) -> np.ndarray:
-    """Logistic stack σ(Σ_τ β_τ·Y^τ + β₀) as a plain array, computed in place;
-    `out` and `product` are as for `linear_map`."""
-    rule = _as_stacking(rule)
+    """Logistic stack σ(Σ_τ β_τ·Y^τ + β₀) of a `StackingRule` as a plain
+    array, computed in place; `out` and `product` are as for `linear_map`."""
     out = linear_map(volumes, rule.weights, out, product)
     out += rule.bias
     np.negative(out, out=out)
@@ -102,7 +88,7 @@ def stacking_map(volumes, rule, out=None, product=None) -> np.ndarray:
 
 
 def combine_stacking(volumes, rule) -> ProbabilityVolume:
-    """Logistic stack Z = σ(Σ_τ β_τ·Y^τ + β₀)."""
+    """Logistic stack Z = σ(Σ_τ β_τ·Y^τ + β₀), for a `StackingRule`."""
     return ProbabilityVolume(
         stacking_map(volumes, rule), spacing=list(volumes)[0].spacing, modality=Modality.COMBINED
     )

@@ -55,7 +55,7 @@ from .fitting import _SIMPLEX_TOL, LinearRule, StackingRule
 from .metrics import (
     MetricsConfig, MetricsReport, TruthContext, dice, evaluate, in_zone, label_mask, truth_context,
 )
-from .sampling import SampledRuleSet
+from .sampling import SampledRuleSet, simplex_grid
 from .volumes import LabelVolume, ProbabilityVolume, validate_aligned
 
 SPLIT_NAMES = ("train", "validation", "test")
@@ -159,7 +159,6 @@ def _mean_defined(values):
 class RuleEvaluation:
     """Aggregate metrics for one rule over one dataset split."""
 
-    model: str  # "linear" | "stacking"
     rule: LinearRule | StackingRule
     rule_number: int | None
     n_cases: int
@@ -172,6 +171,11 @@ class RuleEvaluation:
     mean_precision: float | None
     n_precision_defined: int
     per_case: tuple[tuple[str, MetricsReport], ...]
+
+    @property
+    def model(self) -> str:
+        """The rule's model, "linear" or "stacking", as its type says."""
+        return "linear" if isinstance(self.rule, LinearRule) else "stacking"
 
     def rule_key(self) -> tuple:
         """Lexicographic identity used as the final ranking tiebreak."""
@@ -294,7 +298,7 @@ class _Candidates:
         return flat
 
 
-def _predict(case: CaseRecord, model: str, rule, config: EvalConfig, buffers: _Buffers):
+def _predict(case: CaseRecord, rule, config: EvalConfig, buffers: _Buffers):
     """(combined map, binarized prediction) of one rule on one case; the
     prediction is a `metrics.LabelledMask` (see `combine.label_positives`).
 
@@ -304,7 +308,7 @@ def _predict(case: CaseRecord, model: str, rule, config: EvalConfig, buffers: _B
     [0, 1] in the last place, and for a threshold in (0, 1) the mask is the
     same as from the clipped map.
     """
-    if model == "linear":
+    if isinstance(rule, LinearRule):
         combined = linear_map(case.modalities, rule.alpha, buffers.map, buffers.product)
     else:
         combined = stacking_map(case.modalities, rule, buffers.map, buffers.product)
@@ -322,7 +326,6 @@ def _predict(case: CaseRecord, model: str, rule, config: EvalConfig, buffers: _B
 
 def _evaluate_case(
     case: CaseRecord,
-    model: str,
     rule,
     config: EvalConfig,
     zone: LabelVolume | None,
@@ -344,7 +347,7 @@ def _evaluate_case(
             buffers.labels,
         )
     else:
-        _, pred = _predict(case, model, rule, config, buffers)
+        _, pred = _predict(case, rule, config, buffers)
     # a restricted prediction is labelled into the buffer its unrestricted
     # labels were in, which nothing reads any more
     pred = label_mask(in_zone(pred, zone), config.metrics.connectivity, buffers.labels)
@@ -490,13 +493,12 @@ def _run_cases(run, dataset, threads: int, config: EvalConfig) -> list:
     return results
 
 
-def _aggregate(model: str, rule, rule_number: int | None, rows) -> RuleEvaluation:
+def _aggregate(rule, rule_number: int | None, rows) -> RuleEvaluation:
     dscs = np.array([rep.dsc for _, rep in rows])
     mean_hd95, n_hd = _mean_defined([rep.hd95_mm for _, rep in rows])
     mean_rec, n_rec = _mean_defined([rep.recall_gt for _, rep in rows])
     mean_pre, n_pre = _mean_defined([rep.precision_pred for _, rep in rows])
     return RuleEvaluation(
-        model=model,
         rule=rule,
         rule_number=rule_number,
         n_cases=len(rows),
@@ -513,7 +515,7 @@ def _aggregate(model: str, rule, rule_number: int | None, rows) -> RuleEvaluatio
 
 
 def _sweep(
-    dataset, rules, model: str, config: EvalConfig, threads: int, rule_numbers=None
+    dataset, rules, config: EvalConfig, threads: int, rule_numbers=None
 ) -> list[RuleEvaluation]:
     """Score every (rule, case) pair and aggregate one RuleEvaluation per rule.
 
@@ -531,10 +533,11 @@ def _sweep(
             # building a candidate set costs about as much as one rule's dense
             # map, threshold and scan, so a lone rule runs dense
             candidates = (_Candidates(case, config.threshold, buffers.mask)
-                          if model == "linear" and len(rules) > 1 else None)
+                          if len(rules) > 1 and all(isinstance(r, LinearRule) for r in rules)
+                          else None)
             return [
                 (case.case_id,
-                 _evaluate_case(case, model, rule, config, zone, truth_ctx, buffers, candidates))
+                 _evaluate_case(case, rule, config, zone, truth_ctx, buffers, candidates))
                 for rule in rules
             ]
         except DataError:
@@ -544,35 +547,23 @@ def _sweep(
 
     by_case = _run_cases(run, dataset, threads, config)
     return [
-        _aggregate(model, rule, number, [rows[i] for rows in by_case])
+        _aggregate(rule, number, [rows[i] for rows in by_case])
         for i, (rule, number) in enumerate(zip(rules, rule_numbers or [None] * len(rules)))
     ]
 
 
 def evaluate_rule(
-    dataset,
-    rule,
-    config: EvalConfig | None = None,
-    model: str | None = None,
-    rule_number: int | None = None,
-    threads: int = 1,
+    dataset, rule, config: EvalConfig | None = None, threads: int = 1
 ) -> RuleEvaluation:
     """Combine, binarize and score every case; aggregate mean/sd per metric.
 
     Any per-case failure aborts the whole evaluation, tagged with the case id.
-    A `model` other than "linear" or "stacking", or one that disagrees with a
-    rule object's type, is a ValueError before any case is read.
+    A `rule` that is neither a LinearRule nor a StackingRule is a TypeError
+    before any case is read.
     """
-    if model is None:
-        model = "stacking" if isinstance(rule, StackingRule) else "linear"
-    kind = {"linear": LinearRule, "stacking": StackingRule}.get(model)
-    if kind is None:
-        raise ValueError(f"model must be 'linear' or 'stacking', got {model!r}")
     if not isinstance(rule, (LinearRule, StackingRule)):
-        rule = kind(rule)
-    elif not isinstance(rule, kind):
-        raise ValueError(f"model {model!r} does not take a {type(rule).__name__}")
-    return _sweep(dataset, [rule], model, config or EvalConfig(), threads, [rule_number])[0]
+        raise TypeError(f"rule must be a LinearRule or StackingRule, got {type(rule).__name__}")
+    return _sweep(dataset, [rule], config or EvalConfig(), threads)[0]
 
 
 RANK_METRICS = ("dsc", "recall", "precision", "hd95")
@@ -604,7 +595,7 @@ class GridSearchResult:
         """1-based rank of a linear rule in this result, or None if absent."""
         target = np.asarray(alpha, dtype=np.float64)
         for i, row in enumerate(self.rows, start=1):
-            if row.model == "linear" and np.allclose(row.rule.alpha, target, atol=atol):
+            if row.model == "linear" and np.allclose(row.rule.alpha, target, rtol=0.0, atol=atol):
                 return i
         return None
 
@@ -639,10 +630,8 @@ def grid_search_linear(
     threads: int = 1,
 ) -> GridSearchResult:
     """Evaluate every simplex-grid rule on the dataset and rank them."""
-    from .sampling import simplex_grid
-
     rules = simplex_grid(step)
-    rows = _sweep(dataset, rules, "linear", config or EvalConfig(), threads)
+    rows = _sweep(dataset, rules, config or EvalConfig(), threads)
     return _search(rows, rank_by, split, {"step": step, "n_rules": len(rules)})
 
 
@@ -658,7 +647,7 @@ def grid_search_stacking(
     if not rules.entries:
         raise ValueError("grid_search_stacking requires a non-empty rule set")
     entries = rules.entries
-    rows = _sweep(dataset, [e.rule for e in entries], "stacking", config or EvalConfig(), threads,
+    rows = _sweep(dataset, [e.rule for e in entries], config or EvalConfig(), threads,
                   [e.rule_number for e in entries])
     return _search(rows, rank_by, split, {"n_rules": len(rules.entries), "eta": rules.eta})
 
@@ -719,7 +708,7 @@ def availability_analysis(
     if base_rule is None:
         base_rule = LinearRule(np.full(3, 1.0 / 3.0))
     subsets = [LinearRule(np.array(alpha)) for _, alpha in AVAILABILITY_SUBSETS]
-    base, *evaluations = _sweep(dataset, [base_rule, *subsets], "linear", config or EvalConfig(), threads)
+    base, *evaluations = _sweep(dataset, [base_rule, *subsets], config or EvalConfig(), threads)
     rows = []
     for (subset, _), ev in zip(AVAILABILITY_SUBSETS, evaluations):
         delta_hd = None
@@ -737,7 +726,7 @@ def availability_analysis(
 
 
 class RuleSampler:
-    """Draws (model, rule) pairs for Monte-Carlo uncertainty.
+    """Draws rules for Monte-Carlo uncertainty.
 
     kinds: "dirichlet" (linear rules from a Dirichlet), "stacking_set"
     (uniform over a SampledRuleSet's accepted rules), "fixed" (cycles a given
@@ -754,25 +743,23 @@ class RuleSampler:
             if len(conc) != 3 or min(conc) <= 0:
                 raise ValueError(f"concentration must be 3 positive reals, got {conc}")
             self.concentration = conc
-            self.model = "linear"
         elif self.kind == "stacking_set":
             if rule_set is None:
                 raise ValueError("stacking_set sampler requires a SampledRuleSet")
             if not rule_set.entries:
                 raise ValueError("stacking_set sampler requires accepted rules")
             self.rule_set = rule_set
-            self.model = "stacking"
         elif self.kind == "fixed":
-            self.model = str(config.get("model", "linear"))
+            model = str(config.get("model", "linear"))
             rules = config.get("rules")
             if not rules:
                 raise ValueError("fixed sampler requires a non-empty rule list")
-            if self.model == "linear":
+            if model == "linear":
                 self.rules = [r if isinstance(r, LinearRule) else LinearRule(np.asarray(r)) for r in rules]
-            elif self.model == "stacking":
+            elif model == "stacking":
                 self.rules = [r if isinstance(r, StackingRule) else StackingRule(np.asarray(r)) for r in rules]
             else:
-                raise ValueError(f"fixed sampler model must be linear or stacking, got {self.model!r}")
+                raise ValueError(f"fixed sampler model must be linear or stacking, got {model!r}")
         else:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
 
@@ -885,7 +872,7 @@ def monte_carlo_uncertainty(
 
         def draws():
             for rule in rules:
-                combined, pred = _predict(case, sampler.model, rule, config, buffers)
+                combined, pred = _predict(case, rule, config, buffers)
                 dscs.append(dice(in_zone(pred, zone), truth))
                 # as combine_linear clips; a stacking map already lies in [0, 1]
                 yield np.clip(combined, 0.0, 1.0, out=combined)

@@ -21,5 +21,5 @@ class DivergenceError(RuleFuseError):
     """Iterative fit produced a non-finite loss."""
 
 
-class PackingError(RuleFuseError):
+class PackingError(DataError):
     """Phantom lesion placement failed after bounded retries."""

@@ -37,12 +37,12 @@ def test_one_hot_projection_is_bit_exact():
 
 
 def test_equal_weights_mean():
-    out = combine_linear(const_vols(0.9, 0.6, 0.3), [1 / 3, 1 / 3, 1 / 3])
+    out = combine_linear(const_vols(0.9, 0.6, 0.3), LinearRule(np.full(3, 1 / 3)))
     np.testing.assert_allclose(out.values, 0.6)
 
 
 def test_weighted_combination_hand_value():
-    out = combine_linear(const_vols(1.0, 0.5, 0.0), [0.6, 0.2, 0.2])
+    out = combine_linear(const_vols(1.0, 0.5, 0.0), LinearRule(np.array([0.6, 0.2, 0.2])))
     np.testing.assert_allclose(out.values, 0.7)
 
 
@@ -50,12 +50,12 @@ def test_combine_linear_requires_alignment():
     vols = const_vols(0.1, 0.2, 0.3)
     vols[2] = vol(np.zeros((3, 2, 2)))
     with pytest.raises(AlignmentError):
-        combine_linear(vols, [1 / 3, 1 / 3, 1 / 3])
+        combine_linear(vols, LinearRule(np.full(3, 1 / 3)))
 
 
 def test_combine_linear_rejects_non_simplex():
     with pytest.raises(ValueError):
-        combine_linear(const_vols(0.1, 0.2, 0.3), [0.5, 0.5, 0.5])
+        combine_linear(const_vols(0.1, 0.2, 0.3), LinearRule(np.array([0.5, 0.5, 0.5])))
 
 
 def test_zero_weight_ignores_modality_bit_exactly():
@@ -139,13 +139,15 @@ def test_stacking_zero_beta_gives_half():
 
 
 def test_stacking_balanced_logit_gives_half():
-    out = combine_stacking(const_vols(0.5, 0.123, 0.987), [4.0, 0.0, 0.0, -2.0])
+    beta = StackingRule(np.array([4.0, 0.0, 0.0, -2.0]))
+    out = combine_stacking(const_vols(0.5, 0.123, 0.987), beta)
     np.testing.assert_allclose(out.values, 0.5)
 
 
 def test_stacking_saturates_for_wg_style_weights():
     # strong positive evidence from both T2W and DWI_hb drives sigma to ~1
-    out = combine_stacking(const_vols(1.0, 1.0, 1.0), [18.17, 18.17, -0.20, -8.53])
+    beta = StackingRule(np.array([18.17, 18.17, -0.20, -8.53]))
+    out = combine_stacking(const_vols(1.0, 1.0, 1.0), beta)
     np.testing.assert_allclose(out.values, 1.0, atol=1e-8)
 
 
@@ -180,7 +182,7 @@ def test_vote_equals_mean_threshold():
     masks = [LabelVolume(rng.random((6, 6, 6)) > 0.5) for _ in range(3)]
     voted = combine_vote(masks)
     as_probs = [ProbabilityVolume(m.values.astype(np.float64)) for m in masks]
-    mean = combine_linear(as_probs, [1 / 3, 1 / 3, 1 / 3])
+    mean = combine_linear(as_probs, LinearRule(np.full(3, 1 / 3)))
     thresholded = binarize(mean, 0.5, min_region_voxels=1)
     np.testing.assert_array_equal(voted.values, thresholded.values)
 

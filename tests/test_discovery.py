@@ -13,6 +13,7 @@ from rulefuse.combine import binarize, combine_linear, combine_stacking, linear_
 from rulefuse.discovery import (
     CaseRecord,
     EvalConfig,
+    GridSearchResult,
     RuleSampler,
     assign_splits,
     availability_analysis,
@@ -156,21 +157,10 @@ def logged_loads(log):
     return [tuple(line.split()) for line in log.read_text().splitlines()] if log.exists() else []
 
 
-@pytest.mark.parametrize(
-    "rule, model, message",
-    [
-        ([1 / 3] * 3, "vote", "model must be 'linear' or 'stacking', got 'vote'"),
-        (StackingRule(np.array([1.0, 1.0, 1.0, -1.5])), "linear",
-         "model 'linear' does not take a StackingRule"),
-        (LinearRule(np.full(3, 1 / 3)), "stacking", "model 'stacking' does not take a LinearRule"),
-    ],
-    ids=["unknown", "stacking-rule-as-linear", "linear-rule-as-stacking"],
-)
-def test_evaluate_rule_refuses_a_bad_model_before_reading_a_case(rule, model, message, tmp_path):
+def test_evaluate_rule_refuses_raw_weights_before_reading_a_case(tmp_path):
     log = tmp_path / "loads"
-    with pytest.raises(ValueError) as info:
-        evaluate_rule([LoggedSource(case, log) for case in truth_cases(2)], rule, model=model)
-    assert type(info.value) is ValueError and str(info.value) == message
+    with pytest.raises(TypeError, match="rule must be a LinearRule or StackingRule, got list"):
+        evaluate_rule([LoggedSource(case, log) for case in truth_cases(2)], [1 / 3] * 3)
     assert logged_loads(log) == []
 
 
@@ -229,7 +219,7 @@ def test_sweep_reports_equal_binarize_then_evaluate(min_region, connectivity, zo
     rules = [LinearRule(np.array(a)) for a in
              ((1.0, 0.0, 0.0), (0.5, 0.5, 0.0), (0.2, 0.3, 0.5), (1 / 3, 1 / 3, 1 / 3))]
     lesions = set()
-    for rule, row in zip(rules, discovery._sweep(cases, rules, "linear", config, threads=1)):
+    for rule, row in zip(rules, discovery._sweep(cases, rules, config, threads=1)):
         for case, (case_id, report) in zip(cases, row.per_case):
             assert case_id == case.case_id
             pred = binarize(combine_linear(case.modalities, rule), config.threshold,
@@ -532,10 +522,9 @@ def test_candidate_positives_and_reports_equal_the_dense_path(seed, t, rules, mi
     candidates = discovery._Candidates(case, t, buffers.mask)
     dense_buffers = discovery._Buffers(case.truth.dims)
     for rule in rules:
-        got = discovery._evaluate_case(case, "linear", rule, config, zone_mask, truth_ctx,
-                                       buffers, candidates)
-        want = discovery._evaluate_case(case, "linear", rule, config, zone_mask, truth_ctx,
-                                        dense_buffers)
+        got = discovery._evaluate_case(case, rule, config, zone_mask, truth_ctx, buffers,
+                                       candidates)
+        want = discovery._evaluate_case(case, rule, config, zone_mask, truth_ctx, dense_buffers)
         assert repr(got) == repr(want)
 
 
@@ -838,6 +827,15 @@ def test_grid_search_rank_of_linear_lookup():
     result = grid_search_linear(cases, step=0.5)
     assert result.rank_of_linear([0.0, 0.0, 1.0]) == 1
     assert result.rank_of_linear([0.123, 0.377, 0.5]) is None
+
+
+def test_rank_of_linear_matches_within_its_absolute_tolerance_only():
+    # with numpy's default rtol of 1e-5 on top, 4e-6 off at α = 0.5 would match
+    alpha = [0.500004, 0.499996, 0.0]
+    row = evaluate_rule(truth_cases(1), LinearRule(np.array(alpha)))
+    result = GridSearchResult(rows=(row,), rank_by="dsc", split="validation", options={})
+    assert result.rank_of_linear([0.5, 0.5, 0.0]) is None
+    assert result.rank_of_linear(alpha) == 1
 
 
 def test_grid_search_heatmap_rows():
