@@ -8,6 +8,11 @@ from scipy import ndimage
 _STRUCTURES = {c: ndimage.generate_binary_structure(3, r) for c, r in ((6, 1), (18, 2), (26, 3))}
 
 
+# Descent steps between two finiteness checks. The check costs about what a
+# step costs, so one per block leaves it a few percent of the descent.
+_DESCENT_BLOCK = 32
+
+
 def fit_logistic(X, D, lr, max_iters):
     """Full-batch gradient descent on the summed binary cross-entropy, for
     every row of the decision matrix D at once.
@@ -17,6 +22,14 @@ def fit_logistic(X, D, lr, max_iters):
     before it, with finite False and its own iteration count; the loss is
     finite exactly when every chosen probability (p where d = 1, 1 - p where
     d = 0) is positive, so only that is tested.
+
+    Steps run in blocks of `_DESCENT_BLOCK` into reused buffers, and the test
+    runs once per block, on all of the block's probabilities. When it fails,
+    the block's first failing step is located, its failing rows freeze at the
+    coefficients that step started from, the step is taken for the other
+    rows alone, and blocks resume from the next step. Every row meets the
+    same operations on the same shapes as under a test after every step, so
+    B, iterations_used and finite are bit for bit those of that test.
     """
     X = np.asarray(X, dtype=np.float64)
     D = np.atleast_2d(np.asarray(D, dtype=np.float64))
@@ -24,23 +37,55 @@ def fit_logistic(X, D, lr, max_iters):
     used = np.full(D.shape[0], max_iters)
     finite = np.ones(D.shape[0], dtype=bool)
     rows = np.arange(D.shape[0])  # rows still descending; diverged ones are retired
-    beta, d = B.copy(), D
-    positive = d > 0.5
+    beta, d, step = B.copy(), D, 0
     neg_xt = -X.T
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(max_iters):
-            p = 1.0 / (1.0 + np.exp(beta @ neg_xt))
-            chosen_positive = np.where(positive, p, 1.0 - p) > 0
-            if not chosen_positive.all():
-                ok = chosen_positive.all(axis=1)
-                gone = rows[~ok]
-                B[gone], used[gone], finite[gone] = beta[~ok], step, False
-                rows, beta, d, positive, p = rows[ok], beta[ok], d[ok], positive[ok], p[ok]
-                if not rows.size:
+        while True:
+            # block buffers for the rows that remain: step k of a block turns
+            # betas[k] into betas[k + 1] by way of the probabilities P[k]
+            P = np.empty((_DESCENT_BLOCK, rows.size, X.shape[0]))
+            chosen = np.empty_like(P)
+            betas = np.empty((_DESCENT_BLOCK + 1, rows.size, X.shape[1]))
+            resid, grad = np.empty_like(P[0]), np.empty_like(betas[0])
+            positive = d > 0.5
+            sign, offset = np.where(positive, 1.0, -1.0), np.where(positive, 0.0, 1.0)
+            betas[0] = beta
+            P_at, beta_at = list(P), list(betas)  # each step's views, made once
+            while step < max_iters:
+                n = min(_DESCENT_BLOCK, max_iters - step)
+                for k in range(n):
+                    p, b = P_at[k], beta_at[k]
+                    np.matmul(b, neg_xt, out=p)
+                    np.exp(p, out=p)
+                    p += 1.0
+                    np.divide(1.0, p, out=p)
+                    np.subtract(p, d, out=resid)
+                    np.matmul(resid, X, out=grad)
+                    if lr != 1.0:  # x * 1.0 == x, so skipping it changes no bit
+                        grad *= lr
+                    np.subtract(b, grad, out=beta_at[k + 1])
+                # p * 1 + 0 == p and p * -1 + 1 == 1 - p exactly; NaN fails
+                np.multiply(P[:n], sign, out=chosen[:n])
+                chosen[:n] += offset
+                if not chosen[:n].min() > 0:
                     break
+                betas[0] = betas[n]
+                step += n
+            else:
+                B[rows] = betas[0]
+                return B, used, finite
+            # retire the rows that fail at the block's first failing step i,
+            # then take step i for the others on their own
+            i = int(np.argmin((chosen[:n] > 0).all(axis=(1, 2))))
+            ok = (chosen[i] > 0).all(axis=1)
+            gone = rows[~ok]
+            step += i
+            B[gone], used[gone], finite[gone] = betas[i][~ok], step, False
+            rows, beta, d, p = rows[ok], betas[i][ok], d[ok], P[i][ok]
+            if not rows.size:
+                return B, used, finite
             beta -= lr * ((p - d) @ X)
-    B[rows] = beta
-    return B, used, finite
+            step += 1
 
 
 def bounding_box(flat, shape) -> tuple[slice, slice, slice]:

@@ -740,8 +740,8 @@ class RuleSampler:
         if self.kind == "dirichlet":
             conc = config.get("concentration", (1.0, 1.0, 1.0))
             conc = tuple(float(c) for c in conc)
-            if len(conc) != 3 or min(conc) <= 0:
-                raise ValueError(f"concentration must be 3 positive reals, got {conc}")
+            if len(conc) != 3 or not all(c > 0 and math.isfinite(c) for c in conc):
+                raise ValueError(f"concentration must be 3 positive finite reals, got {conc}")
             self.concentration = conc
         elif self.kind == "stacking_set":
             if rule_set is None:

@@ -14,6 +14,7 @@ conventions that reproduce the published reference fits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,8 +215,8 @@ def fit_stacking_batch(
     fit_stacking call. Raises DivergenceError for the first decision, in
     the given order, whose loss turned non-finite.
     """
-    if learning_rate <= 0:
-        raise ValueError(f"learning_rate must be positive, got {learning_rate}")
+    if not (learning_rate > 0 and math.isfinite(learning_rate)):
+        raise ValueError(f"learning_rate must be a positive finite number, got {learning_rate}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     X = R.design_matrix()

@@ -21,8 +21,8 @@ DEFAULT_ETA = 0.5
 def sample_dirichlet(seed: int, concentration=(1.0, 1.0, 1.0)) -> LinearRule:
     """One Dirichlet draw on the 3-simplex, renormalized so the sum is exact."""
     conc = np.asarray(concentration, dtype=np.float64)
-    if conc.shape != (3,) or np.any(conc <= 0):
-        raise ValueError(f"concentration must be 3 positive reals, got {concentration}")
+    if conc.shape != (3,) or not np.all((conc > 0) & np.isfinite(conc)):
+        raise ValueError(f"concentration must be 3 positive finite reals, got {concentration}")
     rng = np.random.default_rng(seed)
     alpha = rng.dirichlet(conc)
     alpha = np.clip(alpha, 0.0, None)
@@ -159,8 +159,8 @@ def rejection_sample_stacking(
     """
     if not 1 <= n_rules <= 256:
         raise ValueError(f"n_rules must be in [1, 256], got {n_rules}")
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    if not (eta > 0 and math.isfinite(eta * eta)):
+        raise ValueError(f"eta must be positive with a finite square, got {eta}")
     threshold = eta**2 / 8.0
     reports = fitting.fit_stacking_batch(
         canonical_condition_matrix(),

@@ -67,6 +67,35 @@ def logistic_descent_ref(X, d, lr, max_iters):
     return beta, used, True
 
 
+def logistic_descent_stepwise(X, D, lr, max_iters):
+    """`backends.fit_logistic` with its finiteness test after every step
+    instead of once per block: the bitwise reference for the blocked test.
+    Returns (B, iterations_used, finite) for every row of D."""
+    X = np.asarray(X, dtype=np.float64)
+    D = np.atleast_2d(np.asarray(D, dtype=np.float64))
+    B = np.zeros((D.shape[0], X.shape[1]))
+    used = np.full(D.shape[0], max_iters)
+    finite = np.ones(D.shape[0], dtype=bool)
+    rows = np.arange(D.shape[0])  # rows still descending; diverged ones are retired
+    beta, d = B.copy(), D
+    positive = d > 0.5
+    neg_xt = -X.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(max_iters):
+            p = 1.0 / (1.0 + np.exp(beta @ neg_xt))
+            chosen_positive = np.where(positive, p, 1.0 - p) > 0
+            if not chosen_positive.all():
+                ok = chosen_positive.all(axis=1)
+                gone = rows[~ok]
+                B[gone], used[gone], finite[gone] = beta[~ok], step, False
+                rows, beta, d, positive, p = rows[ok], beta[ok], d[ok], positive[ok], p[ok]
+                if not rows.size:
+                    break
+            beta -= lr * ((p - d) @ X)
+    B[rows] = beta
+    return B, used, finite
+
+
 # --- connected components ------------------------------------------------------
 
 

@@ -81,6 +81,21 @@ def test_sample_negative_eta_is_usage_error(capsys):
     assert_one_line_usage_error(capsys, ["sample", "--eta", "-1"], "eta must be positive")
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["fit", "--zone", "WG", "--lr", "nan"], "learning_rate must be a positive finite number, got nan"),
+    (["sample", "--n-rules", "2", "--lr", "inf"], "learning_rate must be a positive finite number, got inf"),
+    (["sample", "--n-rules", "2", "--eta", "nan"], "eta must be positive with a finite square, got nan"),
+    (["sample", "--n-rules", "2", "--eta", "1e400"], "eta must be positive with a finite square, got inf"),
+    (["sample", "--model", "linear", "--concentration", "nan,1,1"],
+     "concentration must be 3 positive finite reals"),
+], ids=["fit-lr", "sample-lr", "eta-nan", "eta-inf", "concentration"])
+def test_non_finite_option_is_one_usage_error_and_writes_nothing(argv, needle, capsys, tmp_path,
+                                                                 monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert_one_line_usage_error(capsys, argv + ["--out", "o.json"], needle)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sample_uneven_grid_step_is_usage_error(capsys):
     argv = ["sample", "--model", "linear", "--grid-step", "0.3"]
     assert_one_line_usage_error(capsys, argv, "step must divide 1 evenly")
@@ -704,6 +719,7 @@ RULE_SPECS = [
 SAMPLERS = [
     '{"kind": "dirichlet"}', '{"kind": "fixed", "rules": [[0.5, 0.5, 0]]}',
     '{"kind": "stacking_set"}', '{"kind": "bogus"}', '{"kind": "dirichlet", "concentration": 5}',
+    '{"kind": "dirichlet", "concentration": [NaN, 1, 1]}',
     "[1, 2]", "{bad", "{MISSING}",
 ]
 PHANTOM_SPECS = [
@@ -717,11 +733,11 @@ SPLITS = ["train", "validation", "test", "bogus"]
 COMMANDS = {
     "fit": ([], {"--rule-number": ["3", "300", "x"], "--zone": ["WG", "PZ", "XX"],
                  "--bits": ["00111111", "01"], "--model": ["linear", "stacking", "both", "bogus"],
-                 "--lr": ["1.0", "1e6", "-1", "x"], "--iters": ["50", "0", "x"],
+                 "--lr": ["1.0", "1e6", "-1", "nan", "inf", "x"], "--iters": ["50", "0", "x"],
                  "--out": ["fit.json"]}),
     "sample": ([["--n-rules"], ["0", "2", "300", "x"]],
-               {"--model": ["linear", "stacking", "bogus"], "--eta": FLOATS,
-                "--lr": ["1.0", "-1", "x"], "--iters": ["50", "0", "x"], "--n": INTS,
+               {"--model": ["linear", "stacking", "bogus"], "--eta": FLOATS + ["inf"],
+                "--lr": ["1.0", "-1", "nan", "inf", "x"], "--iters": ["50", "0", "x"], "--n": INTS,
                 "--concentration": ["1,1,1", "1,2", "a,b,c"],
                 "--grid-step": ["0.5", "0.3", "0", "x"], "--format": ["json", "csv", "xml"],
                 "--out": ["s.json"]}),
@@ -781,6 +797,8 @@ configs = st.one_of(st.none(), st.sampled_from(CONFIG_TEXTS) | st.dictionaries(
                '{"model": "linear", "rule_number": [1]}', "--out", "c.f32le"], config=None)
 @example(argv=["phantom", "--spec", '{"noise_sd": null}', "--out-dir", "ds"], config=None)
 @example(argv=["sample", "--n-rules", "2", "--model", "linear", "--n", "0"], config=None)
+@example(argv=["sample", "--n-rules", "2", "--eta", "nan"], config=None)
+@example(argv=["sample", "--n-rules", "2", "--eta", "inf", "--out", "s.json"], config=None)
 def test_any_argv_exits_with_one_line_and_usage_errors_touch_nothing(argv_dataset, argv, config):
     root, files = argv_dataset
     for placeholder, path in files.items():
@@ -804,6 +822,16 @@ def test_any_argv_exits_with_one_line_and_usage_errors_touch_nothing(argv_datase
     if code == 1:
         assert load.call_count == 0, (argv, config, err)
         assert list(work.iterdir()) == [], (argv, config, err)
+    if code == 0 and {"fit", "sample"} & set(argv):
+        # what a fit or sample run prints or writes as JSON is strict JSON: no NaN or Infinity
+        texts = [stdout.getvalue()] + [f.read_text() for f in work.iterdir() if f.is_file()]
+        for text in texts:
+            if text.lstrip().startswith("{"):
+                json.loads(text, parse_constant=_reject_constant)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
 
 
 @pytest.mark.parametrize("probe", ["manifest", "sidecar", "out"])

@@ -1016,6 +1016,12 @@ def test_mc_validates_inputs():
         RuleSampler({"kind": "fixed", "model": "linear", "rules": []})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_dirichlet_sampler_names_a_non_finite_concentration(bad):
+    with pytest.raises(ValueError, match="concentration must be 3 positive finite reals"):
+        RuleSampler({"kind": "dirichlet", "concentration": [bad, 1, 1]})
+
+
 # --- planted-rule recovery (desk-size smoke; the scaled run is acceptance #6) -----
 
 

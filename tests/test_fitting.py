@@ -166,12 +166,64 @@ def test_mixed_batch_rows_diverge_independently():
         np.testing.assert_allclose(B[row], beta, rtol=0, atol=1e-12, err_msg=f"rule {n}")
 
 
+def _assert_bitwise_stepwise(D, lr, max_iters):
+    """fit_logistic's (B, used, finite) hold exactly the bytes of a descent
+    that tests finiteness after every step."""
+    got = backends.fit_logistic(X, D, lr, max_iters)
+    want = oracles.logistic_descent_stepwise(X, D, lr, max_iters)
+    for name, a, b in zip(("B", "used", "finite"), got, want):
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
+    return got
+
+
+def test_blocked_descent_is_bitwise_stepwise_for_every_rule():
+    _, used, finite = _assert_bitwise_stepwise(ALL_D, 1.0, 10_000)
+    assert finite.all() and (used == 10_000).all()
+
+
+BLOCK = backends._DESCENT_BLOCK
+
+
+@pytest.mark.parametrize("lr, step", [(9.066, BLOCK - 1), (7.033, BLOCK), (9.171, 2 * BLOCK)])
+def test_divergence_at_a_block_boundary_is_bitwise_stepwise(lr, step):
+    # at these step sizes some rules first fail on the named step, the last
+    # of a block or the first of the next
+    _, used, finite = _assert_bitwise_stepwise(ALL_D, lr, 100)
+    assert step in used[~finite]
+
+
+@pytest.mark.parametrize("max_iters", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+@pytest.mark.parametrize("lr", [1.0, 10.0])
+def test_short_and_ragged_budgets_are_bitwise_stepwise(lr, max_iters):
+    _assert_bitwise_stepwise(ALL_D, lr, max_iters)
+
+
+def test_rows_diverging_at_different_steps_of_one_block_are_bitwise_stepwise():
+    # rule 1 fails on step 1 and rule 7 on step 2; rule 0 runs the full budget
+    _, used, finite = _assert_bitwise_stepwise(ALL_D[[0, 7, 1]], 1e6, 50)
+    assert used.tolist() == [50, 2, 1] and finite.tolist() == [True, False, False]
+
+
+@settings(max_examples=150, deadline=None)
+@given(numbers=st.lists(st.integers(0, 255), min_size=1, max_size=24, unique=True),
+       log_lr=st.floats(-1.0, 7.0), max_iters=st.integers(1, 150))
+def test_blocked_descent_is_bitwise_stepwise(numbers, log_lr, max_iters):
+    _assert_bitwise_stepwise(ALL_D[numbers], 10.0**log_lr, max_iters)
+
+
 def test_stacking_rejects_bad_options():
     d = decision_from_number(63)
     with pytest.raises(ValueError):
         fit_stacking(R, d, learning_rate=0.0)
     with pytest.raises(ValueError):
         fit_stacking(R, d, max_iters=0)
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf")])
+def test_stacking_rejects_a_non_finite_learning_rate_before_descending(lr, monkeypatch):
+    monkeypatch.setattr(backends, "fit_logistic", None)  # never reached
+    with pytest.raises(ValueError, match=f"learning_rate must be a positive finite number, got {lr}"):
+        fit_stacking_batch(R, [decision_from_number(63)], learning_rate=lr)
 
 
 def test_parity_rule_is_not_linearly_representable():

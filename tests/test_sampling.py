@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rulefuse import sampling
 from rulefuse.errors import DataError
 from rulefuse.fitting import fit_stacking, predict_decisions
 from rulefuse.rules import canonical_condition_matrix, decision_from_number
@@ -31,6 +32,19 @@ def test_dirichlet_rejects_bad_concentration():
         sample_dirichlet(0, concentration=(1.0, 0.0, 1.0))
     with pytest.raises(ValueError):
         sample_dirichlet(0, concentration=(1.0, 1.0))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_dirichlet_names_a_non_finite_concentration(bad):
+    with pytest.raises(ValueError, match="concentration must be 3 positive finite reals"):
+        sample_dirichlet(0, concentration=(bad, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("eta", [float("nan"), float("inf"), 1e200])
+def test_sweep_rejects_an_eta_without_a_finite_square_before_fitting(eta, monkeypatch):
+    monkeypatch.setattr(sampling.fitting, "fit_stacking_batch", None)  # never reached
+    with pytest.raises(ValueError, match="eta must be positive with a finite square"):
+        rejection_sample_stacking(n_rules=2, eta=eta)
 
 
 def test_simplex_grid_counts():
