@@ -7,6 +7,28 @@ from scipy import ndimage
 
 _STRUCTURES = {c: ndimage.generate_binary_structure(3, r) for c, r in ((6, 1), (18, 2), (26, 3))}
 
+# A box is labelled from its z-runs when it holds more than this many voxels
+# per run, and by ndimage.label otherwise. ndimage.label costs 15-28 ns per
+# box voxel whatever the box holds; the run labeller costs per run. Measured
+# on 2 CPUs (numpy 2.4.6, scipy 1.17.1) over random and smoothed-noise masks
+# from 16³ to 48³: at 34-36 voxels per run the runs took 0.8-1.2x ndimage's
+# time, at 50-56 0.5-0.9x, and from 64 on 0.2-0.8x (1.0x in 16³ boxes). A
+# `search` prediction holds 47-180 (median 99) and labels in 0.35-0.45x. At
+# 64 a full box (as many voxels per run as the box is deep, 48 at 48³), a
+# checkerboard (2; 17x slower by runs) and a mask of a 16³ phantom stay on
+# ndimage.label.
+_BOX_VOXELS_PER_RUN = 64
+
+# The rows a z-run can touch after its own, as (dx, dy) steps, with the z
+# slack each allows at a connectivity: 1 where a neighbour may sit one voxel
+# past the run's ends, 0 where it must overlap it. At 6 the diagonal rows
+# touch nothing.
+_FORWARD_ROWS = {
+    26: (((0, 1), 1), ((1, -1), 1), ((1, 0), 1), ((1, 1), 1)),
+    18: (((0, 1), 1), ((1, -1), 0), ((1, 0), 1), ((1, 1), 0)),
+    6: (((0, 1), 0), ((1, 0), 0)),
+}
+
 
 # Descent steps between two finiteness checks. The check costs about what a
 # step costs, so one per block leaves it a few percent of the descent.
@@ -130,6 +152,10 @@ def label_components(mask, connectivity, box, out: LabelBuffer | None = None):
     order inside a box is scan order in the volume, so the labels are those
     of the whole mask, and every voxel outside the box is background. The
     labels go into `out`'s array, when given, instead of a fresh array.
+
+    A box holding more than `_BOX_VOXELS_PER_RUN` voxels per z-run is
+    labelled from its runs (see `_label_runs`), any other by ndimage.label;
+    both give the same labels, numbered alike.
     """
     structure = _STRUCTURES.get(connectivity)
     if structure is None:
@@ -142,7 +168,81 @@ def label_components(mask, connectivity, box, out: LabelBuffer | None = None):
     crop = mask[box]
     if not crop.size:
         return labels, 0
+    ends = _run_ends(crop)
+    if crop.size > _BOX_VOXELS_PER_RUN * (np.count_nonzero(ends) // 2):
+        origin = tuple(s.indices(n)[0] for s, n in zip(box, mask.shape))
+        return labels, _label_runs(ends, crop.shape, origin, connectivity, labels)
     return labels, ndimage.label(crop, structure=structure, output=labels[box])
+
+
+def _run_ends(crop) -> np.ndarray:
+    """The ends of the z-runs of a 3D boolean box, flat over the box with one
+    empty voxel after each row: True at each run's first voxel and at the
+    voxel just past its last, so every run has exactly two."""
+    bx, by, bz = crop.shape
+    padded = np.zeros(bx * by * (bz + 1) + 1, dtype=bool)
+    padded[1:].reshape(bx, by, bz + 1)[..., :bz] = crop
+    return padded[1:] != padded[:-1]
+
+
+def _label_runs(ends, shape, origin, connectivity, labels) -> int:
+    """Label a box of `shape` at `origin` in the C-contiguous `labels` volume
+    from its z-runs, whose ends `_run_ends` marks, and return the component
+    count. Components are numbered as ndimage.label numbers them: by their
+    first voxels' scan order.
+
+    Each run looks for neighbours in the up-to-four rows after its own, by
+    one `searchsorted` pair over the runs' first and last positions. Runs are
+    placed with one empty voxel after each row and one empty row after each
+    x slab, so a search widened by its z slack never reaches another row.
+    Components are joined by hooking the larger of two roots onto the
+    smaller, then pointer jumping until every run points at its root; since
+    every pointer goes down, a root is its component's first run.
+    """
+    bounds = np.flatnonzero(ends)
+    if not bounds.size:
+        return 0
+    _, by, bz = shape
+    pitch = bz + 1
+    start, stop = bounds[0::2], bounds[1::2]
+    lengths = stop - start
+    first = start + start // (by * pitch) * pitch  # one empty row after each slab
+    last = first + lengths - 1
+    steps = [((dx * (by + 1) + dy) * pitch, slack)
+             for (dx, dy), slack in _FORWARD_ROWS[connectivity]]
+    lo = np.concatenate([first + (step - slack) for step, slack in steps])
+    hi = np.concatenate([last + (step + slack) for step, slack in steps])
+    # the runs ending at or after lo and starting at or before hi touch the query's run
+    after = last.searchsorted(lo)
+    counts = first.searchsorted(hi, "right") - after
+    runs = np.arange(start.size)
+    parent = runs.copy()
+    total = counts.sum()
+    if total:
+        i = np.tile(runs, len(steps)).repeat(counts)
+        j = np.arange(total) + (after - (counts.cumsum() - counts)).repeat(counts)
+        parent[j] = i  # i < j: every run is still a root
+        while True:
+            while True:
+                up = parent[parent]
+                if (up == parent).all():
+                    break
+                parent = up
+            a, b = parent[i], parent[j]
+            apart = a != b
+            if not apart.any():
+                break
+            i, j, a, b = i[apart], j[apart], a[apart], b[apart]
+            parent[np.maximum(a, b)] = np.minimum(a, b)
+    rank = (parent == runs).cumsum(dtype=np.int32)
+    row, z = np.divmod(start, pitch)
+    x, y = np.divmod(row, by)
+    ny, nz = labels.shape[1:]
+    # each run's first voxel in the volume, less the run voxels before it
+    at = ((x + origin[0]) * ny + y + origin[1]) * nz + z + origin[2]
+    at -= lengths.cumsum() - lengths
+    labels.reshape(-1)[np.arange(lengths.sum()) + at.repeat(lengths)] = rank[parent].repeat(lengths)
+    return int(rank[-1])
 
 
 def components(mask, connectivity, min_voxels=1, positives: np.ndarray | None = None, out=None):

@@ -294,6 +294,15 @@ def _eval_config(args) -> EvalConfig:
                       metrics=MetricsConfig(**metrics), zone=options.get("zone"))
 
 
+def _check_outputs(args, *options: str) -> None:
+    """Check the path of each output option given, before any volume is read
+    (see `volio.check_output`)."""
+    for option in options:
+        path = getattr(args, option[2:].replace("-", "_"))
+        if path is not None:
+            volio.check_output(path, option)
+
+
 def _case_sources(args, split: str, eval_cfg: EvalConfig) -> list:
     """The sources of the manifest's cases in `split`, each to read only the
     configured zone's volumes; no volume is read until a sweep loads a case."""
@@ -314,6 +323,7 @@ def cmd_search(args) -> int:
         ruleset = sampling.SampledRuleSet.load(args.rules)
         if not ruleset.entries:
             raise UsageError(f"--rules {args.rules} holds no accepted rules")
+    _check_outputs(args, "--out", "--csv-out", "--heatmap-out")
 
     def run_split(split: str) -> discovery.GridSearchResult:
         sources = _case_sources(args, split, eval_cfg)
@@ -342,6 +352,7 @@ def cmd_availability(args) -> int:
         if spec.get("model", "linear") != "linear":
             raise UsageError("availability base rule must be linear")
         _, base = _rule_from_spec(spec)
+    _check_outputs(args, "--out", "--csv-out")
     sources = _case_sources(args, args.split, eval_cfg)
     table = discovery.availability_analysis(sources, base_rule=base, config=eval_cfg,
                                             threads=args.threads)
@@ -358,10 +369,16 @@ def cmd_mc_uncertainty(args) -> int:
         raise UsageError(str(exc)) from None
     eval_cfg = _eval_config(args)
     discovery.check_draws(args.draws)
+    _check_outputs(args, "--out", "--csv-out")
+    if args.volumes_out is not None:
+        volio.check_output(args.volumes_out, "--volumes-out", directory=True)
     sources = _case_sources(args, args.split, eval_cfg)
-    # checked before the run, so a bad case id costs no draws
+    # checked before the run, so a bad case id or file costs no draws
     volume_paths = {c.case_id: volio.case_file(args.volumes_out, c.case_id, "_variance.f32le")
                     for c in sources} if args.volumes_out else {}
+    for path in volume_paths.values():
+        for written in (path, f"{path}{volio.SIDECAR_SUFFIX}"):
+            volio.check_output(written, "--volumes-out")
     result = discovery.monte_carlo_uncertainty(
         sources, sampler, n_draws=args.draws, seed=args.seed, config=eval_cfg, threads=args.threads,
     )

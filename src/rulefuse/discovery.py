@@ -55,7 +55,7 @@ from .fitting import _SIMPLEX_TOL, LinearRule, StackingRule
 from .metrics import (
     MetricsConfig, MetricsReport, TruthContext, dice, evaluate, in_zone, label_mask, truth_context,
 )
-from .sampling import SampledRuleSet, simplex_grid
+from .sampling import SampledRuleSet, dirichlet_rule, simplex_grid
 from .volumes import LabelVolume, ProbabilityVolume, validate_aligned
 
 SPLIT_NAMES = ("train", "validation", "test")
@@ -765,9 +765,7 @@ class RuleSampler:
 
     def draw(self, rng: np.random.Generator, index: int):
         if self.kind == "dirichlet":
-            alpha = rng.dirichlet(self.concentration)
-            alpha = alpha / alpha.sum()
-            return LinearRule(alpha)
+            return dirichlet_rule(rng, self.concentration)
         if self.kind == "stacking_set":
             entry = self.rule_set.entries[int(rng.integers(len(self.rule_set.entries)))]
             return entry.rule
@@ -813,7 +811,9 @@ def _shifted_moments(values_iter, n: int):
     Centring on the first draw makes a point-mass distribution produce an
     exactly zero variance instead of rounding residue. The first sample is
     copied; every later one is overwritten with its deviations, so a caller
-    may hand in the same buffer each time.
+    may hand in the same buffer each time. The mean is returned in the first
+    sample's copy and the variance in the squares' sum: no volume is
+    allocated past the three.
     """
     first = None
     s1 = s2 = None
@@ -826,10 +826,13 @@ def _shifted_moments(values_iter, n: int):
             dev = np.subtract(values, first, out=values)
             s1 += dev
             s2 += np.multiply(dev, dev, out=dev)
-    mean = first + s1 / n
-    variance = s2 / n - (s1 / n) ** 2
-    np.maximum(variance, 0.0, out=variance)
-    return mean, variance
+    # in place, the same IEEE operations as first + s1/n and s2/n - (s1/n)**2
+    s1 /= n
+    first += s1
+    s2 /= n
+    s2 -= np.multiply(s1, s1, out=s1)
+    np.maximum(s2, 0.0, out=s2)
+    return first, s2
 
 
 def check_draws(n_draws: int) -> None:

@@ -23,10 +23,22 @@ def sample_dirichlet(seed: int, concentration=(1.0, 1.0, 1.0)) -> LinearRule:
     conc = np.asarray(concentration, dtype=np.float64)
     if conc.shape != (3,) or not np.all((conc > 0) & np.isfinite(conc)):
         raise ValueError(f"concentration must be 3 positive finite reals, got {concentration}")
-    rng = np.random.default_rng(seed)
-    alpha = rng.dirichlet(conc)
-    alpha = np.clip(alpha, 0.0, None)
-    return LinearRule(alpha / alpha.sum())
+    return dirichlet_rule(np.random.default_rng(seed), concentration)
+
+
+def dirichlet_rule(rng: np.random.Generator, concentration) -> LinearRule:
+    """A linear rule drawn from `rng`'s Dirichlet at `concentration`,
+    renormalized so the sum is exact.
+
+    A concentration too large to draw from makes numpy return all zeros, so
+    a draw whose sum is not positive and finite is a ValueError naming it.
+    """
+    alpha = rng.dirichlet(concentration)
+    total = alpha.sum()
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"concentration {[float(c) for c in concentration]} is too large to "
+                         f"draw from: its Dirichlet draw sums to {total}")
+    return LinearRule(alpha / total)
 
 
 # The finest grid: 1/step divisions per axis, (d + 1)(d + 2)/2 rules for d

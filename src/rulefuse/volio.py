@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -499,6 +500,27 @@ def render_report(result, fmt: str = "json") -> str:
             writer.writerow([_fmt(v) for v in row])
         return buf.getvalue()
     raise ValueError(f"unknown report format {fmt!r}")
+
+
+def check_output(path, option: str, directory: bool = False) -> None:
+    """DataError naming `option` and `path` unless a file (a directory, with
+    `directory`) can be written at `path`: it is no entry of the other kind,
+    and the nearest of it and its ancestors that exists may be written, and
+    is a directory if it is an ancestor. Nothing is created."""
+    path = Path(path)
+    existing = path
+    while not existing.exists() and existing != existing.parent:
+        existing = existing.parent
+    if existing == path and path.is_dir() != directory:
+        reason = f"it is {'not ' if directory else ''}a directory"
+    elif existing != path and not existing.is_dir():
+        reason = f"{existing} is not a directory"
+    elif not os.access(existing, os.W_OK):
+        reason = f"{existing} is not writable"
+    else:
+        return
+    raise DataError(f"{option} {path}: cannot write a {'directory' if directory else 'file'} "
+                    f"there: {reason}")
 
 
 def write_report(result, fmt: str = "json", path=None) -> str:

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -799,6 +800,9 @@ configs = st.one_of(st.none(), st.sampled_from(CONFIG_TEXTS) | st.dictionaries(
 @example(argv=["sample", "--n-rules", "2", "--model", "linear", "--n", "0"], config=None)
 @example(argv=["sample", "--n-rules", "2", "--eta", "nan"], config=None)
 @example(argv=["sample", "--n-rules", "2", "--eta", "inf", "--out", "s.json"], config=None)
+@example(argv=["sample", "--model", "linear", "--concentration", "1e308,1e308,1e308"], config=None)
+@example(argv=["mc-uncertainty", "{M}", "--sampler",
+               '{"kind": "dirichlet", "concentration": [1e308, 1e308, 1e308]}'], config=None)
 def test_any_argv_exits_with_one_line_and_usage_errors_touch_nothing(argv_dataset, argv, config):
     root, files = argv_dataset
     for placeholder, path in files.items():
@@ -832,6 +836,66 @@ def test_any_argv_exits_with_one_line_and_usage_errors_touch_nothing(argv_datase
 
 def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--model", "linear", "--concentration", "1e308,1e308,1e308"],
+    ["mc-uncertainty", "{M}", "--sampler",
+     '{"kind": "dirichlet", "concentration": [1e308, 1e308, 1e308]}'],
+], ids=["sample", "mc-uncertainty"])
+def test_a_concentration_too_large_to_draw_from_is_one_line_and_no_warning(
+        argv, argv_dataset, capsys, tmp_path, monkeypatch):
+    # numpy draws zeros at such a concentration; the 0/0 used to warn before the error
+    argv = [arg.replace("{M}", argv_dataset[1]["{M}"]) for arg in argv] + ["--out", "o.json"]
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings(record=True) as caught, \
+            mock.patch.object(volio, "load_volume", wraps=volio.load_volume) as load:
+        warnings.simplefilter("always")
+        assert_one_line_usage_error(capsys, argv, "usage error: concentration [1e+308, 1e+308, "
+                                                  "1e+308] is too large to draw from")
+    assert caught == [] and load.call_count == 0 and list(tmp_path.iterdir()) == []
+
+
+# every output option of the dataset commands, and what else each run needs
+DATASET_OUTPUTS = {
+    "search": (["--step", "0.5"], ["--out", "--csv-out", "--heatmap-out"]),
+    "availability": ([], ["--out", "--csv-out"]),
+    "mc-uncertainty": (["--sampler", '{"kind": "dirichlet"}', "--draws", "2"],
+                       ["--out", "--csv-out", "--volumes-out"]),
+}
+OUTPUT_PROBES = [(command, option, kind) for command, (_, options) in DATASET_OUTPUTS.items()
+                 for option in options for kind in ("under a file", "of the other kind")]
+
+
+@pytest.mark.parametrize("command, option, kind", OUTPUT_PROBES,
+                         ids=[f"{c}{o}-{k.replace(' ', '-')}" for c, o, k in OUTPUT_PROBES])
+def test_an_unusable_output_path_fails_before_any_read_or_write(command, option, kind,
+                                                                argv_dataset):
+    # one line naming the option and the path, with no volume read, nothing
+    # printed and nothing written, not even the other outputs
+    root, files = argv_dataset
+    work = Path(tempfile.mkdtemp(dir=root))
+    (work / "afile").write_text("a file")
+    (work / "adir").mkdir()
+    if kind == "under a file":
+        bad = "afile/x.out"
+    else:
+        bad = "afile" if option == "--volumes-out" else "adir"
+    extra, options = DATASET_OUTPUTS[command]
+    argv = [command, files["{M}"], *extra]
+    for name in options:
+        argv += [name, bad if name == option else f"new/{name[2:]}"]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with mock.patch.object(volio, "load_volume", wraps=volio.load_volume) as load, \
+            contextlib.chdir(work), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    err = stderr.getvalue()
+    assert code == 2 and err.count("\n") == 1, err
+    assert err.startswith(f"data error: {option} {bad}: cannot write a "), err
+    assert load.call_count == 0 and stdout.getvalue() == ""
+    assert sorted(p.name for p in work.iterdir()) == ["adir", "afile"]
+    assert not any((work / "adir").iterdir()) and (work / "afile").read_text() == "a file"
 
 
 @pytest.mark.parametrize("probe", ["manifest", "sidecar", "out"])

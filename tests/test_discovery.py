@@ -1,6 +1,7 @@
 import os
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -935,6 +936,21 @@ def test_mc_point_mass_produces_exact_zero_variance():
         assert case.dsc_variance == 0.0
 
 
+@pytest.mark.parametrize("n", [2, 3, 16])
+def test_shifted_moments_are_bitwise_the_out_of_place_formulas(n):
+    # the in-place mean and variance repeat first + s1/n and s2/n - (s1/n)**2
+    rng = np.random.default_rng(n)
+    draws = [rng.random((5, 4, 3)) for _ in range(n)]
+    draws[1][0] = draws[0][0]  # a point mass where every draw agrees would give 0
+    first = draws[0]
+    s1 = sum((d - first for d in draws[1:]), np.zeros_like(first))
+    s2 = sum(((d - first) ** 2 for d in draws[1:]), np.zeros_like(first))
+    want_var = np.maximum(s2 / n - (s1 / n) ** 2, 0.0)
+    mean, variance = discovery._shifted_moments((d.copy() for d in draws), n)
+    assert mean.tobytes() == (first + s1 / n).tobytes()
+    assert variance.tobytes() == want_var.tobytes()
+
+
 def test_mc_two_rule_variance_closed_form():
     dims = (6, 6, 6)
     rng = np.random.default_rng(13)
@@ -1020,6 +1036,25 @@ def test_mc_validates_inputs():
 def test_dirichlet_sampler_names_a_non_finite_concentration(bad):
     with pytest.raises(ValueError, match="concentration must be 3 positive finite reals"):
         RuleSampler({"kind": "dirichlet", "concentration": [bad, 1, 1]})
+
+
+def test_dirichlet_sampler_names_a_concentration_too_large_to_draw_from():
+    sampler = RuleSampler({"kind": "dirichlet", "concentration": [1e308, 1e308, 1e308]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=r"concentration \[1e\+308, 1e\+308, 1e\+308\] is too "
+                                             r"large to draw from"):
+            sampler.draw(np.random.default_rng(0), 0)
+    assert caught == []
+
+
+def test_dirichlet_sampler_draws_as_before():
+    # the draw is the generator's Dirichlet draw divided by its sum
+    sampler = RuleSampler({"kind": "dirichlet", "concentration": [2, 1, 0.5]})
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    for index in range(5):
+        alpha = ref.dirichlet((2.0, 1.0, 0.5))
+        assert sampler.draw(rng, index).alpha.tobytes() == (alpha / alpha.sum()).tobytes()
 
 
 # --- planted-rule recovery (desk-size smoke; the scaled run is acceptance #6) -----

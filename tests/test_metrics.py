@@ -4,6 +4,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
 from rulefuse import backends
+from rulefuse.combine import combine_linear
+from rulefuse.fitting import LinearRule
 from rulefuse.metrics import (
     HD_PERCENTILE,
     MetricsConfig,
@@ -16,6 +18,8 @@ from rulefuse.metrics import (
     label_mask,
     truth_context,
 )
+from rulefuse.phantoms import PhantomSpec, generate_case
+from rulefuse.sampling import simplex_grid
 from rulefuse.volumes import LabelVolume
 
 import oracles
@@ -250,6 +254,154 @@ def test_bounding_box_is_the_smallest_box_of_the_positives():
             continue
         idx = np.argwhere(values)
         assert box == tuple(slice(lo, hi + 1) for lo, hi in zip(idx.min(0), idx.max(0))), name
+
+
+STRUCTURES = {c: ndimage.generate_binary_structure(3, r) for c, r in ((6, 1), (18, 2), (26, 3))}
+
+
+def _labelling(values, connectivity, box, out=None, every_box_by_runs=True):
+    """`label_components`' (labels, count) and whether the run labeller ran;
+    with `every_box_by_runs`, every non-empty box is labelled from its runs."""
+    ran = []
+    label_runs = backends._label_runs
+
+    def counted(*args):
+        ran.append(True)
+        return label_runs(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        if every_box_by_runs:
+            mp.setattr(backends, "_BOX_VOXELS_PER_RUN", 0)
+        mp.setattr(backends, "_label_runs", counted)
+        labels, count = backends.label_components(values, connectivity, box, out)
+    return labels, count, bool(ran)
+
+
+@st.composite
+def run_masks(draw):
+    """Masks of 1 to 9 voxels a side, at any density, with positives drawn on
+    chosen faces and on both sides of chosen row ends (consecutive flat
+    indices in two rows)."""
+    dims = tuple(draw(st.integers(1, 9)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.random(dims) < draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.8, 1.0]))
+    for axis, end in draw(st.lists(st.tuples(st.integers(0, 2), st.sampled_from([0, -1])))):
+        face = [slice(None)] * 3
+        face[axis] = end
+        values[tuple(face)] |= rng.random(values[tuple(face)].shape) < 0.5
+    rows = dims[0] * dims[1]
+    for row in draw(st.lists(st.integers(1, rows - 1), max_size=3) if rows > 1 else st.just([])):
+        values.reshape(-1)[row * dims[2] - 1:row * dims[2] + 1] = True
+    return values
+
+
+def _every_face(dims=(7, 6, 5)):
+    """A voxel on each of the six faces, none on an edge, and none touching."""
+    values = np.zeros(dims, dtype=bool)
+    values[0, 2, 2] = values[-1, 3, 1] = values[2, 0, 3] = True
+    values[4, -1, 2] = values[3, 4, 0] = values[1, 2, -1] = True
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=run_masks(), connectivity=st.sampled_from([6, 18, 26]),
+       whole=st.booleans(), margin=st.integers(0, 2))
+@example(values=_every_face(), connectivity=6, whole=False, margin=0)
+@example(values=np.ones((1, 1, 1), dtype=bool), connectivity=26, whole=False, margin=0)
+@example(values=np.ones((1, 4, 1), dtype=bool), connectivity=18, whole=True, margin=1)
+@example(values=np.eye(5, dtype=bool)[None].repeat(2, 0), connectivity=18, whole=False, margin=0)
+def test_run_labeller_labels_and_numbers_as_ndimage_label(values, connectivity, whole, margin):
+    # the run labeller's labels volume, component count and numbering are
+    # ndimage.label's, in a box or the whole volume, inside a larger volume
+    volume = np.zeros(tuple(n + 2 * margin for n in values.shape), dtype=bool)
+    volume[tuple(slice(margin, margin + n) for n in values.shape)] = values
+    want, n = ndimage.label(volume, structure=STRUCTURES[connectivity])
+    box = ((slice(None),) * 3 if whole
+           else backends.bounding_box(backends.support_of(volume), volume.shape))
+    stale = backends.LabelBuffer(volume.shape)  # a reused buffer, dirty everywhere
+    stale.array.fill(7)
+    stale.box = (slice(None),) * 3
+    for out in (None, stale):
+        labels, count, ran = _labelling(volume, connectivity, box, out)
+        assert ran == bool(volume[box].size)
+        assert count == n
+        assert labels.dtype == want.dtype and labels.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+def test_run_labeller_joins_a_run_to_a_voxel_exactly_where_ndimage_does(connectivity):
+    # a z-run of 1 or 3 voxels and one voxel in each row around its own, at
+    # every z from two before the run to two past it: each neighbour row's
+    # z slack, at both ends of the run, in the rows before the run and after
+    for length in (1, 3):
+        for dx, dy in ((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy):
+            for z in range(length + 4):
+                values = np.zeros((3, 3, length + 4), dtype=bool)
+                values[1, 1, 2:2 + length] = True
+                values[1 + dx, 1 + dy, z] = True
+                want, n = ndimage.label(values, structure=STRUCTURES[connectivity])
+                box = backends.bounding_box(backends.support_of(values), values.shape)
+                labels, count, ran = _labelling(values, connectivity, box)
+                assert ran and count == n, (length, dx, dy, z)
+                assert labels.tobytes() == want.tobytes(), (length, dx, dy, z)
+
+
+def _serpentine(n=40):
+    """One face-connected path of single voxels through an n³ volume: in each
+    even x layer, lines along y at every other z, joined alternately at the
+    last and the first y; each layer joined to the next through the odd x
+    layer at the end of its last line. Its runs are numbered across the
+    path, so joining them takes several hooking rounds."""
+    values = np.zeros((n, n, n), dtype=bool)
+    for layer, x in enumerate(range(0, n, 2)):
+        zs = list(range(0, n, 2))[::-1 if layer % 2 else 1]
+        for k, z in enumerate(zs):
+            values[x, :, z] = True
+            if k + 1 < len(zs):
+                values[x, n - 1 if k % 2 == 0 else 0, (z + zs[k + 1]) // 2] = True
+        if x + 1 < n:
+            values[x + 1, n - 1 if (len(zs) - 1) % 2 == 0 else 0, zs[-1]] = True
+    return values
+
+
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+def test_run_labeller_joins_a_serpentine_into_one_component(connectivity):
+    values = _serpentine()
+    want, n = ndimage.label(values, structure=STRUCTURES[connectivity])
+    assert n == 1
+    box = backends.bounding_box(backends.support_of(values), values.shape)
+    labels, count, ran = _labelling(values, connectivity, box)
+    assert ran and count == 1 and labels.tobytes() == want.tobytes()
+
+
+def _labeller_of(values, connectivity=26):
+    """Which labeller labels `values` in its bounding box: "runs" or "ndimage"."""
+    box = backends.bounding_box(backends.support_of(values), values.shape)
+    labels, count, ran = _labelling(values, connectivity, box, every_box_by_runs=False)
+    want, n = ndimage.label(values, structure=STRUCTURES[connectivity])
+    assert count == n and labels.tobytes() == want.tobytes()
+    return "runs" if ran else "ndimage"
+
+
+def test_sparse_predictions_take_the_runs_and_dense_or_small_masks_ndimage():
+    # a search prediction: a criterion-6 48³ phantom's linear map above 0.5
+    spec = PhantomSpec(dims=(48, 48, 48), n_lesions=3, radius_range=(4.5, 9.0),
+                       fidelity=(0.5, 0.5, 0.5), noise_sd=0.25,
+                       planted_rule=LinearRule(np.array([0.5, 0.5, 0.0])))
+    case = generate_case([0, 7], spec)
+    used = [_labeller_of(combine_linear(case.modalities, rule).values > 0.5)
+            for rule in simplex_grid(0.1)]
+    assert used[50] == "runs"  # the planted rule, (0.5, 0.5, 0)
+    assert used.count("runs") >= 0.8 * len(used)
+    # 16³ masks: a small phantom's truth and predictions
+    small = generate_case([0, 1], PhantomSpec(dims=(16, 16, 16), n_lesions=1,
+                                              radius_range=(3.0, 5.0)))
+    for rule in simplex_grid(0.25):
+        assert _labeller_of(combine_linear(small.modalities, rule).values > 0.5) == "ndimage"
+    assert _labeller_of(small.truth.values) == "ndimage"
+    # full and checkerboard 48³ boxes
+    assert _labeller_of(np.ones((48, 48, 48), dtype=bool)) == "ndimage"
+    assert _labeller_of(np.indices((48, 48, 48)).sum(0) % 2 == 0) == "ndimage"
 
 
 def _assert_surface_is_six_copy_boundary(values, spacing=(0.7, 0.55, 3.3)):

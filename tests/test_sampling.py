@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,16 @@ def test_dirichlet_rejects_bad_concentration():
 def test_dirichlet_names_a_non_finite_concentration(bad):
     with pytest.raises(ValueError, match="concentration must be 3 positive finite reals"):
         sample_dirichlet(0, concentration=(bad, 1.0, 1.0))
+
+
+def test_dirichlet_names_a_concentration_too_large_to_draw_from():
+    # numpy draws all zeros at such a concentration: no 0/0 warning, one error naming it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=r"concentration \[1e\+308, 1e\+308, 1e\+308\] is too "
+                                             r"large to draw from: its Dirichlet draw sums to 0.0"):
+            sample_dirichlet(0, concentration=(1e308, 1e308, 1e308))
+    assert caught == []
 
 
 @pytest.mark.parametrize("eta", [float("nan"), float("inf"), 1e200])
