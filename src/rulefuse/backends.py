@@ -137,12 +137,24 @@ def support_of(mask) -> np.ndarray:
 
 class LabelBuffer:
     """A reused labels volume: `array`, C-contiguous int32, is zero outside
-    `box`, the box the last `label_components` call wrote, so the next call
-    clears only that box."""
+    what its last writer recorded through `claim`: `box`, the box a
+    `label_components` call labelled, or `positives`, the flat indices a
+    batch wrote its labels at (see `components_batch`). The next writer
+    clears only that, so it never reads an earlier writer's labels."""
 
     def __init__(self, shape):
         self.array = np.zeros(shape, dtype=np.int32)
         self.box = (slice(0, 0),) * 3
+        self.positives = np.empty(0, dtype=np.intp)
+
+    def claim(self, box=(slice(0, 0),) * 3, positives=None) -> np.ndarray:
+        """`array`, cleared where the last writer wrote, with `box` or the
+        flat indices `positives` recorded as where this writer writes."""
+        self.array[self.box] = 0
+        self.array.reshape(-1)[self.positives] = 0
+        self.box = box
+        self.positives = self.positives[:0] if positives is None else positives
+        return self.array
 
 
 def label_components(mask, connectivity, box, out: LabelBuffer | None = None):
@@ -155,23 +167,22 @@ def label_components(mask, connectivity, box, out: LabelBuffer | None = None):
 
     A box holding more than `_BOX_VOXELS_PER_RUN` voxels per z-run is
     labelled from its runs (see `_label_runs`), any other by ndimage.label;
-    both give the same labels, numbered alike.
+    both give the same labels, numbered alike. A run holds at most a row of
+    the box, so a box whose voxels times its depth are at most that many
+    per positive goes to ndimage.label without its runs being counted.
     """
     structure = _STRUCTURES.get(connectivity)
     if structure is None:
         raise ValueError(f"connectivity must be 6, 18 or 26, got {connectivity!r}")
-    if out is None:
-        labels = np.zeros(mask.shape, dtype=np.int32)
-    else:
-        out.array[out.box] = 0
-        out.box, labels = box, out.array
+    labels = np.zeros(mask.shape, dtype=np.int32) if out is None else out.claim(box)
     crop = mask[box]
     if not crop.size:
         return labels, 0
-    ends = _run_ends(crop)
-    if crop.size > _BOX_VOXELS_PER_RUN * (np.count_nonzero(ends) // 2):
-        origin = tuple(s.indices(n)[0] for s, n in zip(box, mask.shape))
-        return labels, _label_runs(ends, crop.shape, origin, connectivity, labels)
+    if crop.size * crop.shape[2] > _BOX_VOXELS_PER_RUN * np.count_nonzero(crop):
+        bounds = np.flatnonzero(_run_ends(crop))
+        if crop.size > _BOX_VOXELS_PER_RUN * (bounds.size // 2):
+            origin = tuple(s.indices(n)[0] for s, n in zip(box, mask.shape))
+            return labels, _label_box_runs(bounds, crop.shape, origin, connectivity, labels)
     return labels, ndimage.label(crop, structure=structure, output=labels[box])
 
 
@@ -185,42 +196,67 @@ def _run_ends(crop) -> np.ndarray:
     return padded[1:] != padded[:-1]
 
 
-def _label_runs(ends, shape, origin, connectivity, labels) -> int:
+def _label_box_runs(bounds, shape, origin, connectivity, labels) -> int:
     """Label a box of `shape` at `origin` in the C-contiguous `labels` volume
-    from its z-runs, whose ends `_run_ends` marks, and return the component
-    count. Components are numbered as ndimage.label numbers them: by their
-    first voxels' scan order.
-
-    Each run looks for neighbours in the up-to-four rows after its own, by
-    one `searchsorted` pair over the runs' first and last positions. Runs are
-    placed with one empty voxel after each row and one empty row after each
-    x slab, so a search widened by its z slack never reaches another row.
-    Components are joined by hooking the larger of two roots onto the
-    smaller, then pointer jumping until every run points at its root; since
-    every pointer goes down, a root is its component's first run.
-    """
-    bounds = np.flatnonzero(ends)
-    if not bounds.size:
-        return 0
+    from its z-runs, whose ends `bounds` are the flat positions of
+    `_run_ends`' marks, and return the component count."""
     _, by, bz = shape
     pitch = bz + 1
     start, stop = bounds[0::2], bounds[1::2]
     lengths = stop - start
-    first = start + start // (by * pitch) * pitch  # one empty row after each slab
+    # `_run_ends` places one empty voxel after each row; one empty row after
+    # each x slab makes `_label_runs`' layout
+    run_labels, rank = _label_runs(start + start // (by * pitch) * pitch, lengths, by, bz,
+                                   connectivity)
+    row, z = np.divmod(start, pitch)
+    x, y = np.divmod(row, by)
+    ny, nz = labels.shape[1:]
+    # each run's first voxel in the volume, less the run voxels before it
+    at = ((x + origin[0]) * ny + y + origin[1]) * nz + z + origin[2]
+    at -= lengths.cumsum() - lengths
+    labels.reshape(-1)[np.arange(lengths.sum()) + at.repeat(lengths)] = run_labels.repeat(lengths)
+    return int(rank[-1]) if rank.size else 0
+
+
+def _label_runs(first, lengths, ny, nz, connectivity):
+    """Label z-runs by connected component. Returns (labels, rank): each
+    run's label, numbered as ndimage.label numbers components, by their
+    first voxels' scan order, and for each run the number of components
+    whose first run is it or an earlier one.
+
+    The runs start at the ascending positions `first` and hold `lengths`
+    voxels, in a layout of rows of `nz` voxels and x slabs of `ny` rows,
+    with one empty voxel after each row and one empty row after each slab
+    (see `batch_positions`). Each run looks for neighbours in the up-to-four
+    rows after its own: one `searchsorted` over the runs' last positions
+    finds, for each row, the first run that ends at or after the query's
+    start less its z slack, and the runs from there on that start at or
+    before its end plus the slack touch it, found by stepping along them all
+    at once. The padding keeps a search widened by its slack from reaching
+    another row. Components are joined by hooking the larger of two roots
+    onto the smaller, then pointer jumping until every run points at its
+    root; since every pointer goes down, a root is its component's first run.
+    """
+    pitch = nz + 1
     last = first + lengths - 1
-    steps = [((dx * (by + 1) + dy) * pitch, slack)
+    steps = [((dx * (ny + 1) + dy) * pitch, slack)
              for (dx, dy), slack in _FORWARD_ROWS[connectivity]]
-    lo = np.concatenate([first + (step - slack) for step, slack in steps])
+    j = last.searchsorted(np.concatenate([first + (step - slack) for step, slack in steps]))
     hi = np.concatenate([last + (step + slack) for step, slack in steps])
-    # the runs ending at or after lo and starting at or before hi touch the query's run
-    after = last.searchsorted(lo)
-    counts = first.searchsorted(hi, "right") - after
-    runs = np.arange(start.size)
+    runs = np.arange(first.size)
+    i = np.tile(runs, len(steps))
+    first_end = np.append(first, np.iinfo(first.dtype).max)  # past the last run, none starts
+    pairs = []
+    while True:
+        touch = first_end.take(j) <= hi
+        if not touch.any():
+            break
+        i, j, hi = i[touch], j[touch], hi[touch]
+        pairs.append((i, j))
+        j = j + 1
     parent = runs.copy()
-    total = counts.sum()
-    if total:
-        i = np.tile(runs, len(steps)).repeat(counts)
-        j = np.arange(total) + (after - (counts.cumsum() - counts)).repeat(counts)
+    if pairs:
+        i, j = (np.concatenate(ends) for ends in zip(*pairs))
         parent[j] = i  # i < j: every run is still a root
         while True:
             while True:
@@ -235,14 +271,64 @@ def _label_runs(ends, shape, origin, connectivity, labels) -> int:
             i, j, a, b = i[apart], j[apart], a[apart], b[apart]
             parent[np.maximum(a, b)] = np.minimum(a, b)
     rank = (parent == runs).cumsum(dtype=np.int32)
-    row, z = np.divmod(start, pitch)
-    x, y = np.divmod(row, by)
-    ny, nz = labels.shape[1:]
-    # each run's first voxel in the volume, less the run voxels before it
-    at = ((x + origin[0]) * ny + y + origin[1]) * nz + z + origin[2]
-    at -= lengths.cumsum() - lengths
-    labels.reshape(-1)[np.arange(lengths.sum()) + at.repeat(lengths)] = rank[parent].repeat(lengths)
-    return int(rank[-1])
+    return rank[parent], rank
+
+
+def batch_positions(flat, shape, n_masks) -> np.ndarray:
+    """An (n_masks, len(flat)) table of the voxels at C-order flat indices
+    `flat` of a grid of `shape`, in the layout `_label_runs` reads: one empty
+    voxel after each row, one empty row after each x slab, and in row k the
+    positions in mask k, whose grid comes after k grids and k empty slabs.
+    The table is int32 when every position and its neighbours' fit, int64
+    otherwise."""
+    nx, ny, nz = shape
+    stride = (nx + 1) * (ny + 1) * (nz + 1)
+    dtype = np.int32 if (n_masks + 1) * stride <= np.iinfo(np.int32).max else np.int64
+    padded = flat + flat // nz + flat // (ny * nz) * (nz + 1)
+    return (padded + (np.arange(n_masks) * stride)[:, None]).astype(dtype)
+
+
+def components_batch(positions, bounds, shape, connectivity, min_voxels=1) -> list:
+    """`components` of each of a batch of masks on a grid of `shape`, found
+    from their positives alone by one labelling of all their z-runs.
+
+    `positions` holds the masks' positives, ascending, at their
+    `batch_positions`, and mask k's are positions[bounds[k]:bounds[k + 1]].
+    In that layout one empty slab separates two masks, so no run touches
+    another mask's. A run is a stretch of consecutive positions, which the
+    padding ends at each row's end. The labels of mask k are the batch's
+    less the components of the masks before it, and a component's voxel
+    count is the sum of its runs' lengths.
+
+    Returns one (labels, counts, keep, kept) per mask: `labels` labels its
+    positives (as `components`' labels volume does there), `counts` and
+    `keep` are as `components` returns them, and `kept` marks the positives
+    whose component is kept. The arrays are views into ones the batch shares.
+    """
+    n_masks = len(bounds) - 1
+    starts = np.flatnonzero(np.diff(positions, prepend=-2) != 1)
+    lengths = np.diff(starts, append=positions.size)
+    labels, rank = _label_runs(positions[starts].astype(np.intp), lengths, shape[1], shape[2],
+                               connectivity)
+    run_bounds = starts.searchsorted(bounds)
+    run_masks = np.arange(n_masks).repeat(np.diff(run_bounds))
+    # the components of the masks before each one
+    before = np.concatenate((np.zeros(1, rank.dtype), rank))[run_bounds[:-1]]
+    # each mask's counts and keep come in one slice, its label 0 first
+    zero = before + np.arange(n_masks)
+    slots = labels + run_masks
+    total = (int(rank[-1]) if rank.size else 0) + n_masks
+    counts = np.bincount(slots, lengths, total).astype(np.intp)  # sums of whole numbers: exact
+    counts[zero] = shape[0] * shape[1] * shape[2] - np.diff(bounds)
+    keep = counts >= min_voxels
+    keep[zero] = False
+    local = np.repeat(labels - before[run_masks], lengths)
+    kept = np.repeat(keep[slots], lengths)
+    ends, slot_ends = list(bounds), zero.tolist() + [total]
+    return [
+        (local[a:b], counts[c:d], keep[c:d], kept[a:b])
+        for a, b, c, d in zip(ends, ends[1:], slot_ends, slot_ends[1:])
+    ]
 
 
 def components(mask, connectivity, min_voxels=1, positives: np.ndarray | None = None, out=None):

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error (bad flags, out-of-range option values,
 malformed inline JSON, a diverging fit), 2 data error (missing/invalid files,
-misaligned volumes, failed generation).
+misaligned volumes, failed generation, unusable output paths), 130 interrupted
+(Ctrl-C).
 All output is deterministic for fixed seeds: reports round floats to 6
 significant digits and contain no timestamps.
 
@@ -232,6 +233,7 @@ def _rule_from_spec(spec):
 def cmd_combine(args) -> int:
     model, rule = _rule_from_spec(args.rule)
     eval_cfg = _eval_config(args)
+    _check_outputs(args, "--out", "--mask-out")
     paths = (args.t2w, args.dwi_hb, args.adc)
     volumes = [volio.load_any_volume(p) for p in paths]
     kind, kind_name = ((LabelVolume, "binary masks") if model == "vote"
@@ -275,6 +277,7 @@ def _write_reports(result, args) -> int:
 
 def cmd_evaluate(args) -> int:
     eval_cfg = _eval_config(args)
+    _check_outputs(args, "--out", "--csv-out")
     pred = _as_mask(volio.load_any_volume(args.pred), eval_cfg, "pred")
     truth = volio.load_any_volume(args.truth)
     if not isinstance(truth, LabelVolume):
@@ -530,6 +533,9 @@ def main(argv=None) -> int:
         error, code = f"usage error: {exc}", 1
     except (DataError, OSError) as exc:
         error, code = f"data error: {exc}", 2
+    except KeyboardInterrupt:
+        # a sweep's worker processes are killed and reaped before it gets here
+        error, code = "interrupted", 130
     # one line whatever a path in it holds: unprintable characters are escaped
     print("".join(c if c.isprintable() else c.encode("unicode_escape").decode("ascii")
                   for c in error), file=sys.stderr)

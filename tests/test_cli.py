@@ -3,9 +3,11 @@ import io
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 import weakref
 from pathlib import Path
@@ -908,11 +910,77 @@ def test_a_path_with_a_newline_prints_one_escaped_error_line(probe, argv_dataset
         "manifest": (["search", "bad\nname.json"], "manifest bad\\nname.json does not exist"),
         "sidecar": (["evaluate", "p\nq.u8", files["{TRUTH}"]], "missing sidecar p\\nq.u8.json"),
         "out": (["evaluate", files["{TRUTH}"], files["{TRUTH}"], "--out", "o\nut"],
-                "Is a directory: 'o\\nut'"),
+                "--out o\\nut: cannot write a file there: it is a directory"),
     }[probe]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1 and needle in err, err
+
+
+ALPHA_RULE = '{"alpha": [0.5, 0.5, 0.0]}'
+
+
+@pytest.mark.parametrize("argv, option, path", [
+    (["evaluate", "{TRUTH}", "{TRUTH}", "--out", "afile/x.json"], "--out", "afile/x.json"),
+    (["evaluate", "{T2W}", "{TRUTH}", "--csv-out", "afile/x.csv"], "--csv-out", "afile/x.csv"),
+    (["combine", "{T2W}", "{DWI}", "{ADC}", "--rule", ALPHA_RULE, "--out", "afile/c.f32le"],
+     "--out", "afile/c.f32le"),
+    (["combine", "{T2W}", "{DWI}", "{ADC}", "--rule", ALPHA_RULE, "--out", "c.f32le",
+      "--mask-out", "afile/m.u8"], "--mask-out", "afile/m.u8"),
+])
+def test_evaluate_and_combine_check_their_outputs_before_reading(argv, option, path,
+                                                                   argv_dataset, tmp_path,
+                                                                   capsys, monkeypatch):
+    # an output under a regular file is refused by name, before any volume is read
+    _, files = argv_dataset
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("a file")
+    reads = []
+    load_any_volume = volio.load_any_volume
+    monkeypatch.setattr(volio, "load_any_volume",
+                        lambda p: reads.append(p) or load_any_volume(p))
+    assert main([files.get(arg, arg) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"data error: {option} {path}: cannot write a file there: "
+                   f"afile is not a directory\n")
+    assert reads == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+
+def test_ctrl_c_stops_a_two_worker_search_with_one_line(tmp_path):
+    # SIGINT goes to the whole process group, as a terminal sends it, once
+    # the search has forked its worker
+    manifest, _ = generate_dataset(3, 24, PhantomSpec(dims=(24, 24, 24), n_lesions=1,
+                                                      radius_range=(3.0, 5.0)), tmp_path / "ds")
+    out = tmp_path / "search.json"
+    src = str(Path(rulefuse.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rulefuse", "--threads", "2", "search", str(manifest),
+         "--split", "train", "--step", "0.02", "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True)
+    try:
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        deadline = time.monotonic() + 60
+        while proc.poll() is None and time.monotonic() < deadline:
+            if not children.exists() or children.read_text().split():
+                break
+            time.sleep(0.01)
+        if not children.exists():
+            pytest.skip("no /proc children list to see the worker forked")
+        assert proc.poll() is None, proc.communicate()
+        time.sleep(0.2)  # past the fork's own bookkeeping, into the sweep
+        os.killpg(proc.pid, signal.SIGINT)
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert (proc.returncode, stderr, stdout) == (130, "interrupted\n", "")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)  # no process of the group is left
+    assert not out.exists()
 
 
 def _zone_reads(argv, capsys, monkeypatch, every_zone=False):

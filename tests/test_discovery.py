@@ -494,13 +494,13 @@ def candidate_case(seed: int, t: float, dims=(7, 6, 5)) -> CaseRecord:
 def candidates_match_dense(case: CaseRecord, t: float, rules) -> bool:
     """Whether each rule's candidate positives, and the mask they leave, are
     the dense map's, with the rules run in order on one candidate set."""
-    mask = np.empty(case.truth.dims, dtype=bool)
-    candidates = discovery._Candidates(case, t, mask)
-    for rule in rules:
+    config = EvalConfig(threshold=t, min_region_voxels=0)  # nothing is dropped
+    buffers = discovery._Buffers(case.truth.dims)
+    for rule, pred in zip(rules, discovery._Candidates(case, config, buffers).predictions(rules)):
         dense = linear_map(case.modalities, rule.alpha) > t
-        if candidates.positives(rule.alpha, t).tobytes() != np.flatnonzero(dense).tobytes():
+        if pred.positives.tobytes() != np.flatnonzero(dense).tobytes():
             return False
-        assert np.array_equal(mask, dense)
+        assert np.array_equal(pred.volume.values, dense)
     return True
 
 
@@ -509,7 +509,7 @@ def candidates_match_dense(case: CaseRecord, t: float, rules) -> bool:
 @given(
     seed=st.integers(0, 2**32 - 1),
     t=THRESHOLDS,
-    rules=st.lists(LINEAR_RULES, min_size=1, max_size=5),
+    rules=st.lists(LINEAR_RULES, min_size=1, max_size=2 * discovery._RULE_CHUNK + 1),
     min_region=st.integers(0, 4),
     zone=st.booleans(),
 )
@@ -520,11 +520,10 @@ def test_candidate_positives_and_reports_equal_the_dense_path(seed, t, rules, mi
     config = EvalConfig(threshold=t, min_region_voxels=min_region, zone="half" if zone else None)
     zone_mask, truth, buffers = discovery._case_setup(case, config)
     truth_ctx = truth_context(truth, config.metrics.connectivity)
-    candidates = discovery._Candidates(case, t, buffers.mask)
+    preds = discovery._Candidates(case, config, buffers).predictions(rules)
     dense_buffers = discovery._Buffers(case.truth.dims)
-    for rule in rules:
-        got = discovery._evaluate_case(case, rule, config, zone_mask, truth_ctx, buffers,
-                                       candidates)
+    for rule, pred in zip(rules, preds):
+        got = discovery._evaluate_case(case, rule, config, zone_mask, truth_ctx, buffers, pred)
         want = discovery._evaluate_case(case, rule, config, zone_mask, truth_ctx, dense_buffers)
         assert repr(got) == repr(want)
 
@@ -543,6 +542,62 @@ def test_candidate_margin_is_needed_and_enough(monkeypatch):
     assert not candidates_match_dense(half, 0.5, ROUND_UP_RULES)
     monkeypatch.setattr(discovery, "_CANDIDATE_MARGIN", 2e-9)
     assert not candidates_match_dense(lifted, 0.99, [clamped(0)])
+
+
+def anisotropic(cases, spacing=(0.7, 0.55, 3.3)):
+    """The cases with every volume at `spacing`."""
+    def at(volume):
+        if isinstance(volume, LabelVolume):
+            return LabelVolume(volume.values, spacing)
+        return ProbabilityVolume(volume.values, spacing, volume.modality)
+
+    return [CaseRecord(case.case_id, tuple(at(m) for m in case.modalities), at(case.truth),
+                       {name: at(z) for name, z in case.zones.items()}) for case in cases]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("min_region", [0, 4])
+@pytest.mark.parametrize("zone", [None, "slab"])
+def test_batched_grid_search_equals_dense_evaluation(zone, min_region, threads, monkeypatch):
+    # 21 rules: two whole chunks and a part one, labelled in batches, each
+    # report as `_evaluate_case` makes it from the whole map
+    monkeypatch.setattr(discovery, "_usable_cpus", lambda: 2)
+    cases = anisotropic(mixed_grid_cases(seed=14))
+    config = EvalConfig(min_region_voxels=min_region, zone=zone)
+    result = grid_search_linear(cases, step=0.2, config=config, threads=threads)
+    assert len(result.rows) % discovery._RULE_CHUNK
+    lesions = set()
+    for case in cases:
+        zone_mask, truth, buffers = discovery._case_setup(case, config)
+        truth_ctx = truth_context(truth, config.metrics.connectivity)
+        for row in result.rows:
+            report = dict(row.per_case)[case.case_id]
+            want = discovery._evaluate_case(case, row.rule, config, zone_mask, truth_ctx, buffers)
+            assert repr(report) == repr(want)
+            lesions.add(report.n_pred_lesions)
+    assert max(lesions) > 1
+
+
+@pytest.mark.parametrize("connectivity", [6, 26])
+def test_batched_predictions_are_labelled_as_the_dense_path_labels_them(connectivity):
+    # each prediction's mask, positives and (labels, counts, keep) are
+    # `_predict`'s, bytes and dtypes alike; the labels buffer holds only the
+    # current prediction's labels, the mask buffer is clear between them
+    case = mixed_grid_cases(seed=15)[0]
+    rules = simplex_grid(0.1)[::3]  # 22 rules
+    config = EvalConfig(min_region_voxels=3, metrics=MetricsConfig(connectivity=connectivity))
+    buffers = discovery._Buffers(case.truth.dims)
+    dense_buffers = discovery._Buffers(case.truth.dims)
+    preds = discovery._Candidates(case, config, buffers).predictions(rules)
+    for pred, rule in zip(preds, rules):  # the generator first, so it runs to its end
+        _, want = discovery._predict(case, rule, config, dense_buffers)
+        assert pred.connectivity == want.connectivity == connectivity
+        assert pred.volume.values.tobytes() == want.volume.values.tobytes()
+        assert pred.positives.dtype == want.positives.dtype
+        assert pred.positives.tobytes() == want.positives.tobytes()
+        for got, expected in zip(pred.components, want.components):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    assert not buffers.mask.any()
 
 
 @pytest.mark.parametrize("threads", [1, 3])

@@ -404,6 +404,106 @@ def test_sparse_predictions_take_the_runs_and_dense_or_small_masks_ndimage():
     assert _labeller_of(np.indices((48, 48, 48)).sum(0) % 2 == 0) == "ndimage"
 
 
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+def test_a_full_box_goes_to_ndimage_without_its_runs_being_counted(connectivity, monkeypatch):
+    # a run holds at most a row of its box, so a 48³ box of 48³ positives
+    # has at least 48² runs, too many for the runs to pay; they are not built
+    def no_run_ends(crop):
+        raise AssertionError("_run_ends built for a full box")
+
+    values = np.ones((48, 48, 48), dtype=bool)
+    monkeypatch.setattr(backends, "_run_ends", no_run_ends)
+    labels, counts, keep = backends.components(values, connectivity, 2)
+    assert counts.tolist() == [0, values.size] and keep.tolist() == [False, True]
+    assert (labels == 1).all()
+
+
+def _batch(masks, connectivity, min_voxels):
+    """Each mask's (labels volume, counts, keep, kept) from one
+    `components_batch` over all of `masks`, gathered as a sweep gathers a
+    chunk of rules: the candidates are the voxels some mask holds, and the
+    masks' positives are found in their (masks, candidates) table."""
+    shape = masks[0].shape
+    flat = np.flatnonzero(np.any(masks, axis=0))
+    table = backends.batch_positions(flat, shape, len(masks)).ravel()
+    at = np.flatnonzero(np.stack([m.reshape(-1)[flat] for m in masks]))
+    bounds = at.searchsorted(np.arange(len(masks) + 1) * flat.size)
+    batch = backends.components_batch(table.take(at), bounds, shape, connectivity, min_voxels)
+    assert len(batch) == len(masks)
+    out = []
+    for k, (labels, counts, keep, kept) in enumerate(batch):
+        volume = np.zeros(shape, dtype=np.int32)
+        volume.reshape(-1)[flat.take(at[bounds[k]:bounds[k + 1]] - k * flat.size)] = labels
+        out.append((volume, counts, keep, kept))
+    return out
+
+
+@st.composite
+def border_masks(draw):
+    """1 to 2 chunks' worth plus one of masks on one grid of 1 to 8 voxels a
+    side: empty, one-voxel, and random ones with positives drawn on chosen
+    slab borders (x = 0, x = nx - 1, y = 0, y = ny - 1)."""
+    dims = tuple(draw(st.integers(1, 8)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    masks = []
+    for kind in draw(st.lists(st.sampled_from(["empty", "voxel", "random"]), min_size=1,
+                              max_size=2 * 8 + 1)):
+        values = np.zeros(dims, dtype=bool)
+        if kind == "voxel":
+            values[tuple(rng.integers(0, n) for n in dims)] = True
+        elif kind == "random":
+            values = rng.random(dims) < draw(st.sampled_from([0.05, 0.2, 0.5, 0.8, 1.0]))
+            for axis, end in draw(st.lists(st.tuples(st.integers(0, 1), st.sampled_from([0, -1])),
+                                           max_size=4)):
+                border = [slice(None)] * 3
+                border[axis] = end
+                values[tuple(border)] |= rng.random(values[tuple(border)].shape) < 0.6
+        masks.append(values)
+    return masks
+
+
+def _on_every_border(dims=(5, 6, 4)):
+    """Four masks, each holding a slab border whole: x = 0, x = nx - 1,
+    y = 0 and y = ny - 1, so that neighbouring masks' borders meet."""
+    masks = []
+    for border in ((0, slice(None)), (-1, slice(None)), (slice(None), 0), (slice(None), -1)):
+        values = np.zeros(dims, dtype=bool)
+        values[border] = True
+        masks.append(values)
+    return masks
+
+
+@settings(max_examples=200, deadline=None)
+@given(masks=border_masks(), connectivity=st.sampled_from([6, 18, 26]),
+       min_voxels=st.integers(0, 4))
+@example(masks=_on_every_border(), connectivity=26, min_voxels=0)
+@example(masks=_on_every_border()[::-1] * 3, connectivity=6, min_voxels=7)
+@example(masks=[np.ones((1, 1, 1), dtype=bool)] * 9, connectivity=18, min_voxels=1)
+@example(masks=[np.zeros((3, 2, 4), dtype=bool)] * 3, connectivity=26, min_voxels=1)
+def test_batched_components_equal_each_mask_labelled_alone(masks, connectivity, min_voxels):
+    # labels volume, counts and keep, bytes and dtypes alike, and the kept
+    # positives are those whose component is kept
+    for values, (labels, counts, keep, kept) in zip(masks, _batch(masks, connectivity,
+                                                                  min_voxels)):
+        want = backends.components(values, connectivity, min_voxels)
+        for got, expected in zip((labels, counts, keep), want):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        positives = np.flatnonzero(values)
+        assert kept.tobytes() == keep[labels.reshape(-1)[positives]].tobytes()
+
+
+def test_batch_positions_fall_back_to_int64_past_int32():
+    # voxel (x, y, z) of mask k sits at ((k·(nx + 1) + x)·(ny + 1) + y)·(nz + 1) + z
+    flat = np.array([0, 5, 7])  # (0, 0, 0), (1, 0, 1), (1, 1, 1) of a 2³ grid
+    table = backends.batch_positions(flat, (2, 2, 2), 8)
+    assert table.dtype == np.int32
+    assert table[3].tolist() == [((3 * 3) * 3) * 3, ((3 * 3 + 1) * 3) * 3 + 1,
+                                 ((3 * 3 + 1) * 3 + 1) * 3 + 1]
+    wide = backends.batch_positions(np.array([2**30 - 1]), (1024, 1024, 1024), 8)
+    assert wide.dtype == np.int64
+    assert wide[7, 0] == ((7 * 1025 + 1023) * 1025 + 1023) * 1025 + 1023
+
+
 def _assert_surface_is_six_copy_boundary(values, spacing=(0.7, 0.55, 3.3)):
     """`boundary_surface` of `values`, in C and in Fortran layout, holds
     exactly the six-copy reference's boundary voxels, as flat indices and as
