@@ -489,20 +489,27 @@ def _run_cases(run, dataset, threads: int, config: EvalConfig) -> list:
         for worker in range(1, workers):
             read_fd, write_fd = os.pipe()
             pipe = os.fdopen(read_fd, "rb")
+            # an interrupt waits until the child is recorded: one raised in
+            # the fork's at-fork handlers would be swallowed there, and one
+            # before the record would leave the child unreaped
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
             try:
                 pid = os.fork()
             except BaseException:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 pipe.close()
                 os.close(write_fd)
                 raise
             if pid == 0:
                 code = 1
                 try:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                     _serve(task, sources, worker, workers, progress, write_fd)
                     code = 0
                 finally:
                     os._exit(code)  # never back into the caller's frames
             children[pid] = (worker, pipe)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             os.close(write_fd)
         outcomes = _run_stripe(task, sources, 0, workers, progress)
         for pid, (worker, pipe) in list(children.items()):

@@ -983,6 +983,29 @@ def test_ctrl_c_stops_a_two_worker_search_with_one_line(tmp_path):
     assert not out.exists()
 
 
+def test_ctrl_c_while_a_worker_is_forked_is_not_lost(tmp_path):
+    # the interrupt is sent by an at-fork handler in the parent, as if it
+    # landed while the fork ran its handlers; it must still stop the run
+    manifest, _ = generate_dataset(3, 8, PhantomSpec(dims=(16, 16, 16), n_lesions=1,
+                                                     radius_range=(3.0, 5.0)), tmp_path / "ds")
+    out = tmp_path / "search.json"
+    argv = ["--threads", "2", "search", str(manifest), "--split", "train", "--step", "0.5",
+            "--out", str(out)]
+    script = "\n".join([
+        "import os, signal, sys",
+        "from rulefuse import cli, discovery",
+        "discovery._usable_cpus = lambda: 2",
+        "os.register_at_fork(after_in_parent=lambda: os.kill(os.getpid(), signal.SIGINT))",
+        f"sys.exit(cli.main({argv!r}))",
+    ])
+    src = str(Path(rulefuse.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (130, "interrupted\n", "")
+    assert not out.exists()
+
+
 def _zone_reads(argv, capsys, monkeypatch, every_zone=False):
     """(exit code, stdout, {zone name: volumes read}, cases read) of one run;
     with `every_zone` the manifest's every zone is read, as it was before
