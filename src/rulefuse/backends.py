@@ -7,16 +7,16 @@ from scipy import ndimage
 
 _STRUCTURES = {c: ndimage.generate_binary_structure(3, r) for c, r in ((6, 1), (18, 2), (26, 3))}
 
-# A box is labelled from its z-runs when it holds more than this many voxels
-# per run, and by ndimage.label otherwise. ndimage.label costs 15-28 ns per
-# box voxel whatever the box holds; the run labeller costs per run. Measured
-# on 2 CPUs (numpy 2.4.6, scipy 1.17.1) over random and smoothed-noise masks
-# from 16³ to 48³: at 34-36 voxels per run the runs took 0.8-1.2x ndimage's
-# time, at 50-56 0.5-0.9x, and from 64 on 0.2-0.8x (1.0x in 16³ boxes). A
-# `search` prediction holds 47-180 (median 99) and labels in 0.35-0.45x. At
-# 64 a full box (as many voxels per run as the box is deep, 48 at 48³), a
-# checkerboard (2; 17x slower by runs) and a mask of a 16³ phantom stay on
-# ndimage.label.
+# `components` labels a mask from its positives' z-runs when their bounding
+# box holds more than this many voxels per run, and by ndimage.label over the
+# box otherwise. ndimage.label costs 15-28 ns per box voxel whatever the box
+# holds; the run labeller costs per run. Measured on 2 CPUs (numpy 2.4.6,
+# scipy 1.17.1) over random and smoothed-noise masks from 16³ to 48³: at
+# 34-36 voxels per run the runs took 0.8-1.2x ndimage's time, at 50-56
+# 0.5-0.9x, and from 64 on 0.2-0.8x (1.0x in 16³ boxes). A `search`
+# prediction holds 47-180 (median 99) and labels in 0.35-0.45x. At 64 a full
+# box (as many voxels per run as the box is deep, 48 at 48³), a checkerboard
+# (2; 17x slower by runs) and a mask of a 16³ phantom stay on ndimage.label.
 _BOX_VOXELS_PER_RUN = 64
 
 # The rows a z-run can touch after its own, as (dx, dy) steps, with the z
@@ -137,10 +137,11 @@ def support_of(mask) -> np.ndarray:
 
 class LabelBuffer:
     """A reused labels volume: `array`, C-contiguous int32, is zero outside
-    what its last writer recorded through `claim`: `box`, the box a
-    `label_components` call labelled, or `positives`, the flat indices a
-    batch wrote its labels at (see `components_batch`). The next writer
-    clears only that, so it never reads an earlier writer's labels."""
+    what its last writer recorded through `claim`: `box`, the box
+    `label_components` labelled, or `positives`, the flat indices the run
+    labeller's labels were written at (by `components`, or by a sweep from
+    `components_batch`). The next writer clears only that, so it never reads
+    an earlier writer's labels."""
 
     def __init__(self, shape):
         self.array = np.zeros(shape, dtype=np.int32)
@@ -158,64 +159,18 @@ class LabelBuffer:
 
 
 def label_components(mask, connectivity, box, out: LabelBuffer | None = None):
-    """Label connected regions of a 3D boolean mask. Returns (labels, count).
+    """Label connected regions of a 3D boolean mask by ndimage.label.
+    Returns (labels, count).
 
     Only mask[box] is labelled, where `box` holds every positive voxel. Scan
     order inside a box is scan order in the volume, so the labels are those
     of the whole mask, and every voxel outside the box is background. The
     labels go into `out`'s array, when given, instead of a fresh array.
-
-    A box holding more than `_BOX_VOXELS_PER_RUN` voxels per z-run is
-    labelled from its runs (see `_label_runs`), any other by ndimage.label;
-    both give the same labels, numbered alike. A run holds at most a row of
-    the box, so a box whose voxels times its depth are at most that many
-    per positive goes to ndimage.label without its runs being counted.
+    `components` sends here every box it does not label from its runs.
     """
-    structure = _STRUCTURES.get(connectivity)
-    if structure is None:
-        raise ValueError(f"connectivity must be 6, 18 or 26, got {connectivity!r}")
     labels = np.zeros(mask.shape, dtype=np.int32) if out is None else out.claim(box)
-    crop = mask[box]
-    if not crop.size:
-        return labels, 0
-    if crop.size * crop.shape[2] > _BOX_VOXELS_PER_RUN * np.count_nonzero(crop):
-        bounds = np.flatnonzero(_run_ends(crop))
-        if crop.size > _BOX_VOXELS_PER_RUN * (bounds.size // 2):
-            origin = tuple(s.indices(n)[0] for s, n in zip(box, mask.shape))
-            return labels, _label_box_runs(bounds, crop.shape, origin, connectivity, labels)
-    return labels, ndimage.label(crop, structure=structure, output=labels[box])
-
-
-def _run_ends(crop) -> np.ndarray:
-    """The ends of the z-runs of a 3D boolean box, flat over the box with one
-    empty voxel after each row: True at each run's first voxel and at the
-    voxel just past its last, so every run has exactly two."""
-    bx, by, bz = crop.shape
-    padded = np.zeros(bx * by * (bz + 1) + 1, dtype=bool)
-    padded[1:].reshape(bx, by, bz + 1)[..., :bz] = crop
-    return padded[1:] != padded[:-1]
-
-
-def _label_box_runs(bounds, shape, origin, connectivity, labels) -> int:
-    """Label a box of `shape` at `origin` in the C-contiguous `labels` volume
-    from its z-runs, whose ends `bounds` are the flat positions of
-    `_run_ends`' marks, and return the component count."""
-    _, by, bz = shape
-    pitch = bz + 1
-    start, stop = bounds[0::2], bounds[1::2]
-    lengths = stop - start
-    # `_run_ends` places one empty voxel after each row; one empty row after
-    # each x slab makes `_label_runs`' layout
-    run_labels, rank = _label_runs(start + start // (by * pitch) * pitch, lengths, by, bz,
-                                   connectivity)
-    row, z = np.divmod(start, pitch)
-    x, y = np.divmod(row, by)
-    ny, nz = labels.shape[1:]
-    # each run's first voxel in the volume, less the run voxels before it
-    at = ((x + origin[0]) * ny + y + origin[1]) * nz + z + origin[2]
-    at -= lengths.cumsum() - lengths
-    labels.reshape(-1)[np.arange(lengths.sum()) + at.repeat(lengths)] = run_labels.repeat(lengths)
-    return int(rank[-1]) if rank.size else 0
+    structure = _STRUCTURES[connectivity]
+    return labels, ndimage.label(mask[box], structure=structure, output=labels[box])
 
 
 def _label_runs(first, lengths, ny, nz, connectivity):
@@ -340,12 +295,32 @@ def components(mask, connectivity, min_voxels=1, positives: np.ndarray | None = 
 
     Only the positive voxels are counted, and only their bounding box is
     labelled; every other voxel is background. `positives` are the mask's
-    (see `support_of`) when the caller has them; `out` is as for
-    `label_components`.
+    (see `support_of`) when the caller has them. The labels go into the
+    `LabelBuffer` `out`'s array, when given, instead of a fresh array.
+
+    A box holding more than `_BOX_VOXELS_PER_RUN` voxels per z-run is
+    labelled from its positives' runs by `components_batch`, as a batch of
+    one, any other by `label_components`; both give the same labels,
+    numbered alike. A run holds at most a row of the box, so a box whose
+    voxels times its depth are at most that many per positive goes to
+    ndimage.label without its runs being counted.
     """
+    if connectivity not in _STRUCTURES:
+        raise ValueError(f"connectivity must be 6, 18 or 26, got {connectivity!r}")
     if positives is None:
         positives = support_of(mask)
     box = bounding_box(positives, mask.shape)
+    bx, by, bz = (s.stop - s.start for s in box)
+    if bx * by * bz * bz > _BOX_VOXELS_PER_RUN * positives.size:
+        positions = batch_positions(positives, mask.shape, 1)[0]
+        runs = positions.size - np.count_nonzero(np.diff(positions) == 1)
+        if bx * by * bz > _BOX_VOXELS_PER_RUN * runs:
+            (local, counts, keep, _), = components_batch(positions, [0, positions.size],
+                                                         mask.shape, connectivity, min_voxels)
+            labels = (np.zeros(mask.shape, dtype=np.int32) if out is None
+                      else out.claim(positives=positives))
+            labels.reshape(-1)[positives] = local
+            return labels, counts, keep
     labels, n = label_components(mask, connectivity, box, out)
     counts = np.bincount(labels.ravel().take(positives), minlength=n + 1)
     counts[0] = labels.size - positives.size

@@ -233,7 +233,7 @@ def _rule_from_spec(spec):
 def cmd_combine(args) -> int:
     model, rule = _rule_from_spec(args.rule)
     eval_cfg = _eval_config(args)
-    _check_outputs(args, "--out", "--mask-out")
+    _check_outputs(args, "--out", "--mask-out", volumes=("--out", "--mask-out"))
     paths = (args.t2w, args.dwi_hb, args.adc)
     volumes = [volio.load_any_volume(p) for p in paths]
     kind, kind_name = ((LabelVolume, "binary masks") if model == "vote"
@@ -297,12 +297,25 @@ def _eval_config(args) -> EvalConfig:
                       metrics=MetricsConfig(**metrics), zone=options.get("zone"))
 
 
-def _check_outputs(args, *options: str) -> None:
-    """Check the path of each output option given, before any volume is read
-    (see `volio.check_output`)."""
+def _check_outputs(args, *options: str, volumes=(), written=None) -> None:
+    """Check the files each output option given writes, before any volume is
+    read: a UsageError naming two options that write one file, else each
+    file as `volio.check_output` checks it. An option in `volumes` writes a
+    volume's payload and sidecar; `written` maps more options to their files."""
+    files = {}
     for option in options:
         path = getattr(args, option[2:].replace("-", "_"))
         if path is not None:
+            files[option] = volio.volume_files(path) if option in volumes else (path,)
+    files.update(written or {})
+    owners = {}
+    for option, paths in files.items():
+        for path in paths:
+            owner = owners.setdefault(Path(path).resolve(), option)
+            if owner != option:
+                raise UsageError(f"{owner} and {option} both write {path}")
+    for option, paths in files.items():
+        for path in paths:
             volio.check_output(path, option)
 
 
@@ -379,9 +392,9 @@ def cmd_mc_uncertainty(args) -> int:
     # checked before the run, so a bad case id or file costs no draws
     volume_paths = {c.case_id: volio.case_file(args.volumes_out, c.case_id, "_variance.f32le")
                     for c in sources} if args.volumes_out else {}
-    for path in volume_paths.values():
-        for written in (path, f"{path}{volio.SIDECAR_SUFFIX}"):
-            volio.check_output(written, "--volumes-out")
+    variance_files = [file for path in volume_paths.values()
+                      for file in volio.volume_files(path)]
+    _check_outputs(args, "--out", "--csv-out", written={"--volumes-out": variance_files})
     result = discovery.monte_carlo_uncertainty(
         sources, sampler, n_draws=args.draws, seed=args.seed, config=eval_cfg, threads=args.threads,
     )

@@ -24,8 +24,10 @@ positives are found without a pass over the grid, and one
 their z-runs, with each rule's small components dropped, before its rules
 are scored one by one. A lone linear rule, a stacking rule and every draw of
 Monte-Carlo uncertainty (which needs the whole map for its moments) compute
-the whole map, threshold it and label the mask on its own. Either way each
-(rule, case) pair is scored by one `_evaluate_case` call.
+the whole map, threshold it and label the mask on its own with
+`backends.components`, which labels a sparse mask from its positives' z-runs
+as a batch of one. Either way each (rule, case) pair is scored by one
+`_evaluate_case` call.
 
 The scheduler runs on `_workers(threads, n_cases)` worker processes: the
 calling process is worker 0 and the others are forked children, which

@@ -45,16 +45,17 @@ SIDECAR_SUFFIX = ".json"
 _DTYPES = {"f32le": np.dtype("<f4"), "u8": np.dtype("u1")}
 
 
-def _sidecar_and_payload(path) -> tuple[Path, Path]:
+def volume_files(path) -> tuple[Path, Path]:
+    """The two files of the volume at `path`: its payload and its sidecar."""
     path = Path(path)
     if path.suffix == SIDECAR_SUFFIX:
-        return path, path.with_suffix("")
-    return Path(str(path) + SIDECAR_SUFFIX), path
+        return path.with_suffix(""), path
+    return path, Path(str(path) + SIDECAR_SUFFIX)
 
 
 def save_volume(volume, path) -> Path:
     """Write payload at `path` and sidecar at `path.json`; returns payload path."""
-    sidecar, payload = _sidecar_and_payload(path)
+    payload, sidecar = volume_files(path)
     if isinstance(volume, ProbabilityVolume):
         dtype_name = "f32le"
         raw = volume.values.astype("<f4")
@@ -99,7 +100,7 @@ def _c_ordered(raw: np.ndarray, dims, dtype) -> np.ndarray:
 
 def load_volume(path):
     """Read a sidecar+payload pair; dtype decides the volume type."""
-    sidecar, payload = _sidecar_and_payload(path)
+    payload, sidecar = volume_files(path)
     text = _read_bytes(sidecar, "sidecar")
     blob = _read_bytes(payload, "payload")
     try:

@@ -947,6 +947,43 @@ def test_evaluate_and_combine_check_their_outputs_before_reading(argv, option, p
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
 
+@pytest.mark.parametrize("argv, first, second, path", [
+    (["search", "{M}", "--step", "0.5", "--out", "x", "--csv-out", "x", "--heatmap-out", "x"],
+     "--out", "--csv-out", "x"),
+    (["search", "{M}", "--step", "0.5", "--csv-out", "r.csv", "--heatmap-out", "./r.csv"],
+     "--csv-out", "--heatmap-out", "./r.csv"),
+    (["evaluate", "{TRUTH}", "{TRUTH}", "--out", "r", "--csv-out", "new/../r"],
+     "--out", "--csv-out", "new/../r"),
+    (["availability", "{M}", "--out", "r", "--csv-out", "r"], "--out", "--csv-out", "r"),
+    (["combine", "{T2W}", "{DWI}", "{ADC}", "--rule", ALPHA_RULE, "--out", "c.f32le",
+      "--mask-out", "c.f32le"], "--out", "--mask-out", "c.f32le"),
+    (["combine", "{T2W}", "{DWI}", "{ADC}", "--rule", ALPHA_RULE, "--out", "c.f32le",
+      "--mask-out", "c.f32le.json"], "--out", "--mask-out", "c.f32le"),
+    (["combine", "{T2W}", "{DWI}", "{ADC}", "--rule", ALPHA_RULE, "--out", "c.u8.json",
+      "--mask-out", "c.u8"], "--out", "--mask-out", "c.u8"),
+    (["mc-uncertainty", "{M}", "--sampler", '{"kind": "dirichlet"}', "--draws", "2",
+      "--volumes-out", "v", "--out", "v/case_0001_variance.f32le.json"],
+     "--out", "--volumes-out", "v/case_0001_variance.f32le.json"),
+    (["mc-uncertainty", "{M}", "--sampler", '{"kind": "dirichlet"}', "--draws", "2",
+      "--volumes-out", "v", "--csv-out", "v/case_0003_variance.f32le"],
+     "--csv-out", "--volumes-out", "v/case_0003_variance.f32le"),
+], ids=["search-all-three", "search-csv-heatmap", "evaluate", "availability",
+        "combine-payload", "combine-sidecar", "combine-payload-of-a-sidecar", "mc-sidecar",
+        "mc-payload"])
+def test_two_outputs_that_write_one_file_are_one_usage_line(argv, first, second, path,
+                                                           argv_dataset, tmp_path, capsys,
+                                                           monkeypatch):
+    # they used to overwrite each other and exit 0; now the run stops with
+    # one line naming both, before any volume is read or anything written
+    _, files = argv_dataset
+    monkeypatch.chdir(tmp_path)
+    with mock.patch.object(volio, "load_volume", wraps=volio.load_volume) as load:
+        assert main([files.get(arg, arg) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"usage error: {first} and {second} both write {path}\n"
+    assert out == "" and load.call_count == 0 and list(tmp_path.iterdir()) == []
+
+
 def test_ctrl_c_stops_a_two_worker_search_with_one_line(tmp_path):
     # SIGINT goes to the whole process group, as a terminal sends it, once
     # the search has forked its worker

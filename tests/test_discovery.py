@@ -353,18 +353,18 @@ def test_a_box_is_worked_out_once_per_labelling_and_never_without_one(monkeypatc
     cases = mixed_grid_cases(seed=13)
     config = EvalConfig(min_region_voxels=4, zone="slab")
     boxes, labellings = [], []
-    bounding_box, label_components = backends.bounding_box, backends.label_components
+    bounding_box, components = backends.bounding_box, backends.components
 
     def counted_bounding_box(flat, shape):
         boxes.append(shape)
         return bounding_box(flat, shape)
 
-    def counted_label_components(mask, connectivity, box, out=None):
+    def counted_components(mask, *args, **kwargs):
         labellings.append(mask.shape)
-        return label_components(mask, connectivity, box, out)
+        return components(mask, *args, **kwargs)
 
     monkeypatch.setattr(backends, "bounding_box", counted_bounding_box)
-    monkeypatch.setattr(backends, "label_components", counted_label_components)
+    monkeypatch.setattr(backends, "components", counted_components)
     rule = LinearRule(np.array([0.5, 0.25, 0.25]))
     runs = {
         "zoned grid search": lambda: grid_search_linear(cases, step=0.5, config=config),

@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -259,9 +262,9 @@ def test_bounding_box_is_the_smallest_box_of_the_positives():
 STRUCTURES = {c: ndimage.generate_binary_structure(3, r) for c, r in ((6, 1), (18, 2), (26, 3))}
 
 
-def _labelling(values, connectivity, box, out=None, every_box_by_runs=True):
-    """`label_components`' (labels, count) and whether the run labeller ran;
-    with `every_box_by_runs`, every non-empty box is labelled from its runs."""
+def _labelling(values, connectivity, out=None, every_box_by_runs=True):
+    """`components`' (labels, counts) and whether the run labeller ran; with
+    `every_box_by_runs`, every non-empty mask is labelled from its runs."""
     ran = []
     label_runs = backends._label_runs
 
@@ -273,8 +276,9 @@ def _labelling(values, connectivity, box, out=None, every_box_by_runs=True):
         if every_box_by_runs:
             mp.setattr(backends, "_BOX_VOXELS_PER_RUN", 0)
         mp.setattr(backends, "_label_runs", counted)
-        labels, count = backends.label_components(values, connectivity, box, out)
-    return labels, count, bool(ran)
+        labels, counts, keep = backends.components(values, connectivity, out=out)
+    assert keep.tolist() == [False] + [True] * (counts.size - 1)
+    return labels, counts, bool(ran)
 
 
 @st.composite
@@ -305,26 +309,25 @@ def _every_face(dims=(7, 6, 5)):
 
 @settings(max_examples=300, deadline=None)
 @given(values=run_masks(), connectivity=st.sampled_from([6, 18, 26]),
-       whole=st.booleans(), margin=st.integers(0, 2))
-@example(values=_every_face(), connectivity=6, whole=False, margin=0)
-@example(values=np.ones((1, 1, 1), dtype=bool), connectivity=26, whole=False, margin=0)
-@example(values=np.ones((1, 4, 1), dtype=bool), connectivity=18, whole=True, margin=1)
-@example(values=np.eye(5, dtype=bool)[None].repeat(2, 0), connectivity=18, whole=False, margin=0)
-def test_run_labeller_labels_and_numbers_as_ndimage_label(values, connectivity, whole, margin):
-    # the run labeller's labels volume, component count and numbering are
-    # ndimage.label's, in a box or the whole volume, inside a larger volume
+       margin=st.integers(0, 2))
+@example(values=_every_face(), connectivity=6, margin=0)
+@example(values=np.ones((1, 1, 1), dtype=bool), connectivity=26, margin=0)
+@example(values=np.ones((1, 4, 1), dtype=bool), connectivity=18, margin=1)
+@example(values=np.eye(5, dtype=bool)[None].repeat(2, 0), connectivity=18, margin=0)
+def test_run_labeller_labels_and_numbers_as_ndimage_label(values, connectivity, margin):
+    # the run labeller's labels volume, component counts and numbering are
+    # ndimage.label's, inside a larger volume
     volume = np.zeros(tuple(n + 2 * margin for n in values.shape), dtype=bool)
     volume[tuple(slice(margin, margin + n) for n in values.shape)] = values
     want, n = ndimage.label(volume, structure=STRUCTURES[connectivity])
-    box = ((slice(None),) * 3 if whole
-           else backends.bounding_box(backends.support_of(volume), volume.shape))
     stale = backends.LabelBuffer(volume.shape)  # a reused buffer, dirty everywhere
     stale.array.fill(7)
     stale.box = (slice(None),) * 3
     for out in (None, stale):
-        labels, count, ran = _labelling(volume, connectivity, box, out)
-        assert ran == bool(volume[box].size)
-        assert count == n
+        labels, counts, ran = _labelling(volume, connectivity, out)
+        assert ran == bool(volume.any())
+        assert counts.size == n + 1
+        np.testing.assert_array_equal(counts, np.bincount(want.ravel(), minlength=n + 1))
         assert labels.dtype == want.dtype and labels.tobytes() == want.tobytes()
 
 
@@ -340,9 +343,8 @@ def test_run_labeller_joins_a_run_to_a_voxel_exactly_where_ndimage_does(connecti
                 values[1, 1, 2:2 + length] = True
                 values[1 + dx, 1 + dy, z] = True
                 want, n = ndimage.label(values, structure=STRUCTURES[connectivity])
-                box = backends.bounding_box(backends.support_of(values), values.shape)
-                labels, count, ran = _labelling(values, connectivity, box)
-                assert ran and count == n, (length, dx, dy, z)
+                labels, counts, ran = _labelling(values, connectivity)
+                assert ran and counts.size == n + 1, (length, dx, dy, z)
                 assert labels.tobytes() == want.tobytes(), (length, dx, dy, z)
 
 
@@ -369,28 +371,31 @@ def test_run_labeller_joins_a_serpentine_into_one_component(connectivity):
     values = _serpentine()
     want, n = ndimage.label(values, structure=STRUCTURES[connectivity])
     assert n == 1
-    box = backends.bounding_box(backends.support_of(values), values.shape)
-    labels, count, ran = _labelling(values, connectivity, box)
-    assert ran and count == 1 and labels.tobytes() == want.tobytes()
+    labels, counts, ran = _labelling(values, connectivity)
+    assert ran and counts.size == 2 and labels.tobytes() == want.tobytes()
 
 
 def _labeller_of(values, connectivity=26):
     """Which labeller labels `values` in its bounding box: "runs" or "ndimage"."""
-    box = backends.bounding_box(backends.support_of(values), values.shape)
-    labels, count, ran = _labelling(values, connectivity, box, every_box_by_runs=False)
+    labels, counts, ran = _labelling(values, connectivity, every_box_by_runs=False)
     want, n = ndimage.label(values, structure=STRUCTURES[connectivity])
-    assert count == n and labels.tobytes() == want.tobytes()
+    assert counts.size == n + 1 and labels.tobytes() == want.tobytes()
     return "runs" if ran else "ndimage"
 
 
-def test_sparse_predictions_take_the_runs_and_dense_or_small_masks_ndimage():
-    # a search prediction: a criterion-6 48³ phantom's linear map above 0.5
+@functools.cache
+def _search_predictions():
+    """A `search` prediction per rule of the 0.1 grid: a criterion-6 48³
+    phantom's linear map above 0.5."""
     spec = PhantomSpec(dims=(48, 48, 48), n_lesions=3, radius_range=(4.5, 9.0),
                        fidelity=(0.5, 0.5, 0.5), noise_sd=0.25,
                        planted_rule=LinearRule(np.array([0.5, 0.5, 0.0])))
     case = generate_case([0, 7], spec)
-    used = [_labeller_of(combine_linear(case.modalities, rule).values > 0.5)
-            for rule in simplex_grid(0.1)]
+    return [combine_linear(case.modalities, rule).values > 0.5 for rule in simplex_grid(0.1)]
+
+
+def test_sparse_predictions_take_the_runs_and_dense_or_small_masks_ndimage():
+    used = [_labeller_of(values) for values in _search_predictions()]
     assert used[50] == "runs"  # the planted rule, (0.5, 0.5, 0)
     assert used.count("runs") >= 0.8 * len(used)
     # 16³ masks: a small phantom's truth and predictions
@@ -407,15 +412,43 @@ def test_sparse_predictions_take_the_runs_and_dense_or_small_masks_ndimage():
 @pytest.mark.parametrize("connectivity", [6, 18, 26])
 def test_a_full_box_goes_to_ndimage_without_its_runs_being_counted(connectivity, monkeypatch):
     # a run holds at most a row of its box, so a 48³ box of 48³ positives
-    # has at least 48² runs, too many for the runs to pay; they are not built
-    def no_run_ends(crop):
-        raise AssertionError("_run_ends built for a full box")
+    # has at least 48² runs, too many for the runs to pay; they are not found
+    def no_positions(flat, shape, n_masks):
+        raise AssertionError("run positions built for a full box")
 
     values = np.ones((48, 48, 48), dtype=bool)
-    monkeypatch.setattr(backends, "_run_ends", no_run_ends)
+    monkeypatch.setattr(backends, "batch_positions", no_positions)
     labels, counts, keep = backends.components(values, connectivity, 2)
     assert counts.tolist() == [0, values.size] and keep.tolist() == [False, True]
     assert (labels == 1).all()
+
+
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+def test_one_label_buffer_serves_both_labellers(connectivity):
+    # the run labeller claims the positives it writes and ndimage.label its
+    # box; after any mask, the next is labelled as in a fresh array
+    sparse = _search_predictions()
+    shape = sparse[0].shape
+    one_voxel = np.zeros(shape, dtype=bool)
+    one_voxel[20, 31, 42] = True
+    masks = [("sparse", "runs", sparse[50]), ("full", "ndimage", np.ones(shape, dtype=bool)),
+             ("empty", "ndimage", np.zeros(shape, dtype=bool)),
+             ("one voxel", "ndimage", one_voxel),
+             ("checkerboard", "ndimage", np.indices(shape).sum(0) % 2 == 0),
+             ("sparse again", "runs", sparse[20])]
+    fresh = {}
+    for name, labeller, values in masks:
+        assert _labeller_of(values, connectivity) == labeller, name
+        fresh[name] = backends.components(values, connectivity, 2)
+    buffer = backends.LabelBuffer(shape)  # a reused buffer, dirty everywhere
+    buffer.array.fill(7)
+    buffer.box = (slice(None),) * 3
+    # the masks in turn, then every other ordered pair of them
+    for name, _, values in itertools.chain(masks, *itertools.permutations(masks, 2)):
+        got = backends.components(values, connectivity, 2, out=buffer)
+        assert got[0] is buffer.array, name
+        for a, b in zip(got, fresh[name]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def _batch(masks, connectivity, min_voxels):
