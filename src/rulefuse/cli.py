@@ -299,9 +299,10 @@ def _eval_config(args) -> EvalConfig:
 
 def _check_outputs(args, *options: str, volumes=(), written=None) -> None:
     """Check the files each output option given writes, before any volume is
-    read: a UsageError naming two options that write one file, else each
-    file as `volio.check_output` checks it. An option in `volumes` writes a
-    volume's payload and sidecar; `written` maps more options to their files."""
+    read: a UsageError naming two options that write one file, or one that
+    writes a file where another needs a directory, else each file as
+    `volio.check_output` checks it. An option in `volumes` writes a volume's
+    payload and sidecar; `written` maps more options to their files."""
     files = {}
     for option in options:
         path = getattr(args, option[2:].replace("-", "_"))
@@ -311,9 +312,15 @@ def _check_outputs(args, *options: str, volumes=(), written=None) -> None:
     owners = {}
     for option, paths in files.items():
         for path in paths:
-            owner = owners.setdefault(Path(path).resolve(), option)
+            owner, _ = owners.setdefault(Path(path).resolve(), (option, path))
             if owner != option:
                 raise UsageError(f"{owner} and {option} both write {path}")
+    for resolved, (option, path) in owners.items():
+        for parent in resolved.parents:
+            if parent in owners:
+                owner, file = owners[parent]
+                raise UsageError(f"{option} writes {path} inside {file}, "
+                                 f"which {owner} writes as a file")
     for option, paths in files.items():
         for path in paths:
             volio.check_output(path, option)

@@ -22,12 +22,16 @@ threshold, outside which no convex sum can exceed it. Its rules are taken
 positives are found without a pass over the grid, and one
 `backends.components_batch` call labels the whole chunk's positives from
 their z-runs, with each rule's small components dropped, before its rules
-are scored one by one. A lone linear rule, a stacking rule and every draw of
-Monte-Carlo uncertainty (which needs the whole map for its moments) compute
-the whole map, threshold it and label the mask on its own with
-`backends.components`, which labels a sparse mask from its positives' z-runs
-as a batch of one. Either way each (rule, case) pair is scored by one
-`_evaluate_case` call.
+are scored one by one. Every prediction lies within the candidates, so in
+a sweep of at least `_LISTED_RULES` rules the case's truth context lists
+each truth surface point's nearest candidates (`metrics.NearestCandidates`),
+and HD95 reads the truth's side from those lists instead of building a tree
+over each prediction's surface, as every other HD95 does. A lone linear
+rule, a stacking rule and every draw of Monte-Carlo uncertainty (which needs
+the whole map for its moments) compute the whole map, threshold it and label
+the mask on its own with `backends.components`, which labels a sparse mask
+from its positives' z-runs as a batch of one. Either way each (rule, case)
+pair is scored by one `_evaluate_case` call.
 
 The scheduler runs on `_workers(threads, n_cases)` worker processes: the
 calling process is worker 0 and the others are forked children, which
@@ -271,6 +275,17 @@ _CANDIDATE_MARGIN = 4 * _SIMPLEX_TOL
 # a 4-rule chunk added 0.8 MB, 8 rules 2.0 MB, 16 rules 4.1 MB and the whole
 # 66-rule grid 17.7 MB.
 _RULE_CHUNK = 8
+
+
+# Linear rules a sweep needs for its truth contexts to list their nearest
+# candidates (see `metrics.NearestCandidates`). Measured on 2 CPUs over the
+# `search` benchmark's 9 cases at 48³: a case's candidates' tree and its
+# truth points' lists cost about 4 ms, and each rule they serve saves about
+# 0.2 ms against a tree over its prediction's surface. Against those trees
+# the lists lost 0.4 ms per case at the 15 rules of step 0.25 and 1.9 ms at
+# availability's 8, and won 1.0 ms at the 21 of step 0.2 and 1.9 ms at 20
+# rules drawn from step 0.1.
+_LISTED_RULES = 20
 
 
 class _Candidates:
@@ -564,21 +579,23 @@ def _sweep(
 
     Each case is one task of `_run_cases`, which loads and sets it up in the
     worker that runs it. The task builds the restricted truth's context and,
-    for two or more linear rules, finds the case's `_Candidates` once and
-    labels their predictions there in chunks, then scores all the rules on
-    the case. A failing rule fails its case, with the
-    case id in the message.
+    for two or more linear rules, finds the case's `_Candidates` once (and,
+    for `_LISTED_RULES` or more, gives the context their nearest-candidate
+    lists) and labels their predictions there in chunks, then scores all the
+    rules on the case. A failing rule fails its case, with the case id in the
+    message.
     """
     rules = list(rules)
 
     def run(case, zone, truth, buffers) -> list[tuple[str, MetricsReport]]:
         try:
-            truth_ctx = truth_context(truth, config.metrics.connectivity)
             # building a candidate set costs about as much as one rule's dense
             # map, threshold and scan, so a lone rule runs dense
-            preds = (_Candidates(case, config, buffers).predictions(rules)
-                     if len(rules) > 1 and all(isinstance(r, LinearRule) for r in rules)
-                     else [None] * len(rules))
+            linear = len(rules) > 1 and all(isinstance(r, LinearRule) for r in rules)
+            candidates = _Candidates(case, config, buffers) if linear else None
+            listed = candidates.flat if linear and len(rules) >= _LISTED_RULES else None
+            truth_ctx = truth_context(truth, config.metrics.connectivity, listed)
+            preds = candidates.predictions(rules) if linear else [None] * len(rules)
             return [
                 (case.case_id, _evaluate_case(case, rule, config, zone, truth_ctx, buffers, pred))
                 for rule, pred in zip(rules, preds)

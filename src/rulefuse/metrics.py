@@ -4,6 +4,14 @@ Lesion metrics treat connected components as lesions; a component counts as
 hit only when its overlap fraction strictly exceeds the stated threshold.
 Undefined values (empty masks, zero lesions) are reported as None, never as
 sentinel numbers.
+
+HD95's distances are all in a cKDTree query's arithmetic. The prediction's
+surface points take theirs from a tree over the truth's surface, built once
+per `TruthContext`. The truth's points take theirs from a tree over the
+prediction's surface, or, where the context knows candidate voxels that hold
+every prediction (a linear rule sweep), from `NearestCandidates`: per-point
+lists of the nearest candidates, from one tree per case, with a brute force
+over the prediction's surface where a list holds none of it.
 """
 
 from __future__ import annotations
@@ -120,9 +128,13 @@ class BoundarySurface:
 # cKDTree options. A query's distance does not depend on the tree's shape,
 # only on how fast it is found, and an unbalanced tree builds faster. A
 # truth's tree is built once per case and queried at the own surface points
-# of every prediction. A prediction's tree is built for each one and queried
-# only at the few truth points off its surface, so its build is most of its
-# cost, and uncompacted nodes and larger leaves make that cheaper.
+# of every prediction. `_PRED_TREE` is for trees queried little for their
+# size, whose build is most of their cost, which uncompacted nodes and larger
+# leaves make cheaper: a prediction's tree, built only where the truth has no
+# candidate lists (a lone rule, stacking rules, CLI `evaluate`) or lies on
+# another grid, and queried only at the few truth points off the
+# prediction's surface; and a case's candidates' tree, queried once per
+# listed truth point.
 _TRUTH_TREE = {"balanced_tree": False}
 _PRED_TREE = {"balanced_tree": False, "compact_nodes": False, "leafsize": 32}
 
@@ -134,14 +146,28 @@ def _face_flags(dims) -> np.ndarray:
     return faces.reshape(-1)
 
 
-def boundary_surface(mask, tree_options=_TRUTH_TREE, faces: np.ndarray | None = None):
-    """Surface of a mask (`LabelVolume` or `LabelledMask`) as queryable
-    points; None when the mask is empty. `tree_options` are the cKDTree's.
+def _points(flat: np.ndarray, dims, spacing) -> np.ndarray:
+    """The centres in mm, as an (n, 3) array, of the voxels at flat (C order)
+    indices `flat` of a grid of `dims` at `spacing`."""
+    ny, nz = dims[1:]
+    points = np.empty((flat.size, 3))
+    rows = flat // nz
+    points[:, 2] = flat - rows * nz
+    x = rows // ny
+    points[:, 1] = rows - x * ny
+    points[:, 0] = x
+    points *= spacing
+    return points
+
+
+def _surface_flat(mask, faces: np.ndarray | None = None):
+    """The ascending flat (C order) indices of the boundary voxels of a mask
+    (`LabelVolume` or `LabelledMask`); None when the mask is empty.
 
     Found from the positive voxels alone: each one off the volume's faces
     (`faces`, its `_face_flags` when the caller has them) is tested against
     its six face neighbours, gathered by flat index, so no pass over the
-    volume or its bounding box is made; only boundary voxels get coordinates.
+    volume or its bounding box is made.
     """
     flat = _positives(mask)
     mask = _volume(mask)
@@ -158,11 +184,100 @@ def boundary_surface(mask, tree_options=_TRUTH_TREE, faces: np.ndarray | None = 
         interior &= values.take(inner - step)
         interior &= values.take(inner + step)
     boundary[~boundary] = ~interior
-    flat = flat[boundary]
-    rows, z = np.divmod(flat, nz)
-    x, y = np.divmod(rows, ny)
-    points = np.column_stack((x, y, z)) * np.asarray(mask.spacing, dtype=np.float64)
+    return flat[boundary]
+
+
+def boundary_surface(mask, tree_options=_TRUTH_TREE, faces: np.ndarray | None = None):
+    """Surface of a mask (`LabelVolume` or `LabelledMask`) as queryable
+    points; None when the mask is empty. `tree_options` are the cKDTree's,
+    and `faces` is as for `_surface_flat`, which finds the boundary voxels;
+    only they get coordinates.
+    """
+    flat = _surface_flat(mask, faces)
+    if flat is None:
+        return None
+    volume = _volume(mask)
+    points = _points(flat, volume.dims, volume.spacing)
     return BoundarySurface(points=points, tree=cKDTree(points, **tree_options), flat=flat)
+
+
+# Candidates listed for each truth surface point, nearest first. On the
+# `search` benchmark's cases, lists of 16 and 32 took the same time per sweep;
+# 48 and 64 cost more to fill than the fallbacks they spared. At 16, 2 156 of
+# the 60 257 truth points read over its 594 evaluations (seed 11) fell back.
+_NEAREST = 16
+# Elements in one block of `_nearest_bf`'s (points, surface) distance table.
+_BF_BLOCK = 1 << 16
+
+
+class NearestCandidates:
+    """The candidate voxels nearest each surface point of one truth.
+
+    `candidates` holds the ascending flat (C order) indices of the voxels
+    that contain every prediction to be scored against the truth, so every
+    prediction surface point is one of them. A truth point's list holds its
+    `_NEAREST` nearest candidates, as flat indices (`flat`) and distances
+    (`distance`), nearest first, from one k-nearest query of a cKDTree over
+    all the candidates: the tree's own arithmetic, bitwise that of a query
+    of any tree holding the candidate. The tree is built on the first list
+    asked for, and a list is filled the first time it is asked for.
+    """
+
+    def __init__(self, candidates: np.ndarray, surface: BoundarySurface, dims, spacing):
+        self.candidates, self.surface = candidates, surface
+        self.dims, self.spacing = dims, spacing
+        self.tree = None
+        n = surface.flat.size
+        self.flat = np.empty((n, _NEAREST), dtype=np.intp)
+        self.distance = np.empty((n, _NEAREST))
+        self.listed = np.zeros(n, dtype=bool)
+
+    def first_on(self, points: np.ndarray, flags: np.ndarray) -> np.ndarray:
+        """The distance from each truth surface point (indices `points`) to
+        its nearest listed candidate set in `flags`, a flat volume that sets
+        only candidates and none of the points; NaN where the list holds none.
+
+        The first set candidate on a list is the nearest set voxel anywhere:
+        every nearer candidate is on the list before it. A list shorter than
+        `_NEAREST`, where the query returns index n at distance inf, is
+        padded with the point's own voxel, which `flags` never sets.
+        """
+        new = points[~self.listed.take(points)]
+        if new.size:
+            if self.tree is None:
+                self.tree = cKDTree(_points(self.candidates, self.dims, self.spacing),
+                                    **_PRED_TREE)
+            distance, index = self.tree.query(self.surface.points[new], _NEAREST)
+            self.flat[new] = np.where(index < self.candidates.size,
+                                      self.candidates.take(index, mode="clip"),
+                                      self.surface.flat.take(new)[:, None])
+            self.distance[new] = distance
+            self.listed[new] = True
+        hits = flags.take(self.flat[points])
+        first = hits.argmax(axis=1)
+        rows = np.arange(points.size)
+        out = self.distance[points, first]
+        out[~hits[rows, first]] = np.nan
+        return out
+
+
+def _nearest_bf(points: np.ndarray, surface: np.ndarray) -> np.ndarray:
+    """The distance from each of `points` to the nearest of `surface` (both
+    (n, 3), in mm), in a cKDTree query's arithmetic: the squared coordinate
+    differences summed in axis order, the square root taken of the least.
+    The (points, surface) table is made `_BF_BLOCK` elements at a time."""
+    out = np.empty(len(points))
+    rows = max(1, _BF_BLOCK // len(surface))
+    for start in range(0, len(points), rows):
+        block = points[start:start + rows]
+        total = np.subtract.outer(block[:, 0], surface[:, 0])
+        total *= total
+        for axis in (1, 2):
+            step = np.subtract.outer(block[:, axis], surface[:, axis])
+            step *= step
+            total += step
+        np.sqrt(total.min(axis=1), out=out[start:start + rows])
+    return out
 
 
 def hd95(pred, truth, truth_ctx: TruthContext | None = None):
@@ -174,12 +289,19 @@ def hd95(pred, truth, truth_ctx: TruthContext | None = None):
     taken from its one or two order statistics (see `_percentile_past_zeros`).
 
     Either mask is a `LabelVolume` or a `LabelledMask`; `truth_ctx` is the
-    `truth_context` of `truth`, a throwaway one when not given. At equal
-    spacings a voxel on both surfaces is the same point, 0.0 away both ways,
-    and only the other points are queried: the shared voxels are gathered
-    from the context's `on_surface` and `scratch`, and the prediction's other
-    points take their distances from its memo, querying and storing only the
-    misses (a query does not depend on the points queried with it).
+    `truth_context` of `truth`, a throwaway one when not given. On another
+    grid than the truth's, every point of each surface is queried on the
+    other's tree. At equal spacings a voxel on both surfaces is the same
+    point, 0.0 away both ways:
+    - prediction to truth: each prediction surface point reads its distance
+      from the context's memo, which holds 0.0 on the truth's surface; only
+      the misses get coordinates and are queried on the truth's tree, and
+      are stored (a query does not depend on the points queried with it);
+    - truth to prediction: the truth's points off the prediction's surface,
+      found through the context's `scratch`, are queried on a tree of the
+      prediction's surface, or, when the context has `nearest` candidate
+      lists, read from them, with `_nearest_bf` over the prediction's
+      surface for a point whose list holds none of it.
     """
     pred_volume, truth_volume = _volume(pred), _volume(truth)
     validate_aligned([pred_volume, truth_volume], names=["pred", "truth"])
@@ -187,27 +309,38 @@ def hd95(pred, truth, truth_ctx: TruthContext | None = None):
     surf_g = ctx.surface
     if surf_g is None:
         return None
-    surf_p = boundary_surface(pred, _PRED_TREE, ctx.faces)
-    if surf_p is None:
-        return None
     if pred_volume.spacing != truth_volume.spacing:
         # points on another grid are not shared, however close, nor memoised
+        surf_p = boundary_surface(pred, _PRED_TREE, ctx.faces)
+        if surf_p is None:
+            return None
         own = np.concatenate([surf_g.tree.query(surf_p.points)[0],
                               surf_p.tree.query(surf_g.points)[0]])
         return _percentile_past_zeros(own, 0, HD_PERCENTILE)
-    own_p = np.flatnonzero(~ctx.on_surface.take(surf_p.flat))
-    own_flat = surf_p.flat.take(own_p)
-    from_p = ctx.distance.take(own_flat)
-    missed = np.isnan(from_p)
-    if missed.any():
-        from_p[missed] = surf_g.tree.query(surf_p.points[own_p[missed]])[0]
-        ctx.distance[own_flat[missed]] = from_p[missed]
-    ctx.scratch[surf_p.flat] = True
-    own_g = ~ctx.scratch.take(surf_g.flat)
-    ctx.scratch[surf_p.flat] = False
-    from_g = surf_p.tree.query(surf_g.points[own_g])[0]
-    n_shared = surf_p.flat.size - own_flat.size
-    return _percentile_past_zeros(np.concatenate([from_p, from_g]), 2 * n_shared, HD_PERCENTILE)
+    flat = _surface_flat(pred, ctx.faces)
+    if flat is None:
+        return None
+    dims, spacing = pred_volume.dims, pred_volume.spacing
+    from_p = ctx.distance.take(flat)
+    missed = np.flatnonzero(np.isnan(from_p))
+    if missed.size:
+        missed_flat = flat.take(missed)
+        from_p[missed] = surf_g.tree.query(_points(missed_flat, dims, spacing))[0]
+        ctx.distance[missed_flat] = from_p[missed]
+    ctx.scratch[flat] = True
+    own_g = np.flatnonzero(~ctx.scratch.take(surf_g.flat))
+    if ctx.nearest is None:
+        tree = cKDTree(_points(flat, dims, spacing), **_PRED_TREE)
+        from_g = tree.query(surf_g.points.take(own_g, axis=0))[0]
+    else:
+        from_g = ctx.nearest.first_on(own_g, ctx.scratch)
+        unlisted = np.flatnonzero(np.isnan(from_g))
+        if unlisted.size:
+            from_g[unlisted] = _nearest_bf(surf_g.points.take(own_g.take(unlisted), axis=0),
+                                           _points(flat, dims, spacing))
+    ctx.scratch[flat] = False
+    n_shared = surf_g.flat.size - own_g.size  # their prediction side is in from_p, as 0.0
+    return _percentile_past_zeros(np.concatenate([from_p, from_g]), n_shared, HD_PERCENTILE)
 
 
 def _percentile_past_zeros(values: np.ndarray, n_zeros: int, q: float) -> float:
@@ -299,31 +432,40 @@ class TruthContext:
     `truth_context`. It holds a mutable cache: valid for one truth at one spacing.
 
     `mask` is the truth as scored (zone-restricted if one is scored), labelled;
-    `surface` its `boundary_surface` (None when empty). The rest are flat
-    C-order volumes of its grid: `faces` (`_face_flags`), `on_surface` (set at
-    the surface's voxels), `distance` (`hd95`'s memo of each voxel's distance
-    to the surface, NaN until asked) and `scratch` (False between `hd95` calls).
+    `surface` its `boundary_surface` (None when empty). `faces` (`_face_flags`),
+    `distance` (`hd95`'s memo of each voxel's distance to the surface: 0.0 on
+    it, NaN until asked elsewhere) and `scratch` (False between `hd95` calls)
+    are flat C-order volumes of its grid. `nearest` is None, or the
+    `NearestCandidates` of its surface when every prediction to be scored
+    lies within a known set of candidate voxels.
     """
 
     mask: LabelledMask
     surface: BoundarySurface | None
     faces: np.ndarray
-    on_surface: np.ndarray
     distance: np.ndarray
     scratch: np.ndarray
+    nearest: NearestCandidates | None
 
 
-def truth_context(truth, connectivity: int = DEFAULT_CONNECTIVITY) -> TruthContext:
+def truth_context(truth, connectivity: int = DEFAULT_CONNECTIVITY,
+                  candidates: np.ndarray | None = None) -> TruthContext:
     """The context of `truth` (a `LabelVolume` or `LabelledMask`), labelled at
-    `connectivity`."""
+    `connectivity`. `candidates`, when given, are the ascending flat indices
+    of voxels that contain every prediction the context will score; `hd95`
+    then reads the truth's side from their `NearestCandidates`."""
     labelled = label_mask(truth, connectivity)
-    faces = _face_flags(labelled.volume.dims)
+    volume = labelled.volume
+    faces = _face_flags(volume.dims)
     surface = boundary_surface(labelled, _TRUTH_TREE, faces)
-    on_surface = np.zeros(faces.size, dtype=bool)
+    distance = np.full(faces.size, np.nan)
+    nearest = None
     if surface is not None:
-        on_surface[surface.flat] = True
-    return TruthContext(labelled, surface, faces, on_surface, np.full(faces.size, np.nan),
-                        np.zeros(faces.size, dtype=bool))
+        distance[surface.flat] = 0.0
+        if candidates is not None:
+            nearest = NearestCandidates(candidates, surface, volume.dims, volume.spacing)
+    return TruthContext(labelled, surface, faces, distance, np.zeros(faces.size, dtype=bool),
+                        nearest)
 
 
 def evaluate(

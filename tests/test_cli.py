@@ -984,6 +984,29 @@ def test_two_outputs_that_write_one_file_are_one_usage_line(argv, first, second,
     assert out == "" and load.call_count == 0 and list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["search", "{M}", "--step", "0.5", "--out", "d", "--heatmap-out", "d/h.csv"],
+     "--heatmap-out writes d/h.csv inside d, which --out writes as a file"),
+    (["search", "{M}", "--step", "0.5", "--csv-out", "d/e/r.csv", "--heatmap-out", "d/./e"],
+     "--csv-out writes d/e/r.csv inside d/./e, which --heatmap-out writes as a file"),
+    (["mc-uncertainty", "{M}", "--sampler", '{"kind": "dirichlet"}', "--draws", "2",
+      "--volumes-out", "v", "--out", "v"],
+     "--volumes-out writes v/case_0000_variance.f32le inside v, which --out writes as a file"),
+], ids=["search-out-heatmap", "search-csv-heatmap", "mc-volumes-out"])
+def test_an_output_file_another_output_needs_as_a_directory_is_one_usage_line(
+        argv, message, argv_dataset, tmp_path, capsys, monkeypatch):
+    # they used to run every split or draw, write what they could and exit 2
+    # on the file that was in the way; now the run stops with one line naming
+    # both, before any volume is read or anything written
+    _, files = argv_dataset
+    monkeypatch.chdir(tmp_path)
+    with mock.patch.object(volio, "load_volume", wraps=volio.load_volume) as load:
+        assert main([files.get(arg, arg) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"usage error: {message}\n"
+    assert out == "" and load.call_count == 0 and list(tmp_path.iterdir()) == []
+
+
 def test_ctrl_c_stops_a_two_worker_search_with_one_line(tmp_path):
     # SIGINT goes to the whole process group, as a terminal sends it, once
     # the search has forked its worker

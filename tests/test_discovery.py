@@ -427,6 +427,65 @@ def test_linear_sweep_queries_no_voxel_twice_on_a_truth_tree(zone, monkeypatch):
     assert repeats == 0
 
 
+@pytest.mark.parametrize("zone", [None, "slab"])
+def test_linear_sweep_builds_no_prediction_tree_and_lists_each_point_once(zone, monkeypatch):
+    # at equal spacing a task builds its truth's tree and, once some HD95
+    # needs a list, one tree over its candidates; every prediction's truth
+    # side is read from the lists, each filled once, with no tree of its own
+    class RecordingTree(cKDTree):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+        def query(self, x, *args, **kwargs):
+            self.__dict__.setdefault("queried", []).append(np.array(x))
+            return super().query(x, *args, **kwargs)
+
+    built, contexts, scored = [], [], []
+
+    def recorded_context(*args, **kwargs):
+        contexts.append(truth_context(*args, **kwargs))
+        return contexts[-1]
+
+    def checked_evaluate(*args, truth_ctx, **kwargs):
+        report = evaluate(*args, truth_ctx=truth_ctx, **kwargs)
+        assert not truth_ctx.scratch.any()
+        scored.append(report.hd95_mm)
+        return report
+
+    monkeypatch.setattr(metrics, "cKDTree", RecordingTree)
+    monkeypatch.setattr(discovery, "truth_context", recorded_context)
+    monkeypatch.setattr(discovery, "evaluate", checked_evaluate)
+    cases = mixed_grid_cases(seed=13)
+    grid_search_linear(cases, step=0.1, config=EvalConfig(min_region_voxels=4, zone=zone))
+    assert len(contexts) == len(cases) and len(scored) == 66 * len(cases)
+    assert sum(hd is not None for hd in scored) > 60 * len(cases)
+    expected = []
+    for ctx in contexts:
+        nearest = ctx.nearest
+        assert nearest is not None and nearest.tree is not None
+        expected += [ctx.surface.tree, nearest.tree]
+        listed = np.concatenate(nearest.tree.__dict__["queried"])
+        assert len(listed) == len(np.unique(listed, axis=0)) == np.count_nonzero(nearest.listed)
+    assert [id(tree) for tree in built] == [id(tree) for tree in expected]
+
+
+def test_a_sweep_of_few_linear_rules_lists_no_candidates(monkeypatch):
+    # availability's 8 rules would not repay a case's lists: their HD95
+    # builds a tree over each prediction's surface instead
+    contexts = []
+
+    def recorded_context(*args, **kwargs):
+        contexts.append(truth_context(*args, **kwargs))
+        return contexts[-1]
+
+    monkeypatch.setattr(discovery, "truth_context", recorded_context)
+    cases = mixed_grid_cases(seed=13)
+    availability_analysis(cases, config=EvalConfig(min_region_voxels=4))
+    assert discovery._LISTED_RULES > 8
+    assert len(contexts) == len(cases) and all(ctx.nearest is None for ctx in contexts)
+
+
 # --- linear positives from candidate voxels ---------------------------------------
 
 GRID_RULES = simplex_grid(0.1)
@@ -598,6 +657,97 @@ def test_batched_predictions_are_labelled_as_the_dense_path_labels_them(connecti
         for got, expected in zip(pred.components, want.components):
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
     assert not buffers.mask.any()
+
+
+# --- HD95 from nearest-candidate lists --------------------------------------------
+
+LIST_DIMS = (14, 10, 9)
+
+
+def list_cases(seed: int, spacing, apart: bool):
+    """Two cases whose grid-rule predictions lie on, near and far from the
+    truth, each with a zone slab that keeps some of the truth. In `wide` one
+    modality is high only on a block in the far corner, whose predictions no
+    truth point's list reaches, one around the truth and one at a few
+    scattered voxels. `few` has fewer candidate voxels than a list is long:
+    one voxel high in its first modality, none in its second and up to four
+    in its third. The modalities' grid is 1e-12 apart from the truth's when
+    `apart`."""
+    rng = np.random.default_rng(seed)
+    grid = ((spacing[0] * (1 + 1e-12),) + tuple(spacing[1:])) if apart else spacing
+    truth = np.zeros(LIST_DIMS, dtype=bool)
+    lo = rng.integers(0, 3, 3)
+    hi = lo + rng.integers(2, 5, 3)
+    truth[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = True
+    low = [rng.uniform(0.0, 0.3, LIST_DIMS) for _ in range(6)]
+    far, near, dots, one, _, some = low
+    far[10:, 6:, 5:] = np.where(rng.random((4, 4, 4)) < 0.8, 0.9, 0.1)
+    near[ndimage.binary_dilation(truth, iterations=2) & (rng.random(LIST_DIMS) < 0.7)] = 0.9
+    dots.flat[rng.choice(truth.size, 3, replace=False)] = 0.9
+    one[int(rng.integers(0, 14)), int(rng.integers(4, 10)), int(rng.integers(0, 9))] = 0.95
+    some.flat[rng.choice(truth.size, int(rng.integers(0, 5)), replace=False)] = 0.95
+    zone = np.zeros(LIST_DIMS, dtype=bool)
+    zone[:, int(rng.integers(0, 2)):, :] = True
+    cases = []
+    for case_id, mods in (("few", low[3:]), ("wide", low[:3])):
+        cases.append(CaseRecord(
+            case_id,
+            tuple(ProbabilityVolume(v, grid, m) for v, m in
+                  zip(mods, (Modality.T2W, Modality.DWI_HB, Modality.ADC))),
+            LabelVolume(truth, spacing),
+            {"slab": LabelVolume(zone, spacing)},
+        ))
+    return cases
+
+
+@example(seed=0, spacing=(1.0, 1.0, 1.0), apart=False, zone=None)
+@example(seed=1, spacing=(0.7, 0.55, 3.3), apart=False, zone="slab")
+@example(seed=2, spacing=(0.7, 0.55, 3.3), apart=True, zone=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    spacing=st.sampled_from([(1.0, 1.0, 1.0), (0.7, 0.55, 3.3)]),
+    apart=st.booleans(),
+    zone=st.sampled_from([None, "slab"]),
+)
+@settings(max_examples=50, deadline=None)
+def test_linear_sweep_hd95_from_candidate_lists_equals_the_tree_and_the_oracle(
+        seed, spacing, apart, zone):
+    # every (rule, case) HD95 of a linear sweep, read from the lists (with the
+    # brute-force fallback for far predictions), equals a prediction tree's
+    # and the oracle's: repr-equal, empty and one-voxel predictions included
+    import oracles
+
+    cases = list_cases(seed, spacing, apart)
+    config = EvalConfig(min_region_voxels=0, zone=zone)
+    fell_back = []
+    nearest_bf = metrics._nearest_bf
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(discovery, "_LISTED_RULES", 2)  # the grid at step 0.5 has 6 rules
+        patch.setattr(metrics, "_nearest_bf",
+                      lambda points, surface: fell_back.append(len(points)) or
+                      nearest_bf(points, surface))
+        result = grid_search_linear(cases, step=0.5, config=config)
+    kinds = set()
+    for case in cases:
+        zone_mask, truth, buffers = discovery._case_setup(case, config)
+        if case.case_id == "few":
+            assert discovery._Candidates(case, config, buffers).flat.size < metrics._NEAREST
+        pred_grid = case.modalities[0].spacing
+        for row in result.rows:
+            got = dict(row.per_case)[case.case_id].hd95_mm
+            _, pred = discovery._predict(case, row.rule, config, buffers)
+            pred = metrics.in_zone(pred, zone_mask)
+            tree = hd95(pred, truth)
+            want = None
+            pred_values, truth_values = pred.volume.values, truth.volume.values
+            if pred_values.any() and truth_values.any():
+                pooled = oracles.surface_distances_kd_bf(pred_values, truth_values, pred_grid,
+                                                         spacing)
+                want = float(np.percentile(pooled, metrics.HD_PERCENTILE))
+            assert repr(got) == repr(tree) == repr(want), (case.case_id, row.rule)
+            kinds.add(min(int(np.count_nonzero(pred_values)), 2))
+    assert kinds == {0, 1, 2}
+    assert fell_back or apart
 
 
 @pytest.mark.parametrize("threads", [1, 3])
