@@ -243,7 +243,7 @@ def batch_positions(flat, shape, n_masks) -> np.ndarray:
     return (padded + (np.arange(n_masks) * stride)[:, None]).astype(dtype)
 
 
-def components_batch(positions, bounds, shape, connectivity, min_voxels=1) -> list:
+def components_batch(positions, bounds, shape, connectivity, min_voxels=1) -> tuple:
     """`components` of each of a batch of masks on a grid of `shape`, found
     from their positives alone by one labelling of all their z-runs.
 
@@ -255,10 +255,12 @@ def components_batch(positions, bounds, shape, connectivity, min_voxels=1) -> li
     less the components of the masks before it, and a component's voxel
     count is the sum of its runs' lengths.
 
-    Returns one (labels, counts, keep, kept) per mask: `labels` labels its
-    positives (as `components`' labels volume does there), `counts` and
-    `keep` are as `components` returns them, and `kept` marks the positives
-    whose component is kept. The arrays are views into ones the batch shares.
+    Returns (labels, counts, keep, kept, slots) for the whole batch. Mask k's
+    are labels[bounds[k]:bounds[k + 1]], which label its positives (as
+    `components`' labels volume does there), and kept[bounds[k]:bounds[k + 1]],
+    which mark the positives whose component is kept; and
+    counts[slots[k]:slots[k + 1]] and keep[slots[k]:slots[k + 1]], as
+    `components` returns them, so that its label i is slot slots[k] + i.
     """
     n_masks = len(bounds) - 1
     starts = np.flatnonzero(np.diff(positions, prepend=-2) != 1)
@@ -279,11 +281,7 @@ def components_batch(positions, bounds, shape, connectivity, min_voxels=1) -> li
     keep[zero] = False
     local = np.repeat(labels - before[run_masks], lengths)
     kept = np.repeat(keep[slots], lengths)
-    ends, slot_ends = list(bounds), zero.tolist() + [total]
-    return [
-        (local[a:b], counts[c:d], keep[c:d], kept[a:b])
-        for a, b, c, d in zip(ends, ends[1:], slot_ends, slot_ends[1:])
-    ]
+    return local, counts, keep, kept, np.append(zero, total)
 
 
 def components(mask, connectivity, min_voxels=1, positives: np.ndarray | None = None, out=None):
@@ -315,8 +313,8 @@ def components(mask, connectivity, min_voxels=1, positives: np.ndarray | None = 
         positions = batch_positions(positives, mask.shape, 1)[0]
         runs = positions.size - np.count_nonzero(np.diff(positions) == 1)
         if bx * by * bz > _BOX_VOXELS_PER_RUN * runs:
-            (local, counts, keep, _), = components_batch(positions, [0, positions.size],
-                                                         mask.shape, connectivity, min_voxels)
+            local, counts, keep, _, _ = components_batch(positions, [0, positions.size],
+                                                          mask.shape, connectivity, min_voxels)
             labels = (np.zeros(mask.shape, dtype=np.int32) if out is None
                       else out.claim(positives=positives))
             labels.reshape(-1)[positives] = local

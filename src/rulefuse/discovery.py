@@ -21,17 +21,18 @@ threshold, outside which no convex sum can exceed it. Its rules are taken
 `_RULE_CHUNK` at a time: each sums and thresholds only those voxels, so its
 positives are found without a pass over the grid, and one
 `backends.components_batch` call labels the whole chunk's positives from
-their z-runs, with each rule's small components dropped, before its rules
-are scored one by one. Every prediction lies within the candidates, so in
-a sweep of at least `_LISTED_RULES` rules the case's truth context lists
-each truth surface point's nearest candidates (`metrics.NearestCandidates`),
-and HD95 reads the truth's side from those lists instead of building a tree
-over each prediction's surface, as every other HD95 does. A lone linear
-rule, a stacking rule and every draw of Monte-Carlo uncertainty (which needs
-the whole map for its moments) compute the whole map, threshold it and label
+their z-runs, with each rule's small components dropped. A sweep of at
+least `_LISTED_RULES` rules with no zone, on a case whose truth shares the
+modalities' spacing, then scores the chunk's rules from arrays over the
+candidates (`_Candidates.reports`): no volume, tree or `evaluate` call per
+rule, and HD95's truth side read from per-point lists of the nearest
+candidates. Any other linear sweep writes each rule's prediction into the
+task's buffers and scores it with `_evaluate_case`. A lone linear rule, a
+stacking rule and every draw of Monte-Carlo uncertainty (which needs the
+whole map for its moments) compute the whole map, threshold it and label
 the mask on its own with `backends.components`, which labels a sparse mask
-from its positives' z-runs as a batch of one. Either way each (rule, case)
-pair is scored by one `_evaluate_case` call.
+from its positives' z-runs as a batch of one, and are scored by
+`_evaluate_case`.
 
 The scheduler runs on `_workers(threads, n_cases)` worker processes: the
 calling process is worker 0 and the others are forked children, which
@@ -53,6 +54,7 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import backends
 # binarize is not called here; it stays bound in this module because
@@ -63,8 +65,9 @@ from .combine import (
 from .errors import DataError
 from .fitting import _SIMPLEX_TOL, LinearRule, StackingRule
 from .metrics import (
-    LabelledMask, MetricsConfig, MetricsReport, TruthContext, dice, evaluate, in_zone, label_mask,
-    truth_context,
+    _PRED_TREE, HD_PERCENTILE, LabelledMask, MetricsConfig, MetricsReport, TruthContext,
+    _interpolated, _nearest_bf, _order_statistics, _points, _reports, dice, evaluate, in_zone,
+    label_mask, truth_context,
 )
 from .sampling import SampledRuleSet, dirichlet_rule, simplex_grid
 from .volumes import LabelVolume, ProbabilityVolume, validate_aligned
@@ -277,15 +280,21 @@ _CANDIDATE_MARGIN = 4 * _SIMPLEX_TOL
 _RULE_CHUNK = 8
 
 
-# Linear rules a sweep needs for its truth contexts to list their nearest
-# candidates (see `metrics.NearestCandidates`). Measured on 2 CPUs over the
+# Linear rules a sweep needs for `_Candidates.reports` to score them: below
+# it each rule is scored by `evaluate` on its own. Measured on 2 CPUs over the
 # `search` benchmark's 9 cases at 48³: a case's candidates' tree and its
 # truth points' lists cost about 4 ms, and each rule they serve saves about
 # 0.2 ms against a tree over its prediction's surface. Against those trees
 # the lists lost 0.4 ms per case at the 15 rules of step 0.25 and 1.9 ms at
 # availability's 8, and won 1.0 ms at the 21 of step 0.2 and 1.9 ms at 20
-# rules drawn from step 0.1.
+# rules drawn from step 0.1. Scoring availability's 8 rules a chunk at a time
+# took 1.11x the time of scoring them one by one.
 _LISTED_RULES = 20
+
+# Candidates listed for each truth surface point, nearest first. On the
+# `search` benchmark's cases, lists of 16 and 32 took the same time per sweep;
+# 48 and 64 cost more to fill than the fallbacks they spared.
+_NEAREST = 16
 
 
 class _Candidates:
@@ -296,8 +305,10 @@ class _Candidates:
     `backends.batch_positions` table for a chunk of `_RULE_CHUNK` masks,
     raveled, from which each chunk gathers its rules' positives' positions.
 
-    `predictions` labels the rules a chunk at a time into the task's
-    buffers, whose mask is cleared here.
+    Rules are taken a chunk at a time (`_chunks`). `predictions` makes each
+    one's prediction in the task's buffers, whose mask is cleared here, for
+    `evaluate`; `reports` scores a chunk's rules from arrays over the
+    candidates, with no volume per rule.
     """
 
     def __init__(self, case: CaseRecord, config: EvalConfig, buffers: _Buffers):
@@ -310,14 +321,40 @@ class _Candidates:
         self.values = np.empty((3, self.flat.size))
         for row, values in zip(self.values, y):
             values.take(self.flat, out=row)
-        self.positions = backends.batch_positions(self.flat, case.truth.dims, _RULE_CHUNK).ravel()
+        self.dims, self.spacing = case.truth.dims, case.modalities[0].spacing
+        self.positions = backends.batch_positions(self.flat, self.dims, _RULE_CHUNK).ravel()
         self.sum = np.empty(self.flat.size)
         self.product = np.empty(self.flat.size)
         self.fires = np.empty((_RULE_CHUNK, self.flat.size), dtype=bool)
         self.config, self.buffers = config, buffers
         buffers.mask.fill(False)
         # a read-only view of the mask buffer, which every prediction shares
-        self.volume = LabelVolume(buffers.mask.view(), spacing=case.modalities[0].spacing)
+        self.volume = LabelVolume(buffers.mask.view(), spacing=self.spacing)
+
+    def _chunks(self, rules):
+        """Yield (k, at, bounds, batch) for each chunk of `_RULE_CHUNK` rules,
+        here k of them. `at` holds rule i's positives at i·n + their
+        candidate index, ascending, and rule i's are at[bounds[i]:bounds[i + 1]];
+        `batch` is their `backends.components_batch`, with each rule's small
+        components marked.
+
+        The rules mark where each one's sum exceeds the threshold in one
+        (rules, candidates) array. Each sum is `weighted_sum` over the same
+        values as `linear_map` sums on the whole grid, so it is that map's
+        value bitwise.
+        """
+        config, n = self.config, self.flat.size
+        for start in range(0, len(rules), _RULE_CHUNK):
+            chunk = rules[start:start + _RULE_CHUNK]
+            fires = self.fires[:len(chunk)]
+            for row, rule in zip(fires, chunk):
+                sums = weighted_sum(self.values, rule.alpha, self.sum, self.product)
+                np.greater(sums, config.threshold, out=row)
+            at = np.flatnonzero(fires)
+            bounds = at.searchsorted(np.arange(len(chunk) + 1) * n)
+            yield len(chunk), at, bounds, backends.components_batch(
+                self.positions.take(at), bounds, self.dims, config.metrics.connectivity,
+                config.min_region_voxels)
 
     def predictions(self, rules):
         """Yield each linear rule's prediction in turn, as `_predict` makes
@@ -325,38 +362,139 @@ class _Candidates:
         written into the task's buffers and valid until the next one is
         asked for.
 
-        A chunk of rules marks where each one's sum exceeds the threshold in
-        one (rules, candidates) array, and `backends.components_batch`
-        labels all their positives at once. Each sum is `weighted_sum` over
-        the same values as `linear_map` sums on the whole grid, so it is
-        that map's value bitwise. Each prediction then writes its labels at
-        its positives through the labels buffer's `claim`, which clears the
-        last writer's labels and records these, and sets its surviving
-        positives in the mask buffer, which it clears again before the next
-        prediction.
+        Each prediction writes its labels at its positives through the labels
+        buffer's `claim`, which clears the last writer's labels and records
+        these, and sets its surviving positives in the mask buffer, which it
+        clears again before the next prediction.
         """
-        config, buffers = self.config, self.buffers
-        connectivity = config.metrics.connectivity
+        connectivity, buffers, n = self.config.metrics.connectivity, self.buffers, self.flat.size
         mask = buffers.mask.reshape(-1)  # a view: the buffer is C-ordered
-        for start in range(0, len(rules), _RULE_CHUNK):
-            chunk = rules[start:start + _RULE_CHUNK]
-            fires = self.fires[:len(chunk)]
-            for row, rule in zip(fires, chunk):
-                sums = weighted_sum(self.values, rule.alpha, self.sum, self.product)
-                np.greater(sums, config.threshold, out=row)
-            at = np.flatnonzero(fires)  # rule k's positives at k·n + their candidate index
-            n = self.flat.size
-            bounds = at.searchsorted(np.arange(len(chunk) + 1) * n)
-            batch = backends.components_batch(self.positions.take(at), bounds, buffers.mask.shape,
-                                              connectivity, config.min_region_voxels)
-            for k, (labels, counts, keep, kept) in enumerate(batch):
-                positives = self.flat.take(at[bounds[k]:bounds[k + 1]] - k * n)
-                buffers.labels.claim(positives=positives).reshape(-1)[positives] = labels
-                survivors = positives[kept]
+        for k, at, bounds, (labels, counts, keep, kept, starts) in self._chunks(rules):
+            for i in range(k):
+                a, b, c, d = bounds[i], bounds[i + 1], starts[i], starts[i + 1]
+                positives = self.flat.take(at[a:b] - i * n)
+                buffers.labels.claim(positives=positives).reshape(-1)[positives] = labels[a:b]
+                survivors = positives[kept[a:b]]
                 mask[survivors] = True
-                yield LabelledMask(self.volume, survivors, (buffers.labels.array, counts, keep),
-                                   connectivity)
+                yield LabelledMask(self.volume, survivors,
+                                   (buffers.labels.array, counts[c:d], keep[c:d]), connectivity)
                 mask[survivors] = False
+
+    def reports(self, rules, truth_ctx: TruthContext):
+        """Yield each linear rule's report in turn, as `evaluate` makes it
+        from the rule's prediction and `truth_ctx`, the context of the case's
+        truth, unrestricted and on the candidates' grid.
+
+        A chunk's reports come from its kept positives alone, through
+        `metrics._reports`, with the truth's labels gathered at the
+        candidates once per case. A chunk's prediction surfaces are its kept
+        positives with a face neighbour outside the rule's: they are set in
+        one flat volume in `backends.batch_positions`' layout, after one empty
+        x slab, whose padding leaves every neighbour off the grid clear, and
+        each is tested against its six face neighbours there. HD95 takes the
+        pooled set `hd95` takes, bitwise:
+        - prediction to truth: a memo over the candidates holds 0.0 on the
+          truth's surface; the chunk's misses are queried on the truth's
+          tree at once and stored;
+        - truth to prediction: each truth surface point off a rule's surface
+          reads the first candidate on its list (its `_NEAREST` nearest
+          candidates, from one k-nearest query of a tree over all the
+          candidates, each list filled once per case, for a chunk's points
+          at once) that is on that surface. Every nearer surface voxel would
+          be listed before it, so its distance is the tree's arithmetic. A
+          list of fewer candidates lists index n, on no surface.
+        A point whose list holds none of a rule's surface lies at least its
+        last listed distance away. Its exact value is needed only when the
+        least of those is below the upper order statistic taken with such
+        points at +inf; otherwise they cannot move either order statistic,
+        and `metrics._nearest_bf` runs only then.
+        """
+        g, surface = truth_ctx.mask, truth_ctx.surface
+        n, (nx, ny, nz) = self.flat.size, self.dims
+        g_at = g.components[0].reshape(-1).take(self.flat)
+        g_inside = g.components[2].take(g_at)
+        # a chunk's kept positives set in `grid`, and `grid` shifted to each
+        # face neighbour: padded rows and slabs, and one slab before mask 0
+        slab = (ny + 1) * (nz + 1)
+        occupied = np.zeros(_RULE_CHUNK * (nx + 1) * slab + slab, dtype=bool)
+        grid = occupied[slab:]
+        around = [occupied[slab + step:] for step in (-1, 1, -nz - 1, nz + 1, -slab, slab)]
+        on = np.zeros((_RULE_CHUNK, n + 1), dtype=bool)  # column n: on no surface
+        if surface is not None:
+            # each truth surface point's candidate index; n where it is none
+            g_index = self.flat.searchsorted(surface.flat)
+            g_index[np.append(self.flat, -1).take(g_index) != surface.flat] = n
+            memo = np.full(n, np.nan)
+            memo[g_index[g_index < n]] = 0.0
+            listed = np.zeros(surface.flat.size, dtype=bool)
+            near = np.empty((surface.flat.size, _NEAREST), dtype=np.intp)
+            near_distance = np.empty((surface.flat.size, _NEAREST))
+            tree = None
+        for k, at, bounds, (labels, counts, keep, kept, starts) in self._chunks(rules):
+            kept = np.flatnonzero(kept)  # the kept positives, as entries of the batch
+            at = at.take(kept)
+            bounds = at.searchsorted(np.arange(k + 1) * n)
+            rows = np.repeat(np.arange(k), np.diff(bounds))
+            index = at - rows * n
+            hds = [None] * k
+            if surface is not None:
+                position = self.positions.take(at)
+                grid[position] = True
+                inner = around[0].take(position)
+                for neighbours in around[1:]:
+                    inner &= neighbours.take(position)
+                grid[position] = False
+                edge = np.flatnonzero(~inner)
+                edge_index, edge_bounds = index.take(edge), edge.searchsorted(bounds)
+                from_p = memo.take(edge_index)
+                missed = np.isnan(from_p)
+                if missed.any():
+                    new = np.unique(edge_index[missed])
+                    memo[new] = surface.tree.query(_points(self.flat.take(new), self.dims,
+                                                           self.spacing))[0]
+                    from_p[missed] = memo.take(edge_index[missed])
+                cells = rows.take(edge) * (n + 1) + edge_index
+                on.reshape(-1)[cells] = True
+                own = ~on[:k].take(g_index, axis=1)
+                own[edge_bounds[1:] == edge_bounds[:-1]] = False  # an empty prediction
+                new = np.flatnonzero(own.any(axis=0) & ~listed)
+                if new.size:
+                    if tree is None:
+                        tree = cKDTree(_points(self.flat, self.dims, self.spacing), **_PRED_TREE)
+                    near_distance[new], near[new] = tree.query(surface.points[new], _NEAREST)
+                    listed[new] = True
+                own_rows, points = np.nonzero(own)
+                hits = on.reshape(-1).take(near.take(points, axis=0) + own_rows[:, None] * (n + 1))
+                first = hits.argmax(axis=1)
+                from_g = near_distance[points, first]
+                from_g[~hits[np.arange(points.size), first]] = np.inf
+                on.reshape(-1)[cells] = False
+                own_bounds = own_rows.searchsorted(np.arange(k + 1))
+                for i in np.flatnonzero(np.diff(edge_bounds)):
+                    hds[i] = self._hd95(from_p[edge_bounds[i]:edge_bounds[i + 1]],
+                                        from_g[own_bounds[i]:own_bounds[i + 1]],
+                                        points[own_bounds[i]:own_bounds[i + 1]], near_distance,
+                                        edge_index[edge_bounds[i]:edge_bounds[i + 1]], surface)
+            inside = np.flatnonzero(g_inside.take(index))
+            inside_rows = rows.take(inside)
+            yield from _reports(g, np.diff(bounds), inside_rows, g_at.take(index.take(inside)),
+                                labels.take(kept.take(inside)) + starts.take(inside_rows),
+                                counts, keep, starts, hds, self.config.metrics)
+
+    def _hd95(self, from_p, from_g, points, near_distance, edge, surface):
+        """One rule's HD95 from its prediction side `from_p`, its truth side
+        `from_g` at truth surface points `points`, +inf where a list holds
+        none of its surface, and `edge`, its surface's candidate indices."""
+        n_shared = surface.flat.size - points.size
+        low, high, gamma = _order_statistics(np.concatenate([from_p, from_g]), n_shared,
+                                             HD_PERCENTILE)
+        far = np.flatnonzero(np.isinf(from_g))
+        if far.size and near_distance[points.take(far), -1].min() < high:
+            from_g[far] = _nearest_bf(surface.points.take(points.take(far), axis=0),
+                                      _points(self.flat.take(edge), self.dims, self.spacing))
+            low, high, gamma = _order_statistics(np.concatenate([from_p, from_g]), n_shared,
+                                                 HD_PERCENTILE)
+        return _interpolated(low, high, gamma)
 
 
 def _predict(case: CaseRecord, rule, config: EvalConfig, buffers: _Buffers):
@@ -579,11 +717,10 @@ def _sweep(
 
     Each case is one task of `_run_cases`, which loads and sets it up in the
     worker that runs it. The task builds the restricted truth's context and,
-    for two or more linear rules, finds the case's `_Candidates` once (and,
-    for `_LISTED_RULES` or more, gives the context their nearest-candidate
-    lists) and labels their predictions there in chunks, then scores all the
-    rules on the case. A failing rule fails its case, with the case id in the
-    message.
+    for two or more linear rules, finds the case's `_Candidates` once and
+    labels their predictions there in chunks; for `_LISTED_RULES` or more,
+    with no zone and the truth on the modalities' grid, it scores them there
+    too. A failing rule fails its case, with the case id in the message.
     """
     rules = list(rules)
 
@@ -593,13 +730,15 @@ def _sweep(
             # map, threshold and scan, so a lone rule runs dense
             linear = len(rules) > 1 and all(isinstance(r, LinearRule) for r in rules)
             candidates = _Candidates(case, config, buffers) if linear else None
-            listed = candidates.flat if linear and len(rules) >= _LISTED_RULES else None
-            truth_ctx = truth_context(truth, config.metrics.connectivity, listed)
-            preds = candidates.predictions(rules) if linear else [None] * len(rules)
-            return [
-                (case.case_id, _evaluate_case(case, rule, config, zone, truth_ctx, buffers, pred))
-                for rule, pred in zip(rules, preds)
-            ]
+            truth_ctx = truth_context(truth, config.metrics.connectivity)
+            if (linear and len(rules) >= _LISTED_RULES and zone is None
+                    and candidates.spacing == truth.volume.spacing):
+                reports = candidates.reports(rules, truth_ctx)
+            else:
+                preds = candidates.predictions(rules) if linear else [None] * len(rules)
+                reports = (_evaluate_case(case, rule, config, zone, truth_ctx, buffers, pred)
+                           for rule, pred in zip(rules, preds))
+            return [(case.case_id, report) for report in reports]
         except DataError:
             raise
         except Exception as exc:

@@ -8,10 +8,14 @@ sentinel numbers.
 HD95's distances are all in a cKDTree query's arithmetic. The prediction's
 surface points take theirs from a tree over the truth's surface, built once
 per `TruthContext`. The truth's points take theirs from a tree over the
-prediction's surface, or, where the context knows candidate voxels that hold
-every prediction (a linear rule sweep), from `NearestCandidates`: per-point
-lists of the nearest candidates, from one tree per case, with a brute force
-over the prediction's surface where a list holds none of it.
+prediction's surface. A linear rule sweep scores its rules a chunk at a time
+instead (`discovery._Candidates.reports`): the truth's points read theirs
+from per-point lists of their nearest candidate voxels, with `_nearest_bf`,
+a brute force in the same arithmetic, where a list cannot decide.
+
+`evaluate` and that chunk scorer build their reports with `_reports`, which
+takes DSC and lesion recall and precision from the truth's labels gathered
+once at the predictions' positives.
 """
 
 from __future__ import annotations
@@ -201,64 +205,8 @@ def boundary_surface(mask, tree_options=_TRUTH_TREE, faces: np.ndarray | None = 
     return BoundarySurface(points=points, tree=cKDTree(points, **tree_options), flat=flat)
 
 
-# Candidates listed for each truth surface point, nearest first. On the
-# `search` benchmark's cases, lists of 16 and 32 took the same time per sweep;
-# 48 and 64 cost more to fill than the fallbacks they spared. At 16, 2 156 of
-# the 60 257 truth points read over its 594 evaluations (seed 11) fell back.
-_NEAREST = 16
 # Elements in one block of `_nearest_bf`'s (points, surface) distance table.
 _BF_BLOCK = 1 << 16
-
-
-class NearestCandidates:
-    """The candidate voxels nearest each surface point of one truth.
-
-    `candidates` holds the ascending flat (C order) indices of the voxels
-    that contain every prediction to be scored against the truth, so every
-    prediction surface point is one of them. A truth point's list holds its
-    `_NEAREST` nearest candidates, as flat indices (`flat`) and distances
-    (`distance`), nearest first, from one k-nearest query of a cKDTree over
-    all the candidates: the tree's own arithmetic, bitwise that of a query
-    of any tree holding the candidate. The tree is built on the first list
-    asked for, and a list is filled the first time it is asked for.
-    """
-
-    def __init__(self, candidates: np.ndarray, surface: BoundarySurface, dims, spacing):
-        self.candidates, self.surface = candidates, surface
-        self.dims, self.spacing = dims, spacing
-        self.tree = None
-        n = surface.flat.size
-        self.flat = np.empty((n, _NEAREST), dtype=np.intp)
-        self.distance = np.empty((n, _NEAREST))
-        self.listed = np.zeros(n, dtype=bool)
-
-    def first_on(self, points: np.ndarray, flags: np.ndarray) -> np.ndarray:
-        """The distance from each truth surface point (indices `points`) to
-        its nearest listed candidate set in `flags`, a flat volume that sets
-        only candidates and none of the points; NaN where the list holds none.
-
-        The first set candidate on a list is the nearest set voxel anywhere:
-        every nearer candidate is on the list before it. A list shorter than
-        `_NEAREST`, where the query returns index n at distance inf, is
-        padded with the point's own voxel, which `flags` never sets.
-        """
-        new = points[~self.listed.take(points)]
-        if new.size:
-            if self.tree is None:
-                self.tree = cKDTree(_points(self.candidates, self.dims, self.spacing),
-                                    **_PRED_TREE)
-            distance, index = self.tree.query(self.surface.points[new], _NEAREST)
-            self.flat[new] = np.where(index < self.candidates.size,
-                                      self.candidates.take(index, mode="clip"),
-                                      self.surface.flat.take(new)[:, None])
-            self.distance[new] = distance
-            self.listed[new] = True
-        hits = flags.take(self.flat[points])
-        first = hits.argmax(axis=1)
-        rows = np.arange(points.size)
-        out = self.distance[points, first]
-        out[~hits[rows, first]] = np.nan
-        return out
 
 
 def _nearest_bf(points: np.ndarray, surface: np.ndarray) -> np.ndarray:
@@ -299,9 +247,7 @@ def hd95(pred, truth, truth_ctx: TruthContext | None = None):
       are stored (a query does not depend on the points queried with it);
     - truth to prediction: the truth's points off the prediction's surface,
       found through the context's `scratch`, are queried on a tree of the
-      prediction's surface, or, when the context has `nearest` candidate
-      lists, read from them, with `_nearest_bf` over the prediction's
-      surface for a point whose list holds none of it.
+      prediction's surface.
     """
     pred_volume, truth_volume = _volume(pred), _volume(truth)
     validate_aligned([pred_volume, truth_volume], names=["pred", "truth"])
@@ -329,59 +275,47 @@ def hd95(pred, truth, truth_ctx: TruthContext | None = None):
         ctx.distance[missed_flat] = from_p[missed]
     ctx.scratch[flat] = True
     own_g = np.flatnonzero(~ctx.scratch.take(surf_g.flat))
-    if ctx.nearest is None:
-        tree = cKDTree(_points(flat, dims, spacing), **_PRED_TREE)
-        from_g = tree.query(surf_g.points.take(own_g, axis=0))[0]
-    else:
-        from_g = ctx.nearest.first_on(own_g, ctx.scratch)
-        unlisted = np.flatnonzero(np.isnan(from_g))
-        if unlisted.size:
-            from_g[unlisted] = _nearest_bf(surf_g.points.take(own_g.take(unlisted), axis=0),
-                                           _points(flat, dims, spacing))
     ctx.scratch[flat] = False
+    tree = cKDTree(_points(flat, dims, spacing), **_PRED_TREE)
+    from_g = tree.query(surf_g.points.take(own_g, axis=0))[0]
     n_shared = surf_g.flat.size - own_g.size  # their prediction side is in from_p, as 0.0
     return _percentile_past_zeros(np.concatenate([from_p, from_g]), n_shared, HD_PERCENTILE)
 
 
-def _percentile_past_zeros(values: np.ndarray, n_zeros: int, q: float) -> float:
-    """`np.percentile` ("linear" method) of `values` pooled with `n_zeros`
-    zeros, bitwise, from at most two order statistics of `values`.
+def _order_statistics(values: np.ndarray, n_zeros: int, q: float):
+    """(a, b, gamma): the two order statistics that `np.percentile`
+    ("linear" method) interpolates for the q-th percentile of `values`
+    pooled with `n_zeros` zeros, and its weight on b.
 
     `values` must be >= 0, so the zeros sort first and the pooled set's k-th
     smallest is 0.0 for k < n_zeros and the (k - n_zeros)-th smallest of
     `values` after. The order statistics come from a partition of `values`,
-    and they are interpolated as numpy's `_lerp` does. `values` is partitioned
-    in place.
+    which is partitioned in place.
     """
     n = values.size + n_zeros
     index = (n - 1) * (q / 100)  # numpy's virtual index: (n - 1)·quantile
     lower = math.floor(index)
     upper = min(lower + 1, n - 1)
-    gamma = index - lower
     wanted = [k - n_zeros for k in (lower, upper) if k >= n_zeros]
     if wanted:
         values.partition(wanted)
     a, b = (float(values[k - n_zeros]) if k >= n_zeros else 0.0 for k in (lower, upper))
+    return a, b, index - lower
+
+
+def _interpolated(a: float, b: float, gamma: float) -> float:
+    """a and b interpolated at `gamma`, as numpy's `_lerp` does."""
     diff = b - a
     if gamma >= 0.5:
         return b - diff * (1 - gamma)
     return a + diff * gamma
 
 
-def _share_covered(components, other: np.ndarray, threshold: float):
-    """Share of the kept components whose fraction of voxels inside the other
-    mask strictly exceeds `threshold`; None when no component is kept.
-
-    `components` is a (labels, counts, keep) triple as `backends.components`
-    returns it; `other` holds the other mask's positive voxels as C-order
-    flat indices.
-    """
-    labels, counts, keep = components
-    n = int(np.count_nonzero(keep))
-    if not n:
-        return None
-    covered = np.bincount(labels.ravel().take(other), minlength=counts.size)
-    return float(np.count_nonzero(covered[keep] / counts[keep] > threshold)) / n
+def _percentile_past_zeros(values: np.ndarray, n_zeros: int, q: float) -> float:
+    """`np.percentile` ("linear" method) of `values` pooled with `n_zeros`
+    zeros, bitwise, from at most two order statistics of `values` (see
+    `_order_statistics`, which partitions `values` in place)."""
+    return _interpolated(*_order_statistics(values, n_zeros, q))
 
 
 @dataclass(frozen=True)
@@ -435,9 +369,7 @@ class TruthContext:
     `surface` its `boundary_surface` (None when empty). `faces` (`_face_flags`),
     `distance` (`hd95`'s memo of each voxel's distance to the surface: 0.0 on
     it, NaN until asked elsewhere) and `scratch` (False between `hd95` calls)
-    are flat C-order volumes of its grid. `nearest` is None, or the
-    `NearestCandidates` of its surface when every prediction to be scored
-    lies within a known set of candidate voxels.
+    are flat C-order volumes of its grid.
     """
 
     mask: LabelledMask
@@ -445,27 +377,64 @@ class TruthContext:
     faces: np.ndarray
     distance: np.ndarray
     scratch: np.ndarray
-    nearest: NearestCandidates | None
 
 
-def truth_context(truth, connectivity: int = DEFAULT_CONNECTIVITY,
-                  candidates: np.ndarray | None = None) -> TruthContext:
+def truth_context(truth, connectivity: int = DEFAULT_CONNECTIVITY) -> TruthContext:
     """The context of `truth` (a `LabelVolume` or `LabelledMask`), labelled at
-    `connectivity`. `candidates`, when given, are the ascending flat indices
-    of voxels that contain every prediction the context will score; `hd95`
-    then reads the truth's side from their `NearestCandidates`."""
+    `connectivity`."""
     labelled = label_mask(truth, connectivity)
-    volume = labelled.volume
-    faces = _face_flags(volume.dims)
+    faces = _face_flags(labelled.volume.dims)
     surface = boundary_surface(labelled, _TRUTH_TREE, faces)
     distance = np.full(faces.size, np.nan)
-    nearest = None
     if surface is not None:
         distance[surface.flat] = 0.0
-        if candidates is not None:
-            nearest = NearestCandidates(candidates, surface, volume.dims, volume.spacing)
-    return TruthContext(labelled, surface, faces, distance, np.zeros(faces.size, dtype=bool),
-                        nearest)
+    return TruthContext(labelled, surface, faces, distance, np.zeros(faces.size, dtype=bool))
+
+
+def _reports(g: LabelledMask, sizes, rows, g_at, slots, counts, keep, starts, hds,
+             config: MetricsConfig) -> list[MetricsReport]:
+    """The reports of predictions scored against one labelled truth `g`,
+    from their positives alone: prediction k has sizes[k] positives and
+    HD95 hds[k].
+
+    `rows`, `g_at` and `slots` describe the positives inside the truth,
+    those at a kept truth label, in ascending order of `rows`, the
+    prediction each belongs to: `g_at` holds their truth labels and `slots`
+    the indices of their components in `counts` and `keep`, in which
+    prediction k's components (its label 0 first) are entries
+    starts[k]:starts[k + 1]. Lesion recall and precision are the shares of
+    kept components whose fraction of voxels inside the other mask strictly
+    exceeds the threshold; only positives inside the truth count towards
+    either, so every prediction's covers of truth components come from one
+    bincount of them, and of its own components from another.
+    """
+    g_counts, g_keep = g.components[1:]
+    n = len(hds)
+    overlap = np.bincount(rows, minlength=n)
+    covered = np.bincount(rows * g_counts.size + g_at, minlength=n * g_counts.size)
+    covered = covered.reshape(n, g_counts.size)[:, g_keep]
+    recalled = np.count_nonzero(covered / g_counts[g_keep] > config.s_gt, axis=1)
+    lesion_rows = np.repeat(np.arange(n), np.diff(starts))[keep]
+    covered = np.bincount(slots, minlength=counts.size)[keep]
+    precise = np.bincount(lesion_rows[covered / counts[keep] > config.s_pred], minlength=n)
+    lesions = np.bincount(lesion_rows, minlength=n)
+    n_gt, g_size = int(np.count_nonzero(g_keep)), g.positives.size
+    reports = []
+    for k, hd in enumerate(hds):
+        size, n_pred = int(sizes[k]), int(lesions[k])
+        denom = size + g_size
+        reports.append(MetricsReport(
+            dsc=2.0 * int(overlap[k]) / denom if denom else 1.0,
+            dsc_both_empty=not size and not g_size,
+            hd95_mm=hd,
+            recall_gt=float(recalled[k]) / n_gt if n_gt else None,
+            precision_pred=float(precise[k]) / n_pred if n_pred else None,
+            n_gt_lesions=n_gt,
+            n_pred_lesions=n_pred,
+            thresholds=(config.s_gt, config.s_pred),
+            connectivity=config.connectivity,
+        ))
+    return reports
 
 
 def evaluate(
@@ -492,16 +461,10 @@ def evaluate(
         truth_ctx = truth_context(in_zone(truth, zone), config.connectivity)
     pred = label_mask(in_zone(pred, zone), config.connectivity)
     g = truth_ctx.mask
-    p_flat, g_flat = pred.positives, g.positives
-
-    return MetricsReport(
-        dsc=dice(pred, g),
-        dsc_both_empty=not p_flat.size and not g_flat.size,
-        hd95_mm=hd95(pred, g, truth_ctx),
-        recall_gt=_share_covered(g.components, p_flat, config.s_gt),
-        precision_pred=_share_covered(pred.components, g_flat, config.s_pred),
-        n_gt_lesions=int(np.count_nonzero(g.components[2])),
-        n_pred_lesions=int(np.count_nonzero(pred.components[2])),
-        thresholds=(config.s_gt, config.s_pred),
-        connectivity=config.connectivity,
-    )
+    labels, counts, keep = pred.components
+    p = pred.positives
+    g_at = g.components[0].reshape(-1).take(p)
+    inside = np.flatnonzero(g.components[2].take(g_at))
+    return _reports(g, [p.size], np.zeros(inside.size, dtype=np.intp), g_at.take(inside),
+                    labels.reshape(-1).take(p.take(inside)), counts, keep, [0, counts.size],
+                    [hd95(pred, g, truth_ctx)], config)[0]

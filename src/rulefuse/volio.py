@@ -297,6 +297,9 @@ def _check_manifest_entries(path: Path, doc) -> list[dict]:
             raise DataError(f"case {case_id}: zones must be an object")
         for name, rel in (zones or {}).items():
             _check_manifest_path(rel, f"case {case_id}: zone {name}")
+        if "split" in entry and not (isinstance(entry["split"], str) and entry["split"]):
+            raise DataError(f"case {case_id}: split must be a non-empty string, "
+                            f"got {entry['split']!r}")
     return entries
 
 

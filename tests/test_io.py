@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from rulefuse import volio
 from rulefuse.cli import main
 from rulefuse.discovery import (
     CaseRecord,
@@ -575,6 +576,32 @@ def test_manifest_paths_must_be_strings(small_manifest, capsys, edit, match):
     edit(doc["cases"][3])
     path.write_text(json.dumps(doc))
     _assert_manifest_data_error(path, capsys, match)
+
+
+@pytest.mark.parametrize("split", [3, "", None, ["train"], True])
+def test_manifest_split_must_be_a_non_empty_string(small_manifest, capsys, monkeypatch, split):
+    # a case whose split is no name would drop out of every split-filtered
+    # sweep unseen; it is one data error line, before any volume is read
+    path, doc = small_manifest
+    doc["cases"][1]["split"] = split
+    path.write_text(json.dumps(doc))
+    reads = []
+    load_volume = volio.load_volume
+    monkeypatch.setattr(volio, "load_volume", lambda *a, **k: reads.append(a) or load_volume(*a, **k))
+    case_id = doc["cases"][1]["case_id"]
+    _assert_manifest_data_error(path, capsys, f"case {case_id}: split must be a non-empty string")
+    assert main(["search", str(path), "--split", "train"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: case {case_id}: split") and err.count("\n") == 1
+    assert not reads
+
+
+def test_manifest_split_may_have_any_name(small_manifest):
+    path, doc = small_manifest
+    doc["cases"][0]["split"] = "holdout"
+    path.write_text(json.dumps(doc))
+    records, _ = loaded_cases(path, split="holdout")
+    assert [r.case_id for r in records] == [doc["cases"][0]["case_id"]]
 
 
 @pytest.mark.parametrize("case_id", ["../../escaped", "sub/escaped", "..", "a\\escaped"])

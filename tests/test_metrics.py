@@ -461,13 +461,14 @@ def _batch(masks, connectivity, min_voxels):
     table = backends.batch_positions(flat, shape, len(masks)).ravel()
     at = np.flatnonzero(np.stack([m.reshape(-1)[flat] for m in masks]))
     bounds = at.searchsorted(np.arange(len(masks) + 1) * flat.size)
-    batch = backends.components_batch(table.take(at), bounds, shape, connectivity, min_voxels)
-    assert len(batch) == len(masks)
+    labels, counts, keep, kept, slots = backends.components_batch(table.take(at), bounds, shape,
+                                                                  connectivity, min_voxels)
+    assert len(slots) == len(masks) + 1 and slots[-1] == counts.size
     out = []
-    for k, (labels, counts, keep, kept) in enumerate(batch):
+    for k, (a, b, c, d) in enumerate(zip(bounds, bounds[1:], slots, slots[1:])):
         volume = np.zeros(shape, dtype=np.int32)
-        volume.reshape(-1)[flat.take(at[bounds[k]:bounds[k + 1]] - k * flat.size)] = labels
-        out.append((volume, counts, keep, kept))
+        volume.reshape(-1)[flat.take(at[a:b] - k * flat.size)] = labels[a:b]
+        out.append((volume, counts[c:d], keep[c:d], kept[a:b]))
     return out
 
 
