@@ -420,6 +420,7 @@ class _Candidates:
         grid = occupied[slab:]
         around = [occupied[slab + step:] for step in (-1, 1, -nz - 1, nz + 1, -slab, slab)]
         on = np.zeros((_RULE_CHUNK, n + 1), dtype=bool)  # column n: on no surface
+        on_flat = on.reshape(-1)
         if surface is not None:
             # each truth surface point's candidate index; n where it is none
             g_index = self.flat.searchsorted(surface.flat)
@@ -454,7 +455,7 @@ class _Candidates:
                                                            self.spacing))[0]
                     from_p[missed] = memo.take(edge_index[missed])
                 cells = rows.take(edge) * (n + 1) + edge_index
-                on.reshape(-1)[cells] = True
+                on_flat[cells] = True
                 own = ~on[:k].take(g_index, axis=1)
                 own[edge_bounds[1:] == edge_bounds[:-1]] = False  # an empty prediction
                 new = np.flatnonzero(own.any(axis=0) & ~listed)
@@ -464,11 +465,11 @@ class _Candidates:
                     near_distance[new], near[new] = tree.query(surface.points[new], _NEAREST)
                     listed[new] = True
                 own_rows, points = np.nonzero(own)
-                hits = on.reshape(-1).take(near.take(points, axis=0) + own_rows[:, None] * (n + 1))
+                hits = on_flat.take(near.take(points, axis=0) + own_rows[:, None] * (n + 1))
                 first = hits.argmax(axis=1)
                 from_g = near_distance[points, first]
                 from_g[~hits[np.arange(points.size), first]] = np.inf
-                on.reshape(-1)[cells] = False
+                on_flat[cells] = False
                 own_bounds = own_rows.searchsorted(np.arange(k + 1))
                 for i in np.flatnonzero(np.diff(edge_bounds)):
                     hds[i] = self._hd95(from_p[edge_bounds[i]:edge_bounds[i + 1]],

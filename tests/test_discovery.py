@@ -27,6 +27,7 @@ from rulefuse.discovery import (
 from rulefuse.errors import DataError
 from rulefuse.fitting import LinearRule, StackingRule
 from rulefuse.metrics import MetricsConfig, dice, evaluate, hd95, truth_context
+from rulefuse.phantoms import PhantomSpec, generate_case
 from rulefuse.sampling import rejection_sample_stacking, simplex_grid
 from rulefuse.volumes import LabelVolume, Modality, ProbabilityVolume
 
@@ -390,11 +391,13 @@ def test_a_box_is_worked_out_once_per_labelling_and_never_without_one(monkeypatc
             assert labellings, name
 
 
-@pytest.mark.parametrize("zone", [None, "slab"])
+@pytest.mark.parametrize("zone", ["slab"])
 def test_linear_sweep_queries_no_voxel_twice_on_a_truth_tree(zone, monkeypatch):
     # a task's truth context remembers each voxel's distance to the truth's
     # surface, so across its 66 rules no voxel is queried on the truth's tree
-    # twice; each HD95 leaves the context's scratch volume clear
+    # twice; each HD95 leaves the context's scratch volume clear. A zoned
+    # sweep scores its rules one by one; an unzoned one is scored by chunks
+    # (see test_chunk_scored_sweep_builds_one_truth_tree_and_one_candidate_tree_per_case)
     class RecordingTree(cKDTree):
         def query(self, x, *args, **kwargs):
             self.__dict__.setdefault("queried", []).append(np.array(x))
@@ -425,65 +428,6 @@ def test_linear_sweep_queries_no_voxel_twice_on_a_truth_tree(zone, monkeypatch):
         assert queried.size
         repeats += len(queried) - len(np.unique(queried, axis=0))
     assert repeats == 0
-
-
-@pytest.mark.parametrize("zone", [None, "slab"])
-def test_linear_sweep_builds_no_prediction_tree_and_lists_each_point_once(zone, monkeypatch):
-    # at equal spacing a task builds its truth's tree and, once some HD95
-    # needs a list, one tree over its candidates; every prediction's truth
-    # side is read from the lists, each filled once, with no tree of its own
-    class RecordingTree(cKDTree):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
-
-        def query(self, x, *args, **kwargs):
-            self.__dict__.setdefault("queried", []).append(np.array(x))
-            return super().query(x, *args, **kwargs)
-
-    built, contexts, scored = [], [], []
-
-    def recorded_context(*args, **kwargs):
-        contexts.append(truth_context(*args, **kwargs))
-        return contexts[-1]
-
-    def checked_evaluate(*args, truth_ctx, **kwargs):
-        report = evaluate(*args, truth_ctx=truth_ctx, **kwargs)
-        assert not truth_ctx.scratch.any()
-        scored.append(report.hd95_mm)
-        return report
-
-    monkeypatch.setattr(metrics, "cKDTree", RecordingTree)
-    monkeypatch.setattr(discovery, "truth_context", recorded_context)
-    monkeypatch.setattr(discovery, "evaluate", checked_evaluate)
-    cases = mixed_grid_cases(seed=13)
-    grid_search_linear(cases, step=0.1, config=EvalConfig(min_region_voxels=4, zone=zone))
-    assert len(contexts) == len(cases) and len(scored) == 66 * len(cases)
-    assert sum(hd is not None for hd in scored) > 60 * len(cases)
-    expected = []
-    for ctx in contexts:
-        nearest = ctx.nearest
-        assert nearest is not None and nearest.tree is not None
-        expected += [ctx.surface.tree, nearest.tree]
-        listed = np.concatenate(nearest.tree.__dict__["queried"])
-        assert len(listed) == len(np.unique(listed, axis=0)) == np.count_nonzero(nearest.listed)
-    assert [id(tree) for tree in built] == [id(tree) for tree in expected]
-
-
-def test_a_sweep_of_few_linear_rules_lists_no_candidates(monkeypatch):
-    # availability's 8 rules would not repay a case's lists: their HD95
-    # builds a tree over each prediction's surface instead
-    contexts = []
-
-    def recorded_context(*args, **kwargs):
-        contexts.append(truth_context(*args, **kwargs))
-        return contexts[-1]
-
-    monkeypatch.setattr(discovery, "truth_context", recorded_context)
-    cases = mixed_grid_cases(seed=13)
-    availability_analysis(cases, config=EvalConfig(min_region_voxels=4))
-    assert discovery._LISTED_RULES > 8
-    assert len(contexts) == len(cases) and all(ctx.nearest is None for ctx in contexts)
 
 
 # --- linear positives from candidate voxels ---------------------------------------
@@ -659,22 +603,21 @@ def test_batched_predictions_are_labelled_as_the_dense_path_labels_them(connecti
     assert not buffers.mask.any()
 
 
-# --- HD95 from nearest-candidate lists --------------------------------------------
+# --- a linear sweep scored a chunk at a time ----------------------------------------
 
 LIST_DIMS = (14, 10, 9)
 
 
-def list_cases(seed: int, spacing, apart: bool):
+def chunk_cases(seed: int):
     """Two cases whose grid-rule predictions lie on, near and far from the
-    truth, each with a zone slab that keeps some of the truth. In `wide` one
-    modality is high only on a block in the far corner, whose predictions no
-    truth point's list reaches, one around the truth and one at a few
-    scattered voxels. `few` has fewer candidate voxels than a list is long:
-    one voxel high in its first modality, none in its second and up to four
-    in its third. The modalities' grid is 1e-12 apart from the truth's when
-    `apart`."""
+    truth. In `wide` one modality is high on a block in the far corner,
+    whose predictions no truth point's list reaches, one around the truth
+    and one at a few scattered voxels, and a drawn few of the grid's faces
+    (x = 0, x = nx - 1, y = 0, y = ny - 1, z = 0, z = nz - 1) are high in
+    some modality. `few` has fewer candidate voxels than a list is long: one
+    voxel high in its first modality, none in its second and up to four in
+    its third."""
     rng = np.random.default_rng(seed)
-    grid = ((spacing[0] * (1 + 1e-12),) + tuple(spacing[1:])) if apart else spacing
     truth = np.zeros(LIST_DIMS, dtype=bool)
     lo = rng.integers(0, 3, 3)
     hi = lo + rng.integers(2, 5, 3)
@@ -684,70 +627,195 @@ def list_cases(seed: int, spacing, apart: bool):
     far[10:, 6:, 5:] = np.where(rng.random((4, 4, 4)) < 0.8, 0.9, 0.1)
     near[ndimage.binary_dilation(truth, iterations=2) & (rng.random(LIST_DIMS) < 0.7)] = 0.9
     dots.flat[rng.choice(truth.size, 3, replace=False)] = 0.9
+    for axis, end in {(int(a), int(e)) for a, e in rng.integers(0, [3, 2], (3, 2))}:
+        face = [slice(None)] * 3
+        face[axis] = -end
+        face = tuple(face)
+        low[int(rng.integers(0, 3))][face] = np.where(rng.random(truth[face].shape) < 0.6, 0.9, 0.1)
     one[int(rng.integers(0, 14)), int(rng.integers(4, 10)), int(rng.integers(0, 9))] = 0.95
     some.flat[rng.choice(truth.size, int(rng.integers(0, 5)), replace=False)] = 0.95
-    zone = np.zeros(LIST_DIMS, dtype=bool)
-    zone[:, int(rng.integers(0, 2)):, :] = True
-    cases = []
-    for case_id, mods in (("few", low[3:]), ("wide", low[:3])):
-        cases.append(CaseRecord(
-            case_id,
-            tuple(ProbabilityVolume(v, grid, m) for v, m in
-                  zip(mods, (Modality.T2W, Modality.DWI_HB, Modality.ADC))),
-            LabelVolume(truth, spacing),
-            {"slab": LabelVolume(zone, spacing)},
-        ))
-    return cases
+    return [make_case(case_id, truth, mods)
+            for case_id, mods in (("few", low[3:]), ("wide", low[:3]))]
 
 
-@example(seed=0, spacing=(1.0, 1.0, 1.0), apart=False, zone=None)
-@example(seed=1, spacing=(0.7, 0.55, 3.3), apart=False, zone="slab")
-@example(seed=2, spacing=(0.7, 0.55, 3.3), apart=True, zone=None)
+def scored_by_chunks(cases, step, config, patch):
+    """`grid_search_linear`'s rows and, for each case, whether its unlisted
+    truth points' exact distances were needed (True) or bounded off (False),
+    once per rule scored with some; the sweep must score every case by
+    `_Candidates.reports`, with no `evaluate`."""
+    outcomes, fell_back = [], []
+    hd95_of, nearest_bf = discovery._Candidates._hd95, discovery._nearest_bf
+
+    def recorded_hd95(self, from_p, from_g, *args):
+        unlisted, before = bool(np.isinf(from_g).any()), len(fell_back)
+        hd = hd95_of(self, from_p, from_g, *args)
+        assert len(fell_back) - before <= unlisted
+        if unlisted:
+            outcomes.append(len(fell_back) > before)
+        return hd
+
+    def no_evaluate(*args, **kwargs):
+        raise AssertionError("a chunk-scored sweep called evaluate")
+
+    patch.setattr(discovery._Candidates, "_hd95", recorded_hd95)
+    patch.setattr(discovery, "_nearest_bf",
+                  lambda points, surface: fell_back.append(len(points)) or
+                  nearest_bf(points, surface))
+    patch.setattr(discovery, "evaluate", no_evaluate)
+    return grid_search_linear(cases, step=step, config=config).rows, outcomes
+
+
+def assert_equal_reports(got, want):
+    """`repr`-equal reports, each field of the same type."""
+    assert repr(got) == repr(want)
+    for name in ("dsc", "dsc_both_empty", "hd95_mm", "recall_gt", "precision_pred",
+                 "n_gt_lesions", "n_pred_lesions"):
+        assert type(getattr(got, name)) is type(getattr(want, name)), name
+
+
+@example(seed=0, connectivity=26, min_region=0)
+@example(seed=1, connectivity=6, min_region=4)
+@example(seed=2, connectivity=18, min_region=1)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    spacing=st.sampled_from([(1.0, 1.0, 1.0), (0.7, 0.55, 3.3)]),
-    apart=st.booleans(),
-    zone=st.sampled_from([None, "slab"]),
+    connectivity=st.sampled_from([6, 18, 26]),
+    min_region=st.integers(0, 4),
 )
-@settings(max_examples=50, deadline=None)
-def test_linear_sweep_hd95_from_candidate_lists_equals_the_tree_and_the_oracle(
-        seed, spacing, apart, zone):
-    # every (rule, case) HD95 of a linear sweep, read from the lists (with the
-    # brute-force fallback for far predictions), equals a prediction tree's
-    # and the oracle's: repr-equal, empty and one-voxel predictions included
+@settings(max_examples=40, deadline=None)
+def test_chunk_scored_reports_equal_dense_evaluation_and_the_oracle(seed, connectivity,
+                                                                    min_region):
+    # every report of a 21-rule sweep (two chunks and a part one), scored from
+    # the candidates, is `evaluate`'s on the dense path, and its HD95 the
+    # oracle's: empty and one-voxel predictions, predictions on the grid's
+    # faces, far ones no list reaches, and a case with fewer candidates than
+    # a list holds
     import oracles
 
-    cases = list_cases(seed, spacing, apart)
-    config = EvalConfig(min_region_voxels=0, zone=zone)
-    fell_back = []
-    nearest_bf = metrics._nearest_bf
+    cases = chunk_cases(seed)
+    config = EvalConfig(min_region_voxels=min_region,
+                        metrics=MetricsConfig(connectivity=connectivity))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(discovery, "_LISTED_RULES", 2)  # the grid at step 0.5 has 6 rules
-        patch.setattr(metrics, "_nearest_bf",
-                      lambda points, surface: fell_back.append(len(points)) or
-                      nearest_bf(points, surface))
-        result = grid_search_linear(cases, step=0.5, config=config)
-    kinds = set()
+        rows, _ = scored_by_chunks(cases, 0.2, config, patch)
+    assert len(rows) == 21 >= discovery._LISTED_RULES
+    sizes = set()
     for case in cases:
-        zone_mask, truth, buffers = discovery._case_setup(case, config)
+        zone, truth, buffers = discovery._case_setup(case, config)
+        truth_ctx = truth_context(truth, connectivity)
         if case.case_id == "few":
-            assert discovery._Candidates(case, config, buffers).flat.size < metrics._NEAREST
-        pred_grid = case.modalities[0].spacing
-        for row in result.rows:
-            got = dict(row.per_case)[case.case_id].hd95_mm
-            _, pred = discovery._predict(case, row.rule, config, buffers)
-            pred = metrics.in_zone(pred, zone_mask)
-            tree = hd95(pred, truth)
-            want = None
-            pred_values, truth_values = pred.volume.values, truth.volume.values
-            if pred_values.any() and truth_values.any():
-                pooled = oracles.surface_distances_kd_bf(pred_values, truth_values, pred_grid,
-                                                         spacing)
-                want = float(np.percentile(pooled, metrics.HD_PERCENTILE))
-            assert repr(got) == repr(tree) == repr(want), (case.case_id, row.rule)
-            kinds.add(min(int(np.count_nonzero(pred_values)), 2))
-    assert kinds == {0, 1, 2}
-    assert fell_back or apart
+            assert discovery._Candidates(case, config, buffers).flat.size < discovery._NEAREST
+        for row in rows:
+            got = dict(row.per_case)[case.case_id]
+            want = discovery._evaluate_case(case, row.rule, config, zone, truth_ctx, buffers)
+            assert_equal_reports(got, want)
+            pred = buffers.mask
+            oracle = None
+            if pred.any() and truth.volume.values.any():
+                pooled = oracles.surface_distances_kd_bf(pred, truth.volume.values,
+                                                         truth.volume.spacing)
+                oracle = float(np.percentile(pooled, metrics.HD_PERCENTILE))
+            assert repr(got.hd95_mm) == repr(oracle), (case.case_id, row.rule)
+            sizes.add(min(int(np.count_nonzero(pred)), 2))
+    assert sizes == ({0, 1, 2} if min_region <= 1 else {0, 2})
+
+
+def test_the_list_bound_both_spares_and_runs_the_brute_force():
+    # a truth point whose list holds none of a rule's surface is at least its
+    # last listed distance away: where the least of those reaches the upper
+    # order statistic taken with such points at +inf, no brute force runs,
+    # and where it does not, one runs; the reports are the dense path's
+    spec = PhantomSpec.from_dict({"dims": [32, 32, 32], "n_lesions": 3,
+                                  "radius_range": [4.5, 9.0], "fidelity": [0.5, 0.5, 0.5],
+                                  "noise_sd": 0.25, "planted_rule": [0.5, 0.5, 0.0]})
+    cases = [generate_case([3, i], spec, case_id=f"p{i}") for i in range(3)]
+    config = EvalConfig()
+    with pytest.MonkeyPatch.context() as patch:
+        rows, outcomes = scored_by_chunks(cases, 0.1, config, patch)
+    assert True in outcomes and False in outcomes
+    for case in cases:
+        zone, truth, buffers = discovery._case_setup(case, config)
+        truth_ctx = truth_context(truth, config.metrics.connectivity)
+        for row in rows:
+            want = discovery._evaluate_case(case, row.rule, config, zone, truth_ctx, buffers)
+            assert_equal_reports(dict(row.per_case)[case.case_id], want)
+
+
+def test_chunk_scored_sweep_builds_one_truth_tree_and_one_candidate_tree_per_case(monkeypatch):
+    # at equal spacing with no zone, a task builds its truth's tree and, once
+    # some rule needs a list, one tree over its candidates. Each truth
+    # surface point's list is filled once, by one k-nearest query per chunk
+    # at most, and no voxel is queried twice on the truth's tree.
+    class RecordingTree(cKDTree):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+        def query(self, x, *args, **kwargs):
+            self.__dict__.setdefault("queried", []).append(np.array(x))
+            return super().query(x, *args, **kwargs)
+
+    built, contexts = [], []
+
+    def recorded_context(*args, **kwargs):
+        contexts.append(truth_context(*args, **kwargs))
+        return contexts[-1]
+
+    monkeypatch.setattr(metrics, "cKDTree", RecordingTree)
+    monkeypatch.setattr(discovery, "cKDTree", RecordingTree)
+    monkeypatch.setattr(discovery, "truth_context", recorded_context)
+    cases = mixed_grid_cases(seed=13)
+    config = EvalConfig(min_region_voxels=4)
+    rows, _ = scored_by_chunks(cases, 0.1, config, monkeypatch)
+    assert len(rows) == 66 and len(contexts) == len(cases)
+    assert sum(rep.hd95_mm is not None for row in rows for _, rep in row.per_case) > 60 * len(cases)
+    expected, chunks = [], -(-66 // discovery._RULE_CHUNK)
+    for ctx in contexts:
+        truth_tree = ctx.surface.tree
+        candidate_tree = built[len(expected) + 1]
+        expected += [truth_tree, candidate_tree]
+        assert candidate_tree.n > truth_tree.n
+        queried = np.concatenate(truth_tree.__dict__["queried"])
+        assert len(queried) == len(np.unique(queried, axis=0))
+        listed = candidate_tree.__dict__["queried"]
+        assert 1 <= len(listed) <= chunks
+        listed = np.concatenate(listed)
+        assert len(listed) == len(np.unique(listed, axis=0)) <= ctx.surface.flat.size
+    assert [id(tree) for tree in built] == [id(tree) for tree in expected]
+
+
+def test_few_rules_a_zone_or_another_grid_keep_rules_scored_one_by_one(monkeypatch):
+    # availability's 8 rules, a zoned sweep and a truth 1e-12 off the
+    # modalities' grid are scored by `_evaluate_case` rule by rule, each HD95
+    # with a tree over its prediction's surface; a 66-rule sweep with none of
+    # these is scored by chunks
+    scored, chunked = [], []
+    evaluate_case, reports = discovery._evaluate_case, discovery._Candidates.reports
+
+    def counted_evaluate_case(case, *args, **kwargs):
+        scored.append(case.case_id)
+        return evaluate_case(case, *args, **kwargs)
+
+    def counted_reports(self, rules, truth_ctx):
+        chunked.append(len(rules))
+        return reports(self, rules, truth_ctx)
+
+    monkeypatch.setattr(discovery, "_evaluate_case", counted_evaluate_case)
+    monkeypatch.setattr(discovery._Candidates, "reports", counted_reports)
+    cases = mixed_grid_cases(seed=13)
+    apart = anisotropic(cases, (1.0 + 1e-12, 1.0, 1.0))
+    apart = [CaseRecord(c.case_id, c.modalities, cases[i].truth, cases[i].zones)
+             for i, c in enumerate(apart)]
+    assert discovery._LISTED_RULES > 8
+    runs = [
+        (lambda: availability_analysis(cases, config=EvalConfig(min_region_voxels=4)), 8),
+        (lambda: grid_search_linear(cases, step=0.1, config=EvalConfig(zone="slab")), 66),
+        (lambda: grid_search_linear(apart, step=0.1), 66),
+    ]
+    for run, n_rules in runs:
+        scored.clear()
+        run()
+        assert len(scored) == n_rules * len(cases) and not chunked
+    grid_search_linear(cases, step=0.1)
+    assert chunked == [66] * len(cases)
 
 
 @pytest.mark.parametrize("threads", [1, 3])

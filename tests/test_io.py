@@ -587,7 +587,8 @@ def test_manifest_split_must_be_a_non_empty_string(small_manifest, capsys, monke
     path.write_text(json.dumps(doc))
     reads = []
     load_volume = volio.load_volume
-    monkeypatch.setattr(volio, "load_volume", lambda *a, **k: reads.append(a) or load_volume(*a, **k))
+    monkeypatch.setattr(volio, "load_volume",
+                        lambda *args, **kwargs: reads.append(args) or load_volume(*args, **kwargs))
     case_id = doc["cases"][1]["case_id"]
     _assert_manifest_data_error(path, capsys, f"case {case_id}: split must be a non-empty string")
     assert main(["search", str(path), "--split", "train"]) == 2
