@@ -66,8 +66,8 @@ from .errors import DataError
 from .fitting import _SIMPLEX_TOL, LinearRule, StackingRule
 from .metrics import (
     _PRED_TREE, HD_PERCENTILE, LabelledMask, MetricsConfig, MetricsReport, TruthContext,
-    _interpolated, _nearest_bf, _order_statistics, _points, _reports, dice, evaluate, in_zone,
-    label_mask, truth_context,
+    _interpolated, _nearest_bf, _order_statistics, _points, _reports, boundary_surface, dice,
+    evaluate, in_zone, label_mask, truth_context,
 )
 from .sampling import SampledRuleSet, dirichlet_rule, simplex_grid
 from .volumes import LabelVolume, ProbabilityVolume, validate_aligned
@@ -380,10 +380,10 @@ class _Candidates:
                                    (buffers.labels.array, counts[c:d], keep[c:d]), connectivity)
                 mask[survivors] = False
 
-    def reports(self, rules, truth_ctx: TruthContext):
+    def reports(self, rules, truth: LabelledMask):
         """Yield each linear rule's report in turn, as `evaluate` makes it
-        from the rule's prediction and `truth_ctx`, the context of the case's
-        truth, unrestricted and on the candidates' grid.
+        from the rule's prediction and `truth`, the case's truth, labelled at
+        the configured connectivity, unrestricted and on the candidates' grid.
 
         A chunk's reports come from its kept positives alone, through
         `metrics._reports`, with the truth's labels gathered at the
@@ -409,7 +409,7 @@ class _Candidates:
         points at +inf; otherwise they cannot move either order statistic,
         and `metrics._nearest_bf` runs only then.
         """
-        g, surface = truth_ctx.mask, truth_ctx.surface
+        g, surface = truth, boundary_surface(truth)
         n, (nx, ny, nz) = self.flat.size, self.dims
         g_at = g.components[0].reshape(-1).take(self.flat)
         g_inside = g.components[2].take(g_at)
@@ -428,7 +428,9 @@ class _Candidates:
             memo = np.full(n, np.nan)
             memo[g_index[g_index < n]] = 0.0
             listed = np.zeros(surface.flat.size, dtype=bool)
-            near = np.empty((surface.flat.size, _NEAREST), dtype=np.intp)
+            # candidates, to which a rule's offset in `on` is added in place
+            cell = np.int32 if on.size <= np.iinfo(np.int32).max else np.intp
+            near = np.empty((surface.flat.size, _NEAREST), dtype=cell)
             near_distance = np.empty((surface.flat.size, _NEAREST))
             tree = None
         for k, at, bounds, (labels, counts, keep, kept, starts) in self._chunks(rules):
@@ -465,7 +467,9 @@ class _Candidates:
                     near_distance[new], near[new] = tree.query(surface.points[new], _NEAREST)
                     listed[new] = True
                 own_rows, points = np.nonzero(own)
-                hits = on_flat.take(near.take(points, axis=0) + own_rows[:, None] * (n + 1))
+                hits = near.take(points, axis=0)  # each (rule, point) list, as cells of `on`
+                hits += own_rows[:, None] * (n + 1)
+                hits = on_flat.take(hits)
                 first = hits.argmax(axis=1)
                 from_g = near_distance[points, first]
                 from_g[~hits[np.arange(points.size), first]] = np.inf
@@ -717,11 +721,12 @@ def _sweep(
     """Score every (rule, case) pair and aggregate one RuleEvaluation per rule.
 
     Each case is one task of `_run_cases`, which loads and sets it up in the
-    worker that runs it. The task builds the restricted truth's context and,
-    for two or more linear rules, finds the case's `_Candidates` once and
-    labels their predictions there in chunks; for `_LISTED_RULES` or more,
-    with no zone and the truth on the modalities' grid, it scores them there
-    too. A failing rule fails its case, with the case id in the message.
+    worker that runs it. For two or more linear rules the task finds the
+    case's `_Candidates` once and labels their predictions there in chunks;
+    for `_LISTED_RULES` or more, with no zone and the truth on the
+    modalities' grid, it scores them there too. Otherwise it builds the
+    restricted truth's context and scores each rule with `_evaluate_case`.
+    A failing rule fails its case, with the case id in the message.
     """
     rules = list(rules)
 
@@ -731,11 +736,11 @@ def _sweep(
             # map, threshold and scan, so a lone rule runs dense
             linear = len(rules) > 1 and all(isinstance(r, LinearRule) for r in rules)
             candidates = _Candidates(case, config, buffers) if linear else None
-            truth_ctx = truth_context(truth, config.metrics.connectivity)
             if (linear and len(rules) >= _LISTED_RULES and zone is None
                     and candidates.spacing == truth.volume.spacing):
-                reports = candidates.reports(rules, truth_ctx)
+                reports = candidates.reports(rules, truth)
             else:
+                truth_ctx = truth_context(truth, config.metrics.connectivity)
                 preds = candidates.predictions(rules) if linear else [None] * len(rules)
                 reports = (_evaluate_case(case, rule, config, zone, truth_ctx, buffers, pred)
                            for rule, pred in zip(rules, preds))

@@ -747,39 +747,37 @@ def test_chunk_scored_sweep_builds_one_truth_tree_and_one_candidate_tree_per_cas
     class RecordingTree(cKDTree):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            built.append(self)
+            built.append((self.kind, self))
 
         def query(self, x, *args, **kwargs):
             self.__dict__.setdefault("queried", []).append(np.array(x))
             return super().query(x, *args, **kwargs)
 
-    built, contexts = [], []
+    class TruthTree(RecordingTree):
+        kind = "truth"
 
-    def recorded_context(*args, **kwargs):
-        contexts.append(truth_context(*args, **kwargs))
-        return contexts[-1]
+    class CandidateTree(RecordingTree):
+        kind = "candidates"
 
-    monkeypatch.setattr(metrics, "cKDTree", RecordingTree)
-    monkeypatch.setattr(discovery, "cKDTree", RecordingTree)
-    monkeypatch.setattr(discovery, "truth_context", recorded_context)
+    built = []
+    monkeypatch.setattr(metrics, "cKDTree", TruthTree)
+    monkeypatch.setattr(discovery, "cKDTree", CandidateTree)
     cases = mixed_grid_cases(seed=13)
     config = EvalConfig(min_region_voxels=4)
     rows, _ = scored_by_chunks(cases, 0.1, config, monkeypatch)
-    assert len(rows) == 66 and len(contexts) == len(cases)
+    assert len(rows) == 66
     assert sum(rep.hd95_mm is not None for row in rows for _, rep in row.per_case) > 60 * len(cases)
-    expected, chunks = [], -(-66 // discovery._RULE_CHUNK)
-    for ctx in contexts:
-        truth_tree = ctx.surface.tree
-        candidate_tree = built[len(expected) + 1]
-        expected += [truth_tree, candidate_tree]
+    assert [kind for kind, _ in built] == ["truth", "candidates"] * len(cases)
+    chunks = -(-66 // discovery._RULE_CHUNK)
+    for (_, truth_tree), (_, candidate_tree) in zip(built[::2], built[1::2]):
         assert candidate_tree.n > truth_tree.n
         queried = np.concatenate(truth_tree.__dict__["queried"])
         assert len(queried) == len(np.unique(queried, axis=0))
         listed = candidate_tree.__dict__["queried"]
         assert 1 <= len(listed) <= chunks
         listed = np.concatenate(listed)
-        assert len(listed) == len(np.unique(listed, axis=0)) <= ctx.surface.flat.size
-    assert [id(tree) for tree in built] == [id(tree) for tree in expected]
+        assert len(listed) == len(np.unique(listed, axis=0)) <= truth_tree.n
+        assert set(map(tuple, listed)) <= set(map(tuple, truth_tree.data))
 
 
 def test_few_rules_a_zone_or_another_grid_keep_rules_scored_one_by_one(monkeypatch):
@@ -794,9 +792,9 @@ def test_few_rules_a_zone_or_another_grid_keep_rules_scored_one_by_one(monkeypat
         scored.append(case.case_id)
         return evaluate_case(case, *args, **kwargs)
 
-    def counted_reports(self, rules, truth_ctx):
+    def counted_reports(self, rules, truth):
         chunked.append(len(rules))
-        return reports(self, rules, truth_ctx)
+        return reports(self, rules, truth)
 
     monkeypatch.setattr(discovery, "_evaluate_case", counted_evaluate_case)
     monkeypatch.setattr(discovery._Candidates, "reports", counted_reports)
