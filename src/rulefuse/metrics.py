@@ -134,11 +134,10 @@ class BoundarySurface:
 # truth's tree is built once per case and queried at the own surface points
 # of every prediction. `_PRED_TREE` is for trees queried little for their
 # size, whose build is most of their cost, which uncompacted nodes and larger
-# leaves make cheaper: a prediction's tree, built only where the truth has no
-# candidate lists (a lone rule, stacking rules, CLI `evaluate`) or lies on
-# another grid, and queried only at the few truth points off the
-# prediction's surface; and a case's candidates' tree, queried once per
-# listed truth point.
+# leaves make cheaper: a prediction's tree, built wherever a rule is scored on
+# its own (`hd95`), and queried only at the few truth points off the
+# prediction's surface; and a case's candidates' tree in a linear sweep scored
+# a chunk at a time, queried once per listed truth point.
 _TRUTH_TREE = {"balanced_tree": False}
 _PRED_TREE = {"balanced_tree": False, "compact_nodes": False, "leafsize": 32}
 

@@ -639,9 +639,9 @@ def chunk_cases(seed: int):
 
 
 def scored_by_chunks(cases, step, config, patch):
-    """`grid_search_linear`'s rows and, for each case, whether its unlisted
-    truth points' exact distances were needed (True) or bounded off (False),
-    once per rule scored with some; the sweep must score every case by
+    """`grid_search_linear`'s rows and, for each (rule, case) whose truth has
+    points no list reaches, whether the brute force ran for them (True) or
+    the bound spared it (False). The sweep must score every case by
     `_Candidates.reports`, with no `evaluate`."""
     outcomes, fell_back = [], []
     hd95_of, nearest_bf = discovery._Candidates._hd95, discovery._nearest_bf
