@@ -22,12 +22,13 @@ threshold, outside which no convex sum can exceed it. Its rules are taken
 positives are found without a pass over the grid, and one
 `backends.components_batch` call labels the whole chunk's positives from
 their z-runs, with each rule's small components dropped. A sweep of at
-least `_LISTED_RULES` rules with no zone, on a case whose truth shares the
+least `_CHUNK_SCORED_RULES` rules, on a case whose truth shares the
 modalities' spacing, then scores the chunk's rules from arrays over the
-candidates (`_Candidates.reports`): no volume, tree or `evaluate` call per
-rule, and HD95's truth side read from per-point lists of the nearest
-candidates. Any other linear sweep writes each rule's prediction into the
-task's buffers and scores it with `_evaluate_case`. A lone linear rule, a
+candidates (`_Candidates.reports`, with `metrics.CandidateHD95` for HD95):
+no volume, tree or `evaluate` call per rule, and a zone restricts each
+chunk's kept positives, which are labelled afresh. Any other linear sweep
+writes each rule's prediction into the task's buffers and scores it with
+`_evaluate_case`. A lone linear rule, a
 stacking rule and every draw of Monte-Carlo uncertainty (which needs the
 whole map for its moments) compute the whole map, threshold it and label
 the mask on its own with `backends.components`, which labels a sparse mask
@@ -54,7 +55,6 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import backends
 # binarize is not called here; it stays bound in this module because
@@ -65,9 +65,8 @@ from .combine import (
 from .errors import DataError
 from .fitting import _SIMPLEX_TOL, LinearRule, StackingRule
 from .metrics import (
-    _PRED_TREE, HD_PERCENTILE, LabelledMask, MetricsConfig, MetricsReport, TruthContext,
-    _interpolated, _nearest_bf, _order_statistics, _points, _reports, boundary_surface, dice,
-    evaluate, in_zone, label_mask, truth_context,
+    CandidateHD95, LabelledMask, MetricsConfig, MetricsReport, TruthContext, _reports,
+    boundary_surface, dice, evaluate, in_zone, label_mask, truth_context,
 )
 from .sampling import SampledRuleSet, dirichlet_rule, simplex_grid
 from .volumes import LabelVolume, ProbabilityVolume, validate_aligned
@@ -280,23 +279,15 @@ _CANDIDATE_MARGIN = 4 * _SIMPLEX_TOL
 _RULE_CHUNK = 8
 
 
-# Linear rules a sweep needs for `_Candidates.reports` to score them: below
-# it each rule is scored by `evaluate` on its own. Measured on 2 CPUs over the
-# `search` benchmark's 9 cases at 48³: a case's candidates' tree and its
-# truth points' lists cost about 4 ms, and each rule they serve saves about
-# 0.2 ms against a tree over its prediction's surface. Against those trees
-# the lists lost 0.4 ms per case at the 15 rules of step 0.25 and 1.9 ms at
-# availability's 8, and won 1.0 ms at the 21 of step 0.2 and 1.9 ms at 20
-# rules drawn from step 0.1. Scored a chunk at a time, availability's 8 rules
-# took 1.09x the CPU time of scoring them one by one (8 alternating passes
-# over the same 9 cases, lower in none).
-_LISTED_RULES = 20
-
-# Candidates listed for each truth surface point, nearest first. On the
-# `search` benchmark's cases, lists of 16 and 32 took the same time per sweep;
-# 48 and 64 cost more to fill than the fallbacks they spared.
-_NEAREST = 16
-
+# Linear rules a sweep needs for `_Candidates.reports` to score them a chunk
+# at a time: below it each rule is scored by `_evaluate_case` on its own,
+# since a chunk-scored case first pays for its candidates' tree, neighbour
+# table and lists (`metrics.CandidateHD95`). Measured on 2 CPUs in 8
+# alternating in-process passes over the `search` benchmark's 9 cases at
+# 48³, chunk-scored against rule by rule: 1.21-1.24x the CPU time at 8
+# rules, 1.05x at 12, 0.97x at the 15 of step 0.25 (lower in 6 and 7 of 8
+# passes, phantom seeds 11 and 3) and 0.88x at the 21 of step 0.2.
+_CHUNK_SCORED_RULES = 15
 
 class _Candidates:
     """The voxels of one case where a linear rule can exceed the configured
@@ -381,126 +372,52 @@ class _Candidates:
                                    (buffers.labels.array, counts[c:d], keep[c:d]), connectivity)
                 mask[survivors] = False
 
-    def reports(self, rules, truth: LabelledMask):
-        """Yield each linear rule's report in turn, as `evaluate` makes it
-        from the rule's prediction and `truth`, the case's truth, labelled at
-        the configured connectivity, unrestricted and on the candidates' grid.
+    def reports(self, rules, zone: LabelVolume | None, truth: LabelledMask):
+        """Yield each linear rule's report in turn, as `_evaluate_case` makes
+        it from the rule's prediction restricted to `zone` and `truth`, the
+        case's truth restricted to it, labelled at the configured
+        connectivity and on the candidates' grid and spacing.
 
-        A chunk's reports come from its kept positives alone, through
-        `metrics._reports`, with the truth's labels gathered at the
-        candidates once per case. A chunk's prediction surfaces are its kept
-        positives with a face neighbour outside the rule's: they are set in
-        one flat volume in `backends.batch_positions`' layout, after one empty
-        x slab, whose padding leaves every neighbour off the grid clear, and
-        each is tested against its six face neighbours there. HD95 takes the
-        pooled set `hd95` takes, bitwise:
-        - prediction to truth: a memo over the candidates holds 0.0 on the
-          truth's surface; the chunk's misses are queried on the truth's
-          tree at once and stored;
-        - truth to prediction: each truth surface point off a rule's surface
-          reads the first candidate on its list (its `_NEAREST` nearest
-          candidates, from one k-nearest query of a tree over all the
-          candidates, each list filled once per case, for a chunk's points
-          at once) that is on that surface. Every nearer surface voxel would
-          be listed before it, so its distance is the tree's arithmetic. A
-          list of fewer candidates lists index n, on no surface.
-        A point whose list holds none of a rule's surface lies at least its
-        last listed distance away. Its exact value is needed only when the
-        least of those is below the upper order statistic taken with such
-        points at +inf; otherwise they cannot move either order statistic,
-        and `metrics._nearest_bf` runs only then.
+        A chunk's reports come from its kept positives alone: with a zone,
+        those in it, labelled afresh by one `backends.components_batch` call,
+        since the restriction can split a component. DSC and lesion recall
+        and precision come through `metrics._reports`, with the truth's labels
+        gathered at the candidates once per case, and HD95 from one
+        `metrics.CandidateHD95` of the case.
         """
-        g, surface = truth, boundary_surface(truth)
-        n, (nx, ny, nz) = self.flat.size, self.dims
-        g_at = g.components[0].reshape(-1).take(self.flat)
-        g_inside = g.components[2].take(g_at)
-        # a chunk's kept positives set in `grid`, and `grid` shifted to each
-        # face neighbour: padded rows and slabs, and one slab before mask 0
-        slab = (ny + 1) * (nz + 1)
-        occupied = np.zeros(_RULE_CHUNK * (nx + 1) * slab + slab, dtype=bool)
-        grid = occupied[slab:]
-        around = [occupied[slab + step:] for step in (-1, 1, -nz - 1, nz + 1, -slab, slab)]
-        on = np.zeros((_RULE_CHUNK, n + 1), dtype=bool)  # column n: on no surface
-        on_flat = on.reshape(-1)
-        if surface is not None:
-            # each truth surface point's candidate index; n where it is none
-            g_index = self.flat.searchsorted(surface.flat)
-            g_index[np.append(self.flat, -1).take(g_index) != surface.flat] = n
-            memo = np.full(n, np.nan)
-            memo[g_index[g_index < n]] = 0.0
-            listed = np.zeros(surface.flat.size, dtype=bool)
-            # candidates, to which a rule's offset in `on` is added in place
-            cell = np.int32 if on.size <= np.iinfo(np.int32).max else np.intp
-            near = np.empty((surface.flat.size, _NEAREST), dtype=cell)
-            near_distance = np.empty((surface.flat.size, _NEAREST))
-            tree = None
-        for k, at, bounds, (labels, counts, keep, kept, starts) in self._chunks(rules):
-            kept = np.flatnonzero(kept)  # the kept positives, as entries of the batch
-            at = at.take(kept)
-            bounds = at.searchsorted(np.arange(k + 1) * n)
-            rows = np.repeat(np.arange(k), np.diff(bounds))
-            index = at - rows * n
-            hds = [None] * k
-            if surface is not None:
-                position = self.positions.take(at)
-                grid[position] = True
-                inner = around[0].take(position)
-                for neighbours in around[1:]:
-                    inner &= neighbours.take(position)
-                grid[position] = False
-                edge = np.flatnonzero(~inner)
-                edge_index, edge_bounds = index.take(edge), edge.searchsorted(bounds)
-                from_p = memo.take(edge_index)
-                missed = np.isnan(from_p)
-                if missed.any():
-                    new = np.unique(edge_index[missed])
-                    memo[new] = surface.tree.query(_points(self.flat.take(new), self.dims,
-                                                           self.spacing))[0]
-                    from_p[missed] = memo.take(edge_index[missed])
-                cells = rows.take(edge) * (n + 1) + edge_index
-                on_flat[cells] = True
-                own = ~on[:k].take(g_index, axis=1)
-                own[edge_bounds[1:] == edge_bounds[:-1]] = False  # an empty prediction
-                new = np.flatnonzero(own.any(axis=0) & ~listed)
-                if new.size:
-                    if tree is None:
-                        tree = cKDTree(_points(self.flat, self.dims, self.spacing), **_PRED_TREE)
-                    near_distance[new], near[new] = tree.query(surface.points[new], _NEAREST)
-                    listed[new] = True
-                own_rows, points = np.nonzero(own)
-                hits = near.take(points, axis=0)  # each (rule, point) list, as cells of `on`
-                hits += own_rows[:, None] * (n + 1)
-                hits = on_flat.take(hits)
-                first = hits.argmax(axis=1)
-                from_g = near_distance[points, first]
-                from_g[~hits[np.arange(points.size), first]] = np.inf
-                on_flat[cells] = False
-                own_bounds = own_rows.searchsorted(np.arange(k + 1))
-                for i in np.flatnonzero(np.diff(edge_bounds)):
-                    hds[i] = self._hd95(from_p[edge_bounds[i]:edge_bounds[i + 1]],
-                                        from_g[own_bounds[i]:own_bounds[i + 1]],
-                                        points[own_bounds[i]:own_bounds[i + 1]], near_distance,
-                                        edge_index[edge_bounds[i]:edge_bounds[i + 1]], surface)
-            inside = np.flatnonzero(g_inside.take(index))
-            inside_rows = rows.take(inside)
-            yield from _reports(g, np.diff(bounds), inside_rows, g_at.take(index.take(inside)),
-                                labels.take(kept.take(inside)) + starts.take(inside_rows),
-                                counts, keep, starts, hds, self.config.metrics)
+        hd95s = CandidateHD95(boundary_surface(truth), self.flat, self.dims, self.spacing)
+        g_at = truth.components[0].reshape(-1).take(self.flat)
+        zoned = None if zone is None else np.ravel(zone.values).take(self.flat)
+        for chunk in self._chunks(rules):
+            reports = self._chunk_reports(chunk, zoned, truth, g_at, hd95s)
+            del chunk  # its arrays go before the next chunk's are made
+            yield from reports
 
-    def _hd95(self, from_p, from_g, points, near_distance, edge, surface):
-        """One rule's HD95 from its prediction side `from_p`, its truth side
-        `from_g` at truth surface points `points`, +inf where a list holds
-        none of its surface, and `edge`, its surface's candidate indices."""
-        n_shared = surface.flat.size - points.size
-        low, high, gamma = _order_statistics(np.concatenate([from_p, from_g]), n_shared,
-                                             HD_PERCENTILE)
-        far = np.flatnonzero(np.isinf(from_g))
-        if far.size and near_distance[points.take(far), -1].min() < high:
-            from_g[far] = _nearest_bf(surface.points.take(points.take(far), axis=0),
-                                      _points(self.flat.take(edge), self.dims, self.spacing))
-            low, high, gamma = _order_statistics(np.concatenate([from_p, from_g]), n_shared,
-                                                 HD_PERCENTILE)
-        return _interpolated(low, high, gamma)
+    def _chunk_reports(self, chunk, zoned, g, g_at, hd95s) -> list[MetricsReport]:
+        """The reports of one chunk from `_chunks` (see `reports`): `zoned`
+        flags the candidates in the zone (None without one), and `g_at` holds
+        the truth `g`'s labels at the candidates."""
+        k, at, _, (labels, counts, keep, kept, starts) = chunk
+        n = self.flat.size
+        at = at[kept]
+        bounds = at.searchsorted(np.arange(k + 1) * n)
+        rows = np.repeat(np.arange(k), np.diff(bounds))
+        index = at - rows * n
+        if zoned is None:
+            labels = labels[kept]
+        else:
+            inside = zoned.take(index)
+            at, rows, index = at[inside], rows[inside], index[inside]
+            bounds = rows.searchsorted(np.arange(k + 1))
+            labels, counts, keep, _, starts = backends.components_batch(
+                self.positions.take(at), bounds, self.dims, self.config.metrics.connectivity)
+        hds = hd95s(k, rows, index)
+        g_at = g_at.take(index)
+        inside = np.flatnonzero(g.components[2].take(g_at))
+        inside_rows = rows.take(inside)
+        return _reports(g, np.diff(bounds), inside_rows, g_at.take(inside),
+                        labels.take(inside) + starts.take(inside_rows), counts, keep, starts,
+                        hds, self.config.metrics)
 
 
 def _predict(case: CaseRecord, rule, config: EvalConfig, buffers: _Buffers):
@@ -724,8 +641,8 @@ def _sweep(
     Each case is one task of `_run_cases`, which loads and sets it up in the
     worker that runs it. For two or more linear rules the task finds the
     case's `_Candidates` once and labels their predictions there in chunks;
-    for `_LISTED_RULES` or more, with no zone and the truth on the
-    modalities' grid, it scores them there too. Otherwise it builds the
+    for `_CHUNK_SCORED_RULES` or more, with the truth at the modalities'
+    spacing, it scores them there too. Otherwise it builds the
     restricted truth's context and scores each rule with `_evaluate_case`.
     A failing rule fails its case, with the case id in the message.
     """
@@ -737,9 +654,9 @@ def _sweep(
             # map, threshold and scan, so a lone rule runs dense
             linear = len(rules) > 1 and all(isinstance(r, LinearRule) for r in rules)
             candidates = _Candidates(case, config, buffers) if linear else None
-            if (linear and len(rules) >= _LISTED_RULES and zone is None
+            if (linear and len(rules) >= _CHUNK_SCORED_RULES
                     and candidates.spacing == truth.volume.spacing):
-                reports = candidates.reports(rules, truth)
+                reports = candidates.reports(rules, zone, truth)
             else:
                 truth_ctx = truth_context(truth, config.metrics.connectivity)
                 preds = candidates.predictions(rules) if linear else [None] * len(rules)

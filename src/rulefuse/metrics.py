@@ -5,13 +5,15 @@ hit only when its overlap fraction strictly exceeds the stated threshold.
 Undefined values (empty masks, zero lesions) are reported as None, never as
 sentinel numbers.
 
-HD95's distances are all in a cKDTree query's arithmetic. The prediction's
-surface points take theirs from a tree over the truth's surface, built once
-per `TruthContext`. The truth's points take theirs from a tree over the
-prediction's surface. A linear rule sweep scores its rules a chunk at a time
-instead (`discovery._Candidates.reports`): the truth's points read theirs
-from per-point lists of their nearest candidate voxels, with `_nearest_bf`,
-a brute force in the same arithmetic, where a list cannot decide.
+HD95's distances are all in a cKDTree query's arithmetic. `hd95` scores one
+prediction: its surface points take theirs from a tree over the truth's
+surface, built once per `TruthContext`, and the truth's points from a tree
+over the prediction's surface. `CandidateHD95` scores batches of
+predictions drawn from one set of candidate voxels (a linear rule sweep's,
+see `discovery._Candidates.reports`) from arrays over those candidates: the
+surfaces from one flag word per candidate, the truth's points from per-point
+lists of their nearest candidates, and `_nearest_bf`, a brute force in the
+same arithmetic, where a list cannot decide.
 
 `evaluate` and that chunk scorer build their reports with `_reports`, which
 takes DSC and lesion recall and precision from the truth's labels gathered
@@ -315,6 +317,139 @@ def _percentile_past_zeros(values: np.ndarray, n_zeros: int, q: float) -> float:
     zeros, bitwise, from at most two order statistics of `values` (see
     `_order_statistics`, which partitions `values` in place)."""
     return _interpolated(*_order_statistics(values, n_zeros, q))
+
+
+# Candidates listed for each truth surface point, nearest first. On the
+# `search` benchmark's cases, lists of 16 and 32 took the same time per sweep;
+# 48 and 64 cost more to fill than the fallbacks they spared.
+_NEAREST = 16
+
+
+class CandidateHD95:
+    """HD95 against one truth of batches of predictions whose positives all
+    lie among fixed `candidates`: ascending flat (C order) indices of a grid
+    of `dims` at `spacing`, the truth's grid and spacing. Every HD95 is
+    `hd95`'s, bitwise, from arrays over the candidates, with no volume or
+    tree per prediction. `surface` is the truth's `boundary_surface`.
+
+    Set up once, unless the truth is empty, and read by every batch:
+    - each candidate's six face neighbours, as candidate indices (n, for the
+      n candidates, where the neighbour is no candidate or off the grid); a
+      prediction's surface is its positives with a neighbour outside it;
+    - prediction to truth: a memo over the candidates holds 0.0 on the
+      truth's surface, and a batch's misses are queried on the truth's tree
+      at once and stored;
+    - truth to prediction: each truth surface point off a prediction's
+      surface reads the first candidate on its list (its `_NEAREST` nearest
+      candidates, from one k-nearest query of a tree over all of them, each
+      list filled once, for a batch's points at once) that is on that
+      surface. Every nearer surface voxel would be listed before it, so its
+      distance is the tree's arithmetic. A list of fewer candidates lists
+      index n, on no surface.
+    A point whose list holds none of a prediction's surface lies at least its
+    last listed distance away. Its exact value is needed only when the least
+    of those is below the upper order statistic taken with such points at
+    +inf; otherwise they cannot move either order statistic, and
+    `_nearest_bf` runs only then.
+    """
+
+    def __init__(self, surface: BoundarySurface | None, candidates: np.ndarray, dims, spacing):
+        self.surface, self.flat, self.dims, self.spacing = surface, candidates, dims, spacing
+        if surface is None:
+            return
+        n, (nx, ny, nz) = candidates.size, dims
+        x, rest = np.divmod(candidates, ny * nz)
+        y, z = np.divmod(rest, nz)
+        cell = np.int32 if n < np.iinfo(np.int32).max else np.intp
+        self.neighbours = np.empty((6, n), dtype=cell)
+        padded = np.append(candidates, -1)
+        for row, step, edge in zip(self.neighbours, (1, -1, nz, -nz, ny * nz, -ny * nz),
+                                   (z == nz - 1, z == 0, y == ny - 1, y == 0, x == nx - 1, x == 0)):
+            found = candidates.searchsorted(candidates + step)
+            found[edge | (padded.take(found) != candidates + step)] = n
+            row[:] = found
+        # each truth surface point's candidate index; n where it is none
+        self.g_index = candidates.searchsorted(surface.flat)
+        self.g_index[padded.take(self.g_index) != surface.flat] = n
+        self.memo = np.full(n, np.nan)
+        self.memo[self.g_index[self.g_index < n]] = 0.0
+        self.listed = np.zeros(surface.flat.size, dtype=bool)
+        self.near = np.full((surface.flat.size, _NEAREST), n, dtype=cell)  # n: no candidate
+        self.near_distance = np.empty((surface.flat.size, _NEAREST))
+        self.tree = None
+
+    def __call__(self, k: int, rows: np.ndarray, index: np.ndarray) -> list:
+        """The HD95 of each of `k` predictions, at most 64, None where it is
+        empty or the truth is: prediction i's positives are the candidates
+        index[rows == i], with `rows` ascending and `index` ascending within
+        each prediction.
+
+        The predictions are read from one flag word per candidate, whose bit
+        i is set where the candidate is in prediction i (`occupied`) or on
+        its surface (`surfaced`).
+        """
+        hds = [None] * k
+        surface, n = self.surface, self.flat.size
+        if surface is None or not index.size:
+            return hds
+        kind = np.min_scalar_type((1 << k) - 1)
+        bit = kind.type(1) << rows.astype(kind)
+        # a bincount of distinct bits is their OR, and exact in float64
+        occupied = np.bincount(index, bit, n + 1).astype(kind)
+        enclosed = occupied.take(self.neighbours[0])
+        for neighbours in self.neighbours[1:]:
+            enclosed &= occupied.take(neighbours)
+        edge = np.flatnonzero((enclosed.take(index) & bit) == 0)
+        edge_index = index.take(edge)
+        edge_bounds = rows.take(edge).searchsorted(np.arange(k + 1))
+        from_p = self.memo.take(edge_index)
+        missed = np.isnan(from_p)
+        if missed.any():
+            new = np.unique(edge_index[missed])
+            self.memo[new] = surface.tree.query(_points(self.flat.take(new), self.dims,
+                                                        self.spacing))[0]
+            from_p[missed] = self.memo.take(edge_index[missed])
+        surfaced = np.bincount(edge_index, bit.take(edge), n + 1).astype(kind)
+        bits = kind.type(1) << np.arange(k, dtype=kind)
+        own = (surfaced.take(self.g_index) & bits[:, None]) == 0  # (prediction, truth point)
+        own[edge_bounds[1:] == edge_bounds[:-1]] = False  # an empty prediction
+        new = np.flatnonzero(own.any(axis=0) & ~self.listed)
+        if new.size:
+            if self.tree is None:
+                self.tree = cKDTree(_points(self.flat, self.dims, self.spacing), **_PRED_TREE)
+            self.near_distance[new], self.near[new] = self.tree.query(surface.points[new], _NEAREST)
+            self.listed[new] = True
+        own_rows, points = np.nonzero(own)
+        # each (prediction, point) list's candidates on that prediction's surface
+        hits = surfaced.take(self.near).take(points, axis=0)
+        hits &= bits.take(own_rows)[:, None]
+        hits = hits.astype(bool)
+        first = hits.argmax(axis=1)
+        from_g = self.near_distance[points, first]
+        from_g[~hits[np.arange(points.size), first]] = np.inf
+        own_bounds = own_rows.searchsorted(np.arange(k + 1))
+        for i in np.flatnonzero(np.diff(edge_bounds)):
+            hds[i] = self._hd95(from_p[edge_bounds[i]:edge_bounds[i + 1]],
+                                from_g[own_bounds[i]:own_bounds[i + 1]],
+                                points[own_bounds[i]:own_bounds[i + 1]],
+                                edge_index[edge_bounds[i]:edge_bounds[i + 1]])
+        return hds
+
+    def _hd95(self, from_p, from_g, points, edge):
+        """One prediction's HD95 from its prediction side `from_p`, its truth
+        side `from_g` at truth surface points `points`, +inf where a list
+        holds none of its surface, and `edge`, its surface's candidate indices."""
+        surface = self.surface
+        n_shared = surface.flat.size - points.size
+        low, high, gamma = _order_statistics(np.concatenate([from_p, from_g]), n_shared,
+                                             HD_PERCENTILE)
+        far = np.flatnonzero(np.isinf(from_g))
+        if far.size and self.near_distance[points.take(far), -1].min() < high:
+            from_g[far] = _nearest_bf(surface.points.take(points.take(far), axis=0),
+                                      _points(self.flat.take(edge), self.dims, self.spacing))
+            low, high, gamma = _order_statistics(np.concatenate([from_p, from_g]), n_shared,
+                                                 HD_PERCENTILE)
+        return _interpolated(low, high, gamma)
 
 
 @dataclass(frozen=True)

@@ -391,13 +391,14 @@ def test_a_box_is_worked_out_once_per_labelling_and_never_without_one(monkeypatc
             assert labellings, name
 
 
-@pytest.mark.parametrize("zone", ["slab"])
+@pytest.mark.parametrize("zone", [None, "slab"])
 def test_linear_sweep_queries_no_voxel_twice_on_a_truth_tree(zone, monkeypatch):
     # a task's truth context remembers each voxel's distance to the truth's
-    # surface, so across its 66 rules no voxel is queried on the truth's tree
-    # twice; each HD95 leaves the context's scratch volume clear. A zoned
-    # sweep scores its rules one by one; an unzoned one is scored by chunks
-    # (see test_chunk_scored_sweep_builds_one_truth_tree_and_one_candidate_tree_per_case)
+    # surface, so across a sweep's rules no voxel is queried on the truth's
+    # tree twice; each HD95 leaves the context's scratch volume clear. A sweep
+    # of fewer linear rules than `_CHUNK_SCORED_RULES` is scored rule by rule;
+    # a longer one is scored by chunks (see
+    # test_chunk_scored_sweep_builds_one_truth_tree_and_one_candidate_tree_per_case)
     class RecordingTree(cKDTree):
         def query(self, x, *args, **kwargs):
             self.__dict__.setdefault("queried", []).append(np.array(x))
@@ -419,9 +420,11 @@ def test_linear_sweep_queries_no_voxel_twice_on_a_truth_tree(zone, monkeypatch):
     monkeypatch.setattr(discovery, "truth_context", recorded_context)
     monkeypatch.setattr(discovery, "evaluate", checked_evaluate)
     cases = mixed_grid_cases(seed=13)
-    grid_search_linear(cases, step=0.1, config=EvalConfig(min_region_voxels=4, zone=zone))
-    assert len(contexts) == len(cases) and len(scored) == 66 * len(cases)
-    assert sum(hd is not None for hd in scored) > 60 * len(cases)
+    rules = simplex_grid(0.1)[::3][:discovery._CHUNK_SCORED_RULES - 1]
+    assert len(rules) >= 8
+    discovery._sweep(cases, rules, EvalConfig(min_region_voxels=4, zone=zone), threads=1)
+    assert len(contexts) == len(cases) and len(scored) == len(rules) * len(cases)
+    assert sum(hd is not None for hd in scored) > 60 / 66 * len(scored)
     repeats = 0
     for ctx in contexts:
         queried = np.concatenate(ctx.surface.tree.__dict__.get("queried", [np.empty((0, 3))]))
@@ -616,7 +619,7 @@ def chunk_cases(seed: int):
     (x = 0, x = nx - 1, y = 0, y = ny - 1, z = 0, z = nz - 1) are high in
     some modality. `few` has fewer candidate voxels than a list is long: one
     voxel high in its first modality, none in its second and up to four in
-    its third."""
+    its third. Both have a zone, `y3`, of the voxels at y >= 3."""
     rng = np.random.default_rng(seed)
     truth = np.zeros(LIST_DIMS, dtype=bool)
     lo = rng.integers(0, 3, 3)
@@ -634,7 +637,9 @@ def chunk_cases(seed: int):
         low[int(rng.integers(0, 3))][face] = np.where(rng.random(truth[face].shape) < 0.6, 0.9, 0.1)
     one[int(rng.integers(0, 14)), int(rng.integers(4, 10)), int(rng.integers(0, 9))] = 0.95
     some.flat[rng.choice(truth.size, int(rng.integers(0, 5)), replace=False)] = 0.95
-    return [make_case(case_id, truth, mods)
+    zone = np.zeros(LIST_DIMS, dtype=bool)
+    zone[:, 3:, :] = True  # holds the one voxel and the far block, and cuts the truth
+    return [make_case(case_id, truth, mods, zones={"y3": LabelVolume(zone)})
             for case_id, mods in (("few", low[3:]), ("wide", low[:3]))]
 
 
@@ -644,7 +649,7 @@ def scored_by_chunks(cases, step, config, patch):
     the bound spared it (False). The sweep must score every case by
     `_Candidates.reports`, with no `evaluate`."""
     outcomes, fell_back = [], []
-    hd95_of, nearest_bf = discovery._Candidates._hd95, discovery._nearest_bf
+    hd95_of, nearest_bf = metrics.CandidateHD95._hd95, metrics._nearest_bf
 
     def recorded_hd95(self, from_p, from_g, *args):
         unlisted, before = bool(np.isinf(from_g).any()), len(fell_back)
@@ -657,8 +662,8 @@ def scored_by_chunks(cases, step, config, patch):
     def no_evaluate(*args, **kwargs):
         raise AssertionError("a chunk-scored sweep called evaluate")
 
-    patch.setattr(discovery._Candidates, "_hd95", recorded_hd95)
-    patch.setattr(discovery, "_nearest_bf",
+    patch.setattr(metrics.CandidateHD95, "_hd95", recorded_hd95)
+    patch.setattr(metrics, "_nearest_bf",
                   lambda points, surface: fell_back.append(len(points)) or
                   nearest_bf(points, surface))
     patch.setattr(discovery, "evaluate", no_evaluate)
@@ -673,59 +678,70 @@ def assert_equal_reports(got, want):
         assert type(getattr(got, name)) is type(getattr(want, name)), name
 
 
-@example(seed=0, connectivity=26, min_region=0)
-@example(seed=1, connectivity=6, min_region=4)
-@example(seed=2, connectivity=18, min_region=1)
+ANISOTROPIC = (0.7, 0.55, 3.3)
+
+
+@example(seed=0, connectivity=26, min_region=0, spacing=(1.0, 1.0, 1.0), zone=False)
+@example(seed=1, connectivity=6, min_region=4, spacing=ANISOTROPIC, zone=False)
+@example(seed=2, connectivity=18, min_region=1, spacing=ANISOTROPIC, zone=True)
+# a far prediction's HD95 is a brute-force distance at anisotropic spacing,
+# which summing the squared differences z first changes in the last place
+@example(seed=144, connectivity=6, min_region=2, spacing=ANISOTROPIC, zone=False)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     connectivity=st.sampled_from([6, 18, 26]),
     min_region=st.integers(0, 4),
+    spacing=st.sampled_from([(1.0, 1.0, 1.0), ANISOTROPIC]),
+    zone=st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
 def test_chunk_scored_reports_equal_dense_evaluation_and_the_oracle(seed, connectivity,
-                                                                    min_region):
+                                                                    min_region, spacing, zone):
     # every report of a 21-rule sweep (two chunks and a part one), scored from
     # the candidates, is `evaluate`'s on the dense path, and its HD95 the
     # oracle's: empty and one-voxel predictions, predictions on the grid's
-    # faces, far ones no list reaches, and a case with fewer candidates than
-    # a list holds
+    # faces, far ones no list reaches, a case with fewer candidates than a
+    # list holds, every volume at unit or anisotropic spacing, and predictions
+    # cut by a zone
     import oracles
 
-    cases = chunk_cases(seed)
-    config = EvalConfig(min_region_voxels=min_region,
+    cases = anisotropic(chunk_cases(seed), spacing)
+    config = EvalConfig(min_region_voxels=min_region, zone="y3" if zone else None,
                         metrics=MetricsConfig(connectivity=connectivity))
     with pytest.MonkeyPatch.context() as patch:
         rows, _ = scored_by_chunks(cases, 0.2, config, patch)
-    assert len(rows) == 21 >= discovery._LISTED_RULES
+    assert len(rows) == 21 >= discovery._CHUNK_SCORED_RULES
     sizes = set()
     for case in cases:
-        zone, truth, buffers = discovery._case_setup(case, config)
+        zone_mask, truth, buffers = discovery._case_setup(case, config)
         truth_ctx = truth_context(truth, connectivity)
         if case.case_id == "few":
-            assert discovery._Candidates(case, config, buffers).flat.size < discovery._NEAREST
+            assert discovery._Candidates(case, config, buffers).flat.size < metrics._NEAREST
         for row in rows:
             got = dict(row.per_case)[case.case_id]
-            want = discovery._evaluate_case(case, row.rule, config, zone, truth_ctx, buffers)
+            want = discovery._evaluate_case(case, row.rule, config, zone_mask, truth_ctx,
+                                            buffers)
             assert_equal_reports(got, want)
-            pred = buffers.mask
+            pred = buffers.mask if zone_mask is None else buffers.mask & zone_mask.values
             oracle = None
             if pred.any() and truth.volume.values.any():
-                pooled = oracles.surface_distances_kd_bf(pred, truth.volume.values,
-                                                         truth.volume.spacing)
+                pooled = oracles.surface_distances_kd_bf(pred, truth.volume.values, spacing)
                 oracle = float(np.percentile(pooled, metrics.HD_PERCENTILE))
             assert repr(got.hd95_mm) == repr(oracle), (case.case_id, row.rule)
             sizes.add(min(int(np.count_nonzero(pred)), 2))
     assert sizes == ({0, 1, 2} if min_region <= 1 else {0, 2})
 
 
-def test_the_list_bound_both_spares_and_runs_the_brute_force():
+@pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), ANISOTROPIC])
+def test_the_list_bound_both_spares_and_runs_the_brute_force(spacing):
     # a truth point whose list holds none of a rule's surface is at least its
     # last listed distance away: where the least of those reaches the upper
     # order statistic taken with such points at +inf, no brute force runs,
     # and where it does not, one runs; the reports are the dense path's
-    spec = PhantomSpec.from_dict({"dims": [32, 32, 32], "n_lesions": 3,
-                                  "radius_range": [4.5, 9.0], "fidelity": [0.5, 0.5, 0.5],
-                                  "noise_sd": 0.25, "planted_rule": [0.5, 0.5, 0.0]})
+    spec = PhantomSpec.from_dict({"dims": [32, 32, 32], "spacing": list(spacing),
+                                  "n_lesions": 3, "radius_range": [4.5, 9.0],
+                                  "fidelity": [0.5, 0.5, 0.5], "noise_sd": 0.25,
+                                  "planted_rule": [0.5, 0.5, 0.0]})
     cases = [generate_case([3, i], spec, case_id=f"p{i}") for i in range(3)]
     config = EvalConfig()
     with pytest.MonkeyPatch.context() as patch:
@@ -739,31 +755,26 @@ def test_the_list_bound_both_spares_and_runs_the_brute_force():
             assert_equal_reports(dict(row.per_case)[case.case_id], want)
 
 
-def test_chunk_scored_sweep_builds_one_truth_tree_and_one_candidate_tree_per_case(monkeypatch):
-    # at equal spacing with no zone, a task builds its truth's tree and, once
+@pytest.mark.parametrize("zone", [None, "slab"])
+def test_chunk_scored_sweep_builds_one_truth_tree_and_one_candidate_tree_per_case(zone,
+                                                                                  monkeypatch):
+    # on the truth's grid and spacing, a task builds its truth's tree and, once
     # some rule needs a list, one tree over its candidates. Each truth
     # surface point's list is filled once, by one k-nearest query per chunk
     # at most, and no voxel is queried twice on the truth's tree.
     class RecordingTree(cKDTree):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            built.append((self.kind, self))
+            built.append(("candidates" if kwargs == metrics._PRED_TREE else "truth", self))
 
         def query(self, x, *args, **kwargs):
             self.__dict__.setdefault("queried", []).append(np.array(x))
             return super().query(x, *args, **kwargs)
 
-    class TruthTree(RecordingTree):
-        kind = "truth"
-
-    class CandidateTree(RecordingTree):
-        kind = "candidates"
-
     built = []
-    monkeypatch.setattr(metrics, "cKDTree", TruthTree)
-    monkeypatch.setattr(discovery, "cKDTree", CandidateTree)
+    monkeypatch.setattr(metrics, "cKDTree", RecordingTree)
     cases = mixed_grid_cases(seed=13)
-    config = EvalConfig(min_region_voxels=4)
+    config = EvalConfig(min_region_voxels=4, zone=zone)
     rows, _ = scored_by_chunks(cases, 0.1, config, monkeypatch)
     assert len(rows) == 66
     assert sum(rep.hd95_mm is not None for row in rows for _, rep in row.per_case) > 60 * len(cases)
@@ -780,11 +791,11 @@ def test_chunk_scored_sweep_builds_one_truth_tree_and_one_candidate_tree_per_cas
         assert set(map(tuple, listed)) <= set(map(tuple, truth_tree.data))
 
 
-def test_few_rules_a_zone_or_another_grid_keep_rules_scored_one_by_one(monkeypatch):
-    # availability's 8 rules, a zoned sweep and a truth 1e-12 off the
-    # modalities' grid are scored by `_evaluate_case` rule by rule, each HD95
-    # with a tree over its prediction's surface; a 66-rule sweep with none of
-    # these is scored by chunks
+def test_few_rules_or_another_grid_keep_rules_scored_one_by_one(monkeypatch):
+    # availability's 8 rules and a truth 1e-12 off the modalities' grid are
+    # scored by `_evaluate_case` rule by rule, each HD95 with a tree over its
+    # prediction's surface; a 66-rule sweep on the truth's grid is scored by
+    # chunks, zoned or not
     scored, chunked = [], []
     evaluate_case, reports = discovery._evaluate_case, discovery._Candidates.reports
 
@@ -792,9 +803,9 @@ def test_few_rules_a_zone_or_another_grid_keep_rules_scored_one_by_one(monkeypat
         scored.append(case.case_id)
         return evaluate_case(case, *args, **kwargs)
 
-    def counted_reports(self, rules, truth):
+    def counted_reports(self, rules, zone, truth):
         chunked.append(len(rules))
-        return reports(self, rules, truth)
+        return reports(self, rules, zone, truth)
 
     monkeypatch.setattr(discovery, "_evaluate_case", counted_evaluate_case)
     monkeypatch.setattr(discovery._Candidates, "reports", counted_reports)
@@ -802,18 +813,20 @@ def test_few_rules_a_zone_or_another_grid_keep_rules_scored_one_by_one(monkeypat
     apart = anisotropic(cases, (1.0 + 1e-12, 1.0, 1.0))
     apart = [CaseRecord(c.case_id, c.modalities, cases[i].truth, cases[i].zones)
              for i, c in enumerate(apart)]
-    assert discovery._LISTED_RULES > 8
+    assert discovery._CHUNK_SCORED_RULES > 8
     runs = [
         (lambda: availability_analysis(cases, config=EvalConfig(min_region_voxels=4)), 8),
-        (lambda: grid_search_linear(cases, step=0.1, config=EvalConfig(zone="slab")), 66),
         (lambda: grid_search_linear(apart, step=0.1), 66),
     ]
     for run, n_rules in runs:
         scored.clear()
         run()
         assert len(scored) == n_rules * len(cases) and not chunked
-    grid_search_linear(cases, step=0.1)
-    assert chunked == [66] * len(cases)
+    for zone in (None, "slab"):
+        scored.clear()
+        chunked.clear()
+        grid_search_linear(cases, step=0.1, config=EvalConfig(zone=zone))
+        assert chunked == [66] * len(cases) and not scored
 
 
 @pytest.mark.parametrize("threads", [1, 3])
