@@ -289,6 +289,7 @@ _RULE_CHUNK = 8
 # passes, phantom seeds 11 and 3) and 0.88x at the 21 of step 0.2.
 _CHUNK_SCORED_RULES = 15
 
+
 class _Candidates:
     """The voxels of one case where a linear rule can exceed the configured
     threshold: `flat`, the ascending C-order flat indices where some modality
