@@ -319,9 +319,6 @@ class _Candidates:
         self.sum = np.empty(self.flat.size)
         self.product = np.empty(self.flat.size)
         self.fires = np.empty((_RULE_CHUNK, self.flat.size), dtype=bool)
-        # a chunk's (rule, candidate) cells, as int32 where they fit
-        fits = self.fires.size <= np.iinfo(np.int32).max
-        self.cell = np.int32 if fits else np.intp
         self.config, self.buffers = config, buffers
         buffers.mask.fill(False)
         # a read-only view of the mask buffer, which every prediction shares
@@ -329,9 +326,8 @@ class _Candidates:
 
     def _chunks(self, rules):
         """Yield (k, at, bounds, batch) for each chunk of `_RULE_CHUNK` rules,
-        here k of them. `at`, of dtype `cell`, holds rule i's positives at
-        i·n + their candidate index, ascending, and rule i's are
-        at[bounds[i]:bounds[i + 1]];
+        here k of them. `at` holds rule i's positives at i·n + their
+        candidate index, ascending, and rule i's are at[bounds[i]:bounds[i + 1]];
         `batch` is their `backends.components_batch`, with each rule's small
         components marked.
 
@@ -347,8 +343,8 @@ class _Candidates:
             for row, rule in zip(fires, chunk):
                 sums = weighted_sum(self.values, rule.alpha, self.sum, self.product)
                 np.greater(sums, config.threshold, out=row)
-            at = np.flatnonzero(fires).astype(self.cell, copy=False)
-            bounds = at.searchsorted(np.arange(len(chunk) + 1, dtype=self.cell) * n)
+            at = np.flatnonzero(fires)
+            bounds = at.searchsorted(np.arange(len(chunk) + 1) * n)
             yield len(chunk), at, bounds, backends.components_batch(
                 self.positions.take(at), bounds, self.dims, config.metrics.connectivity,
                 config.min_region_voxels)
@@ -405,8 +401,8 @@ class _Candidates:
         k, at, _, (labels, counts, keep, kept, starts) = chunk
         n = self.flat.size
         at = at[kept]
-        bounds = at.searchsorted(np.arange(k + 1, dtype=self.cell) * n)
-        rows = np.repeat(np.arange(k, dtype=self.cell), np.diff(bounds))
+        bounds = at.searchsorted(np.arange(k + 1) * n)
+        rows = np.repeat(np.arange(k), np.diff(bounds))
         index = at - rows * n
         if zoned is None:
             labels = labels[kept]
