@@ -65,7 +65,7 @@ from .combine import (
 from .errors import DataError
 from .fitting import _SIMPLEX_TOL, LinearRule, StackingRule
 from .metrics import (
-    CandidateHD95, LabelledMask, MetricsConfig, MetricsReport, TruthContext, _reports,
+    CandidateHD95, LabelledMask, MetricsConfig, MetricsReport, TruthContext, batch_reports,
     boundary_surface, dice, evaluate, in_zone, label_mask, truth_context,
 )
 from .sampling import SampledRuleSet, dirichlet_rule, simplex_grid
@@ -382,7 +382,7 @@ class _Candidates:
         A chunk's reports come from its kept positives alone: with a zone,
         those in it, labelled afresh by one `backends.components_batch` call,
         since the restriction can split a component. DSC and lesion recall
-        and precision come through `metrics._reports`, with the truth's labels
+        and precision come through `metrics.batch_reports`, with the truth's labels
         gathered at the candidates once per case, and HD95 from one
         `metrics.CandidateHD95` of the case.
         """
@@ -416,9 +416,9 @@ class _Candidates:
         g_at = g_at.take(index)
         inside = np.flatnonzero(g.components[2].take(g_at))
         inside_rows = rows.take(inside)
-        return _reports(g, np.diff(bounds), inside_rows, g_at.take(inside),
-                        labels.take(inside) + starts.take(inside_rows), counts, keep, starts,
-                        hds, self.config.metrics)
+        return batch_reports(g, np.diff(bounds), inside_rows, g_at.take(inside),
+                             labels.take(inside) + starts.take(inside_rows), counts, keep,
+                             starts, hds, self.config.metrics)
 
 
 def _predict(case: CaseRecord, rule, config: EvalConfig, buffers: _Buffers):

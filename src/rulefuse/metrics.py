@@ -15,9 +15,9 @@ surfaces from one flag word per candidate, the truth's points from per-point
 lists of their nearest candidates, and `_nearest_bf`, a brute force in the
 same arithmetic, where a list cannot decide.
 
-`evaluate` and that chunk scorer build their reports with `_reports`, which
-takes DSC and lesion recall and precision from the truth's labels gathered
-once at the predictions' positives.
+`evaluate` and that chunk scorer build their reports with `batch_reports`,
+which takes DSC and lesion recall and precision from the truth's labels
+gathered once at the predictions' positives.
 """
 
 from __future__ import annotations
@@ -525,8 +525,8 @@ def truth_context(truth, connectivity: int = DEFAULT_CONNECTIVITY) -> TruthConte
     return TruthContext(labelled, surface, faces, distance, np.zeros(faces.size, dtype=bool))
 
 
-def _reports(g: LabelledMask, sizes, rows, g_at, slots, counts, keep, starts, hds,
-             config: MetricsConfig) -> list[MetricsReport]:
+def batch_reports(g: LabelledMask, sizes, rows, g_at, slots, counts, keep, starts, hds,
+                  config: MetricsConfig) -> list[MetricsReport]:
     """The reports of predictions scored against one labelled truth `g`,
     from their positives alone: prediction k has sizes[k] positives and
     HD95 hds[k].
@@ -599,6 +599,6 @@ def evaluate(
     p = pred.positives
     g_at = g.components[0].reshape(-1).take(p)
     inside = np.flatnonzero(g.components[2].take(g_at))
-    return _reports(g, [p.size], np.zeros(inside.size, dtype=np.intp), g_at.take(inside),
-                    labels.reshape(-1).take(p.take(inside)), counts, keep, [0, counts.size],
-                    [hd95(pred, g, truth_ctx)], config)[0]
+    return batch_reports(g, [p.size], np.zeros(inside.size, dtype=np.intp),
+                         g_at.take(inside), labels.reshape(-1).take(p.take(inside)), counts,
+                         keep, [0, counts.size], [hd95(pred, g, truth_ctx)], config)[0]
