@@ -138,10 +138,9 @@ def support_of(mask) -> np.ndarray:
 class LabelBuffer:
     """A reused labels volume: `array`, C-contiguous int32, is zero outside
     what its last writer recorded through `claim`: `box`, the box
-    `label_components` labelled, or `positives`, the flat indices the run
-    labeller's labels were written at (by `components`, or by a sweep from
-    `components_batch`). The next writer clears only that, so it never reads
-    an earlier writer's labels."""
+    `label_components` labelled, or `positives`, the flat indices at which
+    `components` wrote the run labeller's labels. The next writer clears only
+    that, so it never reads an earlier writer's labels."""
 
     def __init__(self, shape):
         self.array = np.zeros(shape, dtype=np.int32)

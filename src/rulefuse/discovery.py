@@ -14,25 +14,23 @@ is read once per sweep and a worker holds about one case at a time, and sets
 it up once, with `_case_setup`: the zone, the truth restricted to it and one
 set of volume buffers, which every rule or draw on the case reuses.
 
-Where a rule's prediction comes from depends on the sweep. A rule sweep
-with two or more linear rules also finds each case's `_Candidates` once: the
-voxels where some modality comes within `_CANDIDATE_MARGIN` of the
-threshold, outside which no convex sum can exceed it. Its rules are taken
-`_RULE_CHUNK` at a time: each sums and thresholds only those voxels, so its
-positives are found without a pass over the grid, and one
-`backends.components_batch` call labels the whole chunk's positives from
-their z-runs, with each rule's small components dropped. A sweep of at
-least `_CHUNK_SCORED_RULES` rules, on a case whose truth shares the
-modalities' spacing, then scores the chunk's rules from arrays over the
-candidates (`_Candidates.reports`, with `metrics.CandidateHD95` for HD95):
-no volume, tree or `evaluate` call per rule, and a zone restricts each
-chunk's kept positives, which are labelled afresh. Any other linear sweep
-writes each rule's prediction into the task's buffers and scores it with
-`_evaluate_case`. A lone linear rule, a
-stacking rule and every draw of Monte-Carlo uncertainty (which needs the
-whole map for its moments) compute the whole map, threshold it and label
-the mask on its own with `backends.components`, which labels a sparse mask
-from its positives' z-runs as a batch of one, and are scored by
+A sweep is scored on one of two paths. A rule sweep of two or more linear
+rules, on a case whose truth shares the modalities' spacing, finds the
+case's `_Candidates` once: the voxels where some modality comes within
+`_CANDIDATE_MARGIN` of the threshold, outside which no convex sum can exceed
+it. Its rules are taken `_RULE_CHUNK` at a time: each sums and thresholds
+only those voxels, so its positives are found without a pass over the grid,
+one `backends.components_batch` call labels the whole chunk's positives
+from their z-runs, with each rule's small components dropped, and the
+chunk's rules are scored from arrays over the candidates
+(`_Candidates.reports`, with `metrics.CandidateHD95` for HD95): no volume or
+`evaluate` call per rule, and a zone restricts each chunk's kept positives,
+which are labelled afresh. Everything else runs dense: a lone rule,
+stacking rules, a truth off the modalities' grid and every draw of
+Monte-Carlo uncertainty (which needs the whole map for its moments). Each
+such rule's whole map is computed and thresholded, its mask is labelled on
+its own with `backends.components`, which labels a sparse mask from its
+positives' z-runs as a batch of one, and a rule sweep scores it with
 `_evaluate_case`.
 
 The scheduler runs on `_workers(threads, n_cases)` worker processes: the
@@ -279,17 +277,6 @@ _CANDIDATE_MARGIN = 4 * _SIMPLEX_TOL
 _RULE_CHUNK = 8
 
 
-# Linear rules a sweep needs for `_Candidates.reports` to score them a chunk
-# at a time: below it each rule is scored by `_evaluate_case` on its own,
-# since a chunk-scored case first pays for its candidates' tree, neighbour
-# table and lists (`metrics.CandidateHD95`). Measured on 2 CPUs in 8
-# alternating in-process passes over the `search` benchmark's 9 cases at
-# 48³, chunk-scored against rule by rule: 1.21-1.24x the CPU time at 8
-# rules, 1.05x at 12, 0.97x at the 15 of step 0.25 (lower in 6 and 7 of 8
-# passes, phantom seeds 11 and 3) and 0.88x at the 21 of step 0.2.
-_CHUNK_SCORED_RULES = 15
-
-
 class _Candidates:
     """The voxels of one case where a linear rule can exceed the configured
     threshold: `flat`, the ascending C-order flat indices where some modality
@@ -298,13 +285,11 @@ class _Candidates:
     `backends.batch_positions` table for a chunk of `_RULE_CHUNK` masks,
     raveled, from which each chunk gathers its rules' positives' positions.
 
-    Rules are taken a chunk at a time (`_chunks`). `predictions` makes each
-    one's prediction in the task's buffers, whose mask is cleared here, for
-    `evaluate`; `reports` scores a chunk's rules from arrays over the
-    candidates, with no volume per rule.
+    Rules are taken a chunk at a time (`_chunks`), and `reports` scores a
+    chunk's rules from arrays over the candidates, with no volume per rule.
     """
 
-    def __init__(self, case: CaseRecord, config: EvalConfig, buffers: _Buffers):
+    def __init__(self, case: CaseRecord, config: EvalConfig):
         floor = config.threshold - _CANDIDATE_MARGIN
         y = [np.ravel(m.values) for m in case.modalities]
         some = y[0] > floor  # max y > floor, without a float64 pass for the max
@@ -319,10 +304,7 @@ class _Candidates:
         self.sum = np.empty(self.flat.size)
         self.product = np.empty(self.flat.size)
         self.fires = np.empty((_RULE_CHUNK, self.flat.size), dtype=bool)
-        self.config, self.buffers = config, buffers
-        buffers.mask.fill(False)
-        # a read-only view of the mask buffer, which every prediction shares
-        self.volume = LabelVolume(buffers.mask.view(), spacing=self.spacing)
+        self.config = config
 
     def _chunks(self, rules):
         """Yield (k, at, bounds, batch) for each chunk of `_RULE_CHUNK` rules,
@@ -349,30 +331,6 @@ class _Candidates:
                 self.positions.take(at), bounds, self.dims, config.metrics.connectivity,
                 config.min_region_voxels)
 
-    def predictions(self, rules):
-        """Yield each linear rule's prediction in turn, as `_predict` makes
-        it: a `metrics.LabelledMask` with its small components dropped,
-        written into the task's buffers and valid until the next one is
-        asked for.
-
-        Each prediction writes its labels at its positives through the labels
-        buffer's `claim`, which clears the last writer's labels and records
-        these, and sets its surviving positives in the mask buffer, which it
-        clears again before the next prediction.
-        """
-        connectivity, buffers, n = self.config.metrics.connectivity, self.buffers, self.flat.size
-        mask = buffers.mask.reshape(-1)  # a view: the buffer is C-ordered
-        for k, at, bounds, (labels, counts, keep, kept, starts) in self._chunks(rules):
-            for i in range(k):
-                a, b, c, d = bounds[i], bounds[i + 1], starts[i], starts[i + 1]
-                positives = self.flat.take(at[a:b] - i * n)
-                buffers.labels.claim(positives=positives).reshape(-1)[positives] = labels[a:b]
-                survivors = positives[kept[a:b]]
-                mask[survivors] = True
-                yield LabelledMask(self.volume, survivors,
-                                   (buffers.labels.array, counts[c:d], keep[c:d]), connectivity)
-                mask[survivors] = False
-
     def reports(self, rules, zone: LabelVolume | None, truth: LabelledMask):
         """Yield each linear rule's report in turn, as `_evaluate_case` makes
         it from the rule's prediction restricted to `zone` and `truth`, the
@@ -382,11 +340,12 @@ class _Candidates:
         A chunk's reports come from its kept positives alone: with a zone,
         those in it, labelled afresh by one `backends.components_batch` call,
         since the restriction can split a component. DSC and lesion recall
-        and precision come through `metrics.batch_reports`, with the truth's labels
-        gathered at the candidates once per case, and HD95 from one
-        `metrics.CandidateHD95` of the case.
+        and precision come through `metrics.batch_reports`, with the truth's
+        labels gathered at the candidates once per case, and HD95 from one
+        `metrics.CandidateHD95` of the case, told how many chunks it scores.
         """
-        hd95s = CandidateHD95(boundary_surface(truth), self.flat, self.dims, self.spacing)
+        hd95s = CandidateHD95(boundary_surface(truth), self.flat, self.dims, self.spacing,
+                              -(-len(rules) // _RULE_CHUNK))
         g_at = truth.components[0].reshape(-1).take(self.flat)
         zoned = None if zone is None else np.ravel(zone.values).take(self.flat)
         for chunk in self._chunks(rules):
@@ -454,13 +413,11 @@ def _evaluate_case(
     zone: LabelVolume | None,
     truth_ctx: TruthContext,
     buffers: _Buffers,
-    pred: LabelledMask | None = None,
 ) -> MetricsReport:
-    """The report of one rule on one case. `pred` is the rule's prediction
-    when the sweep has made it already (see `_Candidates.predictions`);
-    without it `_predict` makes it from the whole map."""
-    if pred is None:
-        _, pred = _predict(case, rule, config, buffers)
+    """The report of one rule on one case, scored by `evaluate` from the
+    prediction that `_predict` makes from the whole map, restricted to
+    `zone`, against `truth_ctx`, the context of the truth restricted to it."""
+    _, pred = _predict(case, rule, config, buffers)
     # a restricted prediction is labelled into the buffer its unrestricted
     # labels were in, which nothing reads any more
     pred = label_mask(in_zone(pred, zone), config.metrics.connectivity, buffers.labels)
@@ -640,29 +597,25 @@ def _sweep(
     """Score every (rule, case) pair and aggregate one RuleEvaluation per rule.
 
     Each case is one task of `_run_cases`, which loads and sets it up in the
-    worker that runs it. For two or more linear rules the task finds the
-    case's `_Candidates` once and labels their predictions there in chunks;
-    for `_CHUNK_SCORED_RULES` or more, with the truth at the modalities'
-    spacing, it scores them there too. Otherwise it builds the
+    worker that runs it. A sweep of two or more linear rules, on a case whose
+    truth shares the modalities' spacing, finds the case's `_Candidates` and
+    scores the rules there a chunk at a time. Any other sweep builds the
     restricted truth's context and scores each rule with `_evaluate_case`.
     A failing rule fails its case, with the case id in the message.
     """
     rules = list(rules)
+    # building a candidate set costs about as much as one rule's dense map,
+    # threshold and scan, so a lone rule runs dense
+    linear = len(rules) > 1 and all(isinstance(r, LinearRule) for r in rules)
 
     def run(case, zone, truth, buffers) -> list[tuple[str, MetricsReport]]:
         try:
-            # building a candidate set costs about as much as one rule's dense
-            # map, threshold and scan, so a lone rule runs dense
-            linear = len(rules) > 1 and all(isinstance(r, LinearRule) for r in rules)
-            candidates = _Candidates(case, config, buffers) if linear else None
-            if (linear and len(rules) >= _CHUNK_SCORED_RULES
-                    and candidates.spacing == truth.volume.spacing):
-                reports = candidates.reports(rules, zone, truth)
+            if linear and case.modalities[0].spacing == truth.volume.spacing:
+                reports = _Candidates(case, config).reports(rules, zone, truth)
             else:
                 truth_ctx = truth_context(truth, config.metrics.connectivity)
-                preds = candidates.predictions(rules) if linear else [None] * len(rules)
-                reports = (_evaluate_case(case, rule, config, zone, truth_ctx, buffers, pred)
-                           for rule, pred in zip(rules, preds))
+                reports = (_evaluate_case(case, rule, config, zone, truth_ctx, buffers)
+                           for rule in rules)
             return [(case.case_id, report) for report in reports]
         except DataError:
             raise

@@ -11,9 +11,11 @@ surface, built once per `TruthContext`, and the truth's points from a tree
 over the prediction's surface. `CandidateHD95` scores batches of
 predictions drawn from one set of candidate voxels (a linear rule sweep's,
 see `discovery._Candidates.reports`) from arrays over those candidates: the
-surfaces from one flag word per candidate, the truth's points from per-point
-lists of their nearest candidates, and `_nearest_bf`, a brute force in the
-same arithmetic, where a list cannot decide.
+surfaces from one flag word per candidate, and the truth's points, when
+there are several batches, from per-point lists of their nearest candidates
+and `_nearest_bf`, a brute force in the same arithmetic, where a list cannot
+decide; a single batch queries them on a tree over each prediction's
+surface, as `hd95` does.
 
 `evaluate` and that chunk scorer build their reports with `batch_reports`,
 which takes DSC and lesion recall and precision from the truth's labels
@@ -136,10 +138,10 @@ class BoundarySurface:
 # truth's tree is built once per case and queried at the own surface points
 # of every prediction. `_PRED_TREE` is for trees queried little for their
 # size, whose build is most of their cost, which uncompacted nodes and larger
-# leaves make cheaper: a prediction's tree, built wherever a rule is scored on
-# its own (`hd95`), and queried only at the few truth points off the
-# prediction's surface; and a case's candidates' tree in a linear sweep scored
-# a chunk at a time, queried once per listed truth point.
+# leaves make cheaper: a prediction's tree (in `hd95`, and in a single batch
+# of `CandidateHD95`), queried only at the few truth points off the
+# prediction's surface; and a case's candidates' tree in a linear sweep of
+# several batches, queried once per listed truth point.
 _TRUTH_TREE = {"balanced_tree": False}
 _PRED_TREE = {"balanced_tree": False, "compact_nodes": False, "leafsize": 32}
 
@@ -326,34 +328,38 @@ _NEAREST = 16
 
 
 class CandidateHD95:
-    """HD95 against one truth of batches of predictions whose positives all
-    lie among fixed `candidates`: ascending flat (C order) indices of a grid
-    of `dims` at `spacing`, the truth's grid and spacing. Every HD95 is
-    `hd95`'s, bitwise, from arrays over the candidates, with no volume or
-    tree per prediction. `surface` is the truth's `boundary_surface`.
+    """HD95 against one truth of `batches` batches of predictions whose
+    positives all lie among fixed `candidates`: ascending flat (C order)
+    indices of a grid of `dims` at `spacing`, the truth's grid and spacing.
+    Every HD95 is `hd95`'s, bitwise, from arrays over the candidates, with
+    no volume per prediction. `surface` is the truth's `boundary_surface`.
 
     Set up once, unless the truth is empty, and read by every batch:
     - each candidate's six face neighbours, as candidate indices (n, for the
-      n candidates, where the neighbour is no candidate or off the grid); a
+      n candidates, where the neighbour is no candidate or off the grid),
+      gathered from a volume of the grid's candidate indices; a
       prediction's surface is its positives with a neighbour outside it;
     - prediction to truth: a memo over the candidates holds 0.0 on the
       truth's surface, and a batch's misses are queried on the truth's tree
       at once and stored;
-    - truth to prediction: each truth surface point off a prediction's
-      surface reads the first candidate on its list (its `_NEAREST` nearest
-      candidates, from one k-nearest query of a tree over all of them, each
-      list filled once, for a batch's points at once) that is on that
-      surface. Every nearer surface voxel would be listed before it, so its
-      distance is the tree's arithmetic. A list of fewer candidates lists
-      index n, on no surface.
+    - truth to prediction, for two batches or more: each truth surface point
+      off a prediction's surface reads the first candidate on its list (its
+      `_NEAREST` nearest candidates, from one k-nearest query of a tree over
+      all of them, each list filled once, for a batch's points at once) that
+      is on that surface. Every nearer surface voxel would be listed before
+      it, so its distance is the tree's arithmetic. A list of fewer
+      candidates lists index n, on no surface.
     A point whose list holds none of a prediction's surface lies at least its
     last listed distance away. Its exact value is needed only when the least
     of those is below the upper order statistic taken with such points at
     +inf; otherwise they cannot move either order statistic, and
-    `_nearest_bf` runs only then.
+    `_nearest_bf` runs only then. A single batch cannot repay the tree over
+    the candidates and the lists, so it queries those points on a tree over
+    each prediction's surface, as `hd95` does.
     """
 
-    def __init__(self, surface: BoundarySurface | None, candidates: np.ndarray, dims, spacing):
+    def __init__(self, surface: BoundarySurface | None, candidates: np.ndarray, dims, spacing,
+                 batches: int):
         self.surface, self.flat, self.dims, self.spacing = surface, candidates, dims, spacing
         if surface is None:
             return
@@ -361,22 +367,27 @@ class CandidateHD95:
         x, rest = np.divmod(candidates, ny * nz)
         y, z = np.divmod(rest, nz)
         cell = np.int32 if n < np.iinfo(np.int32).max else np.intp
+        # each voxel's candidate index, n where it is none, and n in a last
+        # slot past the grid, which stands for every neighbour off the grid
+        size = nx * ny * nz
+        volume = np.full(size + 1, n, dtype=cell)
+        volume[candidates] = np.arange(n, dtype=cell)
         self.neighbours = np.empty((6, n), dtype=cell)
-        padded = np.append(candidates, -1)
         for row, step, edge in zip(self.neighbours, (1, -1, nz, -nz, ny * nz, -ny * nz),
                                    (z == nz - 1, z == 0, y == ny - 1, y == 0, x == nx - 1, x == 0)):
-            found = candidates.searchsorted(candidates + step)
-            found[edge | (padded.take(found) != candidates + step)] = n
-            row[:] = found
+            at = candidates + step
+            at[edge] = size
+            volume.take(at, out=row)
         # each truth surface point's candidate index; n where it is none
-        self.g_index = candidates.searchsorted(surface.flat)
-        self.g_index[padded.take(self.g_index) != surface.flat] = n
+        self.g_index = volume.take(surface.flat)
         self.memo = np.full(n, np.nan)
         self.memo[self.g_index[self.g_index < n]] = 0.0
-        self.listed = np.zeros(surface.flat.size, dtype=bool)
-        self.near = np.full((surface.flat.size, _NEAREST), n, dtype=cell)  # n: no candidate
-        self.near_distance = np.empty((surface.flat.size, _NEAREST))
-        self.tree = None
+        self.near = None  # no lists: one batch
+        if batches > 1:
+            self.listed = np.zeros(surface.flat.size, dtype=bool)
+            self.near = np.full((surface.flat.size, _NEAREST), n, dtype=cell)  # n: no candidate
+            self.near_distance = np.empty((surface.flat.size, _NEAREST))
+            self.tree = None
 
     def __call__(self, k: int, rows: np.ndarray, index: np.ndarray) -> list:
         """The HD95 of each of `k` predictions, at most 64, None where it is
@@ -405,7 +416,9 @@ class CandidateHD95:
         from_p = self.memo.take(edge_index)
         missed = np.isnan(from_p)
         if missed.any():
-            new = np.unique(edge_index[missed])
+            new = np.zeros(n, dtype=bool)  # each missed candidate once, ascending
+            new[edge_index[missed]] = True
+            new = np.flatnonzero(new)
             self.memo[new] = surface.tree.query(_points(self.flat.take(new), self.dims,
                                                         self.spacing))[0]
             from_p[missed] = self.memo.take(edge_index[missed])
@@ -413,26 +426,33 @@ class CandidateHD95:
         bits = kind.type(1) << np.arange(k, dtype=kind)
         own = (surfaced.take(self.g_index) & bits[:, None]) == 0  # (prediction, truth point)
         own[edge_bounds[1:] == edge_bounds[:-1]] = False  # an empty prediction
-        new = np.flatnonzero(own.any(axis=0) & ~self.listed)
-        if new.size:
-            if self.tree is None:
-                self.tree = cKDTree(_points(self.flat, self.dims, self.spacing), **_PRED_TREE)
-            self.near_distance[new], self.near[new] = self.tree.query(surface.points[new], _NEAREST)
-            self.listed[new] = True
         own_rows, points = np.nonzero(own)
-        # each (prediction, point) list's candidates on that prediction's surface
-        hits = surfaced.take(self.near).take(points, axis=0)
-        hits &= bits.take(own_rows)[:, None]
-        hits = hits.astype(bool)
-        first = hits.argmax(axis=1)
-        from_g = self.near_distance[points, first]
-        from_g[~hits[np.arange(points.size), first]] = np.inf
+        if self.near is not None:
+            new = np.flatnonzero(own.any(axis=0) & ~self.listed)
+            if new.size:
+                if self.tree is None:
+                    self.tree = cKDTree(_points(self.flat, self.dims, self.spacing), **_PRED_TREE)
+                self.near_distance[new], self.near[new] = self.tree.query(surface.points[new],
+                                                                          _NEAREST)
+                self.listed[new] = True
+            # each (prediction, point) list's candidates on that prediction's surface
+            hits = surfaced.take(self.near).take(points, axis=0)
+            hits &= bits.take(own_rows)[:, None]
+            hits = hits.astype(bool)
+            first = hits.argmax(axis=1)
+            from_g = self.near_distance[points, first]
+            from_g[~hits[np.arange(points.size), first]] = np.inf
         own_bounds = own_rows.searchsorted(np.arange(k + 1))
         for i in np.flatnonzero(np.diff(edge_bounds)):
-            hds[i] = self._hd95(from_p[edge_bounds[i]:edge_bounds[i + 1]],
-                                from_g[own_bounds[i]:own_bounds[i + 1]],
-                                points[own_bounds[i]:own_bounds[i + 1]],
-                                edge_index[edge_bounds[i]:edge_bounds[i + 1]])
+            on, off = (slice(edge_bounds[i], edge_bounds[i + 1]),
+                       slice(own_bounds[i], own_bounds[i + 1]))
+            if self.near is None:
+                tree = cKDTree(_points(self.flat.take(edge_index[on]), self.dims, self.spacing),
+                               **_PRED_TREE)
+                from_g_i = tree.query(surface.points.take(points[off], axis=0))[0]
+            else:
+                from_g_i = from_g[off]
+            hds[i] = self._hd95(from_p[on], from_g_i, points[off], edge_index[on])
         return hds
 
     def _hd95(self, from_p, from_g, points, edge):

@@ -426,15 +426,17 @@ def test_search_runs_and_reports_both_splits(dataset, tmp_path, capsys):
 
 
 def test_search_byte_identical_across_runs_and_threads(dataset, tmp_path, capsys):
+    # a 6-rule grid search, and availability's 8 rules on the train split
     manifest, _, _ = dataset
-    outs = []
-    for name, threads in (("a", "1"), ("b", "1"), ("c", "4")):
-        out = tmp_path / f"{name}.json"
-        code = main(["--threads", threads, "search", str(manifest), "--step", "0.5", "--out", str(out)])
-        assert code == 0
-        outs.append(out.read_bytes())
-    capsys.readouterr()
-    assert outs[0] == outs[1] == outs[2]
+    for command in (["search", str(manifest), "--step", "0.5"],
+                    ["availability", str(manifest), "--split", "train"]):
+        outs = []
+        for name, threads in (("a", "1"), ("b", "1"), ("c", "4")):
+            out = tmp_path / f"{command[0]}-{name}.json"
+            assert main(["--threads", threads, *command, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        capsys.readouterr()
+        assert outs[0] == outs[1] == outs[2]
 
 
 def test_mc_uncertainty_byte_identical_across_threads(dataset, tmp_path, capsys):

@@ -392,12 +392,11 @@ def test_a_box_is_worked_out_once_per_labelling_and_never_without_one(monkeypatc
 
 
 @pytest.mark.parametrize("zone", [None, "slab"])
-def test_linear_sweep_queries_no_voxel_twice_on_a_truth_tree(zone, monkeypatch):
+def test_dense_sweep_queries_no_voxel_twice_on_a_truth_tree(zone, monkeypatch):
     # a task's truth context remembers each voxel's distance to the truth's
-    # surface, so across a sweep's rules no voxel is queried on the truth's
-    # tree twice; each HD95 leaves the context's scratch volume clear. A sweep
-    # of fewer linear rules than `_CHUNK_SCORED_RULES` is scored rule by rule;
-    # a longer one is scored by chunks (see
+    # surface, so across a dense sweep's rules (here stacking rules) no voxel
+    # is queried on the truth's tree twice; each HD95 leaves the context's
+    # scratch volume clear. A linear sweep is scored by chunks (see
     # test_chunk_scored_sweep_builds_one_truth_tree_and_one_candidate_tree_per_case)
     class RecordingTree(cKDTree):
         def query(self, x, *args, **kwargs):
@@ -420,11 +419,11 @@ def test_linear_sweep_queries_no_voxel_twice_on_a_truth_tree(zone, monkeypatch):
     monkeypatch.setattr(discovery, "truth_context", recorded_context)
     monkeypatch.setattr(discovery, "evaluate", checked_evaluate)
     cases = mixed_grid_cases(seed=13)
-    rules = simplex_grid(0.1)[::3][:discovery._CHUNK_SCORED_RULES - 1]
+    rules = [entry.rule for entry in rejection_sample_stacking(n_rules=32).entries]
     assert len(rules) >= 8
     discovery._sweep(cases, rules, EvalConfig(min_region_voxels=4, zone=zone), threads=1)
     assert len(contexts) == len(cases) and len(scored) == len(rules) * len(cases)
-    assert sum(hd is not None for hd in scored) > 60 / 66 * len(scored)
+    assert sum(hd is not None for hd in scored) > len(scored) / 2
     repeats = 0
     for ctx in contexts:
         queried = np.concatenate(ctx.surface.tree.__dict__.get("queried", [np.empty((0, 3))]))
@@ -497,16 +496,28 @@ def candidate_case(seed: int, t: float, dims=(7, 6, 5)) -> CaseRecord:
     return make_case("h", truth, mods, zones={"half": LabelVolume(zone)})
 
 
+def chunked_positives(candidates, rules):
+    """Yield (positives, labels, (counts, keep), kept) of each rule in turn,
+    from `candidates._chunks`: its positives' ascending flat indices, their
+    labels, its components' counts and keep flags, and which positives are
+    in a kept component."""
+    n = candidates.flat.size
+    for k, at, bounds, (labels, counts, keep, kept, starts) in candidates._chunks(rules):
+        for i in range(k):
+            a, b, c, d = bounds[i], bounds[i + 1], starts[i], starts[i + 1]
+            yield (candidates.flat.take(at[a:b] - i * n), labels[a:b], (counts[c:d], keep[c:d]),
+                   kept[a:b])
+
+
 def candidates_match_dense(case: CaseRecord, t: float, rules) -> bool:
-    """Whether each rule's candidate positives, and the mask they leave, are
-    the dense map's, with the rules run in order on one candidate set."""
+    """Whether each rule's candidate positives are the dense map's, with the
+    rules run in order on one candidate set."""
     config = EvalConfig(threshold=t, min_region_voxels=0)  # nothing is dropped
-    buffers = discovery._Buffers(case.truth.dims)
-    for rule, pred in zip(rules, discovery._Candidates(case, config, buffers).predictions(rules)):
+    chunks = chunked_positives(discovery._Candidates(case, config), rules)
+    for rule, (positives, *_) in zip(rules, chunks, strict=True):
         dense = linear_map(case.modalities, rule.alpha) > t
-        if pred.positives.tobytes() != np.flatnonzero(dense).tobytes():
+        if positives.tobytes() != np.flatnonzero(dense).tobytes():
             return False
-        assert np.array_equal(pred.volume.values, dense)
     return True
 
 
@@ -526,11 +537,9 @@ def test_candidate_positives_and_reports_equal_the_dense_path(seed, t, rules, mi
     config = EvalConfig(threshold=t, min_region_voxels=min_region, zone="half" if zone else None)
     zone_mask, truth, buffers = discovery._case_setup(case, config)
     truth_ctx = truth_context(truth, config.metrics.connectivity)
-    preds = discovery._Candidates(case, config, buffers).predictions(rules)
-    dense_buffers = discovery._Buffers(case.truth.dims)
-    for rule, pred in zip(rules, preds):
-        got = discovery._evaluate_case(case, rule, config, zone_mask, truth_ctx, buffers, pred)
-        want = discovery._evaluate_case(case, rule, config, zone_mask, truth_ctx, dense_buffers)
+    reports = discovery._Candidates(case, config).reports(rules, zone_mask, truth)
+    for rule, got in zip(rules, reports, strict=True):
+        want = discovery._evaluate_case(case, rule, config, zone_mask, truth_ctx, buffers)
         assert repr(got) == repr(want)
 
 
@@ -586,24 +595,30 @@ def test_batched_grid_search_equals_dense_evaluation(zone, min_region, threads, 
 
 @pytest.mark.parametrize("connectivity", [6, 26])
 def test_batched_predictions_are_labelled_as_the_dense_path_labels_them(connectivity):
-    # each prediction's mask, positives and (labels, counts, keep) are
-    # `_predict`'s, bytes and dtypes alike; the labels buffer holds only the
-    # current prediction's labels, the mask buffer is clear between them
+    # each rule's positives, their labels and its components' (counts, keep)
+    # from a chunk are `_predict`'s, bytes and dtypes alike, and its positives
+    # in kept components are `_predict`'s prediction
     case = mixed_grid_cases(seed=15)[0]
     rules = simplex_grid(0.1)[::3]  # 22 rules
     config = EvalConfig(min_region_voxels=3, metrics=MetricsConfig(connectivity=connectivity))
     buffers = discovery._Buffers(case.truth.dims)
-    dense_buffers = discovery._Buffers(case.truth.dims)
-    preds = discovery._Candidates(case, config, buffers).predictions(rules)
-    for pred, rule in zip(preds, rules):  # the generator first, so it runs to its end
-        _, want = discovery._predict(case, rule, config, dense_buffers)
-        assert pred.connectivity == want.connectivity == connectivity
-        assert pred.volume.values.tobytes() == want.volume.values.tobytes()
-        assert pred.positives.dtype == want.positives.dtype
-        assert pred.positives.tobytes() == want.positives.tobytes()
-        for got, expected in zip(pred.components, want.components):
+    chunks = chunked_positives(discovery._Candidates(case, config), rules)
+    dropped = 0
+    for rule, (positives, labels, components, kept) in zip(rules, chunks, strict=True):
+        _, want = discovery._predict(case, rule, config, buffers)
+        assert want.connectivity == connectivity
+        mask = np.zeros(case.truth.dims, dtype=bool)
+        mask.reshape(-1)[positives] = True
+        assert mask.tobytes() == (linear_map(case.modalities, rule.alpha) > 0.5).tobytes()
+        survivors = positives[kept]
+        assert survivors.dtype == want.positives.dtype
+        assert survivors.tobytes() == want.positives.tobytes()
+        volume = np.zeros(case.truth.dims, dtype=np.int32)
+        volume.reshape(-1)[positives] = labels
+        for got, expected in zip((volume, *components), want.components, strict=True):
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
-    assert not buffers.mask.any()
+        dropped += positives.size - survivors.size
+    assert dropped
 
 
 # --- a linear sweep scored a chunk at a time ----------------------------------------
@@ -687,6 +702,8 @@ ANISOTROPIC = (0.7, 0.55, 3.3)
 # a far prediction's HD95 is a brute-force distance at anisotropic spacing,
 # which summing the squared differences z first changes in the last place
 @example(seed=144, connectivity=6, min_region=2, spacing=ANISOTROPIC, zone=False)
+# the zone cuts a kept component of rule (0.2, 0.4, 0.4) on `wide` to one voxel
+@example(seed=34990, connectivity=6, min_region=2, spacing=(1.0, 1.0, 1.0), zone=True)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     connectivity=st.sampled_from([6, 18, 26]),
@@ -697,12 +714,14 @@ ANISOTROPIC = (0.7, 0.55, 3.3)
 @settings(max_examples=40, deadline=None)
 def test_chunk_scored_reports_equal_dense_evaluation_and_the_oracle(seed, connectivity,
                                                                     min_region, spacing, zone):
-    # every report of a 21-rule sweep (two chunks and a part one), scored from
-    # the candidates, is `evaluate`'s on the dense path, and its HD95 the
-    # oracle's: empty and one-voxel predictions, predictions on the grid's
-    # faces, far ones no list reaches, a case with fewer candidates than a
-    # list holds, every volume at unit or anisotropic spacing, and predictions
-    # cut by a zone
+    # every report of a 21-rule sweep (two chunks and a part one) and of a
+    # 6-rule one (one chunk, with no lists), scored from the candidates, is
+    # `evaluate`'s on the dense path, and its HD95 the oracle's: empty and
+    # one-voxel predictions, predictions on the grid's faces, far ones no
+    # list reaches, a case with fewer candidates than a list holds, every
+    # volume at unit or anisotropic spacing, and predictions cut by a zone.
+    # The sizes covered are counted before the zone cut, which can leave one
+    # voxel of a kept component whatever `min_region` is.
     import oracles
 
     cases = anisotropic(chunk_cases(seed), spacing)
@@ -710,13 +729,16 @@ def test_chunk_scored_reports_equal_dense_evaluation_and_the_oracle(seed, connec
                         metrics=MetricsConfig(connectivity=connectivity))
     with pytest.MonkeyPatch.context() as patch:
         rows, _ = scored_by_chunks(cases, 0.2, config, patch)
-    assert len(rows) == 21 >= discovery._CHUNK_SCORED_RULES
+    with pytest.MonkeyPatch.context() as patch:
+        one_chunk, _ = scored_by_chunks(cases, 0.5, config, patch)
+    assert (len(rows), len(one_chunk)) == (21, 6)
+    rows += one_chunk
     sizes = set()
     for case in cases:
         zone_mask, truth, buffers = discovery._case_setup(case, config)
         truth_ctx = truth_context(truth, connectivity)
         if case.case_id == "few":
-            assert discovery._Candidates(case, config, buffers).flat.size < metrics._NEAREST
+            assert discovery._Candidates(case, config).flat.size < metrics._NEAREST
         for row in rows:
             got = dict(row.per_case)[case.case_id]
             want = discovery._evaluate_case(case, row.rule, config, zone_mask, truth_ctx,
@@ -728,7 +750,7 @@ def test_chunk_scored_reports_equal_dense_evaluation_and_the_oracle(seed, connec
                 pooled = oracles.surface_distances_kd_bf(pred, truth.volume.values, spacing)
                 oracle = float(np.percentile(pooled, metrics.HD_PERCENTILE))
             assert repr(got.hd95_mm) == repr(oracle), (case.case_id, row.rule)
-            sizes.add(min(int(np.count_nonzero(pred)), 2))
+            sizes.add(min(int(np.count_nonzero(buffers.mask)), 2))
     assert sizes == ({0, 1, 2} if min_region <= 1 else {0, 2})
 
 
@@ -791,11 +813,11 @@ def test_chunk_scored_sweep_builds_one_truth_tree_and_one_candidate_tree_per_cas
         assert set(map(tuple, listed)) <= set(map(tuple, truth_tree.data))
 
 
-def test_few_rules_or_another_grid_keep_rules_scored_one_by_one(monkeypatch):
-    # availability's 8 rules and a truth 1e-12 off the modalities' grid are
-    # scored by `_evaluate_case` rule by rule, each HD95 with a tree over its
-    # prediction's surface; a 66-rule sweep on the truth's grid is scored by
-    # chunks, zoned or not
+def test_linear_sweeps_of_two_rules_or_more_on_the_truths_grid_are_scored_by_chunks(monkeypatch):
+    # availability's 8 rules, a 2-rule sweep and the 66-rule grid, zoned or
+    # not, are scored by `_Candidates.reports`; a lone rule, a stacking sweep
+    # and a truth 1e-12 off the modalities' grid are scored by
+    # `_evaluate_case` rule by rule. Every report is `_evaluate_case`'s.
     scored, chunked = [], []
     evaluate_case, reports = discovery._evaluate_case, discovery._Candidates.reports
 
@@ -813,20 +835,39 @@ def test_few_rules_or_another_grid_keep_rules_scored_one_by_one(monkeypatch):
     apart = anisotropic(cases, (1.0 + 1e-12, 1.0, 1.0))
     apart = [CaseRecord(c.case_id, c.modalities, cases[i].truth, cases[i].zones)
              for i, c in enumerate(apart)]
-    assert discovery._CHUNK_SCORED_RULES > 8
-    runs = [
-        (lambda: availability_analysis(cases, config=EvalConfig(min_region_voxels=4)), 8),
-        (lambda: grid_search_linear(apart, step=0.1), 66),
+    few = EvalConfig(min_region_voxels=4)
+    two = [LinearRule(np.array(a)) for a in ((0.5, 0.5, 0.0), (0.2, 0.3, 0.5))]
+    stacking = rejection_sample_stacking(n_rules=8)
+
+    def availability_rows():
+        table = availability_analysis(cases, config=few)
+        return [table.base] + [row.evaluation for row in table.rows]
+
+    runs = [  # (its rows, its cases, its config, its rules scored by chunks)
+        (availability_rows, cases, few, 8),
+        (lambda: discovery._sweep(cases, two, few, threads=1), cases, few, 2),
+        (lambda: grid_search_linear(cases, step=0.1).rows, cases, EvalConfig(), 66),
+        (lambda: grid_search_linear(cases, step=0.1, config=EvalConfig(zone="slab")).rows, cases,
+         EvalConfig(zone="slab"), 66),
+        (lambda: [evaluate_rule(cases, two[1], config=few)], cases, few, 0),
+        (lambda: grid_search_stacking(cases, stacking, config=few).rows, cases, few, 0),
+        (lambda: grid_search_linear(apart, step=0.1).rows, apart, EvalConfig(), 0),
     ]
-    for run, n_rules in runs:
-        scored.clear()
-        run()
-        assert len(scored) == n_rules * len(cases) and not chunked
-    for zone in (None, "slab"):
+    for rows, dataset, config, n_chunked in runs:
         scored.clear()
         chunked.clear()
-        grid_search_linear(cases, step=0.1, config=EvalConfig(zone=zone))
-        assert chunked == [66] * len(cases) and not scored
+        rows = rows()
+        if n_chunked:
+            assert chunked == [n_chunked] * len(dataset) and len(rows) == n_chunked
+            assert not scored
+        else:
+            assert len(scored) == len(rows) * len(dataset) and not chunked
+        for case in dataset:
+            zone, truth, buffers = discovery._case_setup(case, config)
+            truth_ctx = truth_context(truth, config.metrics.connectivity)
+            for row in rows:
+                want = evaluate_case(case, row.rule, config, zone, truth_ctx, buffers)
+                assert_equal_reports(dict(row.per_case)[case.case_id], want)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -1075,6 +1116,16 @@ def test_threaded_sweep_failure_names_case(monkeypatch):
         return real(case, *args, **kwargs)
 
     monkeypatch.setattr(discovery, "_evaluate_case", failing)
+    with pytest.raises(DataError, match="case c02: boom"):
+        grid_search_stacking(cases, rejection_sample_stacking(n_rules=8), threads=2)
+    real_candidates = discovery._Candidates
+
+    def failing_candidates(case, *args):
+        if case.case_id == "c02":
+            raise ValueError("boom")
+        return real_candidates(case, *args)
+
+    monkeypatch.setattr(discovery, "_Candidates", failing_candidates)
     with pytest.raises(DataError, match="case c02: boom"):
         grid_search_linear(cases, step=0.5, threads=2)
 
