@@ -139,8 +139,9 @@ class LabelBuffer:
     """A reused labels volume: `array`, C-contiguous int32, is zero outside
     what its last writer recorded through `claim`: `box`, the box
     `label_components` labelled, or `positives`, the flat indices at which
-    `components` wrote the run labeller's labels. The next writer clears only
-    that, so it never reads an earlier writer's labels."""
+    `components` wrote the run labeller's labels (or `metrics.CandidateHD95`
+    its candidates' indices). The next writer clears only that, so it never
+    reads an earlier writer's labels."""
 
     def __init__(self, shape):
         self.array = np.zeros(shape, dtype=np.int32)

@@ -331,11 +331,13 @@ class _Candidates:
                 self.positions.take(at), bounds, self.dims, config.metrics.connectivity,
                 config.min_region_voxels)
 
-    def reports(self, rules, zone: LabelVolume | None, truth: LabelledMask):
+    def reports(self, rules, zone: LabelVolume | None, truth: LabelledMask,
+                labels: backends.LabelBuffer):
         """Yield each linear rule's report in turn, as `_evaluate_case` makes
         it from the rule's prediction restricted to `zone` and `truth`, the
         case's truth restricted to it, labelled at the configured
-        connectivity and on the candidates' grid and spacing.
+        connectivity and on the candidates' grid and spacing. `labels` is
+        the task's labels buffer, which `metrics.CandidateHD95` borrows.
 
         A chunk's reports come from its kept positives alone: with a zone,
         those in it, labelled afresh by one `backends.components_batch` call,
@@ -345,7 +347,7 @@ class _Candidates:
         `metrics.CandidateHD95` of the case, told how many chunks it scores.
         """
         hd95s = CandidateHD95(boundary_surface(truth), self.flat, self.dims, self.spacing,
-                              -(-len(rules) // _RULE_CHUNK))
+                              -(-len(rules) // _RULE_CHUNK), labels)
         g_at = truth.components[0].reshape(-1).take(self.flat)
         zoned = None if zone is None else np.ravel(zone.values).take(self.flat)
         for chunk in self._chunks(rules):
@@ -611,7 +613,7 @@ def _sweep(
     def run(case, zone, truth, buffers) -> list[tuple[str, MetricsReport]]:
         try:
             if linear and case.modalities[0].spacing == truth.volume.spacing:
-                reports = _Candidates(case, config).reports(rules, zone, truth)
+                reports = _Candidates(case, config).reports(rules, zone, truth, buffers.labels)
             else:
                 truth_ctx = truth_context(truth, config.metrics.connectivity)
                 reports = (_evaluate_case(case, rule, config, zone, truth_ctx, buffers)

@@ -332,12 +332,13 @@ class CandidateHD95:
     positives all lie among fixed `candidates`: ascending flat (C order)
     indices of a grid of `dims` at `spacing`, the truth's grid and spacing.
     Every HD95 is `hd95`'s, bitwise, from arrays over the candidates, with
-    no volume per prediction. `surface` is the truth's `boundary_surface`.
+    no volume per prediction. `surface` is the truth's `boundary_surface`,
+    and `scratch` a labels buffer of the grid, borrowed for set-up.
 
     Set up once, unless the truth is empty, and read by every batch:
     - each candidate's six face neighbours, as candidate indices (n, for the
       n candidates, where the neighbour is no candidate or off the grid),
-      gathered from a volume of the grid's candidate indices; a
+      gathered from the candidates' indices written into `scratch`; a
       prediction's surface is its positives with a neighbour outside it;
     - prediction to truth: a memo over the candidates holds 0.0 on the
       truth's surface, and a batch's misses are queried on the truth's tree
@@ -359,33 +360,31 @@ class CandidateHD95:
     """
 
     def __init__(self, surface: BoundarySurface | None, candidates: np.ndarray, dims, spacing,
-                 batches: int):
+                 batches: int, scratch: backends.LabelBuffer):
         self.surface, self.flat, self.dims, self.spacing = surface, candidates, dims, spacing
         if surface is None:
             return
         n, (nx, ny, nz) = candidates.size, dims
         x, rest = np.divmod(candidates, ny * nz)
         y, z = np.divmod(rest, nz)
-        cell = np.int32 if n < np.iinfo(np.int32).max else np.intp
-        # each voxel's candidate index, n where it is none, and n in a last
-        # slot past the grid, which stands for every neighbour off the grid
-        size = nx * ny * nz
-        volume = np.full(size + 1, n, dtype=cell)
-        volume[candidates] = np.arange(n, dtype=cell)
-        self.neighbours = np.empty((6, n), dtype=cell)
+        # candidate i holds i - n in the borrowed volume, every other voxel 0,
+        # so a gather plus n reads a voxel's candidate index, n where it is none
+        volume = scratch.claim(positives=candidates).reshape(-1)
+        volume[candidates] = np.arange(-n, 0, dtype=np.int32)
+        self.neighbours = np.empty((6, n), dtype=np.int32)
         for row, step, edge in zip(self.neighbours, (1, -1, nz, -nz, ny * nz, -ny * nz),
                                    (z == nz - 1, z == 0, y == ny - 1, y == 0, x == nx - 1, x == 0)):
-            at = candidates + step
-            at[edge] = size
-            volume.take(at, out=row)
+            volume.take(candidates + step, out=row, mode="clip")
+            row += n
+            row[edge] = n  # off the grid
         # each truth surface point's candidate index; n where it is none
-        self.g_index = volume.take(surface.flat)
+        self.g_index = volume.take(surface.flat) + n
         self.memo = np.full(n, np.nan)
         self.memo[self.g_index[self.g_index < n]] = 0.0
         self.near = None  # no lists: one batch
         if batches > 1:
             self.listed = np.zeros(surface.flat.size, dtype=bool)
-            self.near = np.full((surface.flat.size, _NEAREST), n, dtype=cell)  # n: no candidate
+            self.near = np.full((surface.flat.size, _NEAREST), n, dtype=np.int32)  # n: none
             self.near_distance = np.empty((surface.flat.size, _NEAREST))
             self.tree = None
 

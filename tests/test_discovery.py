@@ -537,7 +537,8 @@ def test_candidate_positives_and_reports_equal_the_dense_path(seed, t, rules, mi
     config = EvalConfig(threshold=t, min_region_voxels=min_region, zone="half" if zone else None)
     zone_mask, truth, buffers = discovery._case_setup(case, config)
     truth_ctx = truth_context(truth, config.metrics.connectivity)
-    reports = discovery._Candidates(case, config).reports(rules, zone_mask, truth)
+    reports = discovery._Candidates(case, config).reports(rules, zone_mask, truth,
+                                                          buffers.labels)
     for rule, got in zip(rules, reports, strict=True):
         want = discovery._evaluate_case(case, rule, config, zone_mask, truth_ctx, buffers)
         assert repr(got) == repr(want)
@@ -825,9 +826,9 @@ def test_linear_sweeps_of_two_rules_or_more_on_the_truths_grid_are_scored_by_chu
         scored.append(case.case_id)
         return evaluate_case(case, *args, **kwargs)
 
-    def counted_reports(self, rules, zone, truth):
+    def counted_reports(self, rules, *args):
         chunked.append(len(rules))
-        return reports(self, rules, zone, truth)
+        return reports(self, rules, *args)
 
     monkeypatch.setattr(discovery, "_evaluate_case", counted_evaluate_case)
     monkeypatch.setattr(discovery._Candidates, "reports", counted_reports)
