@@ -344,10 +344,10 @@ class _Candidates:
         since the restriction can split a component. DSC and lesion recall
         and precision come through `metrics.batch_reports`, with the truth's
         labels gathered at the candidates once per case, and HD95 from one
-        `metrics.CandidateHD95` of the case, told how many chunks it scores.
+        `metrics.CandidateHD95` of the case, told how many rules it scores.
         """
         hd95s = CandidateHD95(boundary_surface(truth), self.flat, self.dims, self.spacing,
-                              -(-len(rules) // _RULE_CHUNK), labels)
+                              len(rules), labels)
         g_at = truth.components[0].reshape(-1).take(self.flat)
         zoned = None if zone is None else np.ravel(zone.values).take(self.flat)
         for chunk in self._chunks(rules):

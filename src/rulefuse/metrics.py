@@ -11,11 +11,11 @@ surface, built once per `TruthContext`, and the truth's points from a tree
 over the prediction's surface. `CandidateHD95` scores batches of
 predictions drawn from one set of candidate voxels (a linear rule sweep's,
 see `discovery._Candidates.reports`) from arrays over those candidates: the
-surfaces from one flag word per candidate, and the truth's points, when
-there are several batches, from per-point lists of their nearest candidates
-and `_nearest_bf`, a brute force in the same arithmetic, where a list cannot
-decide; a single batch queries them on a tree over each prediction's
-surface, as `hd95` does.
+surfaces from one flag word per candidate, and the truth's points, for
+`_LISTED_PREDICTIONS` predictions or more, from per-point lists of their
+nearest candidates and `_nearest_bf`, a brute force in the same arithmetic,
+where a list cannot decide; fewer predictions query them on a tree over each
+prediction's surface, as `hd95` does.
 
 `evaluate` and that chunk scorer build their reports with `batch_reports`,
 which takes DSC and lesion recall and precision from the truth's labels
@@ -138,10 +138,10 @@ class BoundarySurface:
 # truth's tree is built once per case and queried at the own surface points
 # of every prediction. `_PRED_TREE` is for trees queried little for their
 # size, whose build is most of their cost, which uncompacted nodes and larger
-# leaves make cheaper: a prediction's tree (in `hd95`, and in a single batch
-# of `CandidateHD95`), queried only at the few truth points off the
-# prediction's surface; and a case's candidates' tree in a linear sweep of
-# several batches, queried once per listed truth point.
+# leaves make cheaper: a prediction's tree (in `hd95`, and in `CandidateHD95`
+# for fewer than `_LISTED_PREDICTIONS`), queried only at the few truth points
+# off the prediction's surface; and a case's candidates' tree for more,
+# queried once per listed truth point.
 _TRUTH_TREE = {"balanced_tree": False}
 _PRED_TREE = {"balanced_tree": False, "compact_nodes": False, "leafsize": 32}
 
@@ -325,10 +325,16 @@ def _percentile_past_zeros(values: np.ndarray, n_zeros: int, q: float) -> float:
 # `search` benchmark's cases, lists of 16 and 32 took the same time per sweep;
 # 48 and 64 cost more to fill than the fallbacks they spared.
 _NEAREST = 16
+# Predictions from which `CandidateHD95` lists candidates for the truth's points
+# rather than build a tree per prediction. On 2 CPUs, 8 alternating passes over
+# the `search` benchmark's 9 cases at 48³ (phantom seeds 0 and 3), trees took
+# 0.92-0.96x the CPU time of lists at 9 to 11 rules, 0.95-1.01x at 12, and
+# 1.06x at 13, 1.13x at 15, 1.19x at 21 and 1.35x at 66.
+_LISTED_PREDICTIONS = 13
 
 
 class CandidateHD95:
-    """HD95 against one truth of `batches` batches of predictions whose
+    """HD95 against one truth of `predictions` predictions, in batches, whose
     positives all lie among fixed `candidates`: ascending flat (C order)
     indices of a grid of `dims` at `spacing`, the truth's grid and spacing.
     Every HD95 is `hd95`'s, bitwise, from arrays over the candidates, with
@@ -343,24 +349,24 @@ class CandidateHD95:
     - prediction to truth: a memo over the candidates holds 0.0 on the
       truth's surface, and a batch's misses are queried on the truth's tree
       at once and stored;
-    - truth to prediction, for two batches or more: each truth surface point
-      off a prediction's surface reads the first candidate on its list (its
-      `_NEAREST` nearest candidates, from one k-nearest query of a tree over
-      all of them, each list filled once, for a batch's points at once) that
-      is on that surface. Every nearer surface voxel would be listed before
-      it, so its distance is the tree's arithmetic. A list of fewer
-      candidates lists index n, on no surface.
+    - truth to prediction, for `_LISTED_PREDICTIONS` predictions or more:
+      each truth surface point off a prediction's surface reads the first
+      candidate on its list (its `_NEAREST` nearest candidates, from one
+      k-nearest query of a tree over all of them, each list filled once, for
+      a batch's points at once) that is on that surface. Every nearer surface
+      voxel would be listed before it, so its distance is the tree's
+      arithmetic. A list of fewer candidates lists index n, on no surface.
     A point whose list holds none of a prediction's surface lies at least its
     last listed distance away. Its exact value is needed only when the least
     of those is below the upper order statistic taken with such points at
     +inf; otherwise they cannot move either order statistic, and
-    `_nearest_bf` runs only then. A single batch cannot repay the tree over
-    the candidates and the lists, so it queries those points on a tree over
-    each prediction's surface, as `hd95` does.
+    `_nearest_bf` runs only then. Fewer predictions cannot repay the tree
+    over the candidates and the lists, so each queries those points on a tree
+    over its surface, as `hd95` does.
     """
 
     def __init__(self, surface: BoundarySurface | None, candidates: np.ndarray, dims, spacing,
-                 batches: int, scratch: backends.LabelBuffer):
+                 predictions: int, scratch: backends.LabelBuffer):
         self.surface, self.flat, self.dims, self.spacing = surface, candidates, dims, spacing
         if surface is None:
             return
@@ -381,8 +387,8 @@ class CandidateHD95:
         self.g_index = volume.take(surface.flat) + n
         self.memo = np.full(n, np.nan)
         self.memo[self.g_index[self.g_index < n]] = 0.0
-        self.near = None  # no lists: one batch
-        if batches > 1:
+        self.near = None  # no lists: a tree per prediction
+        if predictions >= _LISTED_PREDICTIONS:
             self.listed = np.zeros(surface.flat.size, dtype=bool)
             self.near = np.full((surface.flat.size, _NEAREST), n, dtype=np.int32)  # n: none
             self.near_distance = np.empty((surface.flat.size, _NEAREST))
@@ -415,9 +421,7 @@ class CandidateHD95:
         from_p = self.memo.take(edge_index)
         missed = np.isnan(from_p)
         if missed.any():
-            new = np.zeros(n, dtype=bool)  # each missed candidate once, ascending
-            new[edge_index[missed]] = True
-            new = np.flatnonzero(new)
+            new = np.unique(edge_index[missed])
             self.memo[new] = surface.tree.query(_points(self.flat.take(new), self.dims,
                                                         self.spacing))[0]
             from_p[missed] = self.memo.take(edge_index[missed])

@@ -394,9 +394,11 @@ def test_a_box_is_worked_out_once_per_labelling_and_never_without_one(monkeypatc
 @pytest.mark.parametrize("zone", [None, "slab"])
 def test_dense_sweep_queries_no_voxel_twice_on_a_truth_tree(zone, monkeypatch):
     # a task's truth context remembers each voxel's distance to the truth's
-    # surface, so across a dense sweep's rules (here stacking rules) no voxel
-    # is queried on the truth's tree twice; each HD95 leaves the context's
-    # scratch volume clear. A linear sweep is scored by chunks (see
+    # surface, so across a dense sweep's rules no voxel is queried on the
+    # truth's tree twice; each HD95 leaves the context's scratch volume clear.
+    # One stacking rule after 14 linear grid rules sends the sweep dense, at
+    # the truth's spacing, where the memo serves; the linear rules alone would
+    # be scored by chunks (see
     # test_chunk_scored_sweep_builds_one_truth_tree_and_one_candidate_tree_per_case)
     class RecordingTree(cKDTree):
         def query(self, x, *args, **kwargs):
@@ -419,11 +421,10 @@ def test_dense_sweep_queries_no_voxel_twice_on_a_truth_tree(zone, monkeypatch):
     monkeypatch.setattr(discovery, "truth_context", recorded_context)
     monkeypatch.setattr(discovery, "evaluate", checked_evaluate)
     cases = mixed_grid_cases(seed=13)
-    rules = [entry.rule for entry in rejection_sample_stacking(n_rules=32).entries]
-    assert len(rules) >= 8
+    rules = simplex_grid(0.1)[::3][:14] + [rejection_sample_stacking(n_rules=2).entries[0].rule]
     discovery._sweep(cases, rules, EvalConfig(min_region_voxels=4, zone=zone), threads=1)
     assert len(contexts) == len(cases) and len(scored) == len(rules) * len(cases)
-    assert sum(hd is not None for hd in scored) > len(scored) / 2
+    assert sum(hd is not None for hd in scored) > 60 / 66 * len(scored)
     repeats = 0
     for ctx in contexts:
         queried = np.concatenate(ctx.surface.tree.__dict__.get("queried", [np.empty((0, 3))]))
@@ -716,11 +717,12 @@ ANISOTROPIC = (0.7, 0.55, 3.3)
 def test_chunk_scored_reports_equal_dense_evaluation_and_the_oracle(seed, connectivity,
                                                                     min_region, spacing, zone):
     # every report of a 21-rule sweep (two chunks and a part one) and of a
-    # 6-rule one (one chunk, with no lists), scored from the candidates, is
-    # `evaluate`'s on the dense path, and its HD95 the oracle's: empty and
-    # one-voxel predictions, predictions on the grid's faces, far ones no
-    # list reaches, a case with fewer candidates than a list holds, every
-    # volume at unit or anisotropic spacing, and predictions cut by a zone.
+    # 10-rule one (two chunks, too few rules for lists), scored from the
+    # candidates, is `evaluate`'s on the dense path, and its HD95 the
+    # oracle's: empty and one-voxel predictions, predictions on the grid's
+    # faces, far ones no list reaches, a case with fewer candidates than a
+    # list holds, every volume at unit or anisotropic spacing, and
+    # predictions cut by a zone.
     # The sizes covered are counted before the zone cut, which can leave one
     # voxel of a kept component whatever `min_region` is.
     import oracles
@@ -731,9 +733,9 @@ def test_chunk_scored_reports_equal_dense_evaluation_and_the_oracle(seed, connec
     with pytest.MonkeyPatch.context() as patch:
         rows, _ = scored_by_chunks(cases, 0.2, config, patch)
     with pytest.MonkeyPatch.context() as patch:
-        one_chunk, _ = scored_by_chunks(cases, 0.5, config, patch)
-    assert (len(rows), len(one_chunk)) == (21, 6)
-    rows += one_chunk
+        unlisted, _ = scored_by_chunks(cases, 1 / 3, config, patch)
+    assert (len(rows), len(unlisted)) == (21, 10) and 10 < metrics._LISTED_PREDICTIONS <= 21
+    rows += unlisted
     sizes = set()
     for case in cases:
         zone_mask, truth, buffers = discovery._case_setup(case, config)
