@@ -421,7 +421,9 @@ class CandidateHD95:
         from_p = self.memo.take(edge_index)
         missed = np.isnan(from_p)
         if missed.any():
-            new = np.unique(edge_index[missed])
+            new = np.zeros(n, dtype=bool)  # each missed candidate once, ascending
+            new[edge_index[missed]] = True
+            new = np.flatnonzero(new)
             self.memo[new] = surface.tree.query(_points(self.flat.take(new), self.dims,
                                                         self.spacing))[0]
             from_p[missed] = self.memo.take(edge_index[missed])

@@ -397,8 +397,10 @@ def test_dense_sweep_queries_no_voxel_twice_on_a_truth_tree(zone, monkeypatch):
     # surface, so across a dense sweep's rules no voxel is queried on the
     # truth's tree twice; each HD95 leaves the context's scratch volume clear.
     # One stacking rule after 14 linear grid rules sends the sweep dense, at
-    # the truth's spacing, where the memo serves; the linear rules alone would
-    # be scored by chunks (see
+    # the truth's spacing, where the memo serves (a truth off the modalities'
+    # grid also sends a sweep dense, but `hd95` memoises nothing there, so
+    # its voxels are queried once per rule); the linear rules alone would be
+    # scored by chunks (see
     # test_chunk_scored_sweep_builds_one_truth_tree_and_one_candidate_tree_per_case)
     class RecordingTree(cKDTree):
         def query(self, x, *args, **kwargs):
