@@ -243,45 +243,50 @@ def batch_positions(flat, shape, n_masks) -> np.ndarray:
     return (padded + (np.arange(n_masks) * stride)[:, None]).astype(dtype)
 
 
-def components_batch(positions, bounds, shape, connectivity, min_voxels=1) -> tuple:
-    """`components` of each of a batch of masks on a grid of `shape`, found
-    from their positives alone by one labelling of all their z-runs.
+def plane_runs(plane, joins) -> tuple:
+    """(starts, lengths, bounds): the z-runs of a (k, n) boolean plane whose
+    row i marks mask i's positives among n candidates. `joins[j]` is True
+    where entry j + 1 of the raveled plane may continue a run at entry j, as
+    the candidates' raveled `batch_positions` for k masks or more differ by 1
+    there. Run r starts at raveled entry starts[r] and holds lengths[r]
+    positives, and mask i's runs are bounds[i]:bounds[i + 1]."""
+    fires = plane.reshape(-1)
+    link = np.zeros(fires.size + 1, dtype=bool)  # link[j]: entry j continues entry j - 1's run
+    np.logical_and(fires[1:], fires[:-1], out=link[1:-1])
+    link[1:-1] &= joins[:fires.size - 1]
+    starts = np.flatnonzero(fires > link[:-1])
+    lengths = np.flatnonzero(fires > link[1:]) + 1 - starts
+    return starts, lengths, starts.searchsorted(np.arange(len(plane) + 1) * plane.shape[1])
 
-    `positions` holds the masks' positives, ascending, at their
-    `batch_positions`, and mask k's are positions[bounds[k]:bounds[k + 1]].
-    In that layout one empty slab separates two masks, so no run touches
-    another mask's. A run is a stretch of consecutive positions, which the
-    padding ends at each row's end. The labels of mask k are the batch's
-    less the components of the masks before it, and a component's voxel
-    count is the sum of its runs' lengths.
 
-    Returns (labels, counts, keep, kept, slots) for the whole batch. Mask k's
-    are labels[bounds[k]:bounds[k + 1]], which label its positives (as
-    `components`' labels volume does there), and kept[bounds[k]:bounds[k + 1]],
-    which mark the positives whose component is kept; and
-    counts[slots[k]:slots[k + 1]] and keep[slots[k]:slots[k + 1]], as
-    `components` returns them, so that its label i is slot slots[k] + i.
+def run_components(first, lengths, bounds, shape, connectivity, min_voxels=1) -> tuple:
+    """`components` of each of a batch of masks on a grid of `shape`, from
+    one labelling of all their z-runs: mask k's runs are runs
+    bounds[k]:bounds[k + 1], which start at the ascending `batch_positions`
+    `first` and hold `lengths` voxels. One empty slab separates two masks
+    there, so no run touches another mask's. Mask k's labels are the
+    batch's less the components of the masks before it, and a component's
+    voxel count is the sum of its runs' lengths.
+
+    Returns (slots, counts, keep, offsets): counts[offsets[k]:offsets[k + 1]]
+    and keep[offsets[k]:offsets[k + 1]] are mask k's, as `components`
+    returns them, so that its label i is slot offsets[k] + i, and run r is
+    in the component of slot slots[r].
     """
     n_masks = len(bounds) - 1
-    starts = np.flatnonzero(np.diff(positions, prepend=-2) != 1)
-    lengths = np.diff(starts, append=positions.size)
-    labels, rank = _label_runs(positions[starts].astype(np.intp), lengths, shape[1], shape[2],
-                               connectivity)
-    run_bounds = starts.searchsorted(bounds)
-    run_masks = np.arange(n_masks).repeat(np.diff(run_bounds))
+    labels, rank = _label_runs(first.astype(np.intp), lengths, shape[1], shape[2], connectivity)
+    run_masks = np.arange(n_masks).repeat(np.diff(bounds))
     # the components of the masks before each one
-    before = np.concatenate((np.zeros(1, rank.dtype), rank))[run_bounds[:-1]]
+    before = np.concatenate((np.zeros(1, rank.dtype), rank))[bounds[:-1]]
     # each mask's counts and keep come in one slice, its label 0 first
     zero = before + np.arange(n_masks)
     slots = labels + run_masks
     total = (int(rank[-1]) if rank.size else 0) + n_masks
     counts = np.bincount(slots, lengths, total).astype(np.intp)  # sums of whole numbers: exact
-    counts[zero] = shape[0] * shape[1] * shape[2] - np.diff(bounds)
+    counts[zero] = shape[0] * shape[1] * shape[2] - np.add.reduceat(counts, zero)
     keep = counts >= min_voxels
     keep[zero] = False
-    local = np.repeat(labels - before[run_masks], lengths)
-    kept = np.repeat(keep[slots], lengths)
-    return local, counts, keep, kept, np.append(zero, total)
+    return slots, counts, keep, np.append(zero, total)
 
 
 def components(mask, connectivity, min_voxels=1, positives: np.ndarray | None = None, out=None):
@@ -297,7 +302,7 @@ def components(mask, connectivity, min_voxels=1, positives: np.ndarray | None = 
     `LabelBuffer` `out`'s array, when given, instead of a fresh array.
 
     A box holding more than `_BOX_VOXELS_PER_RUN` voxels per z-run is
-    labelled from its positives' runs by `components_batch`, as a batch of
+    labelled from its positives' runs by `run_components`, as a batch of
     one, any other by `label_components`; both give the same labels,
     numbered alike. A run holds at most a row of the box, so a box whose
     voxels times its depth are at most that many per positive goes to
@@ -311,13 +316,15 @@ def components(mask, connectivity, min_voxels=1, positives: np.ndarray | None = 
     bx, by, bz = (s.stop - s.start for s in box)
     if bx * by * bz * bz > _BOX_VOXELS_PER_RUN * positives.size:
         positions = batch_positions(positives, mask.shape, 1)[0]
-        runs = positions.size - np.count_nonzero(np.diff(positions) == 1)
-        if bx * by * bz > _BOX_VOXELS_PER_RUN * runs:
-            local, counts, keep, _, _ = components_batch(positions, [0, positions.size],
-                                                          mask.shape, connectivity, min_voxels)
+        starts = np.flatnonzero(np.diff(positions, prepend=-2) != 1)  # of runs
+        if bx * by * bz > _BOX_VOXELS_PER_RUN * starts.size:
+            lengths = np.diff(starts, append=positions.size)
+            slots, counts, keep, _ = run_components(positions.take(starts), lengths,
+                                                    [0, starts.size], mask.shape, connectivity,
+                                                    min_voxels)
             labels = (np.zeros(mask.shape, dtype=np.int32) if out is None
                       else out.claim(positives=positives))
-            labels.reshape(-1)[positives] = local
+            labels.reshape(-1)[positives] = slots.repeat(lengths)
             return labels, counts, keep
     labels, n = label_components(mask, connectivity, box, out)
     counts = np.bincount(labels.ravel().take(positives), minlength=n + 1)

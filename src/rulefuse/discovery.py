@@ -19,19 +19,18 @@ rules, on a case whose truth shares the modalities' spacing, finds the
 case's `_Candidates` once: the voxels where some modality comes within
 `_CANDIDATE_MARGIN` of the threshold, outside which no convex sum can exceed
 it. Its rules are taken `_RULE_CHUNK` at a time: each sums and thresholds
-only those voxels, so its positives are found without a pass over the grid,
-one `backends.components_batch` call labels the whole chunk's positives
-from their z-runs, with each rule's small components dropped, and the
-chunk's rules are scored from arrays over the candidates
-(`_Candidates.reports`, with `metrics.CandidateHD95` for HD95): no volume or
-`evaluate` call per rule, and a zone restricts each chunk's kept positives,
-which are labelled afresh. Everything else runs dense: a lone rule,
-stacking rules, a truth off the modalities' grid and every draw of
-Monte-Carlo uncertainty (which needs the whole map for its moments). Each
-such rule's whole map is computed and thresholded, its mask is labelled on
-its own with `backends.components`, which labels a sparse mask from its
-positives' z-runs as a batch of one, and a rule sweep scores it with
-`_evaluate_case`.
+only those voxels into a row of a (rules, candidates) boolean plane, whose
+z-runs `backends.run_components` labels at once, each rule's small
+components are cleared from it, and the rules are scored from the plane,
+its runs and one flag word per candidate (`_Candidates.reports`, with
+`metrics.CandidateHD95` for HD95): no volume, `evaluate` call or array of
+one entry per positive, and a zone restricts the plane, whose runs are
+labelled afresh. Everything else runs dense: a lone rule, stacking rules, a
+truth off the modalities' grid and every draw of Monte-Carlo uncertainty
+(which needs the whole map for its moments). Each such rule's whole map is
+computed and thresholded, its mask is labelled on its own with
+`backends.components`, which labels a sparse mask from its positives'
+z-runs as a batch of one, and a rule sweep scores it with `_evaluate_case`.
 
 The scheduler runs on `_workers(threads, n_cases)` worker processes: the
 calling process is worker 0 and the others are forked children, which
@@ -267,26 +266,25 @@ def _case_setup(case: CaseRecord, config: EvalConfig):
 _CANDIDATE_MARGIN = 4 * _SIMPLEX_TOL
 
 
-# Rules a `_Candidates` labels in one `backends.components_batch` call.
-# Measured on 2 CPUs over the `search` benchmark's 9 cases at 48³: chunks of
-# 4 to 16 rules took about the same CPU time per sweep, fewer paid more calls
-# per rule, and each rule of a chunk holds its positives' positions, runs
-# and labels at once: above the peak RSS of labelling each rule on its own,
-# a 4-rule chunk added 0.8 MB, 8 rules 2.0 MB, 16 rules 4.1 MB and the whole
-# 66-rule grid 17.7 MB.
+# Rules a `_Candidates` scores at once. Measured on 2 CPUs over the `search`
+# benchmark's 9 cases at 48³: chunks of 4 to 16 rules took about the same
+# CPU time per sweep, and fewer paid more calls per rule.
 _RULE_CHUNK = 8
+# A candidate's flag word, a bit per rule of a chunk: `_RULE_CHUNK` bits, at most 64.
+_WORD = np.min_scalar_type((1 << _RULE_CHUNK) - 1)
+if _WORD.kind != "u":
+    raise ValueError(f"_RULE_CHUNK is {_RULE_CHUNK}, wider than a 64-bit flag word")
 
 
 class _Candidates:
     """The voxels of one case where a linear rule can exceed the configured
     threshold: `flat`, the ascending C-order flat indices where some modality
     exceeds threshold - `_CANDIDATE_MARGIN`, `values`, the three modalities
-    there as one contiguous (3, n) float64 array, and `positions`, their
-    `backends.batch_positions` table for a chunk of `_RULE_CHUNK` masks,
-    raveled, from which each chunk gathers its rules' positives' positions.
-
-    Rules are taken a chunk at a time (`_chunks`), and `reports` scores a
-    chunk's rules from arrays over the candidates, with no volume per rule.
+    there as one contiguous (3, n) float64 array, `positions`, their
+    `backends.batch_positions` for `_RULE_CHUNK` masks, raveled, and `joins`,
+    where consecutive ones continue a z-run. Rules are taken a chunk at a
+    time (`_chunk`), as a (rules, candidates) boolean plane, and `reports`
+    scores them from it, with no volume per rule.
     """
 
     def __init__(self, case: CaseRecord, config: EvalConfig):
@@ -301,35 +299,35 @@ class _Candidates:
             values.take(self.flat, out=row)
         self.dims, self.spacing = case.truth.dims, case.modalities[0].spacing
         self.positions = backends.batch_positions(self.flat, self.dims, _RULE_CHUNK).ravel()
-        self.sum = np.empty(self.flat.size)
-        self.product = np.empty(self.flat.size)
+        self.joins = np.diff(self.positions) == 1
+        self.sum, self.product = np.empty((2, self.flat.size))
         self.fires = np.empty((_RULE_CHUNK, self.flat.size), dtype=bool)
         self.config = config
 
-    def _chunks(self, rules):
-        """Yield (k, at, bounds, batch) for each chunk of `_RULE_CHUNK` rules,
-        here k of them. `at` holds rule i's positives at i·n + their
-        candidate index, ascending, and rule i's are at[bounds[i]:bounds[i + 1]];
-        `batch` is their `backends.components_batch`, with each rule's small
-        components marked.
+    def _runs(self, plane, min_voxels):
+        """`backends.plane_runs` of a plane and their `run_components`."""
+        starts, lengths, bounds = backends.plane_runs(plane, self.joins)
+        return starts, lengths, bounds, *backends.run_components(
+            self.positions.take(starts), lengths, bounds, self.dims,
+            self.config.metrics.connectivity, min_voxels)
 
-        The rules mark where each one's sum exceeds the threshold in one
-        (rules, candidates) array. Each sum is `weighted_sum` over the same
-        values as `linear_map` sums on the whole grid, so it is that map's
-        value bitwise.
+    def _chunk(self, rules):
+        """(plane, runs) of at most `_RULE_CHUNK` rules: row i of the plane
+        marks where rule i's sum exceeds the threshold in a component it
+        keeps, and `runs` are the `_runs` of the plane before its small
+        components were cleared. Each sum is `weighted_sum` over the values
+        `linear_map` sums on the whole grid, so it is that map's bitwise.
         """
-        config, n = self.config, self.flat.size
-        for start in range(0, len(rules), _RULE_CHUNK):
-            chunk = rules[start:start + _RULE_CHUNK]
-            fires = self.fires[:len(chunk)]
-            for row, rule in zip(fires, chunk):
-                sums = weighted_sum(self.values, rule.alpha, self.sum, self.product)
-                np.greater(sums, config.threshold, out=row)
-            at = np.flatnonzero(fires)
-            bounds = at.searchsorted(np.arange(len(chunk) + 1) * n)
-            yield len(chunk), at, bounds, backends.components_batch(
-                self.positions.take(at), bounds, self.dims, config.metrics.connectivity,
-                config.min_region_voxels)
+        plane = self.fires[:len(rules)]
+        for row, rule in zip(plane, rules):
+            sums = weighted_sum(self.values, rule.alpha, self.sum, self.product)
+            np.greater(sums, self.config.threshold, out=row)
+        runs = self._runs(plane, self.config.min_region_voxels)
+        starts, lengths, _, slots, _, keep, _ = runs
+        dropped = ~keep.take(slots)  # a few runs, mostly none
+        for start, length in zip(starts[dropped].tolist(), lengths[dropped].tolist()):
+            plane.reshape(-1)[start:start + length] = False
+        return plane, runs
 
     def reports(self, rules, zone: LabelVolume | None, truth: LabelledMask,
                 labels: backends.LabelBuffer):
@@ -337,49 +335,51 @@ class _Candidates:
         it from the rule's prediction restricted to `zone` and `truth`, the
         case's truth restricted to it, labelled at the configured
         connectivity and on the candidates' grid and spacing. `labels` is
-        the task's labels buffer, which `metrics.CandidateHD95` borrows.
-
-        A chunk's reports come from its kept positives alone: with a zone,
-        those in it, labelled afresh by one `backends.components_batch` call,
-        since the restriction can split a component. DSC and lesion recall
-        and precision come through `metrics.batch_reports`, with the truth's
-        labels gathered at the candidates once per case, and HD95 from one
-        `metrics.CandidateHD95` of the case, told how many rules it scores.
+        the task's labels buffer, which `metrics.CandidateHD95` borrows, told
+        how many rules it scores. Row j of `covered` counts, at candidate
+        index c, the candidates before c at the truth's j-th kept label.
         """
         hd95s = CandidateHD95(boundary_surface(truth), self.flat, self.dims, self.spacing,
                               len(rules), labels)
-        g_at = truth.components[0].reshape(-1).take(self.flat)
+        g_labels = truth.components[0].reshape(-1).take(self.flat)
+        kept = np.flatnonzero(truth.components[2])
+        covered = np.zeros((kept.size, self.flat.size + 1), np.min_scalar_type(self.flat.size))
+        np.cumsum(g_labels == kept[:, None], axis=1, out=covered[:, 1:])
         zoned = None if zone is None else np.ravel(zone.values).take(self.flat)
-        for chunk in self._chunks(rules):
-            reports = self._chunk_reports(chunk, zoned, truth, g_at, hd95s)
-            del chunk  # its arrays go before the next chunk's are made
-            yield from reports
+        for start in range(0, len(rules), _RULE_CHUNK):
+            yield from self._chunk_reports(self._chunk(rules[start:start + _RULE_CHUNK]), zoned,
+                                           truth, covered, hd95s)
 
-    def _chunk_reports(self, chunk, zoned, g, g_at, hd95s) -> list[MetricsReport]:
-        """The reports of one chunk from `_chunks` (see `reports`): `zoned`
-        flags the candidates in the zone (None without one), and `g_at` holds
-        the truth `g`'s labels at the candidates."""
-        k, at, _, (labels, counts, keep, kept, starts) = chunk
-        n = self.flat.size
-        at = at[kept]
-        bounds = at.searchsorted(np.arange(k + 1) * n)
-        rows = np.repeat(np.arange(k), np.diff(bounds))
-        index = at - rows * n
+    def _chunk_reports(self, chunk, zoned, g, covered, hd95s) -> list[MetricsReport]:
+        """The reports of one chunk from `_chunk` (see `reports`): from its
+        kept runs, or from those of the plane restricted to the zone that
+        `zoned` flags, labelled afresh. A run's candidates at each truth label
+        are two gathers of `covered`, summed over each rule's runs and each
+        component's for `metrics.batch_reports`. HD95 reads one flag word
+        per candidate.
+        """
+        plane, (starts, lengths, bounds, slots, counts, keep, components) = chunk
+        k, n = plane.shape
         if zoned is None:
-            labels = labels[kept]
+            runs = np.flatnonzero(keep.take(slots))
+            starts, lengths, slots = starts.take(runs), lengths.take(runs), slots.take(runs)
+            bounds = runs.searchsorted(bounds)
         else:
-            inside = zoned.take(index)
-            at, rows, index = at[inside], rows[inside], index[inside]
-            bounds = rows.searchsorted(np.arange(k + 1))
-            labels, counts, keep, _, starts = backends.components_batch(
-                self.positions.take(at), bounds, self.dims, self.config.metrics.connectivity)
-        hds = hd95s(k, rows, index)
-        g_at = g_at.take(index)
-        inside = np.flatnonzero(g.components[2].take(g_at))
-        inside_rows = rows.take(inside)
-        return batch_reports(g, np.diff(bounds), inside_rows, g_at.take(inside),
-                             labels.take(inside) + starts.take(inside_rows), counts, keep,
-                             starts, hds, self.config.metrics)
+            plane &= zoned
+            starts, lengths, bounds, slots, counts, keep, components = self._runs(plane, 1)
+        first = starts - np.repeat(np.arange(k) * n, np.diff(bounds))  # candidate indices
+        hits = covered.take(first + lengths, axis=1) - covered.take(first, axis=1)
+        # each rule's positives, then its positives at each kept truth label
+        totals = np.zeros((1 + len(hits), starts.size + 1), dtype=np.intp)
+        np.cumsum(np.vstack((lengths, hits)), axis=1, out=totals[:, 1:])
+        sums = np.diff(totals.take(bounds, axis=1), axis=1)
+        inside = np.bincount(slots, hits.sum(axis=0), counts.size)
+        # bit i is row i, shifted: np.packbits along the rules' axis took 7x as long
+        words = np.zeros(n + 1, dtype=_WORD)  # the last for none
+        np.bitwise_or.reduce(plane.view(np.uint8) << np.arange(k, dtype=_WORD)[:, None], axis=0,
+                             out=words[:-1])
+        return batch_reports(g, sums[0], sums[1:].T, counts, keep, components, inside,
+                             hd95s(k, words), self.config.metrics)
 
 
 def _predict(case: CaseRecord, rule, config: EvalConfig, buffers: _Buffers):

@@ -10,16 +10,19 @@ prediction: its surface points take theirs from a tree over the truth's
 surface, built once per `TruthContext`, and the truth's points from a tree
 over the prediction's surface. `CandidateHD95` scores batches of
 predictions drawn from one set of candidate voxels (a linear rule sweep's,
-see `discovery._Candidates.reports`) from arrays over those candidates: the
-surfaces from one flag word per candidate, and the truth's points, for
-`_LISTED_PREDICTIONS` predictions or more, from per-point lists of their
-nearest candidates and `_nearest_bf`, a brute force in the same arithmetic,
-where a list cannot decide; fewer predictions query them on a tree over each
-prediction's surface, as `hd95` does.
+see `discovery._Candidates.reports`) from arrays over those candidates: a
+batch is one flag word per candidate, with a bit per prediction, from which
+come every surface and each surface candidate's distance to the truth, read
+once for the batch; the truth's points, for `_LISTED_PREDICTIONS`
+predictions or more, read per-point lists of their nearest candidates and
+`_nearest_bf`, a brute force in the same arithmetic, where a list cannot
+decide; fewer predictions query them on a tree over each prediction's
+surface, as `hd95` does.
 
 `evaluate` and that chunk scorer build their reports with `batch_reports`,
-which takes DSC and lesion recall and precision from the truth's labels
-gathered once at the predictions' positives.
+which takes DSC and lesion recall and precision from counts: each
+prediction's positives, its positives at each truth label, and each of its
+components' positives inside the truth.
 """
 
 from __future__ import annotations
@@ -338,17 +341,18 @@ class CandidateHD95:
     positives all lie among fixed `candidates`: ascending flat (C order)
     indices of a grid of `dims` at `spacing`, the truth's grid and spacing.
     Every HD95 is `hd95`'s, bitwise, from arrays over the candidates, with
-    no volume per prediction. `surface` is the truth's `boundary_surface`,
-    and `scratch` a labels buffer of the grid, borrowed for set-up.
+    no volume and no array of one entry per positive: a batch is one flag
+    word per candidate (see `__call__`). `surface` is the truth's
+    `boundary_surface`, and `scratch` a labels buffer of the grid, borrowed
+    for set-up.
 
     Set up once, unless the truth is empty, and read by every batch:
     - each candidate's six face neighbours, as candidate indices (n, for the
       n candidates, where the neighbour is no candidate or off the grid),
-      gathered from the candidates' indices written into `scratch`; a
-      prediction's surface is its positives with a neighbour outside it;
+      gathered from the candidates' indices written into `scratch`;
     - prediction to truth: a memo over the candidates holds 0.0 on the
-      truth's surface, and a batch's misses are queried on the truth's tree
-      at once and stored;
+      truth's surface; a batch's misses are queried on the truth's tree at
+      once and stored;
     - truth to prediction, for `_LISTED_PREDICTIONS` predictions or more:
       each truth surface point off a prediction's surface reads the first
       candidate on its list (its `_NEAREST` nearest candidates, from one
@@ -394,43 +398,39 @@ class CandidateHD95:
             self.near_distance = np.empty((surface.flat.size, _NEAREST))
             self.tree = None
 
-    def __call__(self, k: int, rows: np.ndarray, index: np.ndarray) -> list:
-        """The HD95 of each of `k` predictions, at most 64, None where it is
-        empty or the truth is: prediction i's positives are the candidates
-        index[rows == i], with `rows` ascending and `index` ascending within
-        each prediction.
-
-        The predictions are read from one flag word per candidate, whose bit
-        i is set where the candidate is in prediction i (`occupied`) or on
-        its surface (`surfaced`).
+    def __call__(self, k: int, occupied: np.ndarray) -> list:
+        """The HD95 of each of `k` predictions, None where it is empty or the
+        truth is. `occupied` holds one flag word per candidate, bit i set
+        where the candidate is in prediction i, and a last, 0, for none; k is
+        at most the bits of its unsigned dtype. A candidate's surface word,
+        `occupied` less the bits all six neighbours set, sets bit i where it
+        is on prediction i's surface, and the memo is read once for each
+        candidate on some surface.
         """
         hds = [None] * k
-        surface, n = self.surface, self.flat.size
-        if surface is None or not index.size:
+        surface = self.surface
+        if surface is None:
             return hds
-        kind = np.min_scalar_type((1 << k) - 1)
-        bit = kind.type(1) << rows.astype(kind)
-        # a bincount of distinct bits is their OR, and exact in float64
-        occupied = np.bincount(index, bit, n + 1).astype(kind)
         enclosed = occupied.take(self.neighbours[0])
         for neighbours in self.neighbours[1:]:
             enclosed &= occupied.take(neighbours)
-        edge = np.flatnonzero((enclosed.take(index) & bit) == 0)
-        edge_index = index.take(edge)
-        edge_bounds = rows.take(edge).searchsorted(np.arange(k + 1))
-        from_p = self.memo.take(edge_index)
-        missed = np.isnan(from_p)
-        if missed.any():
-            new = np.zeros(n, dtype=bool)  # each missed candidate once, ascending
-            new[edge_index[missed]] = True
-            new = np.flatnonzero(new)
-            self.memo[new] = surface.tree.query(_points(self.flat.take(new), self.dims,
+        surfaced = np.zeros_like(occupied)  # the last, none's, stays 0
+        np.bitwise_and(occupied[:-1], ~enclosed, out=surfaced[:-1])
+        edge = np.flatnonzero(surfaced != 0)  # ascending: each surface candidate once
+        if not edge.size:
+            return hds
+        from_p = self.memo.take(edge)
+        missed = np.flatnonzero(np.isnan(from_p))
+        if missed.size:
+            new = edge.take(missed)
+            from_p[missed] = surface.tree.query(_points(self.flat.take(new), self.dims,
                                                         self.spacing))[0]
-            from_p[missed] = self.memo.take(edge_index[missed])
-        surfaced = np.bincount(edge_index, bit.take(edge), n + 1).astype(kind)
-        bits = kind.type(1) << np.arange(k, dtype=kind)
+            self.memo[new] = from_p[missed]
+        bits = occupied.dtype.type(1) << np.arange(k, dtype=occupied.dtype)
+        on = (surfaced.take(edge) & bits[:, None]).astype(bool)  # (prediction, surface candidate)
+        present = on.any(axis=1)
         own = (surfaced.take(self.g_index) & bits[:, None]) == 0  # (prediction, truth point)
-        own[edge_bounds[1:] == edge_bounds[:-1]] = False  # an empty prediction
+        own[~present] = False  # an empty prediction
         own_rows, points = np.nonzero(own)
         if self.near is not None:
             new = np.flatnonzero(own.any(axis=0) & ~self.listed)
@@ -448,16 +448,16 @@ class CandidateHD95:
             from_g = self.near_distance[points, first]
             from_g[~hits[np.arange(points.size), first]] = np.inf
         own_bounds = own_rows.searchsorted(np.arange(k + 1))
-        for i in np.flatnonzero(np.diff(edge_bounds)):
-            on, off = (slice(edge_bounds[i], edge_bounds[i + 1]),
-                       slice(own_bounds[i], own_bounds[i + 1]))
+        for i in np.flatnonzero(present):
+            off, on_i = slice(own_bounds[i], own_bounds[i + 1]), np.flatnonzero(on[i])
+            edge_i = edge.take(on_i)
             if self.near is None:
-                tree = cKDTree(_points(self.flat.take(edge_index[on]), self.dims, self.spacing),
+                tree = cKDTree(_points(self.flat.take(edge_i), self.dims, self.spacing),
                                **_PRED_TREE)
                 from_g_i = tree.query(surface.points.take(points[off], axis=0))[0]
             else:
                 from_g_i = from_g[off]
-            hds[i] = self._hd95(from_p[on], from_g_i, points[off], edge_index[on])
+            hds[i] = self._hd95(from_p.take(on_i), from_g_i, points[off], edge_i)
         return hds
 
     def _hd95(self, from_p, from_g, points, edge):
@@ -550,32 +550,24 @@ def truth_context(truth, connectivity: int = DEFAULT_CONNECTIVITY) -> TruthConte
     return TruthContext(labelled, surface, faces, distance, np.zeros(faces.size, dtype=bool))
 
 
-def batch_reports(g: LabelledMask, sizes, rows, g_at, slots, counts, keep, starts, hds,
+def batch_reports(g: LabelledMask, sizes, covered, counts, keep, starts, inside, hds,
                   config: MetricsConfig) -> list[MetricsReport]:
     """The reports of predictions scored against one labelled truth `g`,
-    from their positives alone: prediction k has sizes[k] positives and
-    HD95 hds[k].
+    from counts of their positives: prediction k has sizes[k] positives,
+    covered[k, j] of them at the truth's j-th kept label, and HD95 hds[k].
 
-    `rows`, `g_at` and `slots` describe the positives inside the truth,
-    those at a kept truth label, in ascending order of `rows`, the
-    prediction each belongs to: `g_at` holds their truth labels and `slots`
-    the indices of their components in `counts` and `keep`, in which
-    prediction k's components (its label 0 first) are entries
-    starts[k]:starts[k + 1]. Lesion recall and precision are the shares of
-    kept components whose fraction of voxels inside the other mask strictly
-    exceeds the threshold; only positives inside the truth count towards
-    either, so every prediction's covers of truth components come from one
-    bincount of them, and of its own components from another.
+    Prediction k's components (its label 0 first) are entries
+    starts[k]:starts[k + 1] of `counts`, `keep` and `inside`, which counts
+    each component's positives at a kept truth label. Lesion recall and
+    precision are the shares of kept components whose fraction of voxels
+    inside the other mask strictly exceeds the threshold.
     """
     g_counts, g_keep = g.components[1:]
     n = len(hds)
-    overlap = np.bincount(rows, minlength=n)
-    covered = np.bincount(rows * g_counts.size + g_at, minlength=n * g_counts.size)
-    covered = covered.reshape(n, g_counts.size)[:, g_keep]
+    overlap = covered.sum(axis=1)
     recalled = np.count_nonzero(covered / g_counts[g_keep] > config.s_gt, axis=1)
     lesion_rows = np.repeat(np.arange(n), np.diff(starts))[keep]
-    covered = np.bincount(slots, minlength=counts.size)[keep]
-    precise = np.bincount(lesion_rows[covered / counts[keep] > config.s_pred], minlength=n)
+    precise = np.bincount(lesion_rows[inside[keep] / counts[keep] > config.s_pred], minlength=n)
     lesions = np.bincount(lesion_rows, minlength=n)
     n_gt, g_size = int(np.count_nonzero(g_keep)), g.positives.size
     reports = []
@@ -621,9 +613,10 @@ def evaluate(
     pred = label_mask(in_zone(pred, zone), config.connectivity)
     g = truth_ctx.mask
     labels, counts, keep = pred.components
-    p = pred.positives
-    g_at = g.components[0].reshape(-1).take(p)
-    inside = np.flatnonzero(g.components[2].take(g_at))
-    return batch_reports(g, [p.size], np.zeros(inside.size, dtype=np.intp),
-                         g_at.take(inside), labels.reshape(-1).take(p.take(inside)), counts,
-                         keep, [0, counts.size], [hd95(pred, g, truth_ctx)], config)[0]
+    (g_labels, g_counts, g_keep), p = g.components, pred.positives
+    g_at = g_labels.reshape(-1).take(p)
+    inside = g_keep.take(g_at)
+    covered = np.bincount(g_at[inside], minlength=g_counts.size)[g_keep]
+    return batch_reports(g, [p.size], covered[None], counts, keep, [0, counts.size],
+                         np.bincount(labels.reshape(-1).take(p[inside]), minlength=counts.size),
+                         [hd95(pred, g, truth_ctx)], config)[0]

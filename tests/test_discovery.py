@@ -501,15 +501,23 @@ def candidate_case(seed: int, t: float, dims=(7, 6, 5)) -> CaseRecord:
 
 def chunked_positives(candidates, rules):
     """Yield (positives, labels, (counts, keep), kept) of each rule in turn,
-    from `candidates._chunks`: its positives' ascending flat indices, their
+    from `candidates._chunk`: its positives' ascending flat indices, their
     labels, its components' counts and keep flags, and which positives are
-    in a kept component."""
+    in a kept component, read from the chunk's runs. The chunk's plane must
+    hold the kept positives."""
     n = candidates.flat.size
-    for k, at, bounds, (labels, counts, keep, kept, starts) in candidates._chunks(rules):
-        for i in range(k):
-            a, b, c, d = bounds[i], bounds[i + 1], starts[i], starts[i + 1]
-            yield (candidates.flat.take(at[a:b] - i * n), labels[a:b], (counts[c:d], keep[c:d]),
-                   kept[a:b])
+    for start in range(0, len(rules), discovery._RULE_CHUNK):
+        plane, (starts, lengths, bounds, slots, counts, keep, components) = candidates._chunk(
+            rules[start:start + discovery._RULE_CHUNK])
+        for i, row in enumerate(plane):
+            runs = slice(bounds[i], bounds[i + 1])
+            index = np.concatenate([np.empty(0, np.intp)] + [
+                np.arange(s, s + length) - i * n for s, length in zip(starts[runs], lengths[runs])])
+            kept = np.repeat(keep[slots[runs]], lengths[runs])
+            assert np.flatnonzero(row).tobytes() == index[kept].tobytes()
+            c, d = components[i], components[i + 1]
+            yield (candidates.flat.take(index), np.repeat(slots[runs] - c, lengths[runs]),
+                   (counts[c:d], keep[c:d]), kept)
 
 
 def candidates_match_dense(case: CaseRecord, t: float, rules) -> bool:

@@ -451,24 +451,33 @@ def test_one_label_buffer_serves_both_labellers(connectivity):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
+def _candidate_plane(masks):
+    """A sweep's view of `masks`: the candidates are the voxels some mask
+    holds, as ascending flat indices, and row i of the (masks, candidates)
+    plane marks mask i's; with the candidates' `batch_positions` for all the
+    masks, raveled, and where consecutive ones continue a z-run."""
+    flat = np.flatnonzero(np.any(masks, axis=0))
+    positions = backends.batch_positions(flat, masks[0].shape, len(masks)).ravel()
+    plane = np.stack([m.reshape(-1)[flat] for m in masks])
+    return flat, plane, positions, np.diff(positions) == 1
+
+
 def _batch(masks, connectivity, min_voxels):
     """Each mask's (labels volume, counts, keep, kept) from one
-    `components_batch` over all of `masks`, gathered as a sweep gathers a
-    chunk of rules: the candidates are the voxels some mask holds, and the
-    masks' positives are found in their (masks, candidates) table."""
+    `run_components` over all of `masks`, from the runs of their plane, as
+    a sweep labels a chunk of rules (see `_candidate_plane`)."""
     shape = masks[0].shape
-    flat = np.flatnonzero(np.any(masks, axis=0))
-    table = backends.batch_positions(flat, shape, len(masks)).ravel()
-    at = np.flatnonzero(np.stack([m.reshape(-1)[flat] for m in masks]))
-    bounds = at.searchsorted(np.arange(len(masks) + 1) * flat.size)
-    labels, counts, keep, kept, slots = backends.components_batch(table.take(at), bounds, shape,
-                                                                  connectivity, min_voxels)
-    assert len(slots) == len(masks) + 1 and slots[-1] == counts.size
+    flat, plane, positions, joins = _candidate_plane(masks)
+    starts, lengths, bounds = backends.plane_runs(plane, joins)
+    slots, counts, keep, components = backends.run_components(
+        positions.take(starts), lengths, bounds, shape, connectivity, min_voxels)
+    assert len(components) == len(masks) + 1 and components[-1] == counts.size
     out = []
-    for k, (a, b, c, d) in enumerate(zip(bounds, bounds[1:], slots, slots[1:])):
+    for k, (a, b, c, d) in enumerate(zip(bounds, bounds[1:], components, components[1:])):
+        index = np.flatnonzero(plane[k])
         volume = np.zeros(shape, dtype=np.int32)
-        volume.reshape(-1)[flat.take(at[a:b] - k * flat.size)] = labels[a:b]
-        out.append((volume, counts[c:d], keep[c:d], kept[a:b]))
+        volume.reshape(-1)[flat.take(index)] = np.repeat(slots[a:b] - c, lengths[a:b])
+        out.append((volume, counts[c:d], keep[c:d], np.repeat(keep[slots[a:b]], lengths[a:b])))
     return out
 
 
@@ -524,6 +533,58 @@ def test_batched_components_equal_each_mask_labelled_alone(masks, connectivity, 
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
         positives = np.flatnonzero(values)
         assert kept.tobytes() == keep[labels.reshape(-1)[positives]].tobytes()
+
+
+def _z_runs(values):
+    """(x, y, z, length) of each z-run of `values`, in C order."""
+    runs = []
+    for (x, y), row in zip(np.ndindex(values.shape[:2]), values.reshape(-1, values.shape[2])):
+        edges = np.diff(np.concatenate(([0], row.view(np.int8), [0])))
+        runs += [(x, y, int(z), int(end - z)) for z, end in zip(np.flatnonzero(edges == 1),
+                                                              np.flatnonzero(edges == -1))]
+    return runs
+
+
+def _run_ends(dims=(3, 4, 5)):
+    """Masks whose runs end at a row's end and at an x slab's end with the
+    next voxel in flat order set, and full masks, whose last candidate is
+    set in one row of the plane and its first in the next."""
+    row_end, slab_end = np.zeros(dims, dtype=bool), np.zeros(dims, dtype=bool)
+    row_end.reshape(-1)[dims[2] - 2:dims[2] + 2] = True  # the end of row (0, 0), then row (0, 1)
+    slab_end[0, -1, -2:] = slab_end[1, 0, :2] = True  # the end of slab 0, then slab 1
+    return [row_end, slab_end, np.ones(dims, dtype=bool), np.ones(dims, dtype=bool), row_end]
+
+
+@settings(max_examples=200, deadline=None)
+@given(masks=border_masks(), connectivity=st.sampled_from([6, 18, 26]),
+       min_voxels=st.integers(0, 4))
+@example(masks=_run_ends(), connectivity=6, min_voxels=0)
+@example(masks=_run_ends()[::-1], connectivity=26, min_voxels=3)
+@example(masks=[np.ones((2, 2, 2), dtype=bool)] * 8, connectivity=18, min_voxels=9)
+def test_runs_from_a_plane_equal_each_mask_labelled_alone(masks, connectivity, min_voxels):
+    # a plane of up to 8 masks: each mask's runs are those of its own
+    # positives, and its labels, counts and keep are `components`' on it
+    masks = masks[:8]
+    shape = masks[0].shape
+    flat, plane, positions, joins = _candidate_plane(masks)
+    starts, lengths, bounds = backends.plane_runs(plane, joins)
+    n = flat.size
+    stride = (shape[0] + 1) * (shape[1] + 1) * (shape[2] + 1)
+    slots, counts, keep, components = backends.run_components(
+        positions.take(starts), lengths, bounds, shape, connectivity, min_voxels)
+    for i, values in enumerate(masks):
+        runs = slice(bounds[i], bounds[i + 1])
+        assert ((starts[runs] >= i * n) & (starts[runs] < (i + 1) * n)).all()
+        first = np.unravel_index(flat.take(starts[runs] - i * n), shape)
+        assert list(zip(*(a.tolist() for a in first), lengths[runs].tolist())) == _z_runs(values)
+        assert (positions.take(starts[runs]) - i * stride).tolist() == backends.batch_positions(
+            np.ravel_multi_index(first, shape), shape, 1)[0].tolist()
+        labels, want_counts, want_keep = backends.components(values, connectivity, min_voxels)
+        got = np.repeat(slots[runs] - components[i], lengths[runs])
+        assert got.tolist() == labels.reshape(-1)[np.flatnonzero(values)].tolist()
+        c, d = components[i], components[i + 1]
+        for got, want in zip((counts[c:d], keep[c:d]), (want_counts, want_keep)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_batch_positions_fall_back_to_int64_past_int32():
