@@ -129,12 +129,6 @@ def bounding_box(flat, shape) -> tuple[slice, slice, slice]:
     )
 
 
-def support_of(mask) -> np.ndarray:
-    """The positives of a 3D boolean mask: their flat indices in C order,
-    ascending, whatever the mask's layout."""
-    return np.flatnonzero(mask)
-
-
 class LabelBuffer:
     """A reused labels volume: `array`, C-contiguous int32, is zero outside
     what its last writer recorded through `claim`: `box`, the box
@@ -298,7 +292,8 @@ def components(mask, connectivity, min_voxels=1, positives: np.ndarray | None = 
 
     Only the positive voxels are counted, and only their bounding box is
     labelled; every other voxel is background. `positives` are the mask's
-    (see `support_of`) when the caller has them. The labels go into the
+    (ascending C-order flat indices, as `np.flatnonzero` gives them whatever
+    the layout) when the caller has them. The labels go into the
     `LabelBuffer` `out`'s array, when given, instead of a fresh array.
 
     A box holding more than `_BOX_VOXELS_PER_RUN` voxels per z-run is
@@ -311,7 +306,7 @@ def components(mask, connectivity, min_voxels=1, positives: np.ndarray | None = 
     if connectivity not in _STRUCTURES:
         raise ValueError(f"connectivity must be 6, 18 or 26, got {connectivity!r}")
     if positives is None:
-        positives = support_of(mask)
+        positives = np.flatnonzero(mask)
     box = bounding_box(positives, mask.shape)
     bx, by, bz = (s.stop - s.start for s in box)
     if bx * by * bz * bz > _BOX_VOXELS_PER_RUN * positives.size:

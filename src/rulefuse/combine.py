@@ -75,16 +75,22 @@ def combine_linear(volumes, rule) -> ProbabilityVolume:
     return ProbabilityVolume(out, spacing=list(volumes)[0].spacing, modality=Modality.COMBINED)
 
 
-def stacking_map(volumes, rule, out=None, product=None) -> np.ndarray:
-    """Logistic stack σ(Σ_τ β_τ·Y^τ + β₀) of a `StackingRule` as a plain
-    array, computed in place; `out` and `product` are as for `linear_map`."""
-    out = linear_map(volumes, rule.weights, out, product)
-    out += rule.bias
+def logistic(out: np.ndarray, bias: float) -> np.ndarray:
+    """σ(out + bias), computed in `out` in place. Each element is the same
+    float64 arithmetic whatever the array's shape, so σ of sums gathered at
+    some voxels is bitwise `stacking_map` at those voxels."""
+    out += bias
     np.negative(out, out=out)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
     out += 1.0
     return np.divide(1.0, out, out=out)
+
+
+def stacking_map(volumes, rule, out=None, product=None) -> np.ndarray:
+    """Logistic stack σ(Σ_τ β_τ·Y^τ + β₀) of a `StackingRule` as a plain
+    array, computed in place; `out` and `product` are as for `linear_map`."""
+    return logistic(linear_map(volumes, rule.weights, out, product), rule.bias)
 
 
 def combine_stacking(volumes, rule) -> ProbabilityVolume:
@@ -126,7 +132,7 @@ def label_positives(
     scanning or labelling the mask again.
 
     `mask` is a bool array set exactly at `positives`, ascending C-order flat
-    indices (see `backends.support_of`), however they were found. Dropped
+    indices (as `np.flatnonzero` gives them), however they were found. Dropped
     components are cleared in `mask` at their voxels, and the returned
     positives are the survivors. In the (labels, counts, keep) triple,
     `labels` numbers the connected components of the thresholded mask,
@@ -160,5 +166,5 @@ def binarize(
     check_binarization(threshold, min_region_voxels)
     mask = volume.values > threshold
     return label_positives(
-        mask, backends.support_of(mask), volume.spacing, min_region_voxels, connectivity
+        mask, np.flatnonzero(mask), volume.spacing, min_region_voxels, connectivity
     ).volume

@@ -14,23 +14,24 @@ is read once per sweep and a worker holds about one case at a time, and sets
 it up once, with `_case_setup`: the zone, the truth restricted to it and one
 set of volume buffers, which every rule or draw on the case reuses.
 
-A sweep is scored on one of two paths. A rule sweep of two or more linear
-rules, on a case whose truth shares the modalities' spacing, finds the
-case's `_Candidates` once: the voxels where some modality comes within
+A rule sweep of two or more rules finds the case's `_Candidates` once: for
+linear rules alone, the voxels where some modality comes within
 `_CANDIDATE_MARGIN` of the threshold, outside which no convex sum can exceed
-it. Its rules are taken `_RULE_CHUNK` at a time: each sums and thresholds
-only those voxels into a row of a (rules, candidates) boolean plane, whose
-z-runs `backends.run_components` labels at once, each rule's small
-components are cleared from it, and the rules are scored from the plane,
-its runs and one flag word per candidate (`_Candidates.reports`, with
-`metrics.CandidateHD95` for HD95): no volume, `evaluate` call or array of
-one entry per positive, and a zone restricts the plane, whose runs are
-labelled afresh. Everything else runs dense: a lone rule, stacking rules, a
-truth off the modalities' grid and every draw of Monte-Carlo uncertainty
-(which needs the whole map for its moments). Each such rule's whole map is
-computed and thresholded, its mask is labelled on its own with
-`backends.components`, which labels a sparse mask from its positives'
-z-runs as a batch of one, and a rule sweep scores it with `_evaluate_case`.
+it, and with any stacking rule every voxel. Its rules are taken
+`_RULE_CHUNK` at a time: each maps and thresholds only those voxels into a
+row of a (rules, candidates) boolean plane, whose z-runs
+`backends.run_components` labels at once, each rule's small components are
+cleared from it, and the rules are scored from the plane, its runs and one
+flag word per candidate (`_Candidates.reports`, with `metrics.CandidateHD95`
+for HD95): no volume or array of one entry per positive, and a zone
+restricts the plane, whose runs are labelled afresh. A truth at another
+spacing than the modalities', however close, shares no surface point with
+any prediction. A lone rule, whose candidates would cost about one dense
+map, and every draw of Monte-Carlo uncertainty (which needs the whole map
+for its moments) run dense: the whole map is computed and thresholded, and
+its mask is labelled on its own with `backends.components`, which labels a
+sparse mask from its positives' z-runs as a batch of one; a lone rule is
+scored by `metrics.evaluate`.
 
 The scheduler runs on `_workers(threads, n_cases)` worker processes: the
 calling process is worker 0 and the others are forked children, which
@@ -57,13 +58,14 @@ from . import backends
 # binarize is not called here; it stays bound in this module because
 # perfbench/test_perfbench.py reaches it as `discovery.binarize`
 from .combine import (
-    binarize, check_binarization, label_positives, linear_map, stacking_map, weighted_sum,
+    binarize, check_binarization, label_positives, linear_map, logistic, stacking_map,
+    weighted_sum,
 )
 from .errors import DataError
 from .fitting import _SIMPLEX_TOL, LinearRule, StackingRule
 from .metrics import (
-    CandidateHD95, LabelledMask, MetricsConfig, MetricsReport, TruthContext, batch_reports,
-    boundary_surface, dice, evaluate, in_zone, label_mask, truth_context,
+    CandidateHD95, LabelledMask, MetricsConfig, MetricsReport, batch_reports, dice, evaluate,
+    in_zone, label_mask,
 )
 from .sampling import SampledRuleSet, dirichlet_rule, simplex_grid
 from .volumes import LabelVolume, ProbabilityVolume, validate_aligned
@@ -277,26 +279,33 @@ if _WORD.kind != "u":
 
 
 class _Candidates:
-    """The voxels of one case where a linear rule can exceed the configured
-    threshold: `flat`, the ascending C-order flat indices where some modality
-    exceeds threshold - `_CANDIDATE_MARGIN`, `values`, the three modalities
-    there as one contiguous (3, n) float64 array, `positions`, their
-    `backends.batch_positions` for `_RULE_CHUNK` masks, raveled, and `joins`,
-    where consecutive ones continue a z-run. Rules are taken a chunk at a
-    time (`_chunk`), as a (rules, candidates) boolean plane, and `reports`
-    scores them from it, with no volume per rule.
+    """The voxels of one case where some of `rules` can exceed the configured
+    threshold: `flat`, their ascending C-order flat indices, and `values`,
+    the three modalities there, as three rows. For linear rules alone they
+    are the voxels where some modality exceeds threshold - `_CANDIDATE_MARGIN`,
+    gathered into one contiguous (3, n) float64 array; a stacking rule can
+    exceed it anywhere, so with one they are every voxel, and `values` the
+    modalities' own raveled values. `positions` are their
+    `backends.batch_positions` for `_RULE_CHUNK` masks, raveled, and `joins`
+    marks where consecutive ones continue a z-run. The rules are taken a
+    chunk at a time (`_chunk`), as a (rules, candidates) boolean plane, and
+    `reports` scores them from it, with no volume per rule.
     """
 
-    def __init__(self, case: CaseRecord, config: EvalConfig):
-        floor = config.threshold - _CANDIDATE_MARGIN
+    def __init__(self, case: CaseRecord, config: EvalConfig, rules):
         y = [np.ravel(m.values) for m in case.modalities]
-        some = y[0] > floor  # max y > floor, without a float64 pass for the max
-        some |= y[1] > floor
-        some |= y[2] > floor
-        self.flat = np.flatnonzero(some)
-        self.values = np.empty((3, self.flat.size))
-        for row, values in zip(self.values, y):
-            values.take(self.flat, out=row)
+        self.rules = rules
+        if all(isinstance(rule, LinearRule) for rule in rules):
+            floor = config.threshold - _CANDIDATE_MARGIN
+            some = y[0] > floor  # max y > floor, without a float64 pass for the max
+            some |= y[1] > floor
+            some |= y[2] > floor
+            self.flat = np.flatnonzero(some)
+            self.values = np.empty((3, self.flat.size))
+            for row, values in zip(self.values, y):
+                values.take(self.flat, out=row)
+        else:
+            self.flat, self.values = np.arange(y[0].size), y
         self.dims, self.spacing = case.truth.dims, case.modalities[0].spacing
         self.positions = backends.batch_positions(self.flat, self.dims, _RULE_CHUNK).ravel()
         self.joins = np.diff(self.positions) == 1
@@ -313,42 +322,49 @@ class _Candidates:
 
     def _chunk(self, rules):
         """(plane, runs) of at most `_RULE_CHUNK` rules: row i of the plane
-        marks where rule i's sum exceeds the threshold in a component it
+        marks where rule i's map exceeds the threshold in a component it
         keeps, and `runs` are the `_runs` of the plane before its small
-        components were cleared. Each sum is `weighted_sum` over the values
-        `linear_map` sums on the whole grid, so it is that map's bitwise.
+        components were cleared. Each map is `weighted_sum` over the values
+        `linear_map` sums on the whole grid, and for a stacking rule its
+        `logistic`, as `stacking_map` takes it, so it is that map's bitwise.
         """
         plane = self.fires[:len(rules)]
         for row, rule in zip(plane, rules):
-            sums = weighted_sum(self.values, rule.alpha, self.sum, self.product)
-            np.greater(sums, self.config.threshold, out=row)
+            if isinstance(rule, LinearRule):
+                values = weighted_sum(self.values, rule.alpha, self.sum, self.product)
+            else:
+                values = logistic(weighted_sum(self.values, rule.weights, self.sum, self.product),
+                                  rule.bias)
+            np.greater(values, self.config.threshold, out=row)
         runs = self._runs(plane, self.config.min_region_voxels)
         starts, lengths, _, slots, _, keep, _ = runs
-        dropped = ~keep.take(slots)  # a few runs, mostly none
-        for start, length in zip(starts[dropped].tolist(), lengths[dropped].tolist()):
-            plane.reshape(-1)[start:start + length] = False
+        dropped = ~keep.take(slots)
+        starts, lengths = starts[dropped], lengths[dropped]
+        # each dropped run's start, less the entries of those before it, plus
+        # the dropped entries counted so far: every entry of every dropped run
+        plane.reshape(-1)[np.repeat(starts - lengths.cumsum() + lengths, lengths)
+                          + np.arange(lengths.sum())] = False
         return plane, runs
 
-    def reports(self, rules, zone: LabelVolume | None, truth: LabelledMask,
+    def reports(self, zone: LabelVolume | None, truth: LabelledMask,
                 labels: backends.LabelBuffer):
-        """Yield each linear rule's report in turn, as `_evaluate_case` makes
-        it from the rule's prediction restricted to `zone` and `truth`, the
-        case's truth restricted to it, labelled at the configured
-        connectivity and on the candidates' grid and spacing. `labels` is
-        the task's labels buffer, which `metrics.CandidateHD95` borrows, told
-        how many rules it scores. Row j of `covered` counts, at candidate
-        index c, the candidates before c at the truth's j-th kept label.
+        """Yield each rule's report in turn, as `metrics.evaluate` makes it
+        from the rule's dense prediction and `truth`, each restricted to
+        `zone`: `truth` is the case's truth restricted to it, labelled at the
+        configured connectivity. `labels` is the task's labels buffer, which
+        `metrics.CandidateHD95` borrows, told how many rules it scores. Row j
+        of `covered` counts, at candidate index c, the candidates before c
+        at the truth's j-th kept label.
         """
-        hd95s = CandidateHD95(boundary_surface(truth), self.flat, self.dims, self.spacing,
-                              len(rules), labels)
+        hd95s = CandidateHD95(truth, self.flat, self.spacing, len(self.rules), labels)
         g_labels = truth.components[0].reshape(-1).take(self.flat)
         kept = np.flatnonzero(truth.components[2])
         covered = np.zeros((kept.size, self.flat.size + 1), np.min_scalar_type(self.flat.size))
         np.cumsum(g_labels == kept[:, None], axis=1, out=covered[:, 1:])
         zoned = None if zone is None else np.ravel(zone.values).take(self.flat)
-        for start in range(0, len(rules), _RULE_CHUNK):
-            yield from self._chunk_reports(self._chunk(rules[start:start + _RULE_CHUNK]), zoned,
-                                           truth, covered, hd95s)
+        for start in range(0, len(self.rules), _RULE_CHUNK):
+            yield from self._chunk_reports(self._chunk(self.rules[start:start + _RULE_CHUNK]),
+                                           zoned, truth, covered, hd95s)
 
     def _chunk_reports(self, chunk, zoned, g, covered, hd95s) -> list[MetricsReport]:
         """The reports of one chunk from `_chunk` (see `reports`): from its
@@ -399,31 +415,13 @@ def _predict(case: CaseRecord, rule, config: EvalConfig, buffers: _Buffers):
     mask = np.greater(combined, config.threshold, out=buffers.mask)
     pred = label_positives(
         mask,
-        backends.support_of(mask),
+        np.flatnonzero(mask),
         case.modalities[0].spacing,
         config.min_region_voxels,
         config.metrics.connectivity,
         buffers.labels,
     )
     return combined, pred
-
-
-def _evaluate_case(
-    case: CaseRecord,
-    rule,
-    config: EvalConfig,
-    zone: LabelVolume | None,
-    truth_ctx: TruthContext,
-    buffers: _Buffers,
-) -> MetricsReport:
-    """The report of one rule on one case, scored by `evaluate` from the
-    prediction that `_predict` makes from the whole map, restricted to
-    `zone`, against `truth_ctx`, the context of the truth restricted to it."""
-    _, pred = _predict(case, rule, config, buffers)
-    # a restricted prediction is labelled into the buffer its unrestricted
-    # labels were in, which nothing reads any more
-    pred = label_mask(in_zone(pred, zone), config.metrics.connectivity, buffers.labels)
-    return evaluate(pred, truth_ctx.mask.volume, config.metrics, truth_ctx=truth_ctx)
 
 
 def _usable_cpus() -> int:
@@ -599,25 +597,25 @@ def _sweep(
     """Score every (rule, case) pair and aggregate one RuleEvaluation per rule.
 
     Each case is one task of `_run_cases`, which loads and sets it up in the
-    worker that runs it. A sweep of two or more linear rules, on a case whose
-    truth shares the modalities' spacing, finds the case's `_Candidates` and
-    scores the rules there a chunk at a time. Any other sweep builds the
-    restricted truth's context and scores each rule with `_evaluate_case`.
-    A failing rule fails its case, with the case id in the message.
+    worker that runs it. A sweep of two or more rules finds the case's
+    `_Candidates` and scores the rules there a chunk at a time. A lone rule
+    runs dense, as its candidates would cost about one dense map: `_predict`
+    makes its prediction, which `metrics.evaluate` scores. A failing rule
+    fails its case, with the case id in the message.
     """
     rules = list(rules)
-    # building a candidate set costs about as much as one rule's dense map,
-    # threshold and scan, so a lone rule runs dense
-    linear = len(rules) > 1 and all(isinstance(r, LinearRule) for r in rules)
 
     def run(case, zone, truth, buffers) -> list[tuple[str, MetricsReport]]:
         try:
-            if linear and case.modalities[0].spacing == truth.volume.spacing:
-                reports = _Candidates(case, config).reports(rules, zone, truth, buffers.labels)
+            if len(rules) > 1:
+                reports = _Candidates(case, config, rules).reports(zone, truth, buffers.labels)
             else:
-                truth_ctx = truth_context(truth, config.metrics.connectivity)
-                reports = (_evaluate_case(case, rule, config, zone, truth_ctx, buffers)
-                           for rule in rules)
+                _, pred = _predict(case, rules[0], config, buffers)
+                # a restricted prediction is labelled into the buffer its
+                # unrestricted labels were in, which nothing reads any more
+                pred = label_mask(in_zone(pred, zone), config.metrics.connectivity,
+                                  buffers.labels)
+                reports = [evaluate(pred, truth, config.metrics)]
             return [(case.case_id, report) for report in reports]
         except DataError:
             raise

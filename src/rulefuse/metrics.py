@@ -5,24 +5,23 @@ hit only when its overlap fraction strictly exceeds the stated threshold.
 Undefined values (empty masks, zero lesions) are reported as None, never as
 sentinel numbers.
 
-HD95's distances are all in a cKDTree query's arithmetic. `hd95` scores one
-prediction: its surface points take theirs from a tree over the truth's
-surface, built once per `TruthContext`, and the truth's points from a tree
-over the prediction's surface. `CandidateHD95` scores batches of
-predictions drawn from one set of candidate voxels (a linear rule sweep's,
-see `discovery._Candidates.reports`) from arrays over those candidates: a
-batch is one flag word per candidate, with a bit per prediction, from which
-come every surface and each surface candidate's distance to the truth, read
-once for the batch; the truth's points, for `_LISTED_PREDICTIONS`
-predictions or more, read per-point lists of their nearest candidates and
-`_nearest_bf`, a brute force in the same arithmetic, where a list cannot
-decide; fewer predictions query them on a tree over each prediction's
-surface, as `hd95` does.
+Every HD95 is `CandidateHD95`'s, in a cKDTree query's arithmetic. It scores
+batches of predictions whose positives lie among fixed candidate voxels,
+from arrays over those candidates: a batch is one flag word per candidate,
+with a bit per prediction, from which come every surface and each surface
+candidate's distance to the truth, read once for the batch. `hd95` scores
+one prediction, whose own positives are the candidates; a rule sweep
+scores each chunk of its rules from the case's candidates (see
+`discovery._Candidates.reports`). The truth's points read per-point lists
+of their nearest candidates in a linear sweep of `_LISTED_PREDICTIONS`
+rules or more, with `_nearest_bf`, a brute force in the same arithmetic,
+where a list cannot decide; otherwise they are queried on a tree over each
+prediction's surface.
 
-`evaluate` and that chunk scorer build their reports with `batch_reports`,
-which takes DSC and lesion recall and precision from counts: each
-prediction's positives, its positives at each truth label, and each of its
-components' positives inside the truth.
+`evaluate` and the sweep build their reports with `batch_reports`, which
+takes DSC and lesion recall and precision from counts: each prediction's
+positives, its positives at each truth label, and each of its components'
+positives inside the truth.
 """
 
 from __future__ import annotations
@@ -102,7 +101,7 @@ def _volume(mask) -> LabelVolume:
 def _positives(mask) -> np.ndarray:
     if isinstance(mask, LabelledMask):
         return mask.positives
-    return backends.support_of(mask.values)
+    return np.flatnonzero(mask.values)
 
 
 def dice(pred, truth) -> float:
@@ -125,10 +124,9 @@ class BoundarySurface:
 
     A boundary voxel is a positive voxel with at least one non-positive face
     neighbour; voxels outside the volume count as background, so a positive
-    voxel on a face of the volume is boundary. Precomputable per reference
-    mask; hd95 against many predictions then only pays for the prediction
-    side. `flat` holds the voxels' flat (C order) indices, ascending, in the
-    order of `points`.
+    voxel on a face of the volume is boundary. A `CandidateHD95` builds its
+    truth's once and scores every prediction against it. `flat` holds the
+    voxels' flat (C order) indices, ascending, in the order of `points`.
     """
 
     points: np.ndarray
@@ -138,22 +136,14 @@ class BoundarySurface:
 
 # cKDTree options. A query's distance does not depend on the tree's shape,
 # only on how fast it is found, and an unbalanced tree builds faster. A
-# truth's tree is built once per case and queried at the own surface points
-# of every prediction. `_PRED_TREE` is for trees queried little for their
-# size, whose build is most of their cost, which uncompacted nodes and larger
-# leaves make cheaper: a prediction's tree (in `hd95`, and in `CandidateHD95`
-# for fewer than `_LISTED_PREDICTIONS`), queried only at the few truth points
-# off the prediction's surface; and a case's candidates' tree for more,
-# queried once per listed truth point.
+# truth's tree is built once per `CandidateHD95` and queried at every
+# prediction surface point its memo misses. `_PRED_TREE` is for trees queried
+# little for their size, whose build is most of their cost, which
+# uncompacted nodes and larger leaves make cheaper: a tree over one
+# prediction's surface, queried only at the truth points off it, and a linear
+# sweep's tree over its candidates, queried once per listed truth point.
 _TRUTH_TREE = {"balanced_tree": False}
 _PRED_TREE = {"balanced_tree": False, "compact_nodes": False, "leafsize": 32}
-
-
-def _face_flags(dims) -> np.ndarray:
-    """Flat (C order) flags of the voxels on the faces of a volume of `dims`."""
-    faces = np.ones(dims, dtype=bool)
-    faces[1:-1, 1:-1, 1:-1] = False
-    return faces.reshape(-1)
 
 
 def _points(flat: np.ndarray, dims, spacing) -> np.ndarray:
@@ -170,23 +160,22 @@ def _points(flat: np.ndarray, dims, spacing) -> np.ndarray:
     return points
 
 
-def _surface_flat(mask, faces: np.ndarray | None = None):
+def _surface_flat(mask):
     """The ascending flat (C order) indices of the boundary voxels of a mask
     (`LabelVolume` or `LabelledMask`); None when the mask is empty.
 
-    Found from the positive voxels alone: each one off the volume's faces
-    (`faces`, its `_face_flags` when the caller has them) is tested against
-    its six face neighbours, gathered by flat index, so no pass over the
-    volume or its bounding box is made.
+    Found from the positive voxels alone: each one off the volume's faces is
+    tested against its six face neighbours, gathered by flat index, so no
+    pass over the volume or its bounding box is made.
     """
     flat = _positives(mask)
     mask = _volume(mask)
     if not flat.size:
         return None
-    if faces is None:
-        faces = _face_flags(mask.dims)
+    faces = np.ones(mask.dims, dtype=bool)
+    faces[1:-1, 1:-1, 1:-1] = False
     ny, nz = mask.dims[1:]
-    boundary = faces.take(flat)
+    boundary = faces.reshape(-1).take(flat)
     inner = flat[~boundary]
     values = mask.values.ravel()
     interior = np.ones(inner.size, dtype=bool)
@@ -197,18 +186,17 @@ def _surface_flat(mask, faces: np.ndarray | None = None):
     return flat[boundary]
 
 
-def boundary_surface(mask, tree_options=_TRUTH_TREE, faces: np.ndarray | None = None):
+def boundary_surface(mask):
     """Surface of a mask (`LabelVolume` or `LabelledMask`) as queryable
-    points; None when the mask is empty. `tree_options` are the cKDTree's,
-    and `faces` is as for `_surface_flat`, which finds the boundary voxels;
-    only they get coordinates.
+    points, with a `_TRUTH_TREE` over them; None when the mask is empty.
+    `_surface_flat` finds the boundary voxels, and only they get coordinates.
     """
-    flat = _surface_flat(mask, faces)
+    flat = _surface_flat(mask)
     if flat is None:
         return None
     volume = _volume(mask)
     points = _points(flat, volume.dims, volume.spacing)
-    return BoundarySurface(points=points, tree=cKDTree(points, **tree_options), flat=flat)
+    return BoundarySurface(points=points, tree=cKDTree(points, **_TRUTH_TREE), flat=flat)
 
 
 # Elements in one block of `_nearest_bf`'s (points, surface) distance table.
@@ -234,58 +222,29 @@ def _nearest_bf(points: np.ndarray, surface: np.ndarray) -> np.ndarray:
     return out
 
 
-def hd95(pred, truth, truth_ctx: TruthContext | None = None):
+def hd95(pred, truth):
     """95th percentile of pooled symmetric boundary-to-boundary distances (mm).
 
     Returns None when either mask is empty. Distances are voxel-centre to
-    voxel-centre, scaled by spacing, as a cKDTree query gives them; the
-    percentile is `np.percentile`'s linear interpolation over the pooled set,
-    taken from its one or two order statistics (see `_percentile_past_zeros`).
+    voxel-centre, each mask's voxels at its own spacing, as a cKDTree query
+    gives them; the percentile is `np.percentile`'s linear interpolation
+    over the pooled set, taken from its one or two order statistics (see
+    `_order_statistics`). Either mask is a `LabelVolume` or a
+    `LabelledMask`.
 
-    Either mask is a `LabelVolume` or a `LabelledMask`; `truth_ctx` is the
-    `truth_context` of `truth`, a throwaway one when not given. On another
-    grid than the truth's, every point of each surface is queried on the
-    other's tree. At equal spacings a voxel on both surfaces is the same
-    point, 0.0 away both ways:
-    - prediction to truth: each prediction surface point reads its distance
-      from the context's memo, which holds 0.0 on the truth's surface; only
-      the misses get coordinates and are queried on the truth's tree, and
-      are stored (a query does not depend on the points queried with it);
-    - truth to prediction: the truth's points off the prediction's surface,
-      found through the context's `scratch`, are queried on a tree of the
-      prediction's surface.
+    It is `CandidateHD95`'s, for a batch of one prediction whose positives
+    are the candidates, each with the flag word 1.
     """
     pred_volume, truth_volume = _volume(pred), _volume(truth)
     validate_aligned([pred_volume, truth_volume], names=["pred", "truth"])
-    ctx = truth_ctx if truth_ctx is not None else truth_context(truth)
-    surf_g = ctx.surface
-    if surf_g is None:
+    flat = _positives(pred)
+    if not flat.size:
         return None
-    if pred_volume.spacing != truth_volume.spacing:
-        # points on another grid are not shared, however close, nor memoised
-        surf_p = boundary_surface(pred, _PRED_TREE, ctx.faces)
-        if surf_p is None:
-            return None
-        own = np.concatenate([surf_g.tree.query(surf_p.points)[0],
-                              surf_p.tree.query(surf_g.points)[0]])
-        return _percentile_past_zeros(own, 0, HD_PERCENTILE)
-    flat = _surface_flat(pred, ctx.faces)
-    if flat is None:
-        return None
-    dims, spacing = pred_volume.dims, pred_volume.spacing
-    from_p = ctx.distance.take(flat)
-    missed = np.flatnonzero(np.isnan(from_p))
-    if missed.size:
-        missed_flat = flat.take(missed)
-        from_p[missed] = surf_g.tree.query(_points(missed_flat, dims, spacing))[0]
-        ctx.distance[missed_flat] = from_p[missed]
-    ctx.scratch[flat] = True
-    own_g = np.flatnonzero(~ctx.scratch.take(surf_g.flat))
-    ctx.scratch[flat] = False
-    tree = cKDTree(_points(flat, dims, spacing), **_PRED_TREE)
-    from_g = tree.query(surf_g.points.take(own_g, axis=0))[0]
-    n_shared = surf_g.flat.size - own_g.size  # their prediction side is in from_p, as 0.0
-    return _percentile_past_zeros(np.concatenate([from_p, from_g]), n_shared, HD_PERCENTILE)
+    hds = CandidateHD95(truth, flat, pred_volume.spacing, 1,
+                        backends.LabelBuffer(truth_volume.dims))
+    occupied = np.ones(flat.size + 1, dtype=np.uint8)
+    occupied[-1] = 0  # none's
+    return hds(1, occupied)[0]
 
 
 def _order_statistics(values: np.ndarray, n_zeros: int, q: float):
@@ -317,13 +276,6 @@ def _interpolated(a: float, b: float, gamma: float) -> float:
     return a + diff * gamma
 
 
-def _percentile_past_zeros(values: np.ndarray, n_zeros: int, q: float) -> float:
-    """`np.percentile` ("linear" method) of `values` pooled with `n_zeros`
-    zeros, bitwise, from at most two order statistics of `values` (see
-    `_order_statistics`, which partitions `values` in place)."""
-    return _interpolated(*_order_statistics(values, n_zeros, q))
-
-
 # Candidates listed for each truth surface point, nearest first. On the
 # `search` benchmark's cases, lists of 16 and 32 took the same time per sweep;
 # 48 and 64 cost more to fill than the fallbacks they spared.
@@ -337,24 +289,29 @@ _LISTED_PREDICTIONS = 13
 
 
 class CandidateHD95:
-    """HD95 against one truth of `predictions` predictions, in batches, whose
-    positives all lie among fixed `candidates`: ascending flat (C order)
-    indices of a grid of `dims` at `spacing`, the truth's grid and spacing.
-    Every HD95 is `hd95`'s, bitwise, from arrays over the candidates, with
-    no volume and no array of one entry per positive: a batch is one flag
-    word per candidate (see `__call__`). `surface` is the truth's
-    `boundary_surface`, and `scratch` a labels buffer of the grid, borrowed
-    for set-up.
+    """HD95 against `truth` (a `LabelVolume` or `LabelledMask`) of
+    `predictions` predictions, in batches, whose positives all lie among
+    fixed `candidates`: ascending flat (C order) indices of the truth's grid,
+    whose voxels lie at `spacing`. Each HD95 is the 95th percentile of the
+    pooled symmetric distances between the truth's `boundary_surface` and
+    the prediction's, in a cKDTree query's arithmetic, from arrays over the
+    candidates, with no volume and no array of one entry per positive: a
+    batch is one flag word per candidate (see `__call__`). `scratch` is a
+    labels buffer of the grid, borrowed for set-up.
 
     Set up once, unless the truth is empty, and read by every batch:
     - each candidate's six face neighbours, as candidate indices (n, for the
       n candidates, where the neighbour is no candidate or off the grid),
       gathered from the candidates' indices written into `scratch`;
-    - prediction to truth: a memo over the candidates holds 0.0 on the
-      truth's surface; a batch's misses are queried on the truth's tree at
-      once and stored;
-    - truth to prediction, for `_LISTED_PREDICTIONS` predictions or more:
-      each truth surface point off a prediction's surface reads the first
+    - the candidate index of each truth surface point. At the truth's own
+      spacing a candidate there is the same point, 0.0 away both ways. At
+      another spacing, however close, no point is shared;
+    - prediction to truth: a memo over the candidates holds 0.0 at shared
+      points; a batch's misses are queried on the truth's tree at once and
+      stored;
+    - truth to prediction, for a linear sweep of `_LISTED_PREDICTIONS`
+      predictions or more, whose candidates are not the whole grid: each
+      truth surface point off a prediction's surface reads the first
       candidate on its list (its `_NEAREST` nearest candidates, from one
       k-nearest query of a tree over all of them, each list filled once, for
       a batch's points at once) that is on that surface. Every nearer surface
@@ -365,34 +322,39 @@ class CandidateHD95:
     of those is below the upper order statistic taken with such points at
     +inf; otherwise they cannot move either order statistic, and
     `_nearest_bf` runs only then. Fewer predictions cannot repay the tree
-    over the candidates and the lists, so each queries those points on a tree
-    over its surface, as `hd95` does.
+    over the candidates and the lists, and on the whole grid a list rarely
+    reaches a near-full prediction's surface, so otherwise each prediction
+    queries those points on a tree over its surface.
     """
 
-    def __init__(self, surface: BoundarySurface | None, candidates: np.ndarray, dims, spacing,
-                 predictions: int, scratch: backends.LabelBuffer):
-        self.surface, self.flat, self.dims, self.spacing = surface, candidates, dims, spacing
+    def __init__(self, truth, candidates: np.ndarray, spacing, predictions: int,
+                 scratch: backends.LabelBuffer):
+        volume = _volume(truth)
+        self.surface = surface = boundary_surface(truth)
+        self.flat, self.dims, self.spacing = candidates, volume.dims, spacing
         if surface is None:
             return
-        n, (nx, ny, nz) = candidates.size, dims
+        n, (nx, ny, nz) = candidates.size, self.dims
         x, rest = np.divmod(candidates, ny * nz)
         y, z = np.divmod(rest, nz)
         # candidate i holds i - n in the borrowed volume, every other voxel 0,
         # so a gather plus n reads a voxel's candidate index, n where it is none
-        volume = scratch.claim(positives=candidates).reshape(-1)
-        volume[candidates] = np.arange(-n, 0, dtype=np.int32)
+        index = scratch.claim(positives=candidates).reshape(-1)
+        index[candidates] = np.arange(-n, 0, dtype=np.int32)
         self.neighbours = np.empty((6, n), dtype=np.int32)
         for row, step, edge in zip(self.neighbours, (1, -1, nz, -nz, ny * nz, -ny * nz),
                                    (z == nz - 1, z == 0, y == ny - 1, y == 0, x == nx - 1, x == 0)):
-            volume.take(candidates + step, out=row, mode="clip")
+            index.take(candidates + step, out=row, mode="clip")
             row += n
             row[edge] = n  # off the grid
-        # each truth surface point's candidate index; n where it is none
-        self.g_index = volume.take(surface.flat) + n
+        if spacing == volume.spacing:
+            self.g_index = index.take(surface.flat) + n
+        else:
+            self.g_index = np.full(surface.flat.size, n, dtype=np.int32)
         self.memo = np.full(n, np.nan)
         self.memo[self.g_index[self.g_index < n]] = 0.0
         self.near = None  # no lists: a tree per prediction
-        if predictions >= _LISTED_PREDICTIONS:
+        if predictions >= _LISTED_PREDICTIONS and n < volume.values.size:
             self.listed = np.zeros(surface.flat.size, dtype=bool)
             self.near = np.full((surface.flat.size, _NEAREST), n, dtype=np.int32)  # n: none
             self.near_distance = np.empty((surface.flat.size, _NEAREST))
@@ -519,37 +481,6 @@ class MetricsReport:
         }
 
 
-@dataclass(frozen=True)
-class TruthContext:
-    """Set-up for scoring many predictions against one truth, built once by
-    `truth_context`. It holds a mutable cache: valid for one truth at one spacing.
-
-    `mask` is the truth as scored (zone-restricted if one is scored), labelled;
-    `surface` its `boundary_surface` (None when empty). `faces` (`_face_flags`),
-    `distance` (`hd95`'s memo of each voxel's distance to the surface: 0.0 on
-    it, NaN until asked elsewhere) and `scratch` (False between `hd95` calls)
-    are flat C-order volumes of its grid.
-    """
-
-    mask: LabelledMask
-    surface: BoundarySurface | None
-    faces: np.ndarray
-    distance: np.ndarray
-    scratch: np.ndarray
-
-
-def truth_context(truth, connectivity: int = DEFAULT_CONNECTIVITY) -> TruthContext:
-    """The context of `truth` (a `LabelVolume` or `LabelledMask`), labelled at
-    `connectivity`."""
-    labelled = label_mask(truth, connectivity)
-    faces = _face_flags(labelled.volume.dims)
-    surface = boundary_surface(labelled, _TRUTH_TREE, faces)
-    distance = np.full(faces.size, np.nan)
-    if surface is not None:
-        distance[surface.flat] = 0.0
-    return TruthContext(labelled, surface, faces, distance, np.zeros(faces.size, dtype=bool))
-
-
 def batch_reports(g: LabelledMask, sizes, covered, counts, keep, starts, inside, hds,
                   config: MetricsConfig) -> list[MetricsReport]:
     """The reports of predictions scored against one labelled truth `g`,
@@ -588,30 +519,21 @@ def batch_reports(g: LabelledMask, sizes, covered, counts, keep, starts, inside,
     return reports
 
 
-def evaluate(
-    pred,
-    truth: LabelVolume,
-    config: MetricsConfig | None = None,
-    zone: LabelVolume | None = None,
-    truth_ctx: TruthContext | None = None,
-) -> MetricsReport:
+def evaluate(pred, truth, config: MetricsConfig | None = None,
+             zone: LabelVolume | None = None) -> MetricsReport:
     """All four metrics plus lesion counts; `zone` restricts both masks first.
 
-    `pred` is a `LabelVolume` or a `LabelledMask`; one labelled at
+    Either mask is a `LabelVolume` or a `LabelledMask`; one labelled at
     `config.connectivity` is scored without scanning or labelling it again.
-    With a zone the restricted prediction is labelled afresh, since the
-    restriction can split a component. A `truth_ctx` describes the truth as
-    scored, so with a zone it must be the context of the restricted truth;
-    every truth-side metric reads it, and `truth` only fixes the grid.
+    With a zone each restricted mask is labelled afresh, since the
+    restriction can split a component.
     """
     config = config or MetricsConfig()
-    volumes = [_volume(pred), truth] + ([zone] if zone is not None else [])
+    volumes = [_volume(pred), _volume(truth)] + ([zone] if zone is not None else [])
     names = ["pred", "truth"] + (["zone"] if zone is not None else [])
     validate_aligned(volumes, names=names)
-    if truth_ctx is None:
-        truth_ctx = truth_context(in_zone(truth, zone), config.connectivity)
+    g = label_mask(in_zone(truth, zone), config.connectivity)
     pred = label_mask(in_zone(pred, zone), config.connectivity)
-    g = truth_ctx.mask
     labels, counts, keep = pred.components
     (g_labels, g_counts, g_keep), p = g.components, pred.positives
     g_at = g_labels.reshape(-1).take(p)
@@ -619,4 +541,4 @@ def evaluate(
     covered = np.bincount(g_at[inside], minlength=g_counts.size)[g_keep]
     return batch_reports(g, [p.size], covered[None], counts, keep, [0, counts.size],
                          np.bincount(labels.reshape(-1).take(p[inside]), minlength=counts.size),
-                         [hd95(pred, g, truth_ctx)], config)[0]
+                         [hd95(pred, g)], config)[0]

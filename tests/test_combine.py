@@ -240,7 +240,7 @@ def test_fortran_ordered_suppression_matches_c_order(connectivity):
     np.testing.assert_array_equal(f_mask.values, c_mask.values)
     thresholded = np.asfortranarray(values) > 0.5
     assert thresholded.flags.f_contiguous and not thresholded.flags.c_contiguous
-    got = label_positives(thresholded, backends.support_of(thresholded), (1.0, 1.0, 1.0), 27,
+    got = label_positives(thresholded, np.flatnonzero(thresholded), (1.0, 1.0, 1.0), 27,
                           connectivity)
     labels, counts, keep = got.components
     np.testing.assert_array_equal(got.volume.values, c_mask.values)
@@ -253,7 +253,7 @@ def test_label_positives_into_buffers_matches_fresh_arrays():
     values = _suppression_map()
 
     def labelled(mask, labels_out=None):
-        return label_positives(mask, backends.support_of(mask), (1.0, 1.0, 1.0), 27, 26,
+        return label_positives(mask, np.flatnonzero(mask), (1.0, 1.0, 1.0), 27, 26,
                                labels_out)
 
     mask_buf = np.ones(values.shape, dtype=bool)

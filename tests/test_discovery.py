@@ -26,7 +26,7 @@ from rulefuse.discovery import (
 )
 from rulefuse.errors import DataError
 from rulefuse.fitting import LinearRule, StackingRule
-from rulefuse.metrics import MetricsConfig, dice, evaluate, hd95, truth_context
+from rulefuse.metrics import MetricsConfig, dice, evaluate, hd95
 from rulefuse.phantoms import PhantomSpec, generate_case
 from rulefuse.sampling import rejection_sample_stacking, simplex_grid
 from rulefuse.volumes import LabelVolume, Modality, ProbabilityVolume
@@ -313,7 +313,8 @@ def test_sweep_zone_without_truth_has_no_hd95(threads):
 
 
 @pytest.mark.parametrize("zone", [None, "slab"])
-def test_sweeps_scan_each_prediction_once_and_share_the_case_setup(zone, monkeypatch):
+def test_sweeps_scan_each_prediction_once_and_share_the_case_setup(zone, monkeypatch,
+                                                                  grid_scans):
     # the grid is scanned for positives once per case, for its truth. A
     # linear sweep finds each rule's positives among its case's candidate
     # voxels, with no scan; a lone rule, and each MC draw, thresholds its
@@ -323,18 +324,13 @@ def test_sweeps_scan_each_prediction_once_and_share_the_case_setup(zone, monkeyp
     cases = mixed_grid_cases(seed=13)
     case_ids = sorted(case.case_id for case in cases)
     config = EvalConfig(min_region_voxels=4, zone=zone)
-    scans, setups = [], []
-    support_of, case_setup = backends.support_of, discovery._case_setup
-
-    def counted_support_of(mask):
-        scans.append(mask.shape)
-        return support_of(mask)
+    scans, setups = grid_scans, []
+    case_setup = discovery._case_setup
 
     def counted_case_setup(case, config):
         setups.append(case.case_id)
         return case_setup(case, config)
 
-    monkeypatch.setattr(backends, "support_of", counted_support_of)
     monkeypatch.setattr(discovery, "_case_setup", counted_case_setup)
     grid_search_linear(cases, step=0.5, config=config)  # 6 rules
     assert (len(scans), setups) == (len(cases), case_ids)
@@ -387,52 +383,10 @@ def test_a_box_is_worked_out_once_per_labelling_and_never_without_one(monkeypatc
         labellings.clear()
         run()
         assert len(boxes) == len(labellings), name
-        if not name.startswith("dice"):
+        if name.startswith(("dice", "hd95")):  # read from the positives alone
+            assert not labellings, name
+        else:
             assert labellings, name
-
-
-@pytest.mark.parametrize("zone", [None, "slab"])
-def test_dense_sweep_queries_no_voxel_twice_on_a_truth_tree(zone, monkeypatch):
-    # a task's truth context remembers each voxel's distance to the truth's
-    # surface, so across a dense sweep's rules no voxel is queried on the
-    # truth's tree twice; each HD95 leaves the context's scratch volume clear.
-    # One stacking rule after 14 linear grid rules sends the sweep dense, at
-    # the truth's spacing, where the memo serves (a truth off the modalities'
-    # grid also sends a sweep dense, but `hd95` memoises nothing there, so
-    # its voxels are queried once per rule); the linear rules alone would be
-    # scored by chunks (see
-    # test_chunk_scored_sweep_builds_one_truth_tree_and_one_candidate_tree_per_case)
-    class RecordingTree(cKDTree):
-        def query(self, x, *args, **kwargs):
-            self.__dict__.setdefault("queried", []).append(np.array(x))
-            return super().query(x, *args, **kwargs)
-
-    contexts, scored = [], []
-
-    def recorded_context(*args, **kwargs):
-        contexts.append(truth_context(*args, **kwargs))
-        return contexts[-1]
-
-    def checked_evaluate(*args, truth_ctx, **kwargs):
-        report = evaluate(*args, truth_ctx=truth_ctx, **kwargs)
-        assert not truth_ctx.scratch.any()
-        scored.append(report.hd95_mm)
-        return report
-
-    monkeypatch.setattr(metrics, "cKDTree", RecordingTree)
-    monkeypatch.setattr(discovery, "truth_context", recorded_context)
-    monkeypatch.setattr(discovery, "evaluate", checked_evaluate)
-    cases = mixed_grid_cases(seed=13)
-    rules = simplex_grid(0.1)[::3][:14] + [rejection_sample_stacking(n_rules=2).entries[0].rule]
-    discovery._sweep(cases, rules, EvalConfig(min_region_voxels=4, zone=zone), threads=1)
-    assert len(contexts) == len(cases) and len(scored) == len(rules) * len(cases)
-    assert sum(hd is not None for hd in scored) > 60 / 66 * len(scored)
-    repeats = 0
-    for ctx in contexts:
-        queried = np.concatenate(ctx.surface.tree.__dict__.get("queried", [np.empty((0, 3))]))
-        assert queried.size
-        repeats += len(queried) - len(np.unique(queried, axis=0))
-    assert repeats == 0
 
 
 # --- linear positives from candidate voxels ---------------------------------------
@@ -520,11 +474,20 @@ def chunked_positives(candidates, rules):
                    (counts[c:d], keep[c:d]), kept)
 
 
+def dense_report(case: CaseRecord, rule, config: EvalConfig, buffers) -> metrics.MetricsReport:
+    """The report of `rule` on `case` from its dense prediction: `evaluate`
+    of `_predict`'s prediction, both masks restricted to the configured zone.
+    `buffers.mask` then holds the prediction, unrestricted."""
+    _, pred = discovery._predict(case, rule, config, buffers)
+    zone = None if config.zone is None else case.zones[config.zone]
+    return evaluate(pred, case.truth, config.metrics, zone=zone)
+
+
 def candidates_match_dense(case: CaseRecord, t: float, rules) -> bool:
     """Whether each rule's candidate positives are the dense map's, with the
     rules run in order on one candidate set."""
     config = EvalConfig(threshold=t, min_region_voxels=0)  # nothing is dropped
-    chunks = chunked_positives(discovery._Candidates(case, config), rules)
+    chunks = chunked_positives(discovery._Candidates(case, config, rules), rules)
     for rule, (positives, *_) in zip(rules, chunks, strict=True):
         dense = linear_map(case.modalities, rule.alpha) > t
         if positives.tobytes() != np.flatnonzero(dense).tobytes():
@@ -547,12 +510,10 @@ def test_candidate_positives_and_reports_equal_the_dense_path(seed, t, rules, mi
     assert candidates_match_dense(case, t, rules)
     config = EvalConfig(threshold=t, min_region_voxels=min_region, zone="half" if zone else None)
     zone_mask, truth, buffers = discovery._case_setup(case, config)
-    truth_ctx = truth_context(truth, config.metrics.connectivity)
-    reports = discovery._Candidates(case, config).reports(rules, zone_mask, truth,
-                                                          buffers.labels)
+    reports = discovery._Candidates(case, config, rules).reports(zone_mask, truth,
+                                                                 buffers.labels)
     for rule, got in zip(rules, reports, strict=True):
-        want = discovery._evaluate_case(case, rule, config, zone_mask, truth_ctx, buffers)
-        assert repr(got) == repr(want)
+        assert repr(got) == repr(dense_report(case, rule, config, buffers))
 
 
 def test_candidate_margin_is_needed_and_enough(monkeypatch):
@@ -587,7 +548,7 @@ def anisotropic(cases, spacing=(0.7, 0.55, 3.3)):
 @pytest.mark.parametrize("zone", [None, "slab"])
 def test_batched_grid_search_equals_dense_evaluation(zone, min_region, threads, monkeypatch):
     # 21 rules: two whole chunks and a part one, labelled in batches, each
-    # report as `_evaluate_case` makes it from the whole map
+    # report as `evaluate` makes it from the whole map
     monkeypatch.setattr(discovery, "_usable_cpus", lambda: 2)
     cases = anisotropic(mixed_grid_cases(seed=14))
     config = EvalConfig(min_region_voxels=min_region, zone=zone)
@@ -595,33 +556,38 @@ def test_batched_grid_search_equals_dense_evaluation(zone, min_region, threads, 
     assert len(result.rows) % discovery._RULE_CHUNK
     lesions = set()
     for case in cases:
-        zone_mask, truth, buffers = discovery._case_setup(case, config)
-        truth_ctx = truth_context(truth, config.metrics.connectivity)
+        buffers = discovery._Buffers(case.truth.dims)
         for row in result.rows:
             report = dict(row.per_case)[case.case_id]
-            want = discovery._evaluate_case(case, row.rule, config, zone_mask, truth_ctx, buffers)
-            assert repr(report) == repr(want)
+            assert repr(report) == repr(dense_report(case, row.rule, config, buffers))
             lesions.add(report.n_pred_lesions)
     assert max(lesions) > 1
 
 
+@pytest.mark.parametrize("model", ["linear", "stacking"])
 @pytest.mark.parametrize("connectivity", [6, 26])
-def test_batched_predictions_are_labelled_as_the_dense_path_labels_them(connectivity):
+def test_batched_predictions_are_labelled_as_the_dense_path_labels_them(connectivity, model):
     # each rule's positives, their labels and its components' (counts, keep)
     # from a chunk are `_predict`'s, bytes and dtypes alike, and its positives
-    # in kept components are `_predict`'s prediction
+    # in kept components are `_predict`'s prediction: linear rules from their
+    # margin candidates, stacking rules from every voxel
     case = mixed_grid_cases(seed=15)[0]
-    rules = simplex_grid(0.1)[::3]  # 22 rules
+    if model == "linear":
+        rules = simplex_grid(0.1)[::3]  # 22 rules
+    else:
+        rules = [entry.rule for entry in rejection_sample_stacking(n_rules=48).entries]
     config = EvalConfig(min_region_voxels=3, metrics=MetricsConfig(connectivity=connectivity))
     buffers = discovery._Buffers(case.truth.dims)
-    chunks = chunked_positives(discovery._Candidates(case, config), rules)
+    candidates = discovery._Candidates(case, config, rules)
+    assert (candidates.flat.size < case.truth.values.size) == (model == "linear")
+    chunks = chunked_positives(candidates, rules)
     dropped = 0
     for rule, (positives, labels, components, kept) in zip(rules, chunks, strict=True):
-        _, want = discovery._predict(case, rule, config, buffers)
+        combined, want = discovery._predict(case, rule, config, buffers)
         assert want.connectivity == connectivity
         mask = np.zeros(case.truth.dims, dtype=bool)
         mask.reshape(-1)[positives] = True
-        assert mask.tobytes() == (linear_map(case.modalities, rule.alpha) > 0.5).tobytes()
+        assert mask.tobytes() == (combined > 0.5).tobytes()
         survivors = positives[kept]
         assert survivors.dtype == want.positives.dtype
         assert survivors.tobytes() == want.positives.tobytes()
@@ -670,10 +636,10 @@ def chunk_cases(seed: int):
             for case_id, mods in (("few", low[3:]), ("wide", low[:3]))]
 
 
-def scored_by_chunks(cases, step, config, patch):
-    """`grid_search_linear`'s rows and, for each (rule, case) whose truth has
-    points no list reaches, whether the brute force ran for them (True) or
-    the bound spared it (False). The sweep must score every case by
+def scored_by_chunks(cases, rules, config, patch):
+    """The rows of a sweep of `rules` and, for each (rule, case) whose truth
+    has points no list reaches, whether the brute force ran for them (True)
+    or the bound spared it (False). The sweep must score every case by
     `_Candidates.reports`, with no `evaluate`."""
     outcomes, fell_back = [], []
     hd95_of, nearest_bf = metrics.CandidateHD95._hd95, metrics._nearest_bf
@@ -694,7 +660,7 @@ def scored_by_chunks(cases, step, config, patch):
                   lambda points, surface: fell_back.append(len(points)) or
                   nearest_bf(points, surface))
     patch.setattr(discovery, "evaluate", no_evaluate)
-    return grid_search_linear(cases, step=step, config=config).rows, outcomes
+    return discovery._sweep(cases, rules, config, threads=1), outcomes
 
 
 def assert_equal_reports(got, want):
@@ -708,59 +674,83 @@ def assert_equal_reports(got, want):
 ANISOTROPIC = (0.7, 0.55, 3.3)
 
 
-@example(seed=0, connectivity=26, min_region=0, spacing=(1.0, 1.0, 1.0), zone=False)
-@example(seed=1, connectivity=6, min_region=4, spacing=ANISOTROPIC, zone=False)
-@example(seed=2, connectivity=18, min_region=1, spacing=ANISOTROPIC, zone=True)
+def modalities_apart(cases):
+    """The cases with their modalities' grid 1e-12 apart from the truth's
+    along x, which alignment accepts: no voxel is then one point on both."""
+    def apart(m):
+        return ProbabilityVolume(m.values, (m.spacing[0] * (1 + 1e-12), *m.spacing[1:]),
+                                 m.modality)
+
+    return [CaseRecord(case.case_id, tuple(map(apart, case.modalities)), case.truth, case.zones)
+            for case in cases]
+
+
+# 14 rules, every voxel a candidate: too many rules for trees on margin
+# candidates, but each prediction's truth side is queried on a tree
+STACKING_RULES = [entry.rule for entry in rejection_sample_stacking(n_rules=16).entries]
+
+
+@example(seed=0, connectivity=26, min_region=0, spacing=(1.0, 1.0, 1.0), zone=False, apart=False)
+@example(seed=1, connectivity=6, min_region=4, spacing=ANISOTROPIC, zone=False, apart=False)
+@example(seed=2, connectivity=18, min_region=1, spacing=ANISOTROPIC, zone=True, apart=False)
+@example(seed=3, connectivity=26, min_region=2, spacing=ANISOTROPIC, zone=True, apart=True)
+@example(seed=4, connectivity=6, min_region=0, spacing=(1.0, 1.0, 1.0), zone=False, apart=True)
 # a far prediction's HD95 is a brute-force distance at anisotropic spacing,
 # which summing the squared differences z first changes in the last place
-@example(seed=144, connectivity=6, min_region=2, spacing=ANISOTROPIC, zone=False)
+@example(seed=144, connectivity=6, min_region=2, spacing=ANISOTROPIC, zone=False, apart=False)
 # the zone cuts a kept component of rule (0.2, 0.4, 0.4) on `wide` to one voxel
-@example(seed=34990, connectivity=6, min_region=2, spacing=(1.0, 1.0, 1.0), zone=True)
+@example(seed=34990, connectivity=6, min_region=2, spacing=(1.0, 1.0, 1.0), zone=True,
+         apart=False)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     connectivity=st.sampled_from([6, 18, 26]),
     min_region=st.integers(0, 4),
     spacing=st.sampled_from([(1.0, 1.0, 1.0), ANISOTROPIC]),
     zone=st.booleans(),
+    apart=st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
 def test_chunk_scored_reports_equal_dense_evaluation_and_the_oracle(seed, connectivity,
-                                                                    min_region, spacing, zone):
-    # every report of a 21-rule sweep (two chunks and a part one) and of a
-    # 10-rule one (two chunks, too few rules for lists), scored from the
-    # candidates, is `evaluate`'s on the dense path, and its HD95 the
-    # oracle's: empty and one-voxel predictions, predictions on the grid's
-    # faces, far ones no list reaches, a case with fewer candidates than a
-    # list holds, every volume at unit or anisotropic spacing, and
-    # predictions cut by a zone.
+                                                                    min_region, spacing, zone,
+                                                                    apart):
+    # every report of a 21-rule linear sweep (two chunks and a part one), a
+    # 10-rule one (two chunks, too few rules for lists) and a 14-rule
+    # stacking sweep, scored from the candidates, is `evaluate`'s on the
+    # dense path, and its HD95 the oracle's: empty and one-voxel
+    # predictions, predictions on the grid's faces, far ones no list
+    # reaches, a case with fewer candidates than a list holds, every volume
+    # at unit or anisotropic spacing, the modalities' grid 1e-12 apart from
+    # the truth's, and predictions cut by a zone.
     # The sizes covered are counted before the zone cut, which can leave one
     # voxel of a kept component whatever `min_region` is.
     import oracles
 
     cases = anisotropic(chunk_cases(seed), spacing)
+    if apart:
+        cases = modalities_apart(cases)
     config = EvalConfig(min_region_voxels=min_region, zone="y3" if zone else None,
                         metrics=MetricsConfig(connectivity=connectivity))
-    with pytest.MonkeyPatch.context() as patch:
-        rows, _ = scored_by_chunks(cases, 0.2, config, patch)
-    with pytest.MonkeyPatch.context() as patch:
-        unlisted, _ = scored_by_chunks(cases, 1 / 3, config, patch)
-    assert (len(rows), len(unlisted)) == (21, 10) and 10 < metrics._LISTED_PREDICTIONS <= 21
-    rows += unlisted
+    sweeps = []
+    for rules in (simplex_grid(0.2), simplex_grid(1 / 3), STACKING_RULES):
+        with pytest.MonkeyPatch.context() as patch:
+            sweeps.append(scored_by_chunks(cases, rules, config, patch)[0])
+    assert [len(rows) for rows in sweeps] == [21, 10, 14]
+    assert 10 < metrics._LISTED_PREDICTIONS <= 14
+    rows = [row for rows in sweeps for row in rows]
     sizes = set()
     for case in cases:
         zone_mask, truth, buffers = discovery._case_setup(case, config)
-        truth_ctx = truth_context(truth, connectivity)
         if case.case_id == "few":
-            assert discovery._Candidates(case, config).flat.size < metrics._NEAREST
+            assert discovery._Candidates(case, config, GRID_RULES).flat.size < metrics._NEAREST
         for row in rows:
             got = dict(row.per_case)[case.case_id]
-            want = discovery._evaluate_case(case, row.rule, config, zone_mask, truth_ctx,
-                                            buffers)
-            assert_equal_reports(got, want)
+            assert_equal_reports(got, dense_report(case, row.rule, config, buffers))
             pred = buffers.mask if zone_mask is None else buffers.mask & zone_mask.values
             oracle = None
             if pred.any() and truth.volume.values.any():
-                pooled = oracles.surface_distances_kd_bf(pred, truth.volume.values, spacing)
+                pooled = oracles.surface_distances_kd_bf(pred, truth.volume.values,
+                                                         case.modalities[0].spacing,
+                                                         truth.volume.spacing)
                 oracle = float(np.percentile(pooled, metrics.HD_PERCENTILE))
             assert repr(got.hd95_mm) == repr(oracle), (case.case_id, row.rule)
             sizes.add(min(int(np.count_nonzero(buffers.mask)), 2))
@@ -780,14 +770,13 @@ def test_the_list_bound_both_spares_and_runs_the_brute_force(spacing):
     cases = [generate_case([3, i], spec, case_id=f"p{i}") for i in range(3)]
     config = EvalConfig()
     with pytest.MonkeyPatch.context() as patch:
-        rows, outcomes = scored_by_chunks(cases, 0.1, config, patch)
+        rows, outcomes = scored_by_chunks(cases, GRID_RULES, config, patch)
     assert True in outcomes and False in outcomes
     for case in cases:
-        zone, truth, buffers = discovery._case_setup(case, config)
-        truth_ctx = truth_context(truth, config.metrics.connectivity)
+        buffers = discovery._Buffers(case.truth.dims)
         for row in rows:
-            want = discovery._evaluate_case(case, row.rule, config, zone, truth_ctx, buffers)
-            assert_equal_reports(dict(row.per_case)[case.case_id], want)
+            assert_equal_reports(dict(row.per_case)[case.case_id],
+                                 dense_report(case, row.rule, config, buffers))
 
 
 @pytest.mark.parametrize("zone", [None, "slab"])
@@ -810,7 +799,7 @@ def test_chunk_scored_sweep_builds_one_truth_tree_and_one_candidate_tree_per_cas
     monkeypatch.setattr(metrics, "cKDTree", RecordingTree)
     cases = mixed_grid_cases(seed=13)
     config = EvalConfig(min_region_voxels=4, zone=zone)
-    rows, _ = scored_by_chunks(cases, 0.1, config, monkeypatch)
+    rows, _ = scored_by_chunks(cases, GRID_RULES, config, monkeypatch)
     assert len(rows) == 66
     assert sum(rep.hd95_mm is not None for row in rows for _, rep in row.per_case) > 60 * len(cases)
     assert [kind for kind, _ in built] == ["truth", "candidates"] * len(cases)
@@ -826,28 +815,27 @@ def test_chunk_scored_sweep_builds_one_truth_tree_and_one_candidate_tree_per_cas
         assert set(map(tuple, listed)) <= set(map(tuple, truth_tree.data))
 
 
-def test_linear_sweeps_of_two_rules_or_more_on_the_truths_grid_are_scored_by_chunks(monkeypatch):
-    # availability's 8 rules, a 2-rule sweep and the 66-rule grid, zoned or
-    # not, are scored by `_Candidates.reports`; a lone rule, a stacking sweep
-    # and a truth 1e-12 off the modalities' grid are scored by
-    # `_evaluate_case` rule by rule. Every report is `_evaluate_case`'s.
-    scored, chunked = [], []
-    evaluate_case, reports = discovery._evaluate_case, discovery._Candidates.reports
+def test_sweeps_of_two_rules_or_more_are_scored_by_chunks_and_a_lone_rule_by_evaluate(
+        monkeypatch):
+    # availability's 8 rules, a 2-rule sweep, the 66-rule grid, zoned or not,
+    # a stacking sweep and the grid on modalities 1e-12 off the truth's grid
+    # are scored by `_Candidates.reports`; a lone linear or stacking rule is
+    # scored by `evaluate`. Every report is `evaluate`'s on the dense path.
+    evaluated, chunked = [], []
+    reports = discovery._Candidates.reports
 
-    def counted_evaluate_case(case, *args, **kwargs):
-        scored.append(case.case_id)
-        return evaluate_case(case, *args, **kwargs)
+    def counted_evaluate(*args, **kwargs):
+        evaluated.append(1)
+        return evaluate(*args, **kwargs)
 
-    def counted_reports(self, rules, *args):
-        chunked.append(len(rules))
-        return reports(self, rules, *args)
+    def counted_reports(self, *args):
+        chunked.append(len(self.rules))
+        return reports(self, *args)
 
-    monkeypatch.setattr(discovery, "_evaluate_case", counted_evaluate_case)
+    monkeypatch.setattr(discovery, "evaluate", counted_evaluate)
     monkeypatch.setattr(discovery._Candidates, "reports", counted_reports)
     cases = mixed_grid_cases(seed=13)
-    apart = anisotropic(cases, (1.0 + 1e-12, 1.0, 1.0))
-    apart = [CaseRecord(c.case_id, c.modalities, cases[i].truth, cases[i].zones)
-             for i, c in enumerate(apart)]
+    apart = modalities_apart(cases)
     few = EvalConfig(min_region_voxels=4)
     two = [LinearRule(np.array(a)) for a in ((0.5, 0.5, 0.0), (0.2, 0.3, 0.5))]
     stacking = rejection_sample_stacking(n_rules=8)
@@ -862,25 +850,26 @@ def test_linear_sweeps_of_two_rules_or_more_on_the_truths_grid_are_scored_by_chu
         (lambda: grid_search_linear(cases, step=0.1).rows, cases, EvalConfig(), 66),
         (lambda: grid_search_linear(cases, step=0.1, config=EvalConfig(zone="slab")).rows, cases,
          EvalConfig(zone="slab"), 66),
+        (lambda: grid_search_stacking(cases, stacking, config=few).rows, cases, few,
+         len(stacking.entries)),
+        (lambda: grid_search_linear(apart, step=0.1).rows, apart, EvalConfig(), 66),
         (lambda: [evaluate_rule(cases, two[1], config=few)], cases, few, 0),
-        (lambda: grid_search_stacking(cases, stacking, config=few).rows, cases, few, 0),
-        (lambda: grid_search_linear(apart, step=0.1).rows, apart, EvalConfig(), 0),
+        (lambda: [evaluate_rule(cases, stacking.entries[0].rule, config=few)], cases, few, 0),
     ]
     for rows, dataset, config, n_chunked in runs:
-        scored.clear()
+        evaluated.clear()
         chunked.clear()
         rows = rows()
         if n_chunked:
-            assert chunked == [n_chunked] * len(dataset) and len(rows) == n_chunked
-            assert not scored
+            assert chunked == [n_chunked] * len(dataset) and len(rows) == n_chunked > 1
+            assert not evaluated
         else:
-            assert len(scored) == len(rows) * len(dataset) and not chunked
+            assert len(evaluated) == len(rows) * len(dataset) and not chunked
         for case in dataset:
-            zone, truth, buffers = discovery._case_setup(case, config)
-            truth_ctx = truth_context(truth, config.metrics.connectivity)
+            buffers = discovery._Buffers(case.truth.dims)
             for row in rows:
-                want = evaluate_case(case, row.rule, config, zone, truth_ctx, buffers)
-                assert_equal_reports(dict(row.per_case)[case.case_id], want)
+                assert_equal_reports(dict(row.per_case)[case.case_id],
+                                     dense_report(case, row.rule, config, buffers))
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -1019,18 +1008,18 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def failing_evaluate_case(monkeypatch, act):
-    """Patch `_evaluate_case` so that `act(case_id, where)` runs first, with
+def failing_predict(monkeypatch, act):
+    """Patch `_predict` so that `act(case_id, where)` runs first, with
     `where` "parent" or "child"."""
     parent = os.getpid()
-    real = discovery._evaluate_case
+    real = discovery._predict
 
     def patched(case, *args, **kwargs):
         act(case.case_id, "parent" if os.getpid() == parent else "child")
         return real(case, *args, **kwargs)
 
     monkeypatch.setattr(discovery, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(discovery, "_evaluate_case", patched)
+    monkeypatch.setattr(discovery, "_predict", patched)
 
 
 RULE = LinearRule(np.array([0.5, 0.25, 0.25]))
@@ -1052,7 +1041,7 @@ def test_forked_sweep_raises_first_failure_and_reaps(failing, expected, monkeypa
         if case_id in failing:
             raise ValueError(f"boom in {where}")
 
-    failing_evaluate_case(monkeypatch, act)
+    failing_predict(monkeypatch, act)
     with pytest.raises(DataError) as info:
         evaluate_rule(truth_cases(4), RULE, threads=2)
     assert str(info.value) == expected
@@ -1065,7 +1054,7 @@ def test_child_dying_mid_stripe_names_its_case(monkeypatch):
             assert where == "child"
             os._exit(3)
 
-    failing_evaluate_case(monkeypatch, act)
+    failing_predict(monkeypatch, act)
     with pytest.raises(DataError) as info:
         evaluate_rule(truth_cases(4), RULE, threads=2)
     assert str(info.value) == (
@@ -1081,7 +1070,7 @@ def test_interrupted_parent_kills_and_reaps_children(monkeypatch):
         elif case_id == "c02":
             raise KeyboardInterrupt
 
-    failing_evaluate_case(monkeypatch, act)
+    failing_predict(monkeypatch, act)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         evaluate_rule(truth_cases(4), RULE, threads=2)
@@ -1120,17 +1109,20 @@ def test_mc_child_failure_keeps_its_type_and_message(error, expected, monkeypatc
 
 
 def test_threaded_sweep_failure_names_case(monkeypatch):
+    # a lone rule fails in `_predict`, a stacking or linear sweep in
+    # `_Candidates`; each failure names its case
     cases = truth_cases(4)
-    real = discovery._evaluate_case
+    stacking = rejection_sample_stacking(n_rules=8)
+    real = discovery._predict
 
     def failing(case, *args, **kwargs):
         if case.case_id == "c02":
             raise ValueError("boom")
         return real(case, *args, **kwargs)
 
-    monkeypatch.setattr(discovery, "_evaluate_case", failing)
+    monkeypatch.setattr(discovery, "_predict", failing)
     with pytest.raises(DataError, match="case c02: boom"):
-        grid_search_stacking(cases, rejection_sample_stacking(n_rules=8), threads=2)
+        evaluate_rule(cases, stacking.entries[0].rule, threads=2)
     real_candidates = discovery._Candidates
 
     def failing_candidates(case, *args):
@@ -1139,6 +1131,8 @@ def test_threaded_sweep_failure_names_case(monkeypatch):
         return real_candidates(case, *args)
 
     monkeypatch.setattr(discovery, "_Candidates", failing_candidates)
+    with pytest.raises(DataError, match="case c02: boom"):
+        grid_search_stacking(cases, stacking, threads=2)
     with pytest.raises(DataError, match="case c02: boom"):
         grid_search_linear(cases, step=0.5, threads=2)
 

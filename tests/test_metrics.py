@@ -12,14 +12,15 @@ from rulefuse.fitting import LinearRule
 from rulefuse.metrics import (
     HD_PERCENTILE,
     MetricsConfig,
-    _percentile_past_zeros,
+    CandidateHD95,
+    _interpolated,
+    _order_statistics,
     boundary_surface,
     dice,
     evaluate,
     hd95,
     in_zone,
     label_mask,
-    truth_context,
 )
 from rulefuse.phantoms import PhantomSpec, generate_case
 from rulefuse.sampling import simplex_grid
@@ -192,7 +193,7 @@ def test_box_labelling_equals_full_volume_labelling(connectivity):
     structure = ndimage.generate_binary_structure(3, {6: 1, 18: 2, 26: 3}[connectivity])
     for name, values in _label_cases():
         want, n = ndimage.label(values, structure=structure)
-        positives = backends.support_of(values)
+        positives = np.flatnonzero(values)
         whole = (slice(None),) * 3
         for box in (backends.bounding_box(positives, values.shape), whole):
             # any box holding every positive labels alike
@@ -235,7 +236,7 @@ def test_label_buffer_labels_each_mask_as_a_fresh_zeroed_buffer(connectivity):
     masks = _moving_boxes()
     buffer = backends.LabelBuffer(masks[0].shape)
     for i, values in enumerate(masks):
-        box = backends.bounding_box(backends.support_of(values), values.shape)
+        box = backends.bounding_box(np.flatnonzero(values), values.shape)
         want, n = backends.label_components(values, connectivity, box)
         got, count = backends.label_components(values, connectivity, box, buffer)
         assert got is buffer.array and buffer.box == box and count == n, i
@@ -251,7 +252,7 @@ def test_label_buffer_labels_each_mask_as_a_fresh_zeroed_buffer(connectivity):
 
 def test_bounding_box_is_the_smallest_box_of_the_positives():
     for name, values in _label_cases():
-        box = backends.bounding_box(backends.support_of(values), values.shape)
+        box = backends.bounding_box(np.flatnonzero(values), values.shape)
         if not values.any():
             assert all(s.start == s.stop for s in box), name
             continue
@@ -643,24 +644,22 @@ def test_zone_whose_truth_is_empty_scores_the_restricted_truth():
     zone_values[5:] = True
     zone = mask(zone_values, spacing)
     assert not in_zone(truth, zone).volume.values.any() and truth.values.any()
-    ctx = truth_context(in_zone(truth, zone))
-    assert ctx.surface is None
+    restricted = label_mask(in_zone(truth, zone))
+    assert boundary_surface(restricted) is None
     for given in (pred, label_mask(pred)):
-        for context in (None, ctx):
-            report = evaluate(given, truth, zone=zone, truth_ctx=context)
-            assert report.hd95_mm is None
-            assert report.dsc == 0.0 and not report.dsc_both_empty
-            assert report.recall_gt is None and report.n_gt_lesions == 0
-            assert report.precision_pred == 0.0 and report.n_pred_lesions == 1
-    assert hd95(label_mask(pred), ctx.mask) is None
+        report = evaluate(given, truth, zone=zone)
+        assert report.hd95_mm is None
+        assert report.dsc == 0.0 and not report.dsc_both_empty
+        assert report.recall_gt is None and report.n_gt_lesions == 0
+        assert report.precision_pred == 0.0 and report.n_pred_lesions == 1
+    assert hd95(label_mask(pred), restricted) is None
     assert hd95(pred, truth) is not None
     outside = cube((10, 9, 8), (0, 5, 5), (4, 9, 8), spacing)  # both empty in the zone
-    for context in (None, ctx):
-        report = evaluate(label_mask(outside), truth, zone=zone, truth_ctx=context)
-        assert report.dsc == 1.0 and report.dsc_both_empty and report.hd95_mm is None
+    report = evaluate(label_mask(outside), truth, zone=zone)
+    assert report.dsc == 1.0 and report.dsc_both_empty and report.hd95_mm is None
 
 
-def test_in_zone_keeps_the_positives_the_zone_holds(monkeypatch):
+def test_in_zone_keeps_the_positives_the_zone_holds(grid_scans):
     # the restriction is read from the mask's own positives: a labelled mask
     # is never scanned again, whatever the zone's memory layout
     rng = np.random.default_rng(43)
@@ -673,18 +672,19 @@ def test_in_zone_keeps_the_positives_the_zone_holds(monkeypatch):
         labelled = label_mask(pred, 6)
         want = values & zone_values
         ref = label_mask(mask(want, spacing), 6)
-        with monkeypatch.context() as patched:
-            patched.setattr(backends, "support_of", None)
-            for zone in (mask(zone_values, spacing), mask(np.asfortranarray(zone_values), spacing)):
-                got = in_zone(labelled, zone)
-                assert got.components is None and got.connectivity is None
-                assert got.volume.spacing == spacing
-                np.testing.assert_array_equal(got.volume.values, want)
-                np.testing.assert_array_equal(got.positives, ref.positives)
-                relabelled = label_mask(got, 6)
-                np.testing.assert_array_equal(relabelled.components[0], ref.components[0])
-                np.testing.assert_array_equal(relabelled.components[1], ref.components[1])
+        grid_scans.clear()
+        for zone in (mask(zone_values, spacing), mask(np.asfortranarray(zone_values), spacing)):
+            got = in_zone(labelled, zone)
+            assert got.components is None and got.connectivity is None
+            assert got.volume.spacing == spacing
+            np.testing.assert_array_equal(got.volume.values, want)
+            np.testing.assert_array_equal(got.positives, ref.positives)
+            relabelled = label_mask(got, 6)
+            np.testing.assert_array_equal(relabelled.components[0], ref.components[0])
+            np.testing.assert_array_equal(relabelled.components[1], ref.components[1])
+        assert not grid_scans
         got = in_zone(pred, mask(zone_values, spacing))  # a plain volume is scanned once
+        assert len(grid_scans) == 1
         np.testing.assert_array_equal(got.positives, ref.positives)
         assert in_zone(pred, None) is pred and in_zone(labelled, None) is labelled
 
@@ -911,7 +911,7 @@ def test_order_statistic_percentile_is_numpy_percentile_bitwise(values, n_zeros,
     own = np.array(values, dtype=np.float64)
     pooled = np.concatenate([own, np.zeros(n_zeros)])
     want = float(np.percentile(pooled, q))
-    got = _percentile_past_zeros(own.copy(), n_zeros, q)
+    got = _interpolated(*_order_statistics(own.copy(), n_zeros, q))
     assert type(got) is float
     assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
 
@@ -939,8 +939,7 @@ def test_hd95_grids_a_rounding_error_apart_share_no_points():
     assert 0.0 < want < 1e-11
     pred, truth = mask(values, spacing), mask(values, other)
     assert hd95(pred, truth) == want
-    ctx = truth_context(truth)
-    assert evaluate(pred, truth, truth_ctx=ctx).hd95_mm == want
+    assert evaluate(pred, truth).hd95_mm == want
 
 
 @pytest.mark.parametrize("axis", range(3))
@@ -958,10 +957,10 @@ def test_hd95_one_voxel_shift_matches_kd_arithmetic(axis):
         want = _kd_hd95(pred_values, truth_values, spacing)
         assert hd95(pred, truth) == want
         assert hd95(truth, pred) == _kd_hd95(truth_values, pred_values, spacing)
-        assert evaluate(pred, truth, truth_ctx=truth_context(truth)).hd95_mm == want
+        assert evaluate(pred, truth).hd95_mm == want
 
 
-# --- one truth context scores many predictions -------------------------------------
+# --- one CandidateHD95 scores many predictions ------------------------------------
 
 REUSE_DIMS = (10, 9, 8)
 PREDICTION_KINDS = ("random", "shift", "identical", "disjoint", "empty")
@@ -993,26 +992,31 @@ def _prediction(kind, truth_values, rng):
                    min_size=1, max_size=8),
 )
 @settings(max_examples=40, deadline=None)
-def test_reused_truth_context_scores_as_the_oracles_and_a_fresh_context(seed, spacing, steps):
-    # the context's distance memo and scratch volume carry over from one
-    # prediction to the next; no value may depend on what was scored before
+def test_reused_candidate_hd95_scores_as_the_oracles_and_evaluate(seed, spacing, steps):
+    # a `CandidateHD95` over the whole grid, one for each prediction grid,
+    # scores each prediction in turn as a batch of one: its memo carries over
+    # from one prediction to the next, and no value may depend on what was
+    # scored before
     rng = np.random.default_rng(seed)
     truth_values = oracles.random_mask_pair(rng, REUSE_DIMS)[1]
     truth = mask(truth_values, spacing)
-    ctx = truth_context(truth)
+    every = np.arange(truth_values.size)
+    reused = {}
     for kind, apart in steps:
         pred_spacing = (spacing[0] * (1 + 1e-12),) + spacing[1:] if apart else spacing
+        if apart not in reused:
+            reused[apart] = CandidateHD95(truth, every, pred_spacing, 1,
+                                          backends.LabelBuffer(REUSE_DIMS))
         pred_values = _prediction(kind, truth_values, rng)
         pred = mask(pred_values, pred_spacing)
-        got = evaluate(pred, truth, truth_ctx=ctx)
-        assert not ctx.scratch.any()
+        got = reused[apart](1, np.append(pred_values.reshape(-1), False).astype(np.uint8))[0]
         fresh = evaluate(pred, truth)
         want_hd = None
         if pred_values.any() and truth_values.any():
             pooled = oracles.surface_distances_kd_bf(pred_values, truth_values, pred_spacing,
                                                      spacing)
             want_hd = float(np.percentile(pooled, HD_PERCENTILE))
-        want = repr((want_hd, oracles.dice_bf(pred_values, truth_values)))
-        assert repr((got.hd95_mm, got.dsc)) == want, kind
-        assert repr((fresh.hd95_mm, fresh.dsc)) == want, kind
-        assert repr(hd95(pred, truth, ctx)) == repr(want_hd)
+        assert repr(got) == repr(want_hd), kind
+        assert repr((fresh.hd95_mm, fresh.dsc)) == repr(
+            (want_hd, oracles.dice_bf(pred_values, truth_values))), kind
+        assert repr(hd95(pred, truth)) == repr(want_hd)
